@@ -96,7 +96,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		cpuProf   = fs.String("cpuprofile", "", "write a CPU profile (go tool pprof) to this path")
 		memProf   = fs.String("memprofile", "", "write an allocation profile (go tool pprof) to this path when done")
 		benchOut  = fs.String("bench-out", "", "write the harness timing record (wall/busy time per experiment, schema v1 JSON) to this path")
-		fidelity  = fs.String("fidelity", "exact", "timing fidelity: exact|sampled|memoized (fidelity-drift runs all three regardless)")
+		fidelity  = fs.String("fidelity", "exact", "timing fidelity: "+sim.FidelityNames("|")+" (fidelity-drift runs every fidelity regardless)")
 		sampleFF  = fs.Uint64("sample-ff", 0, "sampled fidelity: fast-forward instructions per period (0 = paper default)")
 		sampleWU  = fs.Uint64("sample-warmup", 0, "sampled fidelity: warmup instructions per period (0 = paper default)")
 		sampleWin = fs.Uint64("sample", 0, "sampled fidelity: measured instructions per period (0 = paper default)")
@@ -322,9 +322,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		addFigure(f.name)
 	}
 	// The fidelity-drift experiment is deliberately not part of "all":
-	// it sweeps the fig7 configurations three times (once per
-	// fidelity), and its point — quantifying the approximations — only
-	// matters when asked for.
+	// it sweeps the fig7 configurations once per fidelity, and its
+	// point — quantifying what sampling trades away — only matters when
+	// asked for.
 	var driftRows []report.Drift
 	if *exp == "fidelity-drift" && !partial {
 		t0 := time.Now()

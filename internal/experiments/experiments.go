@@ -340,13 +340,15 @@ func (r *Runner) RunFidelityCtx(ctx context.Context, w workload.Workload, name C
 			// the worker computes it against its own baseline — the
 			// exact float64 division the local path would perform — and
 			// the verbatim cell matches a local report bit-for-bit.
+			start := time.Now()
 			cell, err := r.Remote.RemoteCell(ctx, w.Name, name, fid, name != CfgBaseline)
+			r.Timing.AddSim(time.Since(start))
 			if err != nil {
 				return nil, nil, fmt.Errorf("%s under %s (remote): %w", w.Name, name, err)
 			}
-			// A remote fetch still counts as a Sim (the cachedResult
-			// wrapper records that); the extra counter attributes it to
-			// the fabric for -stats and the metrics exporters.
+			// A remote fetch still counts as a Sim; the extra counter
+			// attributes it to the fabric for -stats and the metrics
+			// exporters.
 			r.Timing.AddRemoteCell()
 			return resultFromCell(&cell), &cell, nil
 		}
@@ -369,9 +371,7 @@ func (r *Runner) cachedResult(ctx context.Context, key string, compute func() (*
 		e = &resultEntry{done: make(chan struct{})}
 		r.results[key] = e
 		r.mu.Unlock()
-		start := time.Now()
 		e.res, e.cell, e.err = compute()
-		r.Timing.AddSim(time.Since(start))
 		if e.err != nil && Canceled(e.err) {
 			// Don't let a canceled computation poison the cache: the
 			// next request for this key starts fresh.
@@ -483,7 +483,7 @@ func (r *Runner) runUncached(ctx context.Context, w workload.Workload, name Conf
 	if r.Trace != nil {
 		cfg.Sink = trace.New(*r.Trace)
 	}
-	res, err := sim.RunCtx(ctx, prog, cfg)
+	res, err := r.simulate(ctx, prog, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("%s under %s: %w", w.Name, name, err)
 	}
@@ -494,6 +494,16 @@ func (r *Runner) runUncached(ctx context.Context, w workload.Workload, name Conf
 		return nil, fmt.Errorf("%s under %s: runtime abort %d", w.Name, name, res.AbortCode)
 	}
 	return res, nil
+}
+
+// simulate is sim.RunCtx billed to Timing as one simulation. Only the
+// simulation itself is timed: a profiling pass the cell needed is
+// billed by profileFor, so busy time counts each nanosecond once.
+func (r *Runner) simulate(ctx context.Context, prog *asm.Program, cfg sim.Config) (*machine.Result, error) {
+	start := time.Now()
+	res, err := sim.RunCtx(ctx, prog, cfg)
+	r.Timing.AddSim(time.Since(start))
+	return res, err
 }
 
 // profileFor returns the ISA-assisted profile for key, running the
@@ -555,8 +565,8 @@ func (r *Runner) Overhead(w workload.Workload, name ConfigName) (float64, error)
 
 // OverheadCtx is Overhead under an explicit context. Cycle counts go
 // through Result.EstimatedCycles, so at the sampled fidelity the ratio
-// compares whole-program extrapolations (for exact and memoized runs
-// EstimatedCycles is the measured count and nothing changes).
+// compares whole-program extrapolations (for exact runs EstimatedCycles
+// is the measured count and nothing changes).
 func (r *Runner) OverheadCtx(ctx context.Context, w workload.Workload, name ConfigName) (float64, error) {
 	return r.overheadFidelity(ctx, w, name, r.Fidelity)
 }

@@ -16,18 +16,14 @@ import (
 // headline overheads.
 var driftConfigs = []ConfigName{CfgConservative, CfgISA, CfgXTag, CfgDangKiller}
 
-// driftFidelities is the measurement order: exact first (it defines
-// the reference), then the approximations.
-var driftFidelities = []sim.Fidelity{sim.FidelityExact, sim.FidelitySampled, sim.FidelityMemoized}
-
-// FidelityDrift quantifies what the approximate fidelities trade away:
-// it sweeps the Figure 7 configurations at exact, sampled and memoized
-// fidelity, and reports each approximation's geomean-overhead drift
-// against exact (percentage points) next to its wall-clock speedup.
-// The drift records also land in the -json report so CI can gate on
-// them. ISA-assisted profiling passes are warmed before the clock
-// starts, so no fidelity's wall time is billed for the shared
-// functional profiling.
+// FidelityDrift quantifies what sampling trades away: it sweeps the
+// Figure 7 configurations at every fidelity in sim.Fidelities (exact
+// first: it defines the reference), and reports each approximation's
+// geomean-overhead drift against exact (percentage points) next to its
+// wall-clock speedup. The drift records also land in the -json report
+// so CI can gate on them. ISA-assisted profiling passes are warmed
+// before the clock starts, so no fidelity's wall time is billed for
+// the shared functional profiling.
 func (r *Runner) FidelityDrift() (*stats.Table, []report.Drift, error) {
 	return r.FidelityDriftCtx(r.ctx())
 }
@@ -38,9 +34,9 @@ func (r *Runner) FidelityDriftCtx(ctx context.Context) (*stats.Table, []report.D
 		return nil, nil, err
 	}
 	cfgs := append([]ConfigName{CfgBaseline}, driftConfigs...)
-	wall := make(map[sim.Fidelity]time.Duration, len(driftFidelities))
-	geos := make(map[sim.Fidelity]map[ConfigName]float64, len(driftFidelities))
-	for _, fid := range driftFidelities {
+	wall := make(map[sim.Fidelity]time.Duration, len(sim.Fidelities))
+	geos := make(map[sim.Fidelity]map[ConfigName]float64, len(sim.Fidelities))
+	for _, fid := range sim.Fidelities {
 		t0 := time.Now()
 		if err := r.runAllFidelityCtx(ctx, fid, cfgs...); err != nil {
 			return nil, nil, err
@@ -60,7 +56,7 @@ func (r *Runner) FidelityDriftCtx(ctx context.Context) (*stats.Table, []report.D
 		fmt.Sprintf("Fidelity drift: fig7 geomean overhead vs exact (scale %d)", r.Scale),
 		"fidelity", "config", "geomean", "drift-pp", "speedup")
 	var drift []report.Drift
-	for _, fid := range driftFidelities {
+	for _, fid := range sim.Fidelities {
 		speedup := speedupOver(wall[sim.FidelityExact], wall[fid])
 		for _, cfg := range driftConfigs {
 			exact := geos[sim.FidelityExact][cfg]

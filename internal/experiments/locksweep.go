@@ -6,7 +6,6 @@ import (
 
 	"watchdog/internal/machine"
 	"watchdog/internal/report"
-	"watchdog/internal/sim"
 	"watchdog/internal/stats"
 	"watchdog/internal/workload"
 )
@@ -103,7 +102,7 @@ func (r *Runner) runLockSize(ctx context.Context, w workload.Workload, size int)
 		cfg := simConfig(CfgISA, prof)
 		cfg.Hier.Lock.SizeBytes = size
 		cfg.RuntimeEnd = rtEnd
-		res, err := sim.RunCtx(ctx, prog, cfg)
+		res, err := r.simulate(ctx, prog, cfg)
 		if err != nil {
 			return nil, nil, err
 		}

@@ -117,6 +117,25 @@ func TestProfileComputedOnce(t *testing.T) {
 	}
 }
 
+// TestBusyTimeBillsProfilesOnce: on a serial runner the summed busy
+// time can never exceed the wall time around the sweep, which holds
+// only if a cell's nested profiling pass is billed by the profile
+// counter alone and not again inside the cell's simulation time.
+func TestBusyTimeBillsProfilesOnce(t *testing.T) {
+	r := runnerJ(t, 1)
+	start := time.Now()
+	if err := r.RunAll(CfgISA, CfgBounds1); err != nil {
+		t.Fatal(err)
+	}
+	wall := time.Since(start)
+	if r.Timing.Profiles() == 0 {
+		t.Fatal("profiled configs ran no profiling pass")
+	}
+	if busy := r.Timing.BusyTime(); busy > wall {
+		t.Errorf("serial busy time %v exceeds the sweep's wall time %v", busy, wall)
+	}
+}
+
 // TestRunConcurrentSameCell: hammering one cell from many goroutines
 // must return the identical cached result from a single simulation.
 func TestRunConcurrentSameCell(t *testing.T) {

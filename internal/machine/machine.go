@@ -89,13 +89,6 @@ type Machine struct {
 	// periodic-sampling methodology (see SetSampling).
 	sampler *sampler
 
-	// memo, when set, replays recorded basic-block timing deltas
-	// instead of feeding the model µop by µop (see EnableMemo).
-	// skipTiming is its per-instruction verdict: true while the
-	// current instruction's timing is covered by a replayed delta.
-	memo       *memoizer
-	skipTiming bool
-
 	// cancel is the cooperative-cancellation state (see SetContext).
 	// cancelDone is nil when no cancellable context is attached, which
 	// keeps the uncancellable path to a single pointer compare per
@@ -165,18 +158,6 @@ func (m *Machine) effAddr(mr isa.MemRef) uint64 {
 // bandwidth as its own macro instruction.
 func (m *Machine) feed(uops []isa.Uop) {
 	m.res.Uops += uint64(len(uops))
-	if m.skipTiming {
-		// Covered by a replayed block delta (memoized fidelity). The
-		// cycles are folded by Advance, but the cache hierarchy must
-		// still see the access stream — a frozen hierarchy across
-		// replayed spans starves later live blocks and revalidations of
-		// current cache state, and the memo's deltas drift arbitrarily
-		// far from the exact run on cache-sensitive workloads.
-		for i := range uops {
-			m.model.Warm(&uops[i])
-		}
-		return
-	}
 	if !m.timingOn() {
 		if m.model != nil && m.sampler != nil {
 			// Fast-forward functional warming: replay the access stream
@@ -316,17 +297,8 @@ func (m *Machine) step() error {
 	if m.sampler != nil {
 		m.sampleTick()
 	}
-	if m.memo != nil {
-		m.memoStep(pc, in.Op)
-	}
 	if m.timingOn() {
-		if !m.skipTiming {
-			m.model.OnInst(ca)
-		} else {
-			// Memo replay: keep the I-side hierarchy warm so post-replay
-			// live blocks fetch against current cache state.
-			m.model.WarmFetch(ca)
-		}
+		m.model.OnInst(ca)
 	} else if m.model != nil && m.sampler != nil {
 		m.model.WarmFetch(ca) // fast-forward functional warming (I-side)
 	}

@@ -194,9 +194,6 @@ func (m *Machine) SetSampling(cfg Sampling) {
 	if cfg.Period() == 0 {
 		panic("machine.SetSampling: " + zeroPeriodInvariant)
 	}
-	if m.memo != nil {
-		panic("machine.SetSampling: sampling cannot be combined with memoized timing")
-	}
 	// Offset start: the first period opens at its warmup so short
 	// programs still reach a sample window (see the Sampling comment).
 	m.sampler = &sampler{cfg: cfg, phase: phaseWarmup}

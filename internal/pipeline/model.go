@@ -421,6 +421,55 @@ func (m *Model) loadLatency(u *isa.Uop, issueAt int64) int64 {
 	return int64(m.hier.Data(u.Addr, false))
 }
 
+// WarmFetch keeps the I-side hierarchy (ITLB, L1I, shared levels)
+// architecturally warm during the sampled fidelity's fast-forward: the
+// access stream the fetch stage would have issued is replayed against
+// the caches, but no fetch-bandwidth or stall accounting happens.
+// Sharing lastFetchBlk with OnInst is deliberate — the first timed
+// instruction after a fast-forward sees the same "already fetching
+// this block" state it would have seen in an exact run.
+func (m *Model) WarmFetch(codeAddr uint64) {
+	blk := codeAddr >> 6
+	if blk != m.lastFetchBlk {
+		m.lastFetchBlk = blk
+		m.hier.Fetch(codeAddr)
+	}
+}
+
+// Warm touches the cache hierarchy for one µop exactly as OnUop's
+// execute/drain stages would — data loads and store drains through
+// Data, lock-location reads through LockRead, lock writes through
+// LockWrite, with the IdealShadow carve-outs mirrored — without any
+// timing side effects. It is the per-µop half of functional warming:
+// after a fast-forward phase the cache and TLB contents match what an
+// exact run would hold, so warmup windows start from architecturally
+// current state instead of a cold hierarchy.
+func (m *Model) Warm(u *isa.Uop) {
+	switch u.Op {
+	case isa.UopCheck, isa.UopCheckFull:
+		if m.IdealShadow && !m.hier.LockCacheEnabled() {
+			return
+		}
+		m.hier.LockRead(u.Addr)
+		return
+	}
+	if !u.IsMem {
+		return
+	}
+	if m.IdealShadow && u.Shadow {
+		return
+	}
+	if u.Lock {
+		if u.IsWr {
+			m.hier.LockWrite(u.Addr)
+		} else {
+			m.hier.LockRead(u.Addr)
+		}
+		return
+	}
+	m.hier.Data(u.Addr, u.IsWr)
+}
+
 // dataRegOfMeta maps a metadata timing register back to its data
 // register (for the monolithic ablation).
 func dataRegOfMeta(meta isa.Reg) []isa.Reg {

@@ -135,22 +135,9 @@ func (q *iqTimes) pop() int64 {
 // ring is a fixed-size ring of int64 timestamps used for window
 // occupancy constraints (ROB/LQ/SQ): element i of the ring holds
 // the freeing time of the entry allocated size positions ago.
-//
-// refill does not materialize its entries: the synthetic steady-state
-// pattern is an arithmetic progression, so it is stored as (base,
-// perCycle, cursor) and computed on demand. The memoized fidelity
-// calls refill after every replayed block — an eager O(size) rewrite
-// there costs more than the pipeline simulation the replay saves.
 type ring struct {
 	buf []int64
 	n   uint64
-	// Synthetic occupancy left behind by refill: synthLeft entries of
-	// the ring still hold the virtual value synthBase + i/synthPer
-	// (oldest first, synthIdx entries already consumed by pushes).
-	synthBase int64
-	synthPer  int
-	synthIdx  int
-	synthLeft int
 }
 
 func newRing(size int) *ring {
@@ -164,34 +151,12 @@ func (r *ring) push(freeAt int64) (mustDrain int64) {
 	mustDrain = r.peek()
 	r.buf[r.n%uint64(len(r.buf))] = freeAt
 	r.n++
-	if r.synthLeft > 0 {
-		r.synthIdx++
-		r.synthLeft--
-	}
 	return mustDrain
-}
-
-// refill overwrites the ring with synthetic full occupancy: entries
-// freeing at start, spaced perCycle-per-cycle, oldest first. Advance
-// uses it to restore a steady-state "window full, draining at retire
-// bandwidth" constraint after a replayed block, which the replay
-// cannot reconstruct µop by µop. O(1): the pattern is recorded, not
-// written out; push and peek consume it lazily.
-func (r *ring) refill(start int64, perCycle int) {
-	if perCycle < 1 {
-		perCycle = 1
-	}
-	r.synthBase, r.synthPer = start, perCycle
-	r.synthIdx, r.synthLeft = 0, len(r.buf)
-	r.n = uint64(len(r.buf))
 }
 
 // peek returns the freeing time of the oldest entry in the ring
 // without modifying it (zero until the ring is full).
 func (r *ring) peek() int64 {
-	if r.synthLeft > 0 {
-		return r.synthBase + int64(r.synthIdx/r.synthPer)
-	}
 	if r.n < uint64(len(r.buf)) {
 		return 0
 	}

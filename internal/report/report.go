@@ -34,10 +34,10 @@ type Report struct {
 	Schema  string `json:"schema"`
 	Version int    `json:"version"`
 	Scale   int    `json:"scale"`
-	// Fidelity is the run's default timing methodology ("exact",
-	// "sampled", "memoized"; empty in pre-fidelity documents means
-	// exact). Individual cells carry their own fidelity — a document
-	// can mix them (the fidelity-drift experiment does).
+	// Fidelity is the run's default timing methodology ("exact" or
+	// "sampled"; empty in pre-fidelity documents means exact).
+	// Individual cells carry their own fidelity — a document can mix
+	// them (the fidelity-drift experiment does).
 	Fidelity  string   `json:"fidelity,omitempty"`
 	Workloads []string `json:"workloads"`
 	// Cells holds one record per simulated (workload, configuration)
@@ -74,8 +74,8 @@ type Cell struct {
 
 	// Cycle counts. The four breakdown buckets sum to Cycles. At the
 	// sampled fidelity Cycles is the whole-program extrapolation from
-	// the sample windows (and the buckets are scaled to match); at
-	// exact and memoized fidelities it is the measured count.
+	// the sample windows (and the buckets are scaled to match); at the
+	// exact fidelity it is the measured count.
 	Cycles         int64 `json:"cycles"`
 	BaseCycles     int64 `json:"base_cycles"`
 	CheckCycles    int64 `json:"check_cycles"`

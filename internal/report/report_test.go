@@ -183,7 +183,7 @@ func TestCompareRefusesMixedFidelity(t *testing.T) {
 	// Same top-level fidelity but a cell pair of different fidelities:
 	// refused at the cell level.
 	cur2 := sampleReport()
-	cur2.Cells[1].Fidelity = "memoized"
+	cur2.Cells[1].Fidelity = "sampled"
 	if _, err := Compare(base, cur2, 1.0); err == nil ||
 		!strings.Contains(err.Error(), "mcf/isa") {
 		t.Fatalf("mixed-fidelity cell pair must be refused, got %v", err)

@@ -148,7 +148,7 @@ type SimRequest struct {
 	// Scale is the workload scale factor (default 1, capped by the
 	// server's MaxScale).
 	Scale int `json:"scale,omitempty"`
-	// Fidelity selects the timing methodology (exact|sampled|memoized;
+	// Fidelity selects the timing methodology (one of sim.Fidelities;
 	// empty = exact, so old clients keep their meaning). It is a flight
 	// and runner dimension: cells of different fidelities never share
 	// a computation.

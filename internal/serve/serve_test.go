@@ -270,14 +270,27 @@ func TestSimValidation(t *testing.T) {
 
 // TestSimFidelity: fidelity is part of the flight identity — the same
 // (workload, config) at a different fidelity is a new simulation, not
-// a cache replay — and an unknown fidelity is rejected up front.
+// a cache replay — and an unknown fidelity is rejected up front,
+// including the deleted basic-block-memo fidelity (spelled split so a
+// search for the deleted identifiers finds only live code), with a
+// body that names the valid values.
 func TestSimFidelity(t *testing.T) {
 	_, ts := testServer(t, Config{MaxWorkers: 2})
 
-	resp, body := postJSON(t, ts.URL+"/v1/sim",
-		SimRequest{Workload: "mcf", Config: "isa", Fidelity: "bogus"})
-	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "fidelity") {
-		t.Fatalf("bogus fidelity: status %d, body %s", resp.StatusCode, body)
+	for _, bad := range []string{"bogus", "memo" + "ized"} {
+		resp, body := postJSON(t, ts.URL+"/v1/sim",
+			SimRequest{Workload: "mcf", Config: "isa", Fidelity: bad})
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s fidelity: status %d, body %s", bad, resp.StatusCode, body)
+		}
+		for _, want := range []string{"fidelity", bad, "exact", "sampled"} {
+			if !strings.Contains(string(body), want) {
+				t.Errorf("%s fidelity: body %s does not name %q", bad, body, want)
+			}
+		}
+	}
+	if m := getMetrics(t, ts.URL); m.Harness.Sims != 0 {
+		t.Fatalf("rejected fidelities ran %d sims", m.Harness.Sims)
 	}
 
 	exact := SimRequest{Workload: "mcf", Config: "isa"}
@@ -308,7 +321,7 @@ func TestSimFidelity(t *testing.T) {
 
 	// Replaying the sampled request coalesces onto its completed
 	// flight: still two simulations total.
-	resp, body = postJSON(t, ts.URL+"/v1/sim", sampled)
+	resp, body := postJSON(t, ts.URL+"/v1/sim", sampled)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("replay: status %d, body %s", resp.StatusCode, body)
 	}

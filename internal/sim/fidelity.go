@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"strings"
 
 	"watchdog/internal/machine"
 )
@@ -17,35 +18,43 @@ import (
 //     fast-forward with cache/predictor warming, timing warmup, then a
 //     measured sample window; whole-program cycles are extrapolated
 //     from the samples' CPI.
-//   - memoized: full-length timing with a basic-block memo that
-//     replays previously measured, revalidated block deltas instead of
-//     re-simulating stable blocks µop by µop.
 //
 // Fidelity only affects timing. Functional execution — and therefore
 // violation detection — is identical at every fidelity.
 type Fidelity string
 
 const (
-	FidelityExact    Fidelity = "exact"
-	FidelitySampled  Fidelity = "sampled"
-	FidelityMemoized Fidelity = "memoized"
+	FidelityExact   Fidelity = "exact"
+	FidelitySampled Fidelity = "sampled"
 )
 
-// Fidelities lists the valid values, for CLI help strings.
-var Fidelities = []Fidelity{FidelityExact, FidelitySampled, FidelityMemoized}
+// Fidelities lists the valid values, exact (the reference the
+// fidelity-drift experiment measures against) first. CLI help strings
+// and the unknown-fidelity error are built from it (FidelityNames).
+var Fidelities = []Fidelity{FidelityExact, FidelitySampled}
+
+// FidelityNames joins the valid fidelities with sep: "|" for a flag's
+// help string, ", " for prose.
+func FidelityNames(sep string) string {
+	names := make([]string, len(Fidelities))
+	for i, f := range Fidelities {
+		names[i] = string(f)
+	}
+	return strings.Join(names, sep)
+}
 
 // ParseFidelity parses a CLI/wire fidelity string. The empty string is
 // exact, so old clients and zero values keep their meaning.
 func ParseFidelity(s string) (Fidelity, error) {
-	switch Fidelity(s) {
-	case "", FidelityExact:
+	if s == "" {
 		return FidelityExact, nil
-	case FidelitySampled:
-		return FidelitySampled, nil
-	case FidelityMemoized:
-		return FidelityMemoized, nil
 	}
-	return "", fmt.Errorf("sim: unknown fidelity %q (want exact, sampled, or memoized)", s)
+	for _, f := range Fidelities {
+		if Fidelity(s) == f {
+			return f, nil
+		}
+	}
+	return "", fmt.Errorf("sim: unknown fidelity %q (want one of: %s)", s, FidelityNames(", "))
 }
 
 // OrExact normalizes the zero value to FidelityExact.
@@ -95,41 +104,32 @@ func SamplingOverride(fid Fidelity, ff, warmup, sample uint64) (*machine.Samplin
 }
 
 // applyFidelity validates the fidelity/sampling combination and arms
-// the machine. Functional-only runs (no timing model) ignore fidelity:
-// there is no timing to approximate, and the functional semantics are
-// identical at every fidelity by construction.
+// the machine. Fidelity alone selects the method: a Sampling config at
+// any fidelity but sampled is an error, as SamplingOverride treats it.
+// Functional-only runs (no timing model) skip the arming: there is no
+// timing to approximate, and the functional semantics are identical at
+// every fidelity by construction.
 func applyFidelity(m *machine.Machine, cfg *Config) error {
-	f := cfg.Fidelity.OrExact()
-	switch f {
-	case FidelityExact:
-		// Back-compat: an explicit Sampling on an otherwise-exact config
-		// predates the fidelity knob and still means "sample".
-		if cfg.Sampling != nil && cfg.Timing {
-			m.SetSampling(*cfg.Sampling)
-		}
-		return nil
-	case FidelitySampled:
-		if !cfg.Timing {
-			return nil
-		}
-		s := DefaultSampling()
+	f, err := ParseFidelity(string(cfg.Fidelity))
+	if err != nil {
+		return err
+	}
+	if f != FidelitySampled {
 		if cfg.Sampling != nil {
-			s = *cfg.Sampling
+			return fmt.Errorf("sim: a Sampling config only applies to the %s fidelity (got %s)", FidelitySampled, f)
 		}
-		if err := s.Validate(); err != nil {
-			return fmt.Errorf("sim: fidelity %s: %w", f, err)
-		}
-		m.SetSampling(s)
-		return nil
-	case FidelityMemoized:
-		if cfg.Sampling != nil {
-			return fmt.Errorf("sim: fidelity %s cannot be combined with an explicit Sampling config", f)
-		}
-		if !cfg.Timing {
-			return nil
-		}
-		m.EnableMemo()
 		return nil
 	}
-	return fmt.Errorf("sim: unknown fidelity %q (want exact, sampled, or memoized)", cfg.Fidelity)
+	if !cfg.Timing {
+		return nil
+	}
+	s := DefaultSampling()
+	if cfg.Sampling != nil {
+		s = *cfg.Sampling
+	}
+	if err := s.Validate(); err != nil {
+		return fmt.Errorf("sim: fidelity %s: %w", f, err)
+	}
+	m.SetSampling(s)
+	return nil
 }

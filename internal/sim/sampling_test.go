@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"watchdog/internal/asm"
@@ -30,6 +31,7 @@ func TestSamplingApproximatesFullSimulation(t *testing.T) {
 
 	sampled := Default()
 	sampled.RuntimeEnd = rtEnd
+	sampled.Fidelity = FidelitySampled
 	sampled.Sampling = &machine.Sampling{FastForward: 40_000, Warmup: 5_000, Sample: 5_000}
 	sres, err := Run(prog, sampled)
 	if err != nil || sres.MemErr != nil {
@@ -53,9 +55,10 @@ func TestSamplingApproximatesFullSimulation(t *testing.T) {
 }
 
 // TestSamplingZeroSampleWindow: a zero-length sample window measures
-// nothing; the run must still complete correctly and EstimatedCycles
-// must fall back to the directly measured cycle count instead of
-// dividing by zero.
+// nothing, so the sampled fidelity refuses it up front instead of
+// running a measurement that reports success with no windows. (The
+// machine's own fallback for such a run is pinned by
+// machine.TestSamplingZeroSampleWindowFallsBack.)
 func TestSamplingZeroSampleWindow(t *testing.T) {
 	w, _ := workload.ByName("hmmer")
 	prog, rtEnd, err := workload.BuildProgram(w, rt.Options{Policy: core.PolicyWatchdog}, 1)
@@ -64,19 +67,39 @@ func TestSamplingZeroSampleWindow(t *testing.T) {
 	}
 	cfg := Default()
 	cfg.RuntimeEnd = rtEnd
+	cfg.Fidelity = FidelitySampled
 	cfg.Sampling = &machine.Sampling{FastForward: 10_000, Warmup: 1_000, Sample: 0}
 	res, err := Run(prog, cfg)
-	if err != nil || res.MemErr != nil {
-		t.Fatalf("run: %v %v", err, res.MemErr)
+	if err == nil || !strings.Contains(err.Error(), "zero-length sample window") {
+		t.Fatalf("zero-length sample window: err = %v, want a refusal", err)
 	}
-	if res.SampledInsts != 0 {
-		t.Fatalf("zero-length windows measured %d instructions", res.SampledInsts)
+	if res != nil {
+		t.Fatalf("refused config still ran: %+v", res)
 	}
-	if got := res.EstimatedCycles(); got != res.Timing.Cycles {
-		t.Fatalf("EstimatedCycles with no samples = %d, want the measured %d", got, res.Timing.Cycles)
+}
+
+// TestSamplingRequiresSampledFidelity: Fidelity alone selects the
+// timing method, so a Sampling config at the exact fidelity (explicit
+// or the zero value) is an error rather than a quiet switch to
+// sampling.
+func TestSamplingRequiresSampledFidelity(t *testing.T) {
+	w, _ := workload.ByName("hmmer")
+	prog, rtEnd, err := workload.BuildProgram(w, rt.Options{Policy: core.PolicyWatchdog}, 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(res.Output) != 1 {
-		t.Fatalf("program output lost under degenerate sampling: %v", res.Output)
+	for _, fid := range []Fidelity{"", FidelityExact} {
+		cfg := Default()
+		cfg.RuntimeEnd = rtEnd
+		cfg.Fidelity = fid
+		cfg.Sampling = &machine.Sampling{FastForward: 10_000, Warmup: 1_000, Sample: 1_000}
+		res, err := Run(prog, cfg)
+		if err == nil || !strings.Contains(err.Error(), "sampled") {
+			t.Errorf("Fidelity %q with a Sampling config: err = %v, want an error naming the sampled fidelity", fid, err)
+		}
+		if res != nil {
+			t.Errorf("Fidelity %q with a Sampling config still ran", fid)
+		}
 	}
 }
 
@@ -100,6 +123,7 @@ func TestSamplingFastForwardPastProgramEnd(t *testing.T) {
 
 	cfg := Default()
 	cfg.RuntimeEnd = rtEnd
+	cfg.Fidelity = FidelitySampled
 	cfg.Sampling = &machine.Sampling{FastForward: 1 << 40, Warmup: 1_000, Sample: 1_000}
 	res, err := Run(prog, cfg)
 	if err != nil || res.MemErr != nil {
@@ -135,6 +159,7 @@ func TestSamplingZeroFastForward(t *testing.T) {
 	}
 	cfg := Default()
 	cfg.RuntimeEnd = rtEnd
+	cfg.Fidelity = FidelitySampled
 	cfg.Sampling = &machine.Sampling{FastForward: 0, Warmup: 0, Sample: 10_000}
 	res, err := Run(prog, cfg)
 	if err != nil || res.MemErr != nil {
@@ -179,6 +204,7 @@ func TestSamplingStillDetectsViolations(t *testing.T) {
 	}
 	cfg := Default()
 	cfg.RuntimeEnd = r.RuntimeEnd()
+	cfg.Fidelity = FidelitySampled
 	cfg.Sampling = &machine.Sampling{FastForward: 1_000_000, Warmup: 1000, Sample: 1000}
 	res, err := Run(prog, cfg)
 	if err != nil {

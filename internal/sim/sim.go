@@ -48,10 +48,9 @@ type Config struct {
 	// Sink, when set, records per-µop lifecycle, check-outcome and
 	// shadow-traffic events (timeline export, flight recorder).
 	Sink *trace.Sink
-	// Sampling, when non-nil, enables the paper's periodic-sampling
-	// methodology (Section 9.1). With Fidelity unset this is honored
-	// as-is (pre-fidelity behavior); with FidelitySampled it overrides
-	// the default sampling parameters.
+	// Sampling, when non-nil, overrides the sampled fidelity's default
+	// periodic-sampling parameters (Section 9.1). It is an error at any
+	// other fidelity.
 	Sampling *machine.Sampling
 	// Fidelity selects the timing methodology (exact when empty; see
 	// the Fidelity type). Functional-only runs ignore it.
