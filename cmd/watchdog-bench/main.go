@@ -494,8 +494,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "watchdog-bench: %s (-j %d)\n", r.Timing.String(), *jobs)
 		if fab != nil {
 			fs := fab.Stats()
-			fmt.Fprintf(stderr, "watchdog-bench: fabric: %d cells sent, %d hedged, %d retried, %d cache hits, %d ejections\n",
-				fs.CellsSent, fs.Hedged, fs.Retried, fs.CacheHits, fs.Ejections)
+			fmt.Fprintf(stderr, "watchdog-bench: fabric: %d cells sent, %d hedged, %d retried, %d ejections\n",
+				fs.CellsSent, fs.Hedged, fs.Retried, fs.Ejections)
 			for _, w := range fs.Workers {
 				state := "alive"
 				if !w.Alive {

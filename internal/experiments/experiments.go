@@ -12,11 +12,11 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync"
 	"time"
 
 	"watchdog/internal/asm"
 	"watchdog/internal/core"
+	"watchdog/internal/flight"
 	"watchdog/internal/isa"
 	"watchdog/internal/machine"
 	"watchdog/internal/mem"
@@ -83,13 +83,12 @@ func Canceled(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// Runner executes (workload, configuration) pairs with caching of
-// programs, profiles and results, so figures sharing runs (e.g. the
-// baseline) pay for them once. All methods are safe for concurrent
-// use: the caches give per-key once-semantics, so even when many
-// goroutines request the same cell (or the same ISA-assisted profile)
-// it is computed exactly once and everyone else blocks on that
-// computation instead of repeating it.
+// Runner executes (workload, configuration) pairs, keeping profiles
+// and results, so figures sharing runs (e.g. the baseline) pay for them
+// once. All methods are safe for concurrent use: cells and profiles
+// live in flight Groups, so even when many goroutines request the same
+// cell (or the same ISA-assisted profile) it is computed exactly once
+// and everyone else waits on that computation instead of repeating it.
 type Runner struct {
 	Scale     int
 	Workloads []workload.Workload
@@ -139,9 +138,11 @@ type Runner struct {
 	// assembly reads).
 	Remote RemoteCellRunner
 
-	mu       sync.Mutex
-	profiles map[string]*profileEntry
-	results  map[string]*resultEntry
+	// results keeps every cell this runner computed, keyed by cellKey,
+	// unbounded because Report lists them all; profiles keeps the
+	// profiling passes, keyed by profileFor.
+	results  flight.Group[cellResult]
+	profiles flight.Group[*core.Profile]
 }
 
 // RemoteCellRunner fetches one simulated cell from somewhere other
@@ -154,30 +155,13 @@ type RemoteCellRunner interface {
 	RemoteCell(ctx context.Context, workload string, config ConfigName, fid sim.Fidelity, overhead bool) (report.Cell, error)
 }
 
-// resultEntry is one result-cache slot. The creator (the goroutine
-// that inserted the entry) computes the cell and closes done; every
-// other requester of the same key waits on done — or bails on its own
-// context, leaving the computation running for the rest. This is what
-// the serving layer's request coalescing rides on: N identical
-// in-flight requests cost one simulation, and a coalesced waiter's
-// deadline still fires on time.
-type resultEntry struct {
-	done chan struct{}
+// cellResult is one kept cell: the Result the figure math reads plus,
+// for a remote fetch, the worker's wire cell (nil for local
+// simulations), which Report emits verbatim so a distributed report is
+// byte-identical to the local one.
+type cellResult struct {
 	res  *machine.Result
-	// cell is the wire record a remote fetch produced (nil for local
-	// simulations): Report emits it verbatim so a distributed report
-	// is byte-identical to the local one, while res holds the
-	// reconstruction the figure math reads.
-	cell *report.Cell
-	err  error
-}
-
-// profileEntry is one profiling-pass cache slot with the same
-// creator-computes semantics.
-type profileEntry struct {
-	done chan struct{}
-	prof *core.Profile
-	err  error
+	wire *report.Cell
 }
 
 // NewRunner builds a runner over all workloads (or the given subset).
@@ -201,12 +185,7 @@ func NewRunner(scale int, names ...string) (*Runner, error) {
 				strings.Join(unknown, ", "), workload.Names())
 		}
 	}
-	return &Runner{
-		Scale:     scale,
-		Workloads: ws,
-		profiles:  make(map[string]*profileEntry),
-		results:   make(map[string]*resultEntry),
-	}, nil
+	return &Runner{Scale: scale, Workloads: ws}, nil
 }
 
 // rtOptions maps a configuration to its runtime variant.
@@ -319,11 +298,11 @@ func (r *Runner) Run(w workload.Workload, name ConfigName) (*machine.Result, err
 // RunCtx is Run under an explicit context. Cancellation is
 // cooperative down to the machine's run loop, so it lands
 // mid-simulation. Identical concurrent requests coalesce onto one
-// computation (driven by the first requester's context); a waiter
-// whose own context fires stops waiting without disturbing the
-// computation. A computation killed by its context is evicted from
-// the cache, so a later request recomputes instead of being served
-// the stale cancellation error.
+// computation, driven by the first requester's context; a waiter whose
+// own context fires stops waiting without disturbing the computation,
+// and a waiter whose context is still live when another requester's
+// cancellation kills the computation starts it again. Failures are
+// never kept, so a later request recomputes.
 func (r *Runner) RunCtx(ctx context.Context, w workload.Workload, name ConfigName) (*machine.Result, error) {
 	return r.RunFidelityCtx(ctx, w, name, r.Fidelity)
 }
@@ -333,8 +312,7 @@ func (r *Runner) RunCtx(ctx context.Context, w workload.Workload, name ConfigNam
 // the same cell at every fidelity within one runner (and one program/
 // profile cache).
 func (r *Runner) RunFidelityCtx(ctx context.Context, w workload.Workload, name ConfigName, fid sim.Fidelity) (*machine.Result, error) {
-	key := cellKey(w.Name, name, fid)
-	return r.cachedResult(ctx, key, func() (*machine.Result, *report.Cell, error) {
+	c, err := r.results.Do(ctx, cellKey(w.Name, name, fid), r.Timing.AddHit, func() (cellResult, error) {
 		if r.Remote != nil {
 			// Ask for the overhead ratio on every non-baseline cell so
 			// the worker computes it against its own baseline — the
@@ -344,62 +322,18 @@ func (r *Runner) RunFidelityCtx(ctx context.Context, w workload.Workload, name C
 			cell, err := r.Remote.RemoteCell(ctx, w.Name, name, fid, name != CfgBaseline)
 			r.Timing.AddSim(time.Since(start))
 			if err != nil {
-				return nil, nil, fmt.Errorf("%s under %s (remote): %w", w.Name, name, err)
+				return cellResult{}, fmt.Errorf("%s under %s (remote): %w", w.Name, name, err)
 			}
 			// A remote fetch still counts as a Sim; the extra counter
 			// attributes it to the fabric for -stats and the metrics
 			// exporters.
 			r.Timing.AddRemoteCell()
-			return resultFromCell(&cell), &cell, nil
+			return cellResult{res: resultFromCell(&cell), wire: &cell}, nil
 		}
 		res, err := r.runUncached(ctx, w, name, fid)
-		return res, nil, err
+		return cellResult{res: res}, err
 	})
-}
-
-// cachedResult serves key from the result cache, computing it exactly
-// once under concurrent requests (per-key coalescing). compute returns
-// the result plus, for remote fetches, the verbatim wire cell (nil for
-// local simulations).
-func (r *Runner) cachedResult(ctx context.Context, key string, compute func() (*machine.Result, *report.Cell, error)) (*machine.Result, error) {
-	r.mu.Lock()
-	if r.results == nil {
-		r.results = make(map[string]*resultEntry)
-	}
-	e, ok := r.results[key]
-	if !ok {
-		e = &resultEntry{done: make(chan struct{})}
-		r.results[key] = e
-		r.mu.Unlock()
-		e.res, e.cell, e.err = compute()
-		if e.err != nil && Canceled(e.err) {
-			// Don't let a canceled computation poison the cache: the
-			// next request for this key starts fresh.
-			r.mu.Lock()
-			if r.results[key] == e {
-				delete(r.results, key)
-			}
-			r.mu.Unlock()
-		}
-		close(e.done)
-		return e.res, e.err
-	}
-	r.mu.Unlock()
-	r.Timing.AddHit()
-	// Completed entries are served even under a canceled context (the
-	// non-blocking poll below), so report assembly after an interrupt
-	// still reads everything that finished.
-	select {
-	case <-e.done:
-		return e.res, e.err
-	default:
-	}
-	select {
-	case <-e.done:
-		return e.res, e.err
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
+	return c.res, err
 }
 
 // resultFromCell inverts buildCell far enough for the figure assembly:
@@ -409,7 +343,7 @@ func (r *Runner) cachedResult(ctx context.Context, key string, compute func() (*
 // Sampled* counters stay zero on purpose — the wire Cycles value is
 // already the extrapolation at any fidelity, so EstimatedCycles must
 // return it unscaled. Report never re-flattens a reconstruction: the
-// verbatim wire cell is emitted instead (resultEntry.cell), so
+// verbatim wire cell is emitted instead (cellResult.wire), so
 // lossiness here (e.g. the exact per-region footprint spread) cannot
 // leak into a document.
 func resultFromCell(c *report.Cell) *machine.Result {
@@ -456,10 +390,7 @@ func resultFromCell(c *report.Cell) *machine.Result {
 	return res
 }
 
-// runUncached is the uncached simulation of one cell. The profiling
-// pass is functional and therefore fidelity-invariant, so its cache
-// key deliberately omits the fidelity — every fidelity of a cell
-// shares one profile.
+// runUncached is the uncached simulation of one cell.
 func (r *Runner) runUncached(ctx context.Context, w workload.Workload, name ConfigName, fid sim.Fidelity) (*machine.Result, error) {
 	opts := rtOptions(name)
 	prog, rtEnd, err := workload.BuildProgram(w, opts, r.Scale)
@@ -468,8 +399,7 @@ func (r *Runner) runUncached(ctx context.Context, w workload.Workload, name Conf
 	}
 	var prof *core.Profile
 	if needsProfile(name) {
-		pkey := fmt.Sprintf("%s/%s/%v", w.Name, opts.Policy, opts.Bounds)
-		prof, err = r.profileFor(ctx, pkey, prog, rtEnd, opts)
+		prof, err = r.profileFor(ctx, w, opts, prog, rtEnd)
 		if err != nil {
 			return nil, err
 		}
@@ -506,55 +436,28 @@ func (r *Runner) simulate(ctx context.Context, prog *asm.Program, cfg sim.Config
 	return res, err
 }
 
-// profileFor returns the ISA-assisted profile for key, running the
-// profiling pass exactly once even when many configurations request
-// the same workload's profile concurrently. Workload programs build
-// deterministically, so whichever caller wins the race profiles an
-// identical program. Like the result cache, a canceled profiling pass
-// is evicted rather than cached.
-func (r *Runner) profileFor(ctx context.Context, key string, prog *asm.Program, rtEnd int, opts rt.Options) (*core.Profile, error) {
-	r.mu.Lock()
-	if r.profiles == nil {
-		r.profiles = make(map[string]*profileEntry)
-	}
-	e, ok := r.profiles[key]
-	if !ok {
-		e = &profileEntry{done: make(chan struct{})}
-		r.profiles[key] = e
-		r.mu.Unlock()
+// profileFor returns the ISA-assisted profile of w's program under
+// opts, running the profiling pass once per (workload, policy, bounds)
+// even when many configurations request it concurrently. Workload
+// programs build deterministically, so whichever caller creates the
+// pass profiles an identical program. The pass is functional and
+// therefore fidelity-invariant, so the key omits the fidelity: every
+// fidelity of a cell shares one profile.
+func (r *Runner) profileFor(ctx context.Context, w workload.Workload, opts rt.Options, prog *asm.Program, rtEnd int) (*core.Profile, error) {
+	key := fmt.Sprintf("%s/%s/%v", w.Name, opts.Policy, opts.Bounds)
+	return r.profiles.Do(ctx, key, nil, func() (*core.Profile, error) {
 		start := time.Now()
 		base := core.DefaultConfig()
 		if opts.Bounds {
 			base.Bounds = core.BoundsFused
 		}
 		p, err := sim.ProfileCtx(ctx, prog, base, rtEnd)
-		if err != nil {
-			err = fmt.Errorf("profiling %s: %w", key, err)
-		}
-		e.prof, e.err = p, err
 		r.Timing.AddProfile(time.Since(start))
-		if e.err != nil && Canceled(e.err) {
-			r.mu.Lock()
-			if r.profiles[key] == e {
-				delete(r.profiles, key)
-			}
-			r.mu.Unlock()
+		if err != nil {
+			return nil, fmt.Errorf("profiling %s: %w", key, err)
 		}
-		close(e.done)
-		return e.prof, e.err
-	}
-	r.mu.Unlock()
-	select {
-	case <-e.done:
-		return e.prof, e.err
-	default:
-	}
-	select {
-	case <-e.done:
-		return e.prof, e.err
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
+		return p, nil
+	})
 }
 
 // Overhead computes the slowdown ratio of cfg over the baseline for

@@ -126,8 +126,7 @@ func (r *Runner) warmProfilesCtx(ctx context.Context, cfgs []ConfigName) error {
 		if err != nil {
 			return err
 		}
-		pkey := fmt.Sprintf("%s/%s/%v", jobs[i].w.Name, opts.Policy, opts.Bounds)
-		_, err = r.profileFor(ctx, pkey, prog, rtEnd, opts)
+		_, err = r.profileFor(ctx, jobs[i].w, opts, prog, rtEnd)
 		return err
 	})
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"watchdog/internal/machine"
-	"watchdog/internal/report"
 	"watchdog/internal/stats"
 	"watchdog/internal/workload"
 )
@@ -88,27 +87,27 @@ func (r *Runner) LockSweep(sizes []int) (*stats.Table, error) {
 // for concurrent use).
 func (r *Runner) runLockSize(ctx context.Context, w workload.Workload, size int) (*machine.Result, error) {
 	key := fmt.Sprintf("%s/lock%d", w.Name, size)
-	return r.cachedResult(ctx, key, func() (*machine.Result, *report.Cell, error) {
+	c, err := r.results.Do(ctx, key, r.Timing.AddHit, func() (cellResult, error) {
 		opts := rtOptions(CfgISA)
 		prog, rtEnd, err := workload.BuildProgram(w, opts, r.Scale)
 		if err != nil {
-			return nil, nil, err
+			return cellResult{}, err
 		}
-		pkey := fmt.Sprintf("%s/%s/%v", w.Name, opts.Policy, opts.Bounds)
-		prof, err := r.profileFor(ctx, pkey, prog, rtEnd, opts)
+		prof, err := r.profileFor(ctx, w, opts, prog, rtEnd)
 		if err != nil {
-			return nil, nil, err
+			return cellResult{}, err
 		}
 		cfg := simConfig(CfgISA, prof)
 		cfg.Hier.Lock.SizeBytes = size
 		cfg.RuntimeEnd = rtEnd
 		res, err := r.simulate(ctx, prog, cfg)
 		if err != nil {
-			return nil, nil, err
+			return cellResult{}, err
 		}
 		if res.MemErr != nil || res.Aborted {
-			return nil, nil, fmt.Errorf("%s at lock size %d: violation/abort", w.Name, size)
+			return cellResult{}, fmt.Errorf("%s at lock size %d: violation/abort", w.Name, size)
 		}
-		return res, nil, nil
+		return cellResult{res: res}, nil
 	})
+	return c.res, err
 }

@@ -5,8 +5,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"watchdog/internal/machine"
 	"watchdog/internal/report"
 	"watchdog/internal/sim"
 	"watchdog/internal/workload"
@@ -147,7 +150,7 @@ func TestReportEmitsRemoteCellsVerbatim(t *testing.T) {
 }
 
 // errRemote fails every fetch, checking error propagation and that a
-// failed remote cell is not poisoned into the cache.
+// failed remote cell is not kept.
 type errRemote struct{ calls int }
 
 func (e *errRemote) RemoteCell(context.Context, string, ConfigName, sim.Fidelity, bool) (report.Cell, error) {
@@ -167,5 +170,76 @@ func TestRemoteErrorPropagates(t *testing.T) {
 		t.Fatal("remote failure did not propagate")
 	} else if got := err.Error(); !strings.Contains(got, "fleet on fire") || !strings.Contains(got, "remote") {
 		t.Errorf("error lost context: %v", got)
+	}
+	if _, err := r.Run(w, CfgBaseline); err == nil {
+		t.Fatal("second fetch of a failing cell succeeded")
+	}
+	if e.calls != 2 {
+		t.Errorf("remote calls: %d, want 2 (a failed cell must be fetched again, not replayed)", e.calls)
+	}
+}
+
+// blockingRemote blocks its first fetch until the fetching context
+// ends, then answers every later fetch with a valid cell.
+type blockingRemote struct {
+	calls   atomic.Int32
+	started chan struct{}
+}
+
+func (b *blockingRemote) RemoteCell(ctx context.Context, wname string, cfg ConfigName, fid sim.Fidelity, overhead bool) (report.Cell, error) {
+	if b.calls.Add(1) == 1 {
+		close(b.started)
+		<-ctx.Done()
+		return report.Cell{}, ctx.Err()
+	}
+	return report.Cell{Workload: wname, Config: string(cfg), Fidelity: string(fid.OrExact()),
+		Cycles: 1000, BaseCycles: 1000, Insts: 10, Uops: 10}, nil
+}
+
+// TestWaiterOutlivesCreatorCancel: a waiter with a live context that
+// joined a cell still gets the cell when the creator's context is
+// canceled, instead of inheriting the creator's cancellation.
+func TestWaiterOutlivesCreatorCancel(t *testing.T) {
+	r, err := NewRunner(1, "mcf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := &blockingRemote{started: make(chan struct{})}
+	r.Remote = b
+	w, _ := workload.ByName("mcf")
+
+	cctx, cancel := context.WithCancel(context.Background())
+	creator := make(chan error, 1)
+	go func() {
+		_, err := r.RunCtx(cctx, w, CfgBaseline)
+		creator <- err
+	}()
+	<-b.started
+	type outcome struct {
+		res *machine.Result
+		err error
+	}
+	waiter := make(chan outcome, 1)
+	go func() {
+		res, err := r.RunCtx(context.Background(), w, CfgBaseline)
+		waiter <- outcome{res, err}
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for r.Timing.Hits() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("waiter never joined the cell")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	cancel()
+	if err := <-creator; !Canceled(err) {
+		t.Errorf("creator: err %v, want its own cancellation", err)
+	}
+	got := <-waiter
+	if got.err != nil || got.res == nil || got.res.Timing.Cycles != 1000 {
+		t.Fatalf("waiter: res %v, err %v; want the cell", got.res, got.err)
+	}
+	if n := b.calls.Load(); n != 2 {
+		t.Errorf("remote calls: %d, want 2 (the canceled fetch, then the waiter's own)", n)
 	}
 }

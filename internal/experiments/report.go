@@ -107,26 +107,9 @@ func (r *Runner) Report(figures []string, juliet *security.Summary) (*report.Rep
 		rep.Figures = append(rep.Figures, fig)
 	}
 
-	// Snapshot the result cache, skipping entries still computing (a
-	// non-blocking poll of each entry's done channel keeps the
-	// snapshot race-clean even while other requests are in flight).
-	r.mu.Lock()
-	type snap struct {
-		res  *machine.Result
-		cell *report.Cell
-	}
-	cells := make(map[string]snap, len(r.results))
-	for key, e := range r.results {
-		select {
-		case <-e.done:
-		default:
-			continue
-		}
-		if e.err == nil && e.res != nil {
-			cells[key] = snap{res: e.res, cell: e.cell}
-		}
-	}
-	r.mu.Unlock()
+	// Only completed successes are kept, so cells still computing (or
+	// failed) never reach the report.
+	cells := r.results.Kept()
 
 	keys := make([]string, 0, len(cells))
 	for k := range cells {
@@ -141,8 +124,8 @@ func (r *Runner) Report(figures []string, juliet *security.Summary) (*report.Rep
 		// A remote fetch stored the worker's wire cell: emit it
 		// verbatim, so a distributed report is byte-identical to the
 		// local one (the reconstruction is for figure math only).
-		if s := cells[key]; s.cell != nil {
-			rep.Cells = append(rep.Cells, *s.cell)
+		if c := cells[key]; c.wire != nil {
+			rep.Cells = append(rep.Cells, *c.wire)
 			continue
 		}
 		// The baseline for the overhead ratio is the same workload's

@@ -15,11 +15,11 @@
 //   - hedged retries — a cell whose first request outlives the
 //     worker's recent p99 (or a configured delay) is re-issued to a
 //     second worker, first success wins and the loser is canceled;
-//   - a content-addressed result cache keyed by (schema version,
-//     flight key), so re-sweeps and overlapping figures never re-ask a
-//     worker for a cell this process already holds;
 //   - per-worker latency/error accounting and fabric counters, folded
 //     into the bench timing record (report.FabricStats).
+//
+// It keeps no cells: the runner it serves keeps each cell it fetched
+// and asks for each once, and every worker keeps its own replies.
 //
 // Cell placement uses rendezvous hashing over the live worker set:
 // each cell has a stable preferred worker, so every worker's serve
@@ -39,7 +39,6 @@ import (
 	"net/url"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -54,8 +53,7 @@ import (
 // field has a default chosen for real sweeps (tests shrink them).
 type Options struct {
 	// Scale is the workload scale factor stamped on every cell request
-	// (0 means 1). It is part of the cache key: cells of different
-	// scales never alias.
+	// (0 means 1).
 	Scale int
 	// HedgeAfter is the ceiling on how long a cell request runs before
 	// a second worker is raced against it (default 3s). Once a worker
@@ -84,8 +82,9 @@ type Options struct {
 	// context, probes by ProbeEvery).
 	Client *http.Client
 	// Logger receives the coordinator's structured event log: worker
-	// ejected/readmitted, hedge fired/won/lost, cache hit — each tagged
-	// with the cell's correlation id where one applies. Nil discards.
+	// ejected/readmitted, cell fetched, hedge fired/won/lost — each
+	// tagged with the cell's correlation id where one applies. Nil
+	// discards.
 	Logger *slog.Logger
 }
 
@@ -105,13 +104,9 @@ type Coordinator struct {
 	client  *http.Client
 	log     *slog.Logger
 
-	mu    sync.Mutex
-	cache map[string]report.Cell
-
 	cellsSent atomic.Int64
 	hedged    atomic.Int64
 	retried   atomic.Int64
-	cacheHits atomic.Int64
 	ejections atomic.Int64
 
 	stopProbe context.CancelFunc
@@ -168,7 +163,6 @@ func New(addrs []string, opts Options) (*Coordinator, error) {
 	c := &Coordinator{
 		opts:   opts,
 		client: opts.Client,
-		cache:  make(map[string]report.Cell),
 	}
 	if c.client == nil {
 		c.client = &http.Client{}
@@ -212,7 +206,6 @@ func (c *Coordinator) Stats() report.FabricStats {
 		CellsSent: c.cellsSent.Load(),
 		Hedged:    c.hedged.Load(),
 		Retried:   c.retried.Load(),
-		CacheHits: c.cacheHits.Load(),
 		Ejections: c.ejections.Load(),
 	}
 	for _, w := range c.workers {
@@ -230,13 +223,12 @@ func (c *Coordinator) Stats() report.FabricStats {
 	return fs
 }
 
-// RemoteCell fetches one cell: cache, then hedged placement rounds
-// over the worker registry. It implements
-// experiments.RemoteCellRunner.
+// RemoteCell fetches one cell through hedged placement rounds over the
+// worker registry. It implements experiments.RemoteCellRunner.
 func (c *Coordinator) RemoteCell(ctx context.Context, workload string, config experiments.ConfigName, fid sim.Fidelity, overhead bool) (report.Cell, error) {
-	// The cache key is content-addressed: the serve flight key (every
-	// default normalized) under the report schema version, so a schema
-	// bump can never replay stale-layout cells.
+	// The cell key is the serve flight key (every default normalized)
+	// under the report schema version: it ranks the workers for the
+	// cell and names it in the event log.
 	key := fmt.Sprintf("v%d/%s", report.Version,
 		serve.SimFlightKey(workload, string(config), c.opts.Scale, fid, overhead))
 	// One correlation id per cell fetch, reused across every attempt
@@ -244,15 +236,6 @@ func (c *Coordinator) RemoteCell(ctx context.Context, workload string, config ex
 	// coordinator's event log, each worker's request log, and the
 	// workers' flight-recorder dumps.
 	reqID := serve.NewRequestID()
-	c.mu.Lock()
-	cell, ok := c.cache[key]
-	c.mu.Unlock()
-	if ok {
-		c.cacheHits.Add(1)
-		c.log.LogAttrs(ctx, slog.LevelDebug, "cache hit",
-			slog.String("cell", key), slog.String("request_id", reqID))
-		return cell, nil
-	}
 	body, err := json.Marshal(&serve.SimRequest{
 		Workload:  workload,
 		Config:    string(config),
@@ -264,14 +247,7 @@ func (c *Coordinator) RemoteCell(ctx context.Context, workload string, config ex
 	if err != nil {
 		return report.Cell{}, err
 	}
-	cell, err = c.fetch(ctx, key, reqID, body)
-	if err != nil {
-		return report.Cell{}, err
-	}
-	c.mu.Lock()
-	c.cache[key] = cell
-	c.mu.Unlock()
-	return cell, nil
+	return c.fetch(ctx, key, reqID, body)
 }
 
 // attemptOut is one worker request's outcome.

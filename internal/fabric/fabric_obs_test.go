@@ -91,7 +91,7 @@ func TestRequestCorrelation(t *testing.T) {
 	}
 
 	// The same id landed in the worker's request log, against the same
-	// flight key the coordinator's cache key wraps.
+	// flight key the coordinator's cell key wraps.
 	var workerSaw bool
 	for _, rec := range logRecords(t, workerLog.String()) {
 		if rec["msg"] == "request" && rec["request_id"] == reqID {
@@ -128,13 +128,6 @@ func TestRequestCorrelation(t *testing.T) {
 		t.Fatalf("flight recorder has no record for request_id %q: %+v", reqID, dump.Flights)
 	}
 
-	// A cache replay logs its hit under a fresh id without any request.
-	if _, err := fab.RemoteCell(context.Background(), "lbm", "baseline", "", false); err != nil {
-		t.Fatal(err)
-	}
-	if fab.Stats().CacheHits != 1 {
-		t.Errorf("cache hits = %d, want 1", fab.Stats().CacheHits)
-	}
 }
 
 // TestHedgeLogging: when a hedge fires and the race resolves, the
@@ -200,7 +193,7 @@ func TestHedgeLogging(t *testing.T) {
 // counters and per-worker series with worker labels.
 func TestWritePromStats(t *testing.T) {
 	fs := report.FabricStats{
-		CellsSent: 12, Hedged: 2, Retried: 1, CacheHits: 30, Ejections: 1,
+		CellsSent: 12, Hedged: 2, Retried: 1, Ejections: 1,
 		Workers: []report.FabricWorker{
 			{Addr: "http://a:1", Alive: true, Requests: 8, Errors: 0, Window: 8, P50Milli: 4, P99Milli: 20},
 			{Addr: "http://b:2", Alive: false, Requests: 4, Errors: 4, Window: 4, P50Milli: 100, P99Milli: 900},
@@ -212,7 +205,6 @@ func TestWritePromStats(t *testing.T) {
 	for _, want := range []string{
 		"# TYPE watchdog_fabric_cells_sent_total counter",
 		"watchdog_fabric_cells_sent_total 12",
-		"watchdog_fabric_cache_hits_total 30",
 		`watchdog_fabric_worker_alive{worker="http://a:1"} 1`,
 		`watchdog_fabric_worker_alive{worker="http://b:2"} 0`,
 		`watchdog_fabric_worker_requests_total{worker="http://b:2"} 4`,

@@ -231,56 +231,6 @@ func TestHedging(t *testing.T) {
 	}
 }
 
-// TestCacheReplay: the content-addressed cache answers repeat fetches
-// without any worker traffic, including equivalent spellings of the
-// same cell (fidelity "" vs "exact").
-func TestCacheReplay(t *testing.T) {
-	w := newWorker(t)
-	fab := newFabric(t, Options{}, w.URL)
-
-	ctx := context.Background()
-	c1, err := fab.RemoteCell(ctx, "lbm", experiments.CfgBaseline, sim.FidelityExact, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sent := fab.Stats().CellsSent
-	c2, err := fab.RemoteCell(ctx, "lbm", experiments.CfgBaseline, "", false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fs := fab.Stats()
-	if fs.CellsSent != sent {
-		t.Errorf("replay sent %d extra requests", fs.CellsSent-sent)
-	}
-	if fs.CacheHits != 1 {
-		t.Errorf("CacheHits = %d, want 1", fs.CacheHits)
-	}
-	b1, _ := json.Marshal(c1)
-	b2, _ := json.Marshal(c2)
-	if string(b1) != string(b2) {
-		t.Errorf("cached cell differs from original: %s vs %s", b1, b2)
-	}
-
-	// A fresh runner over the same fabric re-reads the whole sweep
-	// from the cache: no new worker traffic for cells already held.
-	r1 := newRunner(t, fab)
-	if _, err := r1.Fig7(); err != nil {
-		t.Fatal(err)
-	}
-	sent = fab.Stats().CellsSent
-	r2 := newRunner(t, fab)
-	if _, err := r2.Fig7(); err != nil {
-		t.Fatal(err)
-	}
-	fs = fab.Stats()
-	if fs.CellsSent != sent {
-		t.Errorf("second runner sent %d extra requests, want pure cache replay", fs.CellsSent-sent)
-	}
-	if fs.CacheHits < 10 {
-		t.Errorf("CacheHits = %d after a replayed sweep, want >= 10", fs.CacheHits)
-	}
-}
-
 // TestPermanentErrorFailsFast: a definitive worker answer (400) is
 // not retried — re-sending the same bytes cannot help.
 func TestPermanentErrorFailsFast(t *testing.T) {
@@ -344,7 +294,7 @@ func TestStatsShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, field := range []string{"cells_sent", "hedged", "retried", "cache_hits", "ejections", "workers", "addr", "alive", "p50_ms", "p99_ms"} {
+	for _, field := range []string{"cells_sent", "hedged", "retried", "ejections", "workers", "addr", "alive", "p50_ms", "p99_ms"} {
 		if !strings.Contains(string(b), field) {
 			t.Errorf("fabric stats JSON missing %q: %s", field, b)
 		}

@@ -23,9 +23,6 @@ func WritePromStats(p *stats.PromWriter, fs report.FabricStats) {
 	p.Counter("watchdog_fabric_retries_total",
 		"Cell re-issues after a failed placement round.",
 		nil, float64(fs.Retried))
-	p.Counter("watchdog_fabric_cache_hits_total",
-		"Cells answered from the content-addressed result cache.",
-		nil, float64(fs.CacheHits))
 	p.Counter("watchdog_fabric_ejections_total",
 		"Workers marked dead (live-to-dead edges only).",
 		nil, float64(fs.Ejections))
@@ -33,7 +30,7 @@ func WritePromStats(p *stats.PromWriter, fs report.FabricStats) {
 		labels := []stats.Label{{Name: "worker", Value: w.Addr}}
 		p.Gauge("watchdog_fabric_worker_alive",
 			"1 while the worker is routable, 0 while ejected.",
-			labels, boolGauge(w.Alive))
+			labels, stats.BoolGauge(w.Alive))
 		p.Counter("watchdog_fabric_worker_requests_total",
 			"Cell requests this worker received.",
 			labels, float64(w.Requests))
@@ -71,11 +68,4 @@ func (c *Coordinator) PromHandler() http.Handler {
 		w.WriteHeader(http.StatusOK)
 		w.Write([]byte(p.String()))
 	})
-}
-
-func boolGauge(b bool) float64 {
-	if b {
-		return 1
-	}
-	return 0
 }

@@ -267,9 +267,6 @@ type FabricStats struct {
 	// hedge delay; Retried counts re-issues after a worker failed.
 	Hedged  int64 `json:"hedged"`
 	Retried int64 `json:"retried"`
-	// CacheHits counts cells answered from the fabric's
-	// content-addressed result cache without any request.
-	CacheHits int64 `json:"cache_hits"`
 	// Ejections counts workers marked dead (connection failures or
 	// failed health probes); a worker can be ejected and readmitted
 	// repeatedly over one sweep.

@@ -64,6 +64,23 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReadBenchFileKeepsOldFabricRecords: timing records written while
+// the fabric still counted cache hits decode unchanged.
+func TestReadBenchFileKeepsOldFabricRecords(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "BENCH_old.json")
+	old := `{"schema":"` + BenchSchema + `","version":1,"exp":"fig7","fabric":{"cells_sent":240,"hedged":0,"retried":0,"cache_hits":7,"ejections":0}}`
+	if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	b, err := ReadBenchFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.Fabric == nil || b.Fabric.CellsSent != 240 {
+		t.Errorf("fabric record %+v, want cells_sent 240", b.Fabric)
+	}
+}
+
 func TestReadFileRejectsBadDocuments(t *testing.T) {
 	dir := t.TempDir()
 	write := func(name, content string) string {

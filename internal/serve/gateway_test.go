@@ -300,34 +300,9 @@ func TestBackpressureRetryAfterFromWindow(t *testing.T) {
 	}
 }
 
-// TestResultCacheLRU: the in-memory layer is a real LRU — bounded,
-// promoting on access, evicting the coldest.
-func TestResultCacheLRU(t *testing.T) {
-	c := newResultCache(2)
-	c.put("a", []byte("A"))
-	c.put("b", []byte("B"))
-	if _, ok := c.get("a"); !ok { // promote a over b
-		t.Fatal("a missing before eviction")
-	}
-	c.put("c", []byte("C")) // evicts b, the coldest
-	if c.len() != 2 {
-		t.Fatalf("len = %d, want 2", c.len())
-	}
-	if _, ok := c.get("b"); ok {
-		t.Error("b survived eviction; LRU order not honored")
-	}
-	if body, ok := c.get("a"); !ok || string(body) != "A" {
-		t.Errorf("a = %q/%v, want promoted survivor", body, ok)
-	}
-	if c.evictions.Load() != 1 {
-		t.Errorf("evictions = %d, want 1", c.evictions.Load())
-	}
-}
-
 // TestFlightsMapBounded is the retention bugfix's contract: a flood of
-// distinct cells leaves the in-flight map empty and the cache at its
-// configured bound, instead of the old one-entry-per-unique-cell
-// growth.
+// distinct cells leaves the flights Group at its configured bound,
+// instead of the old one-entry-per-unique-cell growth.
 func TestFlightsMapBounded(t *testing.T) {
 	s, ts := testServer(t, Config{MaxWorkers: 2, CacheEntries: 2})
 	cells := []SimRequest{
@@ -342,17 +317,12 @@ func TestFlightsMapBounded(t *testing.T) {
 			t.Fatalf("cell %d: %d (%s)", i, resp.StatusCode, body)
 		}
 	}
-	s.mu.Lock()
-	inflight := len(s.flights)
-	s.mu.Unlock()
-	if inflight != 0 {
-		t.Errorf("flights map holds %d completed entries, want 0 (in-flight only)", inflight)
+	fs := s.flights.Stats()
+	if fs.Kept != 2 {
+		t.Errorf("flights keep %d bodies, want the configured bound 2", fs.Kept)
 	}
-	if got := s.cache.len(); got != 2 {
-		t.Errorf("cache holds %d entries, want the configured bound 2", got)
-	}
-	if got := s.cache.evictions.Load(); got != 3 {
-		t.Errorf("cache evictions = %d, want 3", got)
+	if fs.Evictions != 3 {
+		t.Errorf("flight evictions = %d, want 3", fs.Evictions)
 	}
 }
 

@@ -32,7 +32,7 @@ func (s *Server) writeProm(w http.ResponseWriter) int {
 		nil, time.Since(s.start).Seconds())
 	p.Gauge("watchdog_serve_draining",
 		"1 while the server is draining (refusing new work), else 0.",
-		nil, boolGauge(s.draining.Load()))
+		nil, stats.BoolGauge(s.draining.Load()))
 	p.Gauge("watchdog_serve_inflight",
 		"Computations currently executing (coalesced waiters excluded).",
 		nil, float64(s.inflight.Load()))
@@ -113,7 +113,8 @@ func (s *Server) writeProm(w http.ResponseWriter) int {
 			labels, float64(tm.QuotaDenied))
 	}
 
-	// Result store: the in-memory LRU and the optional disk layer.
+	// Result store: the bodies kept in memory and the optional disk
+	// layer.
 	sm := s.storeMetrics()
 	p.Gauge("watchdog_serve_result_cache_entries",
 		"Completed flight bodies retained in the in-memory LRU.",
@@ -141,17 +142,7 @@ func (s *Server) writeProm(w http.ResponseWriter) int {
 		nil, float64(sm.CorruptEvicted))
 
 	// Harness counters: the same aggregation the JSON document reports.
-	var h HarnessMetrics
-	s.mu.Lock()
-	for _, r := range s.runners {
-		h.Sims += r.Timing.Sims()
-		h.Profiles += r.Timing.Profiles()
-		h.CacheHits += r.Timing.Hits()
-		h.BusyNanos += int64(r.Timing.BusyTime())
-	}
-	s.mu.Unlock()
-	h.Sims += s.julietTiming.Sims()
-	h.BusyNanos += int64(s.julietTiming.BusyTime())
+	h := s.harnessMetrics()
 	p.Counter("watchdog_harness_sims_total",
 		"Timed simulations executed by the shared runners.",
 		nil, float64(h.Sims))
@@ -164,23 +155,12 @@ func (s *Server) writeProm(w http.ResponseWriter) int {
 	p.Counter("watchdog_harness_busy_seconds_total",
 		"Cumulative wall time spent inside simulations.",
 		nil, time.Duration(h.BusyNanos).Seconds())
-	ratio := 0.0
-	if total := h.CacheHits + h.Sims; total > 0 {
-		ratio = float64(h.CacheHits) / float64(total)
-	}
 	p.Gauge("watchdog_harness_cache_hit_ratio",
 		"Cache hits / (hits + sims) since start.",
-		nil, ratio)
+		nil, h.CacheHitRatio)
 
 	w.Header().Set("Content-Type", stats.PromContentType)
 	w.WriteHeader(http.StatusOK)
 	w.Write([]byte(p.String()))
 	return http.StatusOK
-}
-
-func boolGauge(b bool) float64 {
-	if b {
-		return 1
-	}
-	return 0
 }

@@ -8,10 +8,11 @@
 // The service layers three policies over the runner:
 //
 //   - Coalescing. Identical in-flight requests collapse onto one
-//     computation (a per-key flight, riding the runner's own
-//     once-caches underneath), and completed flights are replayed
-//     from memory — the simulations are deterministic, so a cached
-//     response is indistinguishable from a fresh one.
+//     computation (a per-key flight in a flight.Group of reply bodies,
+//     riding the runner's own Groups underneath), and completed
+//     flights are replayed from memory — the simulations are
+//     deterministic, so a kept response is indistinguishable from a
+//     fresh one.
 //   - Backpressure. New computations pass through a bounded worker
 //     semaphore; when it is saturated the request is rejected
 //     immediately with 429 and a Retry-After hint instead of queuing
@@ -22,19 +23,21 @@
 //     a disconnecting client (a canceled CLI, a hedged retry's
 //     abandoned loser) never kills a flight that coalesced waiters are
 //     still blocked on. An expired deadline is a 504 and the aborted
-//     computation is evicted so a retry recomputes. On shutdown the
-//     server stops admitting work (503), lets in-flight requests
-//     finish within DrainTimeout, then force-cancels whatever is
-//     still running — cancellation lands mid-simulation via the
-//     machine's cooperative check.
+//     computation is not kept, so a retry recomputes. A waiter never
+//     inherits the creator's deadline: while its own is live, it
+//     starts the computation again. On shutdown the server stops
+//     admitting work (503), lets in-flight requests finish within
+//     DrainTimeout, then force-cancels whatever is still running —
+//     cancellation lands mid-simulation via the machine's cooperative
+//     check.
 //
 // On top of those, the gateway layers (PR 10) add tenancy: API-key
 // auth resolving every request to a tenant (the anonymous tenant when
 // auth is off), per-tenant token-bucket rate limits and daily quotas,
-// and a persistent result store — a bounded in-memory LRU of completed
-// bodies in front of an optional disk-backed content-addressed layer —
-// so retention is capped and a restarted server replays prior results
-// byte-identically without re-simulating.
+// and a persistent result store — the flight Group, bounded by
+// CacheEntries, in front of an optional disk-backed content-addressed
+// layer — so retention is capped and a restarted server replays prior
+// results byte-identically without re-simulating.
 package serve
 
 import (
@@ -54,6 +57,7 @@ import (
 
 	"watchdog/internal/core"
 	"watchdog/internal/experiments"
+	"watchdog/internal/flight"
 	"watchdog/internal/report"
 	"watchdog/internal/security"
 	"watchdog/internal/sim"
@@ -107,9 +111,8 @@ type Config struct {
 	// Quota caps each tenant's admitted /v1/* requests per UTC day
 	// (0 = unlimited).
 	Quota int64
-	// CacheEntries bounds the in-memory LRU of completed flight bodies
-	// (the fix for the old keep-every-success-forever retention).
-	// Default: 512.
+	// CacheEntries bounds the completed flight bodies kept in memory;
+	// past it the least recently used is evicted. Default: 512.
 	CacheEntries int
 	// Store, when non-nil, persists completed bodies write-behind and
 	// answers cold-cache replays, including across restarts.
@@ -248,17 +251,6 @@ type runnerKey struct {
 	fid   sim.Fidelity
 }
 
-// flight is one in-flight (or completed) computation keyed by the
-// request tuple. The creator computes, fills status/body and closes
-// done; everyone else waits on done or their own context. Failed
-// flights are evicted so a retry recomputes; successful ones are kept
-// and replayed (the simulations are deterministic).
-type flight struct {
-	done   chan struct{}
-	status int
-	body   []byte
-}
-
 // Server is the simulation service. Create with New, mount Handler on
 // any mux or run Serve for the managed listen/drain lifecycle. A
 // Server is single-use: once drained it does not restart.
@@ -278,10 +270,11 @@ type Server struct {
 	rejectedUnauthorized atomic.Int64
 	rejectedLimited      atomic.Int64
 
-	// limiter holds every tenant's token bucket and quota window;
-	// cache is the bounded LRU of completed flight bodies.
+	// limiter holds every tenant's token bucket and quota window.
 	limiter *tenantLimiter
-	cache   *resultCache
+	// flights coalesces requests by flight key and keeps the completed
+	// bodies, at most CacheEntries of them.
+	flights flight.Group[[]byte]
 
 	// storeWG tracks write-behind store persists so drain (and tests,
 	// via Flush) can wait for them.
@@ -299,7 +292,6 @@ type Server struct {
 
 	mu      sync.Mutex
 	runners map[runnerKey]*experiments.Runner
-	flights map[string]*flight
 
 	simMet    endpointTrack
 	julietMet endpointTrack
@@ -310,7 +302,7 @@ type Server struct {
 
 	// computeStarted, when non-nil, is called by each flight creator
 	// after it claimed a worker slot and before it computes — a test
-	// hook for deterministic backpressure and drain tests.
+	// hook for deterministic backpressure, deadline and drain tests.
 	computeStarted func()
 }
 
@@ -323,11 +315,10 @@ func New(cfg Config) *Server {
 		log:       cfg.Logger,
 		sem:       make(chan struct{}, cfg.MaxWorkers),
 		runners:   make(map[runnerKey]*experiments.Runner),
-		flights:   make(map[string]*flight),
 		flightLog: newFlightLog(cfg.FlightLogN),
 		limiter:   newTenantLimiter(cfg.Rate, cfg.Burst, cfg.Quota),
-		cache:     newResultCache(cfg.CacheEntries),
 	}
+	s.flights.Max = cfg.CacheEntries
 	s.simMet.hist = stats.NewHistogram()
 	s.julietMet.hist = stats.NewHistogram()
 	s.forceCtx, s.forceStop = context.WithCancel(context.Background())
@@ -519,8 +510,15 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) int {
 		},
 		Tenants: s.limiter.snapshot(),
 		Store:   s.storeMetrics(),
+		Harness: s.harnessMetrics(),
 	}
-	h := &m.Harness
+	return writeJSON(w, http.StatusOK, &m)
+}
+
+// harnessMetrics sums the runners' timing counters and the security
+// suite's, for both /metrics encodings.
+func (s *Server) harnessMetrics() HarnessMetrics {
+	var h HarnessMetrics
 	s.mu.Lock()
 	for _, r := range s.runners {
 		h.Sims += r.Timing.Sims()
@@ -534,7 +532,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) int {
 	if total := h.CacheHits + h.Sims; total > 0 {
 		h.CacheHitRatio = float64(h.CacheHits) / float64(total)
 	}
-	return writeJSON(w, http.StatusOK, &m)
+	return h
 }
 
 // handleSim serves POST /v1/sim: validate, coalesce, compute one
@@ -580,17 +578,17 @@ func (s *Server) handleSim(w http.ResponseWriter, r *http.Request) int {
 	}
 
 	key := SimFlightKey(req.Workload, req.Config, req.Scale, fid, req.Overhead)
-	return s.flightDo(w, r, &s.simMet, key, req.TimeoutMS, func(ctx context.Context) (int, []byte) {
+	return s.flightDo(w, r, &s.simMet, key, req.TimeoutMS, func(ctx context.Context) ([]byte, error) {
 		rn, err := s.runner(req.Scale, fid)
 		if err != nil {
-			return http.StatusInternalServerError, errorBody(err.Error())
+			return nil, err
 		}
 		start := time.Now()
 		cell, err := rn.CellCtx(ctx, wl, experiments.ConfigName(req.Config), req.Overhead)
 		if err != nil {
-			return failureStatus(ctx, err)
+			return nil, err
 		}
-		return marshalOK(&SimResponse{
+		return json.Marshal(&SimResponse{
 			Schema:    Schema,
 			Version:   Version,
 			Cell:      cell,
@@ -640,14 +638,14 @@ func (s *Server) handleJuliet(w http.ResponseWriter, r *http.Request) int {
 	}
 
 	key := JulietFlightKey(req.Policy, req.TagBits)
-	return s.flightDo(w, r, &s.julietMet, key, req.TimeoutMS, func(ctx context.Context) (int, []byte) {
+	return s.flightDo(w, r, &s.julietMet, key, req.TimeoutMS, func(ctx context.Context) ([]byte, error) {
 		cases := security.Suite()
 		outs, err := security.RunCasesCtx(ctx, cases, cfg, opts, s.cfg.MaxWorkers, &s.julietTiming, nil)
 		if err != nil {
-			return failureStatus(ctx, err)
+			return nil, err
 		}
 		sum := security.SummarizeRan(cases, outs)
-		return marshalOK(&report.JulietReport{
+		return json.Marshal(&report.JulietReport{
 			Schema:  report.JulietSchema,
 			Version: report.Version,
 			Juliet:  sum.ReportRecord(req.Policy),
@@ -689,155 +687,99 @@ func (s *Server) gate(w http.ResponseWriter, r *http.Request) (int, bool) {
 	return 0, true
 }
 
-// flightDo answers the request for key. Completed computations replay
-// from the result cache (memory LRU first, then the disk store);
-// otherwise the request coalesces onto the in-flight computation for
-// key, creating it (and computing, under the worker semaphore) if
-// absent. The flights map holds only in-flight computations — the fix
-// for the old keep-every-success-forever retention — so memory stays
-// bounded at the LRU size under any flood of distinct cells. compute
-// returns the status and body to replay.
-func (s *Server) flightDo(w http.ResponseWriter, r *http.Request, met *endpointTrack, key string, timeoutMS int64, compute func(context.Context) (int, []byte)) int {
-	info := requestInfo(r)
-	if info != nil {
-		info.key = key
-	}
-	// Replays count as coalesced: the request rode a completed
-	// computation instead of starting one, exactly as before when
-	// completed flights lingered in the map.
-	if body, ok := s.cache.get(key); ok {
-		s.coalesced.Add(1)
-		if info != nil {
-			info.coalesced = true
-		}
-		return writeRaw(w, http.StatusOK, body)
-	}
-	if st := s.cfg.Store; st != nil {
-		if body, ok := st.Read(key); ok {
-			s.cache.put(key, body)
-			s.coalesced.Add(1)
-			if info != nil {
-				info.coalesced = true
-			}
-			return writeRaw(w, http.StatusOK, body)
-		}
-	}
+// errBusy refuses a new computation: every worker slot is taken.
+var errBusy = errors.New("all workers busy")
 
-	f, creator, st := s.claimFlight(w, met, key)
-	if f == nil {
-		return st // rejected: semaphore full
+// flightDo answers the request for key through the flights Group. A
+// kept body replays from memory; otherwise the request joins the
+// computation in flight for key or, if there is none, starts one. A
+// started flight first asks the disk store, which needs no worker slot;
+// only a real computation passes the worker semaphore, and when that is
+// saturated the request is rejected with 429 + Retry-After instead of
+// queuing. compute returns the body to keep and replay.
+func (s *Server) flightDo(w http.ResponseWriter, r *http.Request, met *endpointTrack, key string, timeoutMS int64, compute func(context.Context) ([]byte, error)) int {
+	info := requestInfo(r)
+	if info == nil {
+		info = &reqInfo{}
 	}
-	if info != nil {
-		info.coalesced = !creator
+	info.key = key
+	// The deadline clock starts at admission and bounds everything the
+	// request does: its wait on a shared flight, and any computation it
+	// starts — including one it starts after the flight it joined died
+	// of another request's deadline.
+	deadline := time.Now().Add(s.timeout(timeoutMS))
+	waitCtx, cancel := context.WithDeadline(r.Context(), deadline)
+	defer cancel()
+	// Replays and joins count as coalesced, once per request: the
+	// request rode a computation it did not start.
+	joined := func() {
+		if !info.coalesced {
+			info.coalesced = true
+			s.coalesced.Add(1)
+		}
 	}
-	if creator {
+	body, err := s.flights.Do(waitCtx, key, joined, func() ([]byte, error) {
+		if st := s.cfg.Store; st != nil {
+			if body, ok := st.Read(key); ok {
+				joined()
+				return body, nil
+			}
+		}
+		select {
+		case s.sem <- struct{}{}:
+		default:
+			return nil, errBusy
+		}
 		defer func() { <-s.sem }()
 		s.inflight.Add(1)
 		defer s.inflight.Add(-1)
 		// The computation is detached from the creator's connection on
 		// purpose: it runs under the server lifecycle (forceCtx, so the
-		// drain deadline still force-cancels it) capped by the resolved
-		// timeout, never under r.Context(). A flight is shared — if the
+		// drain deadline still force-cancels it) capped by the request's
+		// deadline, never under r.Context(). A flight is shared — if the
 		// creating client disconnects, the coalesced waiters still need
 		// the result, and the fabric's hedged retries deliberately
-		// abandon the slower of two identical requests. Waiters race
-		// their own deadlines below; the deadline clock starts at
-		// admission, before the test hook, so a stalled computation
-		// burns its own budget.
-		ctx, cancel := context.WithTimeout(s.forceCtx, s.timeout(timeoutMS))
+		// abandon the slower of two identical requests.
+		ctx, cancel := context.WithDeadline(s.forceCtx, deadline)
 		defer cancel()
 		if s.computeStarted != nil {
 			s.computeStarted()
 		}
-
 		computeStart := time.Now()
-		f.status, f.body = compute(ctx)
+		body, err := compute(ctx)
 		if met != nil {
 			// The compute window feeds the backpressure Retry-After
 			// hint; replays and coalesced waits would drag the p50
 			// toward zero, so only real computations observe.
-			met.compute.Observe(time.Since(computeStart), f.status >= 400)
+			met.compute.Observe(time.Since(computeStart), err != nil)
 		}
-		if f.status == http.StatusOK {
-			s.cache.put(key, f.body)
-			if store := s.cfg.Store; store != nil {
-				body := f.body
-				s.storeWG.Add(1)
-				go func() {
-					defer s.storeWG.Done()
-					store.Write(key, body)
-				}()
-			}
+		if store := s.cfg.Store; err == nil && store != nil {
+			s.storeWG.Add(1)
+			go func() {
+				defer s.storeWG.Done()
+				store.Write(key, body)
+			}()
 		}
-		// Evict from the in-flight map either way: waiters already hold
-		// f, new arrivals replay from the cache (successes) or recompute
-		// (failures — cancellations, deadline expiries, simulator
-		// errors must never be cached).
-		s.mu.Lock()
-		if s.flights[key] == f {
-			delete(s.flights, key)
-		}
-		s.mu.Unlock()
-		close(f.done)
-		return writeRaw(w, f.status, f.body)
-	}
-
-	s.coalesced.Add(1)
-	// Completed flights replay even under an expired context; only a
-	// still-running computation makes the waiter's own deadline race.
-	select {
-	case <-f.done:
-		return writeRaw(w, f.status, f.body)
+		return body, err
+	})
+	switch {
+	case err == nil:
+		return writeRaw(w, http.StatusOK, body)
+	case errors.Is(err, errBusy):
+		s.rejectedBusy.Add(1)
+		retry := busyRetrySeconds(met)
+		w.Header().Set("Retry-After", strconv.Itoa(retry))
+		return writeJSON(w, http.StatusTooManyRequests,
+			&ErrorResponse{Error: err.Error(), RetryAfterSec: retry})
 	default:
-	}
-	waitCtx, cancel := context.WithTimeout(r.Context(), s.timeout(timeoutMS))
-	defer cancel()
-	select {
-	case <-f.done:
-		return writeRaw(w, f.status, f.body)
-	case <-waitCtx.Done():
-		st, body := failureStatus(waitCtx, waitCtx.Err())
+		st, body := failureStatus(err)
 		return writeRaw(w, st, body)
 	}
 }
 
-// claimFlight returns the flight for key and whether the caller is
-// its creator. Creation passes through the worker semaphore: when it
-// is saturated the request is rejected with 429 + Retry-After instead
-// of queuing. Joining an existing flight never needs a slot.
-func (s *Server) claimFlight(w http.ResponseWriter, met *endpointTrack, key string) (*flight, bool, int) {
-	s.mu.Lock()
-	f, ok := s.flights[key]
-	s.mu.Unlock()
-	if ok {
-		return f, false, 0
-	}
-	select {
-	case s.sem <- struct{}{}:
-	default:
-		s.rejectedBusy.Add(1)
-		retry := busyRetrySeconds(met)
-		w.Header().Set("Retry-After", strconv.Itoa(retry))
-		return nil, false, writeJSON(w, http.StatusTooManyRequests,
-			&ErrorResponse{Error: "all workers busy", RetryAfterSec: retry})
-	}
-	s.mu.Lock()
-	if f, ok = s.flights[key]; ok {
-		// Lost the registration race: someone else created the flight
-		// while we acquired the slot. Join them as a plain waiter.
-		s.mu.Unlock()
-		<-s.sem
-		return f, false, 0
-	}
-	f = &flight{done: make(chan struct{})}
-	s.flights[key] = f
-	s.mu.Unlock()
-	return f, true, 0
-}
-
 // runner returns the shared runner for a (scale, fidelity), creating
 // it on first use. All requests at a (scale, fidelity) share one
-// runner, so the serving layer inherits its once-caches. The runner's
+// runner, so the serving layer inherits its Groups. The runner's
 // own result cache also keys on fidelity, but separate runners keep
 // the timing counters (and any future per-runner tuning) per
 // methodology.
@@ -894,7 +836,7 @@ func (s *Server) timeout(ms int64) time.Duration {
 // failureStatus maps a computation error to a status and error body:
 // an expired deadline is 504, any other cancellation (client gone,
 // drain force-cancel) is 503, everything else is a 500.
-func failureStatus(ctx context.Context, err error) (int, []byte) {
+func failureStatus(err error) (int, []byte) {
 	switch {
 	case errors.Is(err, context.DeadlineExceeded):
 		return http.StatusGatewayTimeout, errorBody("deadline exceeded: " + err.Error())
@@ -925,8 +867,8 @@ func decodeBody(r *http.Request, v any) (int, error) {
 // SimFlightKey is the canonical identity of one /v1/sim computation:
 // the request tuple with every default normalized (fidelity to
 // "exact", overhead dropped on baseline cells), so equivalent requests
-// always share a flight. The sweep fabric reuses it as the body of its
-// content-addressed result-cache key.
+// always share a flight. The sweep fabric reuses it in the key that
+// places a cell on a worker.
 func SimFlightKey(workload, config string, scale int, fid sim.Fidelity, overhead bool) string {
 	return fmt.Sprintf("sim/%s/%s/%d/%s/%t", workload, config, scale, fid.OrExact(), overhead)
 }
@@ -942,14 +884,6 @@ func JulietFlightKey(policy string, tagBits int) string {
 func errorBody(msg string) []byte {
 	b, _ := json.Marshal(&ErrorResponse{Error: msg})
 	return b
-}
-
-func marshalOK(v any) (int, []byte) {
-	b, err := json.Marshal(v)
-	if err != nil {
-		return http.StatusInternalServerError, errorBody(err.Error())
-	}
-	return http.StatusOK, b
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) int {

@@ -115,6 +115,21 @@ func TestMetricsContentNegotiation(t *testing.T) {
 	if got := m.Endpoints["sim"].Window; got != 2 {
 		t.Errorf("sim endpoint window = %d, want 2", got)
 	}
+
+	// Both encodings report one harness aggregation. The overhead cell
+	// reruns the kept lbm baseline, so the runner's hit counter moves.
+	postJSON(t, ts.URL+"/v1/sim", SimRequest{Workload: "lbm", Config: "conservative", Overhead: true})
+	m = getMetrics(t, ts.URL)
+	_, doc = getProm(t, ts.URL)
+	if m.Harness.CacheHits == 0 {
+		t.Error("overhead cell did not hit the kept baseline")
+	}
+	if got := promValue(t, doc, "watchdog_harness_sims_total"); got != float64(m.Harness.Sims) {
+		t.Errorf("prom harness sims %v, JSON %d", got, m.Harness.Sims)
+	}
+	if got := promValue(t, doc, "watchdog_harness_cache_hits_total"); got != float64(m.Harness.CacheHits) {
+		t.Errorf("prom harness cache hits %v, JSON %d", got, m.Harness.CacheHits)
+	}
 }
 
 // TestRequestIDEcho: a valid inbound X-Request-ID is honored and

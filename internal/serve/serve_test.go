@@ -229,6 +229,62 @@ func TestDeadlineAndEviction(t *testing.T) {
 	}
 }
 
+// TestJoinerOutlivesCreatorDeadline: a request that joins a flight
+// whose creator's own timeout_ms expires does not inherit that 504 —
+// its deadline is still live, so it computes the cell itself.
+func TestJoinerOutlivesCreatorDeadline(t *testing.T) {
+	s, ts := testServer(t, Config{MaxWorkers: 4})
+	started := make(chan struct{})
+	release := make(chan struct{})
+	var first sync.Once
+	s.computeStarted = func() {
+		first.Do(func() {
+			close(started)
+			<-release
+		})
+	}
+
+	type result struct {
+		code int
+		body []byte
+	}
+	creator := make(chan result, 1)
+	go func() {
+		resp, body := postJSON(t, ts.URL+"/v1/sim",
+			SimRequest{Workload: "mcf", Config: "conservative", TimeoutMS: 20})
+		creator <- result{resp.StatusCode, body}
+	}()
+	<-started
+	stalled := time.Now()
+	joiner := make(chan result, 1)
+	go func() {
+		resp, body := postJSON(t, ts.URL+"/v1/sim", SimRequest{Workload: "mcf", Config: "conservative"})
+		joiner <- result{resp.StatusCode, body}
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for getMetrics(t, ts.URL).Coalesced < 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("joiner never joined the flight")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	// Stall the creator past its 20ms so its computation starts dead.
+	time.Sleep(time.Until(stalled.Add(30 * time.Millisecond)))
+	close(release)
+
+	if c := <-creator; c.code != http.StatusGatewayTimeout {
+		t.Errorf("creator: status %d (%s), want 504", c.code, c.body)
+	}
+	j := <-joiner
+	if j.code != http.StatusOK {
+		t.Fatalf("joiner: status %d (%s), want 200", j.code, j.body)
+	}
+	var sr SimResponse
+	if err := json.Unmarshal(j.body, &sr); err != nil || sr.Cell.Cycles <= 0 {
+		t.Fatalf("joiner got a bad cell (err %v): %s", err, j.body)
+	}
+}
+
 // TestSimValidation: malformed requests are 400 with an explanatory
 // error, and never reach the simulator.
 func TestSimValidation(t *testing.T) {

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -19,83 +18,22 @@ import (
 // The persistent result store has two layers in front of the
 // simulator:
 //
-//   - an in-memory LRU of completed flight bodies, bounded by entry
-//     count. This replaces the old unbounded Server.flights retention
-//     (every successful body kept forever), which grew memory without
-//     bound under a sustained sweep of distinct cells;
+//   - the server's flight Group, which keeps completed flight bodies in
+//     memory, at most Config.CacheEntries of them, evicting the least
+//     recently used;
 //   - an optional disk layer, content-addressed by the normalized
-//     flight key under the report schema version. Entries are written
-//     behind flight completion and checksum-verified on read: a
-//     corrupt or stale-schema entry is evicted and recomputed, never
-//     served. A restarted server pointed at the same directory replays
-//     prior results byte-identically without re-simulating.
+//     flight key under the report schema version. A flight asks it
+//     before computing; entries are written behind flight completion
+//     and checksum-verified on read: a corrupt or stale-schema entry is
+//     evicted and recomputed, never served. A restarted server pointed
+//     at the same directory replays prior results byte-identically
+//     without re-simulating.
 //
 // The flight key is already the canonical identity of a computation
 // (SimFlightKey/JulietFlightKey normalize every default), and the
 // simulations are deterministic, so replayed bytes are
 // indistinguishable from fresh ones — the same property the in-memory
 // coalescing layer has always leaned on, extended across restarts.
-
-// resultCache is the bounded in-memory LRU of completed flight
-// bodies. Safe for concurrent use.
-type resultCache struct {
-	mu  sync.Mutex
-	max int
-	ll  *list.List // front = most recently used
-	m   map[string]*list.Element
-
-	hits      atomic.Int64
-	evictions atomic.Int64
-}
-
-// cacheEntry is one retained body.
-type cacheEntry struct {
-	key  string
-	body []byte
-}
-
-func newResultCache(max int) *resultCache {
-	return &resultCache{max: max, ll: list.New(), m: make(map[string]*list.Element)}
-}
-
-// get returns the body for key, promoting it to most recently used.
-func (c *resultCache) get(key string) ([]byte, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.m[key]
-	if !ok {
-		return nil, false
-	}
-	c.ll.MoveToFront(el)
-	c.hits.Add(1)
-	return el.Value.(*cacheEntry).body, true
-}
-
-// put inserts (or refreshes) a body, evicting the least recently used
-// entries past the bound.
-func (c *resultCache) put(key string, body []byte) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.m[key]; ok {
-		c.ll.MoveToFront(el)
-		el.Value.(*cacheEntry).body = body
-		return
-	}
-	c.m[key] = c.ll.PushFront(&cacheEntry{key: key, body: body})
-	for c.ll.Len() > c.max {
-		oldest := c.ll.Back()
-		c.ll.Remove(oldest)
-		delete(c.m, oldest.Value.(*cacheEntry).key)
-		c.evictions.Add(1)
-	}
-}
-
-// len reports the retained entry count.
-func (c *resultCache) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
-}
 
 // storeEnvelope is the on-disk format of one entry: the schema
 // version the body was produced under, the flight key it answers, and
@@ -293,11 +231,12 @@ func (st *Store) enforceBudget(justWrote string) {
 // StoreMetrics is the store's slice of the /metrics document (both
 // layers; zero-valued when the server runs without a disk store).
 type StoreMetrics struct {
-	// CacheEntries / CacheMax describe the in-memory LRU right now.
+	// CacheEntries / CacheMax describe the bodies kept in memory right
+	// now and their bound.
 	CacheEntries int `json:"cache_entries"`
 	CacheMax     int `json:"cache_max"`
-	// CacheHits counts replays answered from the LRU; CacheEvictions
-	// counts entries dropped past the bound.
+	// CacheHits counts replays answered from memory; CacheEvictions
+	// counts bodies dropped past the bound.
 	CacheHits      int64 `json:"cache_hits"`
 	CacheEvictions int64 `json:"cache_evictions"`
 	// Disk layer counters (all zero without -store-dir).
@@ -311,11 +250,12 @@ type StoreMetrics struct {
 
 // storeMetrics assembles the two layers' counters.
 func (s *Server) storeMetrics() StoreMetrics {
+	fs := s.flights.Stats()
 	m := StoreMetrics{
-		CacheEntries:   s.cache.len(),
-		CacheMax:       s.cache.max,
-		CacheHits:      s.cache.hits.Load(),
-		CacheEvictions: s.cache.evictions.Load(),
+		CacheEntries:   fs.Kept,
+		CacheMax:       s.flights.Max,
+		CacheHits:      fs.Hits,
+		CacheEvictions: fs.Evictions,
 	}
 	if st := s.cfg.Store; st != nil {
 		m.DiskHits = st.diskHits.Load()

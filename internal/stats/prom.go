@@ -7,43 +7,16 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
 // This file is the dependency-free Prometheus side of the stats
-// package: two trivial primitives (Counter, Gauge), a fixed-bucket
-// latency Histogram alongside the LatencyWindow percentile ring, and
-// PromWriter, a text-exposition renderer (`text/plain; version=0.0.4`)
+// package: a fixed-bucket latency Histogram alongside the
+// LatencyWindow percentile ring, and PromWriter, a text-exposition
+// renderer (`text/plain; version=0.0.4`)
 // that any standard scraper understands. None of it touches the
 // simulator hot path — it is fed by the serving/fabric layers, whose
 // unit of work is an HTTP request, not a µop.
-
-// Counter is a monotonically increasing metric (requests served,
-// cells sent). Safe for concurrent use; the zero value is ready.
-type Counter struct{ v atomic.Uint64 }
-
-// Add increments the counter by n.
-func (c *Counter) Add(n uint64) { c.v.Add(n) }
-
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.v.Add(1) }
-
-// Value reads the counter.
-func (c *Counter) Value() uint64 { return c.v.Load() }
-
-// Gauge is a metric that can go up and down (inflight requests, live
-// workers). Safe for concurrent use; the zero value is ready.
-type Gauge struct{ v atomic.Int64 }
-
-// Set stores the gauge value.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
-// Add moves the gauge by n (negative to decrease).
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
-
-// Value reads the gauge.
-func (g *Gauge) Value() int64 { return g.v.Load() }
 
 // DefaultLatencyBuckets are the histogram upper bounds (seconds) used
 // for request latencies: sub-millisecond cache replays up through the
@@ -195,6 +168,14 @@ func (p *PromWriter) Histogram(name, help string, labels []Label, s HistogramSna
 
 // String returns the accumulated document.
 func (p *PromWriter) String() string { return p.b.String() }
+
+// BoolGauge is the sample value of a 0/1 gauge: 1 for true.
+func BoolGauge(b bool) float64 {
+	if b {
+		return 1
+	}
+	return 0
+}
 
 // formatPromValue renders a float the way Prometheus expects:
 // shortest round-trip representation, with +Inf/-Inf/NaN spelled out.
