@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -198,8 +199,11 @@ func (r *Runner) Table1() (*stats.Table, error) {
 			return nil, err
 		}
 		cc := core.Config{Policy: row.policy, PtrPolicy: row.ptr, LockCache: true, CopyElim: true}
-		sum := security.Summarize(cases,
-			security.RunCasesTimed(cases, cc, rtOptions(row.cfg), r.jobs(), &r.Timing))
+		outs, err := security.RunCasesCtx(r.ctx(), cases, cc, rtOptions(row.cfg), r.jobs(), &r.Timing, nil)
+		if err != nil {
+			return nil, err
+		}
+		sum := security.Summarize(cases, outs)
 		t.Row(row.name, row.class, row.meta, row.casts, row.compr,
 			fmt.Sprintf("%.2fx", 1+ov/100),
 			fmt.Sprintf("%d/%d", sum.BadDetected, sum.BadTotal))
@@ -234,13 +238,13 @@ func Table2() string {
 // Juliet runs the Section 9.2 security suite under Watchdog and
 // returns the summary (paper: 291/291 detected, no false positives).
 // The 582 cases run in parallel over all CPUs.
-func Juliet() security.Summary { return JulietParallel(0) }
-
-// JulietParallel is Juliet with an explicit worker count (<= 0 means
-// GOMAXPROCS).
-func JulietParallel(jobs int) security.Summary {
-	return security.RunSuiteParallel(security.Suite(), core.DefaultConfig(),
-		rt.Options{Policy: core.PolicyWatchdog}, jobs)
+func Juliet() security.Summary {
+	cases := security.Suite()
+	// The background context never fires, so every case runs and the
+	// error is always nil.
+	outs, _ := security.RunCasesCtx(context.Background(), cases, core.DefaultConfig(),
+		rt.Options{Policy: core.PolicyWatchdog}, 0, nil, nil)
+	return security.Summarize(cases, outs)
 }
 
 // Bars renders one of the overhead comparisons as grouped horizontal

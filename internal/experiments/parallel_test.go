@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"watchdog/internal/security"
 	"watchdog/internal/trace"
 	"watchdog/internal/workload"
 )
@@ -319,5 +320,36 @@ func TestRunAllCtxCanceled(t *testing.T) {
 	}
 	if got := r.Timing.Sims(); got != 0 {
 		t.Errorf("canceled fan-out still ran %d simulations", got)
+	}
+}
+
+// TestTable1JulietPassesCanceled: Table1's Juliet passes run under the
+// runner's context, so a cancellation that lands mid-pass stops that
+// pass and is Table1's error.
+func TestTable1JulietPassesCanceled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	r := runnerJ(t, 1) // one busy worker leaves a CPU for the watcher below
+	r.Ctx = ctx
+	if err := r.RunAll(CfgBaseline, CfgLocation, CfgXTag, CfgSoftware,
+		CfgDangKiller, CfgConservative, CfgISA); err != nil {
+		t.Fatal(err)
+	}
+	sweeps := r.Timing.Sims()
+	done := make(chan error, 1)
+	go func() {
+		_, err := r.Table1()
+		done <- err
+	}()
+	// The kept sweeps add no sims, so the first new one is a Juliet case.
+	for r.Timing.Sims() == sweeps {
+		time.Sleep(50 * time.Microsecond)
+	}
+	cancel()
+	if err := <-done; !Canceled(err) {
+		t.Fatalf("err = %v, want a cancellation", err)
+	}
+	if ran, pass := r.Timing.Sims()-sweeps, uint64(len(security.Suite())); ran >= pass {
+		t.Errorf("%d Juliet cases ran: the pass in flight ignored the cancellation", ran)
 	}
 }

@@ -61,18 +61,8 @@ type Options struct {
 	// its recent p99 instead, capped by this ceiling — slow-worker
 	// detection adapts to the actual cell cost.
 	HedgeAfter time.Duration
-	// Rounds is how many failed placement rounds a cell survives before
-	// the fabric gives up (default: one round per worker, minimum 2; a
-	// round is one primary request plus its hedge). Only transport
-	// failures consume a round: busy answers (429/503) just wait out
-	// their backoff, and permanent worker answers (other 4xx/5xx) fail
-	// the cell immediately.
-	Rounds int
 	// ProbeEvery is the health-probe period (default 2s).
 	ProbeEvery time.Duration
-	// CellTimeoutMS is stamped on each request's timeout_ms field
-	// (0 = the worker's default timeout).
-	CellTimeoutMS int64
 	// APIKey, when set, rides every cell request as `Authorization:
 	// Bearer` so sweeps work against an authed gateway fleet. A fleet
 	// answering 401 fails the sweep fast (permanent, not retried).
@@ -154,9 +144,6 @@ func New(addrs []string, opts Options) (*Coordinator, error) {
 	if opts.HedgeAfter <= 0 {
 		opts.HedgeAfter = 3 * time.Second
 	}
-	if opts.Rounds <= 0 {
-		opts.Rounds = max(2, len(addrs))
-	}
 	if opts.ProbeEvery <= 0 {
 		opts.ProbeEvery = 2 * time.Second
 	}
@@ -237,12 +224,11 @@ func (c *Coordinator) RemoteCell(ctx context.Context, workload string, config ex
 	// workers' flight-recorder dumps.
 	reqID := serve.NewRequestID()
 	body, err := json.Marshal(&serve.SimRequest{
-		Workload:  workload,
-		Config:    string(config),
-		Scale:     c.opts.Scale,
-		Fidelity:  string(fid.OrExact()),
-		Overhead:  overhead,
-		TimeoutMS: c.opts.CellTimeoutMS,
+		Workload: workload,
+		Config:   string(config),
+		Scale:    c.opts.Scale,
+		Fidelity: string(fid.OrExact()),
+		Overhead: overhead,
 	})
 	if err != nil {
 		return report.Cell{}, err
@@ -269,8 +255,10 @@ const maxBusyRetries = 256
 // to the next worker in the cell's rendezvous ranking and hedges onto
 // the following one if the primary outlives its hedge delay; the
 // first success wins and cancels the other request. Transport
-// failures consume a round; busy answers (429/503) only consume the
-// backoff the worker asked for.
+// failures consume a round, and the cell fails after one round per
+// worker (minimum 2); busy answers (429/503) only consume the backoff
+// the worker asked for, and permanent worker answers (other 4xx/5xx)
+// fail the cell immediately.
 func (c *Coordinator) fetch(ctx context.Context, key, reqID string, body []byte) (report.Cell, error) {
 	var lastErr error
 	rounds, busy := 0, 0
@@ -313,8 +301,8 @@ func (c *Coordinator) fetch(ctx context.Context, key, reqID string, body []byte)
 			}
 			continue
 		}
-		if rounds++; rounds >= c.opts.Rounds {
-			return report.Cell{}, fmt.Errorf("fabric: cell %s failed after %d rounds: %w", key, c.opts.Rounds, lastErr)
+		if rounds++; rounds >= max(2, len(c.workers)) {
+			return report.Cell{}, fmt.Errorf("fabric: cell %s failed after %d rounds: %w", key, rounds, lastErr)
 		}
 	}
 }

@@ -189,9 +189,10 @@ func TestHedgeLogging(t *testing.T) {
 	}
 }
 
-// TestWritePromStats: the fabric exposition carries the coordinator
-// counters and per-worker series with worker labels.
-func TestWritePromStats(t *testing.T) {
+// TestFabricPromStats: the fabric exposition, rendered from the
+// FabricStats field tags, carries the coordinator counters and
+// per-worker series with worker labels.
+func TestFabricPromStats(t *testing.T) {
 	fs := report.FabricStats{
 		CellsSent: 12, Hedged: 2, Retried: 1, Ejections: 1,
 		Workers: []report.FabricWorker{
@@ -200,7 +201,7 @@ func TestWritePromStats(t *testing.T) {
 		},
 	}
 	var p stats.PromWriter
-	WritePromStats(&p, fs)
+	p.Struct(fs)
 	doc := p.String()
 	for _, want := range []string{
 		"# TYPE watchdog_fabric_cells_sent_total counter",

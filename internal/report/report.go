@@ -258,38 +258,40 @@ type BenchExperiment struct {
 
 // FabricStats is the distributed-sweep coordinator's counter record:
 // what the fabric did to complete a sweep across its workers. It rides
-// the BenchReport and the `-stats` output.
+// the BenchReport and the `-stats` output, and its `prom` tags declare
+// the coordinator's Prometheus series (see stats.PromWriter.Struct).
 type FabricStats struct {
 	// CellsSent counts HTTP cell requests issued to workers, hedges
 	// and retries included.
-	CellsSent int64 `json:"cells_sent"`
+	CellsSent int64 `json:"cells_sent" prom:"watchdog_fabric_cells_sent_total,counter" help:"Cell requests issued to workers, hedges and retries included."`
 	// Hedged counts cells that got a second, racing request after the
 	// hedge delay; Retried counts re-issues after a worker failed.
-	Hedged  int64 `json:"hedged"`
-	Retried int64 `json:"retried"`
+	Hedged  int64 `json:"hedged" prom:"watchdog_fabric_hedges_total,counter" help:"Cells that got a second racing request after the hedge delay."`
+	Retried int64 `json:"retried" prom:"watchdog_fabric_retries_total,counter" help:"Cell re-issues after a failed placement round."`
 	// Ejections counts workers marked dead (connection failures or
 	// failed health probes); a worker can be ejected and readmitted
 	// repeatedly over one sweep.
-	Ejections int64 `json:"ejections"`
+	Ejections int64 `json:"ejections" prom:"watchdog_fabric_ejections_total,counter" help:"Workers marked dead (live-to-dead edges only)."`
 	// Workers is the per-worker request/latency breakdown, in the
 	// configured worker order.
 	Workers []FabricWorker `json:"workers,omitempty"`
 }
 
-// FabricWorker is one worker's slice of the fabric record.
+// FabricWorker is one worker's slice of the fabric record; its samples
+// are labeled by the worker's normalized address.
 type FabricWorker struct {
-	Addr  string `json:"addr"`
-	Alive bool   `json:"alive"`
+	Addr  string `json:"addr" prom:"worker,label"`
+	Alive bool   `json:"alive" prom:"watchdog_fabric_worker_alive,gauge" help:"1 while the worker is routable, 0 while ejected."`
 	// Requests/Errors and the latency percentiles cover the cell
 	// requests this worker actually received (a bounded recent window
 	// for the percentiles).
-	Requests int64 `json:"requests"`
-	Errors   int64 `json:"errors"`
+	Requests int64 `json:"requests" prom:"watchdog_fabric_worker_requests_total,counter" help:"Cell requests this worker received."`
+	Errors   int64 `json:"errors" prom:"watchdog_fabric_worker_errors_total,counter" help:"Cell requests this worker failed (transport or non-200)."`
 	// Window is how many recent requests the percentiles describe
 	// (the latency ring is bounded; see stats.LatencySnapshot).
-	Window   int     `json:"window"`
-	P50Milli float64 `json:"p50_ms"`
-	P99Milli float64 `json:"p99_ms"`
+	Window   int     `json:"window" prom:"watchdog_fabric_worker_latency_window,gauge" help:"Observations covered by the worker's percentile gauges."`
+	P50Milli float64 `json:"p50_ms" prom:"watchdog_fabric_worker_latency_window_seconds,gauge,quantile=0.5,/1e3" help:"Exact latency percentiles over the worker's bounded recent-request window."`
+	P99Milli float64 `json:"p99_ms" prom:"watchdog_fabric_worker_latency_window_seconds,gauge,quantile=0.99,/1e3"`
 }
 
 // WriteBenchFile serializes the timing document, stamping schema and

@@ -1,6 +1,7 @@
 package security
 
 import (
+	"context"
 	"testing"
 
 	"watchdog/internal/core"
@@ -8,16 +9,36 @@ import (
 	"watchdog/internal/stats"
 )
 
-// TestRunCasesTimed: each executed case records exactly one sim into
-// the timing counters, serially and in parallel, and a nil Timing is
-// accepted.
-func TestRunCasesTimed(t *testing.T) {
+// runCases runs every case through RunCasesCtx, uncancelled and
+// untimed.
+func runCases(t *testing.T, cases []Case, cfg core.Config, opts rt.Options, jobs int) []Outcome {
+	t.Helper()
+	outs, err := RunCasesCtx(context.Background(), cases, cfg, opts, jobs, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return outs
+}
+
+// runSuite is runCases summarized.
+func runSuite(t *testing.T, cases []Case, cfg core.Config, opts rt.Options, jobs int) Summary {
+	t.Helper()
+	return Summarize(cases, runCases(t, cases, cfg, opts, jobs))
+}
+
+// TestRunCasesCtxTiming: each executed case records exactly one sim
+// into the timing counters, serially and in parallel, and a nil Timing
+// is accepted.
+func TestRunCasesCtxTiming(t *testing.T) {
 	cases := Suite()[:8]
 	cfg := core.DefaultConfig()
 	opts := rt.Options{Policy: core.PolicyWatchdog}
 	for _, jobs := range []int{1, 4} {
 		var tm stats.Timing
-		outs := RunCasesTimed(cases, cfg, opts, jobs, &tm)
+		outs, err := RunCasesCtx(context.Background(), cases, cfg, opts, jobs, &tm, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if len(outs) != len(cases) {
 			t.Fatalf("jobs=%d: %d outcomes, want %d", jobs, len(outs), len(cases))
 		}
@@ -28,7 +49,7 @@ func TestRunCasesTimed(t *testing.T) {
 			t.Fatalf("jobs=%d: no busy time recorded", jobs)
 		}
 	}
-	if outs := RunCasesTimed(cases, cfg, opts, 2, nil); len(outs) != len(cases) {
+	if outs := runCases(t, cases, cfg, opts, 2); len(outs) != len(cases) {
 		t.Fatal("nil timing must be accepted")
 	}
 }
@@ -80,7 +101,7 @@ func TestParallelSuiteMatchesSerial(t *testing.T) {
 	cases := Suite()
 	cfg := core.DefaultConfig()
 	opts := rt.Options{Policy: core.PolicyWatchdog}
-	sameSummary(t, RunSuite(cases, cfg, opts), RunSuiteParallel(cases, cfg, opts, 8))
+	sameSummary(t, runSuite(t, cases, cfg, opts, 1), runSuite(t, cases, cfg, opts, 8))
 }
 
 // ...and under the location policy, which fails many cases — proving
@@ -90,10 +111,10 @@ func TestParallelFailureOrderDeterministic(t *testing.T) {
 	cases := Suite()
 	cfg := core.Config{Policy: core.PolicyLocation}
 	opts := rt.Options{Policy: core.PolicyLocation}
-	serial := RunSuite(cases, cfg, opts)
+	serial := runSuite(t, cases, cfg, opts, 1)
 	if len(serial.Failures) == 0 {
 		t.Fatal("location policy should fail some cases; the ordering test needs failures")
 	}
-	sameSummary(t, serial, RunSuiteParallel(cases, cfg, opts, 8))
-	sameSummary(t, serial, RunSuiteParallel(cases, cfg, opts, 3))
+	sameSummary(t, serial, runSuite(t, cases, cfg, opts, 8))
+	sameSummary(t, serial, runSuite(t, cases, cfg, opts, 3))
 }

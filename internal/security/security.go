@@ -95,21 +95,17 @@ func CaseByID(id string) (Case, bool) {
 	return Case{}, false
 }
 
-// RunCase executes one case functionally under the given configuration.
-func RunCase(c Case, cfg core.Config, opts rt.Options) Outcome {
-	return RunCaseCtx(context.Background(), c, cfg, opts)
-}
-
-// RunCaseCtx is RunCase with cooperative cancellation: the simulated
-// machine polls ctx mid-run, so a deadline or signal interrupts even
-// a single long case.
+// RunCaseCtx executes one case functionally under the given
+// configuration. The simulated machine polls ctx mid-run, so a
+// deadline or signal interrupts even a single long case.
 func RunCaseCtx(ctx context.Context, c Case, cfg core.Config, opts rt.Options) Outcome {
 	return runCaseSink(ctx, c, cfg, opts, nil)
 }
 
-// RunCaseTraced is RunCase with a trace sink attached (flight
-// recorder and/or timeline per tc); the sink that observed the run is
-// returned alongside the outcome so callers can dump or export it.
+// RunCaseTraced executes one case, without cancellation, with a trace
+// sink attached (flight recorder and/or timeline per tc); the sink
+// that observed the run is returned alongside the outcome so callers
+// can dump or export it.
 func RunCaseTraced(c Case, cfg core.Config, opts rt.Options, tc trace.Config) (Outcome, *trace.Sink) {
 	sink := trace.New(tc)
 	return runCaseSink(context.Background(), c, cfg, opts, sink), sink
@@ -255,51 +251,19 @@ type Summary struct {
 	ByCWETotal    map[int]int
 }
 
-// RunSuite runs every case serially and aggregates.
-func RunSuite(cases []Case, cfg core.Config, opts rt.Options) Summary {
-	return RunSuiteParallel(cases, cfg, opts, 1)
-}
-
-// RunSuiteParallel runs the cases over jobs workers (<= 0 means
-// GOMAXPROCS). Each case is an independent program on its own
-// simulated machine, so the fan-out is embarrassingly parallel; the
-// outcomes are merged in case order, making the summary (including
-// the Failures list) identical to the serial RunSuite.
-func RunSuiteParallel(cases []Case, cfg core.Config, opts rt.Options, jobs int) Summary {
-	return Summarize(cases, RunCases(cases, cfg, opts, jobs))
-}
-
-// RunCases executes every case over jobs workers and returns the
-// outcomes indexed like cases (deterministic order regardless of
-// completion order).
-func RunCases(cases []Case, cfg core.Config, opts rt.Options, jobs int) []Outcome {
-	return RunCasesTimed(cases, cfg, opts, jobs, nil)
-}
-
-// RunCasesTimed is RunCases, additionally recording each executed
-// case as one simulation in t — the harness -stats counters, so the
-// Juliet path reports real sim counts like the figure paths do. A nil
-// t disables recording.
-func RunCasesTimed(cases []Case, cfg core.Config, opts rt.Options, jobs int, t *stats.Timing) []Outcome {
-	return RunCasesObserved(cases, cfg, opts, jobs, t, nil)
-}
-
-// RunCasesObserved is RunCasesTimed with a per-case completion hook:
-// onDone, when non-nil, is invoked once per completed case, from
-// whichever worker finished it (so it must be concurrency-safe — the
-// progress counters are). The outcome slice is still merged in case
-// order.
-func RunCasesObserved(cases []Case, cfg core.Config, opts rt.Options, jobs int, t *stats.Timing, onDone func()) []Outcome {
-	outs, _ := RunCasesCtx(context.Background(), cases, cfg, opts, jobs, t, onDone)
-	return outs
-}
-
-// RunCasesCtx is RunCasesObserved under an explicit context. Workers
-// stop claiming new cases once the context fires (and the case
-// already simulating is interrupted mid-run); slots for cases that
-// never ran are left zero (Case.ID empty) so callers can summarize
-// the completed subset — see SummarizeRan. The returned error is
-// ctx.Err() when the run was cut short, nil otherwise.
+// RunCasesCtx executes every case over jobs workers (<= 0 means
+// GOMAXPROCS) and returns the outcomes indexed like cases, so the
+// order — and a Summarize over them, Failures list included — is the
+// same at any jobs. Each case is an independent program on its own
+// simulated machine. A non-nil t records each executed case as one
+// simulation (the harness -stats counters); a non-nil onDone is
+// invoked once per completed case, from whichever worker finished it,
+// so it must be safe for concurrent use. Workers stop claiming new
+// cases once ctx fires (and the case already simulating is
+// interrupted mid-run); slots for cases that never ran are left zero
+// (Case.ID empty) so callers can summarize the completed subset — see
+// SummarizeRan. The returned error is ctx.Err() when the run was cut
+// short, nil otherwise.
 func RunCasesCtx(ctx context.Context, cases []Case, cfg core.Config, opts rt.Options, jobs int, t *stats.Timing, onDone func()) ([]Outcome, error) {
 	run := func(c Case) Outcome {
 		var start time.Time

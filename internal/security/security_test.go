@@ -36,7 +36,7 @@ func TestSuiteCount(t *testing.T) {
 }
 
 func TestWatchdogDetectsAllWithNoFalsePositives(t *testing.T) {
-	s := RunSuite(Suite(), core.DefaultConfig(), rt.Options{Policy: core.PolicyWatchdog})
+	s := runSuite(t, Suite(), core.DefaultConfig(), rt.Options{Policy: core.PolicyWatchdog}, 1)
 	for _, f := range s.Failures {
 		t.Errorf("case %s (%s, bad=%v): detected=%v clean=%v err=%v",
 			f.Case.ID, f.Case.Variant, f.Case.Bad, f.Detected, f.Clean, f.Err)
@@ -55,7 +55,7 @@ func TestWatchdogDetectsAllWithNoFalsePositives(t *testing.T) {
 func TestConservativeModeAlsoDetectsAll(t *testing.T) {
 	cfg := core.DefaultConfig()
 	cfg.PtrPolicy = core.PtrConservative
-	s := RunSuite(Suite(), cfg, rt.Options{Policy: core.PolicyWatchdog})
+	s := runSuite(t, Suite(), cfg, rt.Options{Policy: core.PolicyWatchdog}, 1)
 	if s.BadDetected != s.BadTotal || s.GoodClean != s.GoodTotal {
 		t.Fatalf("conservative mode: %s", s)
 	}
@@ -64,7 +64,7 @@ func TestConservativeModeAlsoDetectsAll(t *testing.T) {
 func TestBoundsModeAlsoDetectsAll(t *testing.T) {
 	cfg := core.DefaultConfig()
 	cfg.Bounds = core.BoundsFused
-	s := RunSuite(Suite(), cfg, rt.Options{Policy: core.PolicyWatchdog, Bounds: true})
+	s := runSuite(t, Suite(), cfg, rt.Options{Policy: core.PolicyWatchdog, Bounds: true}, 1)
 	if s.BadDetected != s.BadTotal || s.GoodClean != s.GoodTotal {
 		t.Fatalf("bounds mode: %s", s)
 	}
@@ -88,8 +88,8 @@ func TestLocationPolicyMissesReallocationCases(t *testing.T) {
 	}
 	cfg := core.Config{Policy: core.PolicyLocation}
 	opts := rt.Options{Policy: core.PolicyLocation}
-	sRe := RunSuite(reallocBad, cfg, opts)
-	sPl := RunSuite(plainBad, cfg, opts)
+	sRe := runSuite(t, reallocBad, cfg, opts, 1)
+	sPl := runSuite(t, plainBad, cfg, opts, 1)
 	if sPl.BadDetected != sPl.BadTotal {
 		t.Fatalf("location policy must detect unreallocated UAF: %d/%d", sPl.BadDetected, sPl.BadTotal)
 	}

@@ -75,7 +75,7 @@ func TestPolicyExpectationMatrix(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			outs := RunCases(cases, cfg, opts, 0)
+			outs := runCases(t, cases, cfg, opts, 0)
 			for _, m := range Mismatches(policy, cases, outs) {
 				c := m.Outcome.Case
 				t.Errorf("case %s (CWE-%d %s, bad=%v): detected=%v, expected detection=%v (err=%v)",
@@ -96,7 +96,7 @@ func TestXTagNarrowTagStillChecksJuliet(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg.TagBits = 1
-	s := RunSuiteParallel(Suite(), cfg, opts, 0)
+	s := runSuite(t, Suite(), cfg, opts, 0)
 	if s.ByCWEDetected[416] != s.ByCWETotal[416] {
 		t.Errorf("1-bit xtag CWE-416: %d/%d", s.ByCWEDetected[416], s.ByCWETotal[416])
 	}
@@ -113,12 +113,12 @@ func TestXTagNarrowTagStillChecksJuliet(t *testing.T) {
 // equal Watchdog's on every case.
 func TestDangKillerMatchesWatchdogVerdicts(t *testing.T) {
 	cases := append(Suite(), WdasmCases()...)
-	wd := RunCases(cases, core.DefaultConfig(), rt.Options{Policy: core.PolicyWatchdog}, 0)
+	wd := runCases(t, cases, core.DefaultConfig(), rt.Options{Policy: core.PolicyWatchdog}, 0)
 	cfg, opts, err := PolicyConfig("dangkiller")
 	if err != nil {
 		t.Fatal(err)
 	}
-	dk := RunCases(cases, cfg, opts, 0)
+	dk := runCases(t, cases, cfg, opts, 0)
 	for i, c := range cases {
 		if wd[i].Detected != dk[i].Detected || wd[i].Clean != dk[i].Clean {
 			t.Errorf("case %s: watchdog detected=%v clean=%v, dangkiller detected=%v clean=%v",

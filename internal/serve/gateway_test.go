@@ -160,7 +160,6 @@ func TestTenantBucketIsolation(t *testing.T) {
 		MaxWorkers: 2,
 		Keys:       map[string]string{"sk-a": "a", "sk-b": "b"},
 		Rate:       0.001, // one token per ~17 minutes: no refill mid-test
-		Burst:      1,
 	})
 	req := SimRequest{Workload: "mcf", Config: "conservative"}
 
@@ -220,7 +219,7 @@ func TestDailyQuota(t *testing.T) {
 // new UTC day resets the window.
 func TestQuotaRollover(t *testing.T) {
 	now := time.Date(2026, 3, 1, 23, 59, 0, 0, time.UTC)
-	l := newTenantLimiter(0, 0, 1)
+	l := newTenantLimiter(0, 1)
 	l.now = func() time.Time { return now }
 
 	if v := l.allow("t"); !v.ok {

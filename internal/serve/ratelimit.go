@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"sort"
 	"sync"
 	"time"
 
@@ -39,7 +38,6 @@ type tenantState struct {
 // /metrics has tenant rows. Safe for concurrent use.
 type tenantLimiter struct {
 	rate  float64
-	burst float64
 	quota int64
 	now   func() time.Time
 
@@ -48,15 +46,11 @@ type tenantLimiter struct {
 }
 
 // newTenantLimiter sizes the limiter: rate tokens/second (0 = no rate
-// limit), burst capacity (0 = twice the rate, floored at 1), quota
-// requests/day (0 = no quota).
-func newTenantLimiter(rate, burst float64, quota int64) *tenantLimiter {
-	if burst <= 0 {
-		burst = 2 * rate
-	}
+// limit) with a burst capacity of twice the rate (floored at 1 token),
+// quota requests/day (0 = no quota).
+func newTenantLimiter(rate float64, quota int64) *tenantLimiter {
 	return &tenantLimiter{
 		rate:    rate,
-		burst:   burst,
 		quota:   quota,
 		now:     time.Now,
 		tenants: make(map[string]*tenantState),
@@ -69,7 +63,7 @@ func (l *tenantLimiter) state(tenant string) *tenantState {
 	if !ok {
 		st = &tenantState{}
 		if l.rate > 0 {
-			st.bucket = stats.NewTokenBucket(l.rate, l.burst)
+			st.bucket = stats.NewTokenBucket(l.rate, 2*l.rate)
 			st.bucket.SetClock(l.now)
 		}
 		l.tenants[tenant] = st
@@ -114,13 +108,14 @@ func (l *tenantLimiter) allow(tenant string) limitVerdict {
 type TenantMetrics struct {
 	// Requests counts every /v1/* admission attempt by this tenant,
 	// including refused ones.
-	Requests int64 `json:"requests"`
+	Requests int64 `json:"requests" prom:"watchdog_serve_tenant_requests_total,counter" help:"Admission attempts on /v1/* endpoints, by tenant (refusals included)."`
 	// Limited counts token-bucket refusals; QuotaDenied counts daily
 	// quota refusals (both answered 429).
-	Limited     int64 `json:"limited,omitempty"`
-	QuotaDenied int64 `json:"quota_denied,omitempty"`
+	Limited     int64 `json:"limited,omitempty" prom:"watchdog_serve_tenant_limited_total,counter" help:"Token-bucket refusals (429), by tenant."`
+	QuotaDenied int64 `json:"quota_denied,omitempty" prom:"watchdog_serve_tenant_quota_denied_total,counter" help:"Daily-quota refusals (429), by tenant."`
 	// QuotaUsed / QuotaRemaining describe the current UTC-day window;
-	// both omitted when the server runs without a quota.
+	// both omitted when the server runs without a quota. They stay
+	// JSON-only: a gauge cannot be omitted the way the JSON field is.
 	QuotaUsed      int64 `json:"quota_used,omitempty"`
 	QuotaRemaining int64 `json:"quota_remaining,omitempty"`
 }
@@ -149,17 +144,6 @@ func (l *tenantLimiter) snapshot() map[string]TenantMetrics {
 		out[name] = m
 	}
 	return out
-}
-
-// tenantNames returns the known tenants sorted, so Prometheus
-// documents render tenant families in a stable order.
-func tenantNames(m map[string]TenantMetrics) []string {
-	names := make([]string, 0, len(m))
-	for name := range m {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // retrySeconds rounds a Retry-After duration up to whole seconds with

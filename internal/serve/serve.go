@@ -104,10 +104,9 @@ type Config struct {
 	// pre-gateway clients keep working unchanged.
 	Keys map[string]string
 	// Rate is each tenant's sustained /v1/* admission rate in
-	// requests/second (0 = unlimited); Burst is the bucket capacity
-	// (0 = twice the rate).
-	Rate  float64
-	Burst float64
+	// requests/second (0 = unlimited); the bucket holds twice that
+	// (at least one token).
+	Rate float64
 	// Quota caps each tenant's admitted /v1/* requests per UTC day
 	// (0 = unlimited).
 	Quota int64
@@ -197,36 +196,39 @@ type ErrorResponse struct {
 	RetryAfterSec int `json:"retry_after_sec,omitempty"`
 }
 
-// Metrics is the GET /metrics document.
+// Metrics is the GET /metrics document. A field tagged `prom`, here or
+// in a nested row, is also a Prometheus series: stats.PromWriter.Struct
+// renders the exposition from the tags, so the field is the series'
+// only declaration.
 type Metrics struct {
 	Schema      string `json:"schema"`
 	Version     int    `json:"version"`
-	UptimeNanos int64  `json:"uptime_nanos"`
-	Draining    bool   `json:"draining"`
+	UptimeNanos int64  `json:"uptime_nanos" prom:"watchdog_serve_uptime_seconds,gauge,/1e9" help:"Seconds since the server started."`
+	Draining    bool   `json:"draining" prom:"watchdog_serve_draining,gauge" help:"1 while the server is draining (refusing new work), else 0."`
 
 	// Inflight counts computations currently executing (not coalesced
 	// waiters).
-	Inflight int64 `json:"inflight"`
+	Inflight int64 `json:"inflight" prom:"watchdog_serve_inflight,gauge" help:"Computations currently executing (coalesced waiters excluded)."`
 	// RejectedBusy / RejectedDraining count 429 and drain-503
 	// rejections. Coalesced counts requests that joined an existing
 	// flight instead of computing.
-	RejectedBusy     int64 `json:"rejected_busy"`
-	RejectedDraining int64 `json:"rejected_draining"`
-	Coalesced        int64 `json:"coalesced"`
+	RejectedBusy     int64 `json:"rejected_busy" prom:"watchdog_serve_rejected_total,counter,reason=busy" help:"Requests refused before reaching a flight, by reason."`
+	RejectedDraining int64 `json:"rejected_draining" prom:"watchdog_serve_rejected_total,counter,reason=draining"`
+	Coalesced        int64 `json:"coalesced" prom:"watchdog_serve_coalesced_total,counter" help:"Requests that joined an existing flight instead of computing."`
 	// TimedOut counts 504 answers (a request's deadline expired
 	// mid-computation). Added after PR 5; absent (zero) in older
 	// documents.
-	TimedOut int64 `json:"timed_out,omitempty"`
+	TimedOut int64 `json:"timed_out,omitempty" prom:"watchdog_serve_timeouts_total,counter" help:"Requests answered 504 (deadline expired mid-computation)."`
 	// RejectedUnauthorized / RejectedLimited count 401 and
 	// rate-or-quota 429 refusals (gateway additions; zero values are
 	// omitted so pre-gateway documents are byte-identical).
-	RejectedUnauthorized int64 `json:"rejected_unauthorized,omitempty"`
-	RejectedLimited      int64 `json:"rejected_limited,omitempty"`
+	RejectedUnauthorized int64 `json:"rejected_unauthorized,omitempty" prom:"watchdog_serve_rejected_total,counter,reason=unauthorized"`
+	RejectedLimited      int64 `json:"rejected_limited,omitempty" prom:"watchdog_serve_rejected_total,counter,reason=limited"`
 
-	Endpoints map[string]EndpointMetrics `json:"endpoints"`
+	Endpoints map[string]EndpointMetrics `json:"endpoints" prom:"endpoint,label"`
 	// Tenants has one row per tenant seen since start (absent until the
 	// first /v1/* admission attempt).
-	Tenants map[string]TenantMetrics `json:"tenants,omitempty"`
+	Tenants map[string]TenantMetrics `json:"tenants,omitempty" prom:"tenant,label"`
 	// Store describes the result cache and disk store layers.
 	Store   StoreMetrics   `json:"store"`
 	Harness HarnessMetrics `json:"harness"`
@@ -235,13 +237,13 @@ type Metrics struct {
 // HarnessMetrics aggregates the runner timing counters across every
 // scale the server has simulated at, plus the security suite.
 type HarnessMetrics struct {
-	Sims      uint64 `json:"sims"`
-	Profiles  uint64 `json:"profiles"`
-	CacheHits uint64 `json:"cache_hits"`
-	BusyNanos int64  `json:"busy_nanos"`
+	Sims      uint64 `json:"sims" prom:"watchdog_harness_sims_total,counter" help:"Timed simulations executed by the shared runners."`
+	Profiles  uint64 `json:"profiles" prom:"watchdog_harness_profiles_total,counter" help:"Profiling passes executed by the shared runners."`
+	CacheHits uint64 `json:"cache_hits" prom:"watchdog_harness_cache_hits_total,counter" help:"Simulations answered from the runners' once-caches."`
+	BusyNanos int64  `json:"busy_nanos" prom:"watchdog_harness_busy_seconds_total,counter,/1e9" help:"Cumulative wall time spent inside simulations."`
 	// CacheHitRatio is hits / (hits + sims); 0 until the server has
 	// served something.
-	CacheHitRatio float64 `json:"cache_hit_ratio"`
+	CacheHitRatio float64 `json:"cache_hit_ratio" prom:"watchdog_harness_cache_hit_ratio,gauge" help:"Cache hits / (hits + sims) since start."`
 }
 
 // runnerKey identifies one shared runner: requests at the same scale
@@ -316,7 +318,7 @@ func New(cfg Config) *Server {
 		sem:       make(chan struct{}, cfg.MaxWorkers),
 		runners:   make(map[runnerKey]*experiments.Runner),
 		flightLog: newFlightLog(cfg.FlightLogN),
-		limiter:   newTenantLimiter(cfg.Rate, cfg.Burst, cfg.Quota),
+		limiter:   newTenantLimiter(cfg.Rate, cfg.Quota),
 	}
 	s.flights.Max = cfg.CacheEntries
 	s.simMet.hist = stats.NewHistogram()
@@ -485,11 +487,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) int {
 // Accept header asking for text/plain (or OpenMetrics) gets the
 // Prometheus text exposition; everything else — including curl's
 // default */* — gets the JSON document, byte-compatible with the
-// pre-Prometheus schema.
+// pre-Prometheus schema. Both encode the same snapshot.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) int {
-	if wantsProm(r.Header.Get("Accept")) {
-		return s.writeProm(w)
-	}
 	m := Metrics{
 		Schema:      Schema,
 		Version:     Version,
@@ -505,18 +504,21 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) int {
 		RejectedLimited:      s.rejectedLimited.Load(),
 
 		Endpoints: map[string]EndpointMetrics{
-			"sim":    s.simMet.win.Snapshot(),
-			"juliet": s.julietMet.win.Snapshot(),
+			"sim":    EndpointMetrics(s.simMet.win.Snapshot()),
+			"juliet": EndpointMetrics(s.julietMet.win.Snapshot()),
 		},
 		Tenants: s.limiter.snapshot(),
 		Store:   s.storeMetrics(),
 		Harness: s.harnessMetrics(),
 	}
+	if wantsProm(r.Header.Get("Accept")) {
+		return s.writeProm(w, &m)
+	}
 	return writeJSON(w, http.StatusOK, &m)
 }
 
 // harnessMetrics sums the runners' timing counters and the security
-// suite's, for both /metrics encodings.
+// suite's.
 func (s *Server) harnessMetrics() HarnessMetrics {
 	var h HarnessMetrics
 	s.mu.Lock()

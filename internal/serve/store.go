@@ -233,19 +233,19 @@ func (st *Store) enforceBudget(justWrote string) {
 type StoreMetrics struct {
 	// CacheEntries / CacheMax describe the bodies kept in memory right
 	// now and their bound.
-	CacheEntries int `json:"cache_entries"`
+	CacheEntries int `json:"cache_entries" prom:"watchdog_serve_result_cache_entries,gauge" help:"Completed flight bodies retained in the in-memory LRU."`
 	CacheMax     int `json:"cache_max"`
 	// CacheHits counts replays answered from memory; CacheEvictions
 	// counts bodies dropped past the bound.
-	CacheHits      int64 `json:"cache_hits"`
-	CacheEvictions int64 `json:"cache_evictions"`
+	CacheHits      int64 `json:"cache_hits" prom:"watchdog_serve_result_cache_hits_total,counter" help:"Replays answered from the in-memory LRU."`
+	CacheEvictions int64 `json:"cache_evictions" prom:"watchdog_serve_result_cache_evictions_total,counter" help:"LRU entries dropped past the configured bound."`
 	// Disk layer counters (all zero without -store-dir).
-	DiskHits       int64 `json:"disk_hits,omitempty"`
-	DiskMisses     int64 `json:"disk_misses,omitempty"`
-	DiskWrites     int64 `json:"disk_writes,omitempty"`
-	DiskBytes      int64 `json:"disk_bytes,omitempty"`
-	DiskEvictions  int64 `json:"disk_evictions,omitempty"`
-	CorruptEvicted int64 `json:"corrupt_evicted,omitempty"`
+	DiskHits       int64 `json:"disk_hits,omitempty" prom:"watchdog_serve_store_hits_total,counter" help:"Replays answered from the disk store (checksum-verified)."`
+	DiskMisses     int64 `json:"disk_misses,omitempty" prom:"watchdog_serve_store_misses_total,counter" help:"Disk store lookups that found no servable entry (corrupt ones included)."`
+	DiskWrites     int64 `json:"disk_writes,omitempty" prom:"watchdog_serve_store_writes_total,counter" help:"Completed bodies persisted to the disk store."`
+	DiskBytes      int64 `json:"disk_bytes,omitempty" prom:"watchdog_serve_store_bytes,gauge" help:"Bytes of entries in the disk store."`
+	DiskEvictions  int64 `json:"disk_evictions,omitempty" prom:"watchdog_serve_store_evictions_total,counter" help:"Disk entries evicted by the size budget."`
+	CorruptEvicted int64 `json:"corrupt_evicted,omitempty" prom:"watchdog_serve_store_corrupt_evicted_total,counter" help:"Disk entries that failed verification and were evicted, not served."`
 }
 
 // storeMetrics assembles the two layers' counters.

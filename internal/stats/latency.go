@@ -45,23 +45,23 @@ func (e *LatencyWindow) Observe(d time.Duration, failed bool) {
 //
 // Bounded-ring semantics: Requests and Errors count every observation
 // ever made, but the percentiles describe only the most recent
-// `window` observations (at most the ring size, 512) — older samples
+// Window observations (at most the ring size, 512) — older samples
 // have been overwritten. A consumer must read the percentiles against
 // Window, not Requests: zero percentiles with Window == 0 mean "no
 // data yet", while zero (or near-zero) percentiles with Window > 0
 // mean the recent requests really were that fast (sub-millisecond
 // latencies round toward 0.0 in the millisecond-denominated fields).
 type LatencySnapshot struct {
-	Requests int64 `json:"requests"`
+	Requests int64
 	// Errors counts observations flagged as failed (for an HTTP
 	// endpoint: requests answered with a 4xx/5xx status).
-	Errors int64 `json:"errors"`
+	Errors int64
 	// Window is how many observations the percentile fields actually
 	// cover (0 until the first request; saturates at the ring size).
-	Window   int     `json:"window"`
-	P50Milli float64 `json:"p50_ms"`
-	P90Milli float64 `json:"p90_ms"`
-	P99Milli float64 `json:"p99_ms"`
+	Window   int
+	P50Milli float64
+	P90Milli float64
+	P99Milli float64
 }
 
 // Snapshot reads the counters and computes the window percentiles.

@@ -46,6 +46,84 @@ watchdog_request_duration_seconds_count{endpoint="sim"} 4
 	}
 }
 
+// TestPromFamiliesGrouped: interleaved calls on two families still
+// render each family as one contiguous group, as text format 0.0.4
+// requires, with families in first-use order.
+func TestPromFamiliesGrouped(t *testing.T) {
+	var p PromWriter
+	p.Counter("a_total", "A.", []Label{{"k", "1"}}, 1)
+	p.Counter("b_total", "B.", []Label{{"k", "1"}}, 2)
+	p.Counter("a_total", "A.", []Label{{"k", "2"}}, 3)
+	p.Counter("b_total", "B.", []Label{{"k", "2"}}, 4)
+
+	const want = `# HELP a_total A.
+# TYPE a_total counter
+a_total{k="1"} 1
+a_total{k="2"} 3
+# HELP b_total B.
+# TYPE b_total counter
+b_total{k="1"} 2
+b_total{k="2"} 4
+`
+	if got := p.String(); got != want {
+		t.Errorf("families not grouped:\n--- got ---\n%s--- want ---\n%s", got, want)
+	}
+}
+
+// TestPromStruct pins the tag grammar: constant labels and divisors,
+// bools, map keys and string fields as labels (outer labels first),
+// untagged structs and slices walked, untagged leaves left JSON-only.
+func TestPromStruct(t *testing.T) {
+	type row struct {
+		Addr string  `json:"addr" prom:"worker,label"`
+		Up   bool    `json:"up" prom:"t_up,gauge" help:"Up."`
+		P50  float64 `json:"p50_ms" prom:"t_latency_seconds,gauge,quantile=0.5,/1e3" help:"Latency."`
+		P99  float64 `json:"p99_ms" prom:"t_latency_seconds,gauge,quantile=0.99,/1e3"`
+	}
+	type count struct {
+		N int64 `json:"n" prom:"t_n_total,counter" help:"N."`
+	}
+	doc := struct {
+		Schema string           `json:"schema"`
+		Max    int              `json:"max"`
+		Nanos  int64            `json:"nanos" prom:"t_uptime_seconds,gauge,/1e9" help:"Uptime."`
+		Hits   uint64           `json:"hits" prom:"t_hits_total,counter" help:"Hits."`
+		ByKey  map[string]count `json:"by_key" prom:"key,label"`
+		Rows   []row            `json:"rows"`
+	}{
+		Schema: "s", Max: 9, Nanos: 1_500_000_000, Hits: 7,
+		ByKey: map[string]count{"y": {2}, "x": {1}},
+		Rows:  []row{{"a", true, 4, 20}, {"b", false, 100, 900}},
+	}
+	var p PromWriter
+	p.Struct(&doc)
+
+	const want = `# HELP t_uptime_seconds Uptime.
+# TYPE t_uptime_seconds gauge
+t_uptime_seconds 1.5
+# HELP t_hits_total Hits.
+# TYPE t_hits_total counter
+t_hits_total 7
+# HELP t_n_total N.
+# TYPE t_n_total counter
+t_n_total{key="x"} 1
+t_n_total{key="y"} 2
+# HELP t_up Up.
+# TYPE t_up gauge
+t_up{worker="a"} 1
+t_up{worker="b"} 0
+# HELP t_latency_seconds Latency.
+# TYPE t_latency_seconds gauge
+t_latency_seconds{worker="a",quantile="0.5"} 0.004
+t_latency_seconds{worker="a",quantile="0.99"} 0.02
+t_latency_seconds{worker="b",quantile="0.5"} 0.1
+t_latency_seconds{worker="b",quantile="0.99"} 0.9
+`
+	if got := p.String(); got != want {
+		t.Errorf("struct render mismatch:\n--- got ---\n%s--- want ---\n%s", got, want)
+	}
+}
+
 // TestPromDeterministic: rendering the same state twice produces
 // byte-identical documents (the stable-ordering contract a golden
 // scrape test in CI relies on).
