@@ -37,10 +37,56 @@ type Config struct {
 	PrefetchDepth int
 }
 
+// line is one cache or TLB entry. Every Access and Lookup advances its
+// stamp counter before it stamps a line, so a valid line's stamp is at
+// least 1 and stamp 0 marks an invalid one.
 type line struct {
 	tag   uint64
-	valid bool
-	stamp uint64 // LRU timestamp
+	stamp uint64 // LRU timestamp; 0 = invalid
+}
+
+// setArray is a set-associative array of lines stored flat: way w of
+// set s is lines[s*ways+w].
+type setArray struct {
+	lines []line
+	sets  int
+	ways  int
+}
+
+func newSetArray(sets, ways int) setArray {
+	return setArray{lines: make([]line, sets*ways), sets: sets, ways: ways}
+}
+
+// set returns the ways of the set that tag maps to.
+func (a *setArray) set(tag uint64) []line {
+	base := int(tag%uint64(a.sets)) * a.ways
+	return a.lines[base : base+a.ways]
+}
+
+// find returns the way of set holding tag, or -1.
+func find(set []line, tag uint64) int {
+	for i := range set {
+		if set[i].stamp != 0 && set[i].tag == tag {
+			return i
+		}
+	}
+	return -1
+}
+
+// victim returns the way of set to fill: the first invalid way, else
+// the least recently used one (the first of equals).
+func victim(set []line) int {
+	v := 0
+	oldest := ^uint64(0)
+	for i := range set {
+		if set[i].stamp < oldest {
+			v, oldest = i, set[i].stamp
+			if oldest == 0 {
+				break
+			}
+		}
+	}
+	return v
 }
 
 type stream struct {
@@ -51,10 +97,9 @@ type stream struct {
 
 // Cache is one set-associative level with optional stream prefetcher.
 type Cache struct {
-	cfg      Config
-	sets     int
-	blockLg  uint
-	lines    [][]line
+	cfg     Config
+	blockLg uint
+	setArray
 	streams  []stream
 	stampCtr uint64
 
@@ -81,14 +126,10 @@ func New(cfg Config, next Port) *Cache {
 		sets = 1
 	}
 	c := &Cache{
-		cfg:     cfg,
-		sets:    sets,
-		blockLg: blockLg,
-		lines:   make([][]line, sets),
-		next:    next,
-	}
-	for i := range c.lines {
-		c.lines[i] = make([]line, cfg.Ways)
+		cfg:      cfg,
+		blockLg:  blockLg,
+		setArray: newSetArray(sets, cfg.Ways),
+		next:     next,
 	}
 	if cfg.Streams > 0 {
 		c.streams = make([]stream, cfg.Streams)
@@ -103,16 +144,13 @@ func (c *Cache) Access(addr uint64, write bool) int {
 	c.Accesses++
 	c.stampCtr++
 	block := addr >> c.blockLg
-	set := int(block % uint64(c.sets))
-	for i := range c.lines[set] {
-		l := &c.lines[set][i]
-		if l.valid && l.tag == block {
-			l.stamp = c.stampCtr
-			// A hit on a tracked stream keeps the prefetcher running
-			// ahead of the access stream.
-			c.advanceStream(block)
-			return c.cfg.Latency
-		}
+	set := c.set(block)
+	if i := find(set, block); i >= 0 {
+		set[i].stamp = c.stampCtr
+		// A hit on a tracked stream keeps the prefetcher running
+		// ahead of the access stream.
+		c.advanceStream(block)
+		return c.cfg.Latency
 	}
 	// Miss: charge this level plus the levels below, install, prefetch.
 	c.Misses++
@@ -131,14 +169,7 @@ func (c *Cache) Access(addr uint64, write bool) int {
 // (test/debug aid; does not update LRU or stats).
 func (c *Cache) Contains(addr uint64) bool {
 	block := addr >> c.blockLg
-	set := int(block % uint64(c.sets))
-	for i := range c.lines[set] {
-		l := &c.lines[set][i]
-		if l.valid && l.tag == block {
-			return true
-		}
-	}
-	return false
+	return find(c.set(block), block) >= 0
 }
 
 // Invalidate drops the block holding addr if resident (used to keep
@@ -146,38 +177,25 @@ func (c *Cache) Contains(addr uint64) bool {
 // lock location is written through the other path).
 func (c *Cache) Invalidate(addr uint64) {
 	block := addr >> c.blockLg
-	set := int(block % uint64(c.sets))
-	for i := range c.lines[set] {
-		l := &c.lines[set][i]
-		if l.valid && l.tag == block {
-			l.valid = false
-			c.live--
-		}
+	set := c.set(block)
+	if i := find(set, block); i >= 0 {
+		set[i].stamp = 0
+		c.live--
 	}
 }
 
 // LiveLines returns the number of currently-valid lines (occupancy).
 func (c *Cache) LiveLines() int { return c.live }
 
+// install fills block, which must not be resident, over its set's
+// victim.
 func (c *Cache) install(block uint64) {
-	set := int(block % uint64(c.sets))
-	victim := 0
-	var oldest uint64 = ^uint64(0)
-	for i := range c.lines[set] {
-		l := &c.lines[set][i]
-		if !l.valid {
-			victim = i
-			break
-		}
-		if l.stamp < oldest {
-			oldest = l.stamp
-			victim = i
-		}
-	}
-	if !c.lines[set][victim].valid {
+	set := c.set(block)
+	v := victim(set)
+	if set[v].stamp == 0 {
 		c.live++
 	}
-	c.lines[set][victim] = line{tag: block, valid: true, stamp: c.stampCtr}
+	set[v] = line{tag: block, stamp: c.stampCtr}
 }
 
 // advanceStream checks whether block continues a tracked stream; if
@@ -189,7 +207,7 @@ func (c *Cache) advanceStream(block uint64) bool {
 		if s.valid && block == s.next {
 			for d := 1; d <= c.cfg.PrefetchDepth; d++ {
 				pb := block + uint64(d)
-				if !c.blockResident(pb) {
+				if find(c.set(pb), pb) < 0 {
 					c.install(pb)
 					c.PrefetchFills++
 				}
@@ -221,17 +239,6 @@ func (c *Cache) allocStream(block uint64) {
 		}
 	}
 	c.streams[victim] = stream{next: block + 1, valid: true, stamp: c.stampCtr}
-}
-
-func (c *Cache) blockResident(block uint64) bool {
-	set := int(block % uint64(c.sets))
-	for i := range c.lines[set] {
-		l := &c.lines[set][i]
-		if l.valid && l.tag == block {
-			return true
-		}
-	}
-	return false
 }
 
 // MissRate returns misses/accesses.

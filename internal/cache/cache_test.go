@@ -2,6 +2,7 @@ package cache
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -46,34 +47,66 @@ func TestLRUEviction(t *testing.T) {
 	}
 }
 
-// Property: a cache never holds more blocks per set than its ways.
+// Property, with invalidations interleaved among the accesses: no set
+// holds a tag twice, LiveLines counts exactly the valid (stamp != 0)
+// lines, and a miss into a set with an invalidated way refills the
+// first such way, leaving every valid line — the LRU one included —
+// where it was.
 func TestSetOccupancyInvariant(t *testing.T) {
 	d := &DRAM{Latency: 1}
-	c := l1(d)
-	f := func(addrs []uint32) bool {
-		for _, a := range addrs {
-			c.Access(uint64(a), a%2 == 0)
-		}
-		for _, set := range c.lines {
-			n := 0
-			seen := map[uint64]bool{}
-			for _, l := range set {
-				if l.valid {
-					n++
-					if seen[l.tag] {
-						return false // duplicate tag in set
-					}
-					seen[l.tag] = true
+	c := l1(d) // no prefetcher: a miss installs exactly one line
+	refills := 0
+	f := func(addrs []uint16) bool {
+		for i, a := range addrs {
+			// 64 blocks over 8 sets of 2 ways: hits, evictions and
+			// invalidations of resident blocks all come often.
+			addr := uint64(a) % (64 * 64)
+			if a%4 == 3 && i > 0 {
+				c.Invalidate(uint64(addrs[i-1]) % (64 * 64))
+				continue
+			}
+			block := addr >> c.blockLg
+			set := c.set(block)
+			before := slices.Clone(set)
+			free := slices.IndexFunc(before, func(l line) bool { return l.stamp == 0 })
+			misses := c.Misses
+			c.Access(addr, a%2 == 0)
+			if c.Misses == misses || free < 0 {
+				continue
+			}
+			if set[free].tag != block || set[free].stamp == 0 {
+				return false // the miss did not fill the first invalid way
+			}
+			for w := range set {
+				if w != free && set[w] != before[w] {
+					return false // a valid line was evicted or restamped
 				}
 			}
-			if n > c.cfg.Ways {
-				return false
+			if slices.ContainsFunc(before, func(l line) bool { return l.stamp != 0 }) {
+				refills++
 			}
 		}
-		return true
+		valid := 0
+		for s := 0; s < c.sets; s++ {
+			seen := map[uint64]bool{}
+			for _, l := range c.lines[s*c.ways : (s+1)*c.ways] {
+				if l.stamp == 0 {
+					continue
+				}
+				valid++
+				if seen[l.tag] {
+					return false // duplicate tag in set
+				}
+				seen[l.tag] = true
+			}
+		}
+		return valid == c.LiveLines()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+	if refills == 0 {
+		t.Fatal("no miss landed in a set holding both a valid line and an invalid way")
 	}
 }
 

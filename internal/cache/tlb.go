@@ -3,9 +3,7 @@ package cache
 // TLB is a set-associative translation lookaside buffer over 4 KiB
 // pages. A miss charges a fixed page-walk penalty.
 type TLB struct {
-	sets        int
-	ways        int
-	lines       [][]line
+	setArray
 	stampCtr    uint64
 	WalkPenalty int
 
@@ -19,11 +17,7 @@ func NewTLB(entries, ways, walkPenalty int) *TLB {
 	if sets < 1 {
 		sets = 1
 	}
-	t := &TLB{sets: sets, ways: ways, lines: make([][]line, sets), WalkPenalty: walkPenalty}
-	for i := range t.lines {
-		t.lines[i] = make([]line, ways)
-	}
-	return t
+	return &TLB{setArray: newSetArray(sets, ways), WalkPenalty: walkPenalty}
 }
 
 // Lookup translates the page holding addr, returning the added
@@ -32,28 +26,12 @@ func (t *TLB) Lookup(addr uint64) int {
 	t.Accesses++
 	t.stampCtr++
 	page := addr >> 12
-	set := int(page % uint64(t.sets))
-	for i := range t.lines[set] {
-		l := &t.lines[set][i]
-		if l.valid && l.tag == page {
-			l.stamp = t.stampCtr
-			return 0
-		}
+	set := t.set(page)
+	if i := find(set, page); i >= 0 {
+		set[i].stamp = t.stampCtr
+		return 0
 	}
 	t.Misses++
-	victim := 0
-	var oldest uint64 = ^uint64(0)
-	for i := range t.lines[set] {
-		l := &t.lines[set][i]
-		if !l.valid {
-			victim = i
-			break
-		}
-		if l.stamp < oldest {
-			oldest = l.stamp
-			victim = i
-		}
-	}
-	t.lines[set][victim] = line{tag: page, valid: true, stamp: t.stampCtr}
+	set[victim(set)] = line{tag: page, stamp: t.stampCtr}
 	return t.WalkPenalty
 }

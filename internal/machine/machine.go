@@ -8,6 +8,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 
 	"watchdog/internal/asm"
 	"watchdog/internal/bpred"
@@ -235,6 +236,12 @@ func (m *Machine) fault(err error) {
 // returned error reports machine-level problems (illegal jumps,
 // divide by zero, instruction-limit exhaustion), not memory-safety
 // violations — those are reported in Result.MemErr.
+//
+// The returned Result is a copy that holds no pointer into the
+// machine: a caller may keep it (a sweep keeps every cell's) without
+// keeping the machine's memory pages, engine, pipeline model and cache
+// hierarchy alive, and a later Run on the same machine leaves it as it
+// was.
 func (m *Machine) Run() (*Result, error) {
 	for !m.halted {
 		if m.cancelDone != nil && m.res.Insts >= m.nextCheck {
@@ -247,23 +254,32 @@ func (m *Machine) Run() (*Result, error) {
 				// interrupted sampled run for a completed measurement.
 				m.res.Partial = true
 				m.finish()
-				return &m.res, fmt.Errorf("machine: canceled after %d instructions at pc %d: %w",
+				return m.result(), fmt.Errorf("machine: canceled after %d instructions at pc %d: %w",
 					m.res.Insts, m.pc, m.cancelErr())
 			default:
 			}
 		}
 		if m.res.Insts >= m.InstLimit {
-			return &m.res, fmt.Errorf("machine: instruction limit (%d) exceeded at pc %d", m.InstLimit, m.pc)
+			return m.result(), fmt.Errorf("machine: instruction limit (%d) exceeded at pc %d", m.InstLimit, m.pc)
 		}
 		if m.pc < 0 || m.pc >= len(m.prog.Insts) {
-			return &m.res, fmt.Errorf("machine: pc %d out of range", m.pc)
+			return m.result(), fmt.Errorf("machine: pc %d out of range", m.pc)
 		}
 		if err := m.step(); err != nil {
-			return &m.res, err
+			return m.result(), err
 		}
 	}
 	m.finish()
-	return &m.res, nil
+	return m.result(), nil
+}
+
+// result copies the run's result out of the machine. Output keeps its
+// backing array but is clipped to its length, so a later append by the
+// machine or by the caller cannot write into the other's elements.
+func (m *Machine) result() *Result {
+	r := m.res
+	r.Output = slices.Clip(r.Output)
+	return &r
 }
 
 // timingOn reports whether µops should be fed to the timing model for

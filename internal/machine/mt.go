@@ -97,7 +97,8 @@ func (mt *MT) SetRuntimeEnd(end int) {
 // Run interleaves the contexts until all halt, any context faults, or
 // the instruction budget is exhausted. It returns the per-context
 // results; a memory-safety exception in any context stops the whole
-// machine (the process would trap).
+// machine (the process would trap). As with Machine.Run, each result is
+// a copy that holds no pointer into its context.
 func (mt *MT) Run() ([]*Result, error) {
 	var total uint64
 	for {
@@ -134,7 +135,7 @@ func (mt *MT) finish() []*Result {
 	out := make([]*Result, len(mt.Contexts))
 	for i, c := range mt.Contexts {
 		c.finish()
-		out[i] = &c.res
+		out[i] = c.result()
 	}
 	return out
 }
