@@ -45,25 +45,53 @@ type line struct {
 	stamp uint64 // LRU timestamp; 0 = invalid
 }
 
-// setArray is a set-associative array of lines stored flat: way w of
-// set s is lines[s*ways+w].
+// setArray is a set-associative array of lines whose sets get their
+// ways the first time a line is installed in them, so an array costs
+// what a run touches rather than what the level could hold. dir[s] is
+// 1 + the offset of set s's ways in lines, or 0 while set s has never
+// been filled; lines is an append-only pool whose capacity never
+// exceeds sets*ways.
 type setArray struct {
+	dir   []uint32
 	lines []line
 	sets  int
 	ways  int
 }
 
 func newSetArray(sets, ways int) setArray {
-	return setArray{lines: make([]line, sets*ways), sets: sets, ways: ways}
+	return setArray{dir: make([]uint32, sets), sets: sets, ways: ways}
 }
 
-// set returns the ways of the set that tag maps to.
+// set returns the ways of the set that tag maps to, or nil when that
+// set has never been filled.
 func (a *setArray) set(tag uint64) []line {
-	base := int(tag%uint64(a.sets)) * a.ways
-	return a.lines[base : base+a.ways]
+	d := a.dir[tag%uint64(a.sets)]
+	if d == 0 {
+		return nil
+	}
+	return a.lines[d-1 : int(d-1)+a.ways]
 }
 
-// find returns the way of set holding tag, or -1.
+// fill returns the ways of the set that tag maps to, giving the set
+// its ways first if it has none. Growing the pool moves it, so a slice
+// from set is stale after a fill of another set.
+func (a *setArray) fill(tag uint64) []line {
+	s := tag % uint64(a.sets)
+	if a.dir[s] == 0 {
+		n := len(a.lines)
+		if n == cap(a.lines) {
+			grown := make([]line, n, min(max(2*n, 4*a.ways), a.sets*a.ways))
+			copy(grown, a.lines)
+			a.lines = grown
+		}
+		a.lines = a.lines[:n+a.ways]
+		a.dir[s] = uint32(n) + 1
+	}
+	return a.set(tag)
+}
+
+// find returns the way of set holding tag, or -1 (always -1 for an
+// unfilled set).
 func find(set []line, tag uint64) int {
 	for i := range set {
 		if set[i].stamp != 0 && set[i].tag == tag {
@@ -190,7 +218,7 @@ func (c *Cache) LiveLines() int { return c.live }
 // install fills block, which must not be resident, over its set's
 // victim.
 func (c *Cache) install(block uint64) {
-	set := c.set(block)
+	set := c.fill(block)
 	v := victim(set)
 	if set[v].stamp == 0 {
 		c.live++

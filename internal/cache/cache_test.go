@@ -66,14 +66,14 @@ func TestSetOccupancyInvariant(t *testing.T) {
 				continue
 			}
 			block := addr >> c.blockLg
-			set := c.set(block)
-			before := slices.Clone(set)
+			before := slices.Clone(c.set(block))
 			free := slices.IndexFunc(before, func(l line) bool { return l.stamp == 0 })
 			misses := c.Misses
 			c.Access(addr, a%2 == 0)
 			if c.Misses == misses || free < 0 {
 				continue
 			}
+			set := c.set(block)
 			if set[free].tag != block || set[free].stamp == 0 {
 				return false // the miss did not fill the first invalid way
 			}
@@ -89,7 +89,7 @@ func TestSetOccupancyInvariant(t *testing.T) {
 		valid := 0
 		for s := 0; s < c.sets; s++ {
 			seen := map[uint64]bool{}
-			for _, l := range c.lines[s*c.ways : (s+1)*c.ways] {
+			for _, l := range c.set(uint64(s)) {
 				if l.stamp == 0 {
 					continue
 				}
@@ -120,6 +120,63 @@ func TestInvalidate(t *testing.T) {
 	c.Invalidate(0x2000)
 	if c.Contains(0x2000) {
 		t.Fatal("block must be gone after invalidate")
+	}
+}
+
+// A set gets its ways the first time a line is installed in it, so an
+// array holds exactly the sets a run touched, and filling every set
+// never reserves more than the level holds.
+func TestSetsFillOnFirstUse(t *testing.T) {
+	c := l1(&DRAM{Latency: 50}) // 8 sets of 2 ways
+	if len(c.lines) != 0 {
+		t.Fatalf("a new cache holds %d lines, want 0", len(c.lines))
+	}
+	// Blocks 0, 8 and 16 share set 0; blocks 3 and 13 land in sets 3
+	// and 5. Contains and Invalidate on an unfilled set fill nothing.
+	for _, block := range []uint64{0, 8, 3, 16, 13, 3} {
+		c.Access(block*64, false)
+	}
+	c.Contains(7 * 64)
+	c.Invalidate(6 * 64)
+	if want := 3 * c.ways; len(c.lines) != want {
+		t.Fatalf("3 touched sets hold %d lines, want %d", len(c.lines), want)
+	}
+
+	tlb := NewTLB(16, 4, 30) // 4 sets of 4 ways
+	for _, page := range []uint64{0, 4, 1, 0} {
+		tlb.Lookup(page << 12)
+	}
+	if want := 2 * tlb.ways; len(tlb.lines) != want {
+		t.Fatalf("2 touched TLB sets hold %d entries, want %d", len(tlb.lines), want)
+	}
+
+	// 768 sets: the pool's doubling overshoots sets×ways unless capped.
+	big := New(Config{Name: "big", SizeBytes: 768 << 10, Ways: 16, BlockBytes: 64, Latency: 25}, nil)
+	for _, s := range rand.New(rand.NewSource(5)).Perm(big.sets) {
+		big.Access(uint64(s)*64, false)
+	}
+	if n := big.sets * big.ways; len(big.lines) != n || cap(big.lines) > n {
+		t.Fatalf("every set filled: %d lines in capacity %d, want %d in at most %d",
+			len(big.lines), cap(big.lines), n, n)
+	}
+}
+
+// hierSink keeps the measured constructions from being optimized away.
+var hierSink *Hierarchy
+
+// A hierarchy allocates its set directories up front and its lines on
+// first use, so building the Table 2 hierarchy, whose lines alone take
+// 4 MB, costs about 70 KB.
+func TestNewHierarchyFootprint(t *testing.T) {
+	res := testing.Benchmark(func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			hierSink = NewHierarchy(DefaultHierConfig())
+		}
+	})
+	got := res.AllocedBytesPerOp()
+	t.Logf("NewHierarchy allocates %d bytes", got)
+	if got >= 256<<10 {
+		t.Fatalf("NewHierarchy allocates %d bytes, want under %d", got, 256<<10)
 	}
 }
 

@@ -32,6 +32,7 @@ func (t *TLB) Lookup(addr uint64) int {
 		return 0
 	}
 	t.Misses++
+	set = t.fill(page)
 	set[victim(set)] = line{tag: page, stamp: t.stampCtr}
 	return t.WalkPenalty
 }

@@ -67,7 +67,7 @@ func (u UopOp) String() string {
 type ExecClass uint8
 
 const (
-	ExecNone   ExecClass = iota // consumes issue slot only
+	ExecNone   ExecClass = iota // nop, halt: dispatch and retire bandwidth only
 	ExecALU                     // 6 units
 	ExecBr                      // 1 unit
 	ExecLoad                    // 2 load ports

@@ -50,8 +50,9 @@ func TestStepZeroAlloc(t *testing.T) {
 	m := New(prog, memory, eng, model, bp)
 	m.Load()
 
-	// Warm up: grow the engine buffer, touch the memory pages, train
-	// the predictor, wrap the pipeline rings.
+	// Warm up: grow the engine buffer, touch the memory pages, fill
+	// the cache sets the loop uses, train the predictor, wrap the
+	// pipeline rings.
 	for i := 0; i < 20000; i++ {
 		if err := m.step(); err != nil {
 			t.Fatalf("warmup step: %v", err)

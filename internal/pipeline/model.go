@@ -85,10 +85,9 @@ type Model struct {
 
 	// Ready times per timing register (data regs, temps, metadata regs).
 	regReady [isa.NumTimingRegs]int64
-	dispatch *slotWindow
-	issue    *slotWindow
-	retire   *slotWindow
-	fu       [isa.NumExecClasses]*slotWindow
+	// slots holds the per-cycle usage of dispatch, issue and retire
+	// bandwidth and of every functional unit and cache port.
+	slots slotTable
 	// ROB/LQ/SQ entries free at retirement, which is in order, so a
 	// ring of freeing times is exact. IQ entries free at issue, which
 	// is out of order, so occupancy needs pop-the-minimum over the
@@ -119,18 +118,20 @@ func (m *Model) SetSink(s *trace.Sink) { m.sink = s }
 // New builds a model over the given hierarchy and predictor.
 func New(cfg Config, hier *cache.Hierarchy, bp *bpred.Predictor) *Model {
 	m := &Model{cfg: cfg, hier: hier, bp: bp}
-	m.dispatch = newSlots(cfg.DispatchWidth)
-	m.issue = newSlots(cfg.IssueWidth)
-	m.retire = newSlots(cfg.RetireWidth)
-	m.fu[isa.ExecALU] = newSlots(cfg.IntALUs)
-	m.fu[isa.ExecBr] = newSlots(cfg.BranchUnits)
-	m.fu[isa.ExecLoad] = newSlots(cfg.LoadPorts)
-	m.fu[isa.ExecStore] = newSlots(cfg.StorePorts)
-	m.fu[isa.ExecMulDiv] = newSlots(cfg.MulDivs)
-	m.fu[isa.ExecFPAlu] = newSlots(cfg.FPAlus)
-	m.fu[isa.ExecFPMul] = newSlots(cfg.FPMuls)
-	m.fu[isa.ExecFPDiv] = newSlots(cfg.FPDivs)
-	m.fu[isa.ExecLock] = newSlots(cfg.LockPorts)
+	m.slots = newSlotTable([numResources]int{
+		resDispatch:    cfg.DispatchWidth,
+		resIssue:       cfg.IssueWidth,
+		resRetire:      cfg.RetireWidth,
+		isa.ExecALU:    cfg.IntALUs,
+		isa.ExecBr:     cfg.BranchUnits,
+		isa.ExecLoad:   cfg.LoadPorts,
+		isa.ExecStore:  cfg.StorePorts,
+		isa.ExecMulDiv: cfg.MulDivs,
+		isa.ExecFPAlu:  cfg.FPAlus,
+		isa.ExecFPMul:  cfg.FPMuls,
+		isa.ExecFPDiv:  cfg.FPDivs,
+		isa.ExecLock:   cfg.LockPorts,
+	})
 	m.rob = newRing(cfg.ROBSize)
 	m.iq = newIQ()
 	m.lq = newRing(cfg.LQSize)
@@ -216,7 +217,7 @@ func (m *Model) OnUop(u *isa.Uop) {
 			dispMin = t + 1
 		}
 	}
-	disp := m.dispatch.reserve(dispMin)
+	disp := m.slots.reserve(resDispatch, dispMin)
 
 	// --- operand readiness ---
 	ready := disp + 1
@@ -234,23 +235,11 @@ func (m *Model) OnUop(u *isa.Uop) {
 	}
 
 	// --- issue (width + functional unit / port) ---
-	var issueAt int64
-	cls := u.Class
-	if cls == isa.ExecNone {
-		issueAt = ready
-	} else {
-		// Find the first cycle with both an issue slot and a free
-		// functional unit, then consume both.
-		t := ready
-		for {
-			if m.issue.freeAt(t) && m.fu[cls].freeAt(t) {
-				m.issue.reserveAt(t)
-				m.fu[cls].reserveAt(t)
-				issueAt = t
-				break
-			}
-			t++
-		}
+	// The first cycle with both an issue slot and a free functional
+	// unit; ExecNone µops take neither.
+	issueAt := ready
+	if u.Class != isa.ExecNone {
+		issueAt = m.slots.take(resIssue, int(u.Class), ready)
 	}
 
 	// --- execute ---
@@ -291,7 +280,7 @@ func (m *Model) OnUop(u *isa.Uop) {
 	if ret <= m.lastRetire {
 		ret = m.lastRetire
 	}
-	ret = m.retire.reserve(ret)
+	ret = m.slots.reserve(resRetire, ret)
 	if ret < m.lastRetire {
 		ret = m.lastRetire
 	}

@@ -366,3 +366,23 @@ func TestDeterministicCycles(t *testing.T) {
 		t.Fatal("timing model must be deterministic")
 	}
 }
+
+// modelSink keeps the measured constructions from being optimized away.
+var modelSink *Model
+
+// A model's fixed arrays are the one slot table (768 KiB) and the IQ
+// ring (256 KiB), so building one costs about 1 MiB.
+func TestNewFootprint(t *testing.T) {
+	h := cache.NewHierarchy(cache.DefaultHierConfig())
+	bp := bpred.New(bpred.DefaultConfig())
+	res := testing.Benchmark(func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			modelSink = New(DefaultConfig(), h, bp)
+		}
+	})
+	got := res.AllocedBytesPerOp()
+	t.Logf("New allocates %d bytes", got)
+	if got >= 3<<19 {
+		t.Fatalf("New allocates %d bytes, want under %d", got, 3<<19)
+	}
+}

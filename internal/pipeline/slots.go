@@ -1,85 +1,102 @@
 package pipeline
 
-// slotWindow tracks per-cycle usage of a bandwidth-limited resource
-// (issue slots, functional units, cache ports, retire slots) over a
-// sliding window of cycles. Each ring slot packs the cycle it tracks
-// and that cycle's usage count into one word, so a probe touches a
-// single cache line and the lazy reset (a new cycle mapping onto a
-// ring position) is a plain comparison — this is the flat structure
-// the issue-search loop hammers on every µop.
-type slotWindow struct {
-	width uint64
-	// buf[t & (slotRing-1)] = t<<slotCountBits | count. Counts are
-	// bounded by width, which newSlots caps below 1<<slotCountBits.
-	buf []uint64
-}
+import "watchdog/internal/isa"
 
+// Resource indices into a slotTable entry. The functional-unit and
+// port classes come first, so an isa.ExecClass indexes its own count;
+// index isa.ExecNone is unused, because ExecNone µops take no issue
+// slot and no unit.
 const (
-	slotRing = 1 << 15
-	// slotCountBits is the low-bit budget for the usage count; cycles
-	// occupy the remaining 54 bits (enough for ~10^16 cycles).
-	slotCountBits = 10
-	slotCountMask = 1<<slotCountBits - 1
+	resDispatch = int(isa.NumExecClasses) + iota
+	resIssue
+	resRetire
+	numResources
 )
 
-func newSlots(width int) *slotWindow {
-	if width < 1 {
-		width = 1
-	}
-	if width > slotCountMask {
-		width = slotCountMask
-	}
-	return &slotWindow{width: uint64(width), buf: make([]uint64, slotRing)}
+// slotRing is the number of consecutive cycles a slotTable tracks.
+// Every live reservation lies in [rob.peek()+1, lastRetire], the span
+// of one ROB's worth of retirements; even a ROB of dependent loads
+// that miss every TLB and cache level spans well under 2^15 cycles
+// (TestSlotSpanBound).
+const slotRing = 1 << 15
+
+// slotEntry is one cycle's usage of every bandwidth-limited resource.
+type slotEntry struct {
+	cycle int64
+	n     [numResources]uint8
 }
 
-// count returns the usage at cycle t (zero when the ring slot last
-// tracked an older cycle).
-func (s *slotWindow) count(t int64) uint64 {
-	w := s.buf[int(t)&(slotRing-1)]
-	if int64(w>>slotCountBits) != t {
+// slotTable tracks per-cycle usage of every bandwidth-limited resource
+// (dispatch, issue and retire slots, functional units and cache ports)
+// over a sliding window of slotRing cycles. Entry t&(slotRing-1)
+// belongs to cycle t only while its cycle field says so; any other
+// cycle reads as unused, and the first reservation at t resets the
+// entry. One entry holds every resource's count, so the issue search's
+// two probes read one entry.
+type slotTable struct {
+	width [numResources]uint8
+	buf   []slotEntry
+}
+
+// newSlotTable builds a table with each resource's width clamped to
+// 1..255.
+func newSlotTable(width [numResources]int) slotTable {
+	s := slotTable{buf: make([]slotEntry, slotRing)}
+	for r, w := range width {
+		s.width[r] = uint8(min(max(w, 1), 255))
+	}
+	return s
+}
+
+// count returns resource r's usage at cycle t.
+func (s *slotTable) count(r int, t int64) uint8 {
+	e := &s.buf[int(t)&(slotRing-1)]
+	if e.cycle != t {
 		return 0
 	}
-	return w & slotCountMask
+	return e.n[r]
 }
 
-// reserve finds the earliest cycle >= t with a free slot, consumes it,
-// and returns the cycle.
-func (s *slotWindow) reserve(t int64) int64 {
+// freeAt reports whether resource r has a free slot at cycle t.
+func (s *slotTable) freeAt(r int, t int64) bool {
+	return s.count(r, t) < s.width[r]
+}
+
+// entry returns cycle t's entry, resetting it if it last tracked
+// another cycle.
+func (s *slotTable) entry(t int64) *slotEntry {
+	e := &s.buf[int(t)&(slotRing-1)]
+	if e.cycle != t {
+		*e = slotEntry{cycle: t}
+	}
+	return e
+}
+
+// reserve finds the earliest cycle >= t with a free slot of resource
+// r, consumes it, and returns the cycle.
+func (s *slotTable) reserve(r int, t int64) int64 {
+	for !s.freeAt(r, t) {
+		t++
+	}
+	s.entry(t).n[r]++
+	return t
+}
+
+// take finds the earliest cycle >= t at which resources a and b (which
+// must differ) both have a free slot, consumes one of each, and
+// returns the cycle.
+func (s *slotTable) take(a, b int, t int64) int64 {
 	for {
-		i := int(t) & (slotRing - 1)
-		w := s.buf[i]
-		var n uint64
-		if int64(w>>slotCountBits) == t {
-			n = w & slotCountMask
-		}
-		if n < s.width {
-			s.buf[i] = uint64(t)<<slotCountBits | (n + 1)
-			return t
+		e := &s.buf[int(t)&(slotRing-1)]
+		if e.cycle != t || e.n[a] < s.width[a] && e.n[b] < s.width[b] {
+			break
 		}
 		t++
 	}
-}
-
-// reserveAt consumes a slot at exactly cycle t, reporting whether one
-// was free.
-func (s *slotWindow) reserveAt(t int64) bool {
-	i := int(t) & (slotRing - 1)
-	w := s.buf[i]
-	var n uint64
-	if int64(w>>slotCountBits) == t {
-		n = w & slotCountMask
-	}
-	if n >= s.width {
-		return false
-	}
-	s.buf[i] = uint64(t)<<slotCountBits | (n + 1)
-	return true
-}
-
-// freeAt reports whether a slot is free at cycle t without consuming.
-func (s *slotWindow) freeAt(t int64) bool {
-	w := s.buf[int(t)&(slotRing-1)]
-	return int64(w>>slotCountBits) != t || w&slotCountMask < s.width
+	e := s.entry(t)
+	e.n[a]++
+	e.n[b]++
+	return t
 }
 
 // iqTimes models issue-queue occupancy: the multiset of issue cycles
