@@ -30,6 +30,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"net"
 	"net/http"
 	"os"
@@ -105,9 +106,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 
 		metricsAddr = fs.String("metrics-addr", "", "with -workers: serve the coordinator's Prometheus /metrics on this address for the duration of the sweep")
 		logJSON     = fs.Bool("log", false, "emit structured JSON logs (fabric events: hedges, ejections, cell fetches) to stderr")
-		trend       = fs.String("trend", "", "append this run's wall time to a watchdog-trajectory trend file")
-		trendLabel  = fs.String("trend-label", "local", "label stamped on trajectory points appended via -trend")
-		trendGate   = fs.Float64("trend-threshold", 0, "with -trend: exit non-zero if this run's tracked metrics regressed more than this percent against the previous point (0 = append only)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -122,6 +120,12 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 	if *scale < 1 {
 		return fail(fmt.Errorf("-scale %d: the problem-size multiplier must be >= 1", *scale))
+	}
+	// report.Compare flags a delta only when it exceeds the threshold:
+	// NaN or +Inf would pass every regression, a negative value would
+	// fail unchanged cells.
+	if *threshold < 0 || math.IsNaN(*threshold) || math.IsInf(*threshold, 0) {
+		return fail(fmt.Errorf("-threshold %g: must be finite and >= 0", *threshold))
 	}
 	names, err := workloadSubset(*wls)
 	if err != nil {
@@ -455,35 +459,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		}
 		fmt.Fprintf(stderr, "watchdog-bench: wrote timing record %s (%s wall)\n",
 			*benchOut, r.Timing.Wall().Round(time.Millisecond))
-	}
-	if *trend != "" {
-		if partial {
-			fmt.Fprintln(stderr, "watchdog-bench: skipping -trend append: this run is partial")
-		} else {
-			pt := report.BenchPoint(*trendLabel, rec)
-			pt.UnixNanos = time.Now().UnixNano()
-			tr, err := report.AppendTrajectory(*trend, pt)
-			if err != nil {
-				return fail(err)
-			}
-			fmt.Fprintf(stderr, "watchdog-bench: appended %s to %s (%d points)\n", pt.Key, *trend, len(tr.Points))
-			if *trendGate > 0 {
-				// Gate only on the key this run appended: older pairs in a
-				// shared trend file are someone else's history.
-				regressed := false
-				for _, reg := range tr.Regressed(*trendGate) {
-					if reg.Key != pt.Key {
-						continue
-					}
-					regressed = true
-					fmt.Fprintf(stderr, "watchdog-bench: trend regression: %s %s %.4g -> %.4g (%+.1f%%)\n",
-						reg.Key, reg.Metric, reg.Prev, reg.Curr, reg.DeltaPct)
-				}
-				if regressed {
-					return 1
-				}
-			}
-		}
 	}
 	if *memProf != "" {
 		if err := writeMemProfile(*memProf); err != nil {

@@ -293,22 +293,31 @@ func TestJulietStats(t *testing.T) {
 	}
 }
 
-// TestBadScaleRejected: a non-positive -scale must exit non-zero up
-// front. workload.BuildProgram silently clamps such scales to 1, so
-// without eager validation the run would succeed while reporting the
-// scale the user asked for instead of the one simulated.
+// TestBadScaleRejected: a numeric flag outside its domain must exit
+// non-zero up front, naming the bad value and printing nothing to
+// stdout. workload.BuildProgram silently clamps a non-positive -scale
+// to 1, so the run would report the scale the user asked for instead
+// of the one simulated. report.Compare flags only deltas above
+// -threshold, so NaN or +Inf would pass every -baseline regression and
+// a negative value would fail unchanged cells.
 func TestBadScaleRejected(t *testing.T) {
-	for _, s := range []string{"0", "-2"} {
+	for _, tc := range []struct{ flag, value, want string }{
+		{"-scale", "0", "-scale 0"},
+		{"-scale", "-2", "-scale -2"},
+		{"-threshold", "NaN", "-threshold NaN"},
+		{"-threshold", "Inf", "-threshold +Inf"},
+		{"-threshold", "-1", "-threshold -1"},
+	} {
 		var stdout, stderr bytes.Buffer
-		code := run(context.Background(), []string{"-exp", "fig7", "-workloads", "mcf", "-scale", s}, &stdout, &stderr)
+		code := run(context.Background(), []string{"-exp", "fig7", "-workloads", "mcf", tc.flag, tc.value}, &stdout, &stderr)
 		if code == 0 {
-			t.Errorf("-scale %s must exit non-zero", s)
+			t.Errorf("%s %s must exit non-zero", tc.flag, tc.value)
 		}
-		if !strings.Contains(stderr.String(), "-scale "+s) {
-			t.Errorf("-scale %s: stderr %q must name the bad value", s, stderr.String())
+		if !strings.Contains(stderr.String(), tc.want) {
+			t.Errorf("%s %s: stderr %q must name the bad value", tc.flag, tc.value, stderr.String())
 		}
 		if stdout.Len() > 0 {
-			t.Errorf("-scale %s printed output before failing: %q", s, stdout.String())
+			t.Errorf("%s %s printed output before failing: %q", tc.flag, tc.value, stdout.String())
 		}
 	}
 }
@@ -529,80 +538,6 @@ func TestWorkersEndToEnd(t *testing.T) {
 	}
 	if lrec.Fabric != nil {
 		t.Error("local run's timing record carries fabric counters")
-	}
-}
-
-// TestTrendAppendAndGate: -trend appends one bench point per run;
-// -trend-threshold gates the newest point against the previous one
-// and only against this run's own key.
-func TestTrendAppendAndGate(t *testing.T) {
-	dir := t.TempDir()
-	trend := filepath.Join(dir, "trend.json")
-	base := []string{"-exp", "fig7", "-workloads", "mcf", "-trend", trend}
-
-	// First run: nothing to compare against, must pass even with a gate.
-	var stderr bytes.Buffer
-	if code := run(context.Background(), append(append([]string{}, base...), "-trend-threshold", "5"), io.Discard, &stderr); code != 0 {
-		t.Fatalf("first tracked run exited %d: %s", code, stderr.String())
-	}
-	tr, err := report.ReadTrajectoryFile(trend)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tr.Points) != 1 || tr.Points[0].Key != "bench/fig7/scale1" || tr.Points[0].WallNanos <= 0 {
-		t.Fatalf("trend after run 1: %+v", tr.Points)
-	}
-	if tr.Points[0].UnixNanos == 0 {
-		t.Error("appended point is not timestamped")
-	}
-
-	// Seed an impossibly fast "previous" run so the next real run must
-	// read as a regression.
-	if _, err := report.AppendTrajectory(trend, report.TrajectoryPoint{
-		Key: "bench/fig7/scale1", Label: "seeded", WallNanos: 1,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	stderr.Reset()
-	code := run(context.Background(), append(append([]string{}, base...), "-trend-threshold", "10"), io.Discard, &stderr)
-	if code == 0 {
-		t.Fatalf("regressed run exited 0: %s", stderr.String())
-	}
-	if !strings.Contains(stderr.String(), "trend regression") {
-		t.Fatalf("stderr does not report the regression: %s", stderr.String())
-	}
-	// The point was still appended before gating — the trajectory keeps
-	// the honest history.
-	tr, err = report.ReadTrajectoryFile(trend)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tr.Points) != 3 {
-		t.Fatalf("trend after gated run: %d points, want 3", len(tr.Points))
-	}
-
-	// Without a threshold the same file only appends.
-	stderr.Reset()
-	if code := run(context.Background(), base, io.Discard, &stderr); code != 0 {
-		t.Fatalf("append-only run exited %d: %s", code, stderr.String())
-	}
-}
-
-// TestTrendSkipsPartialRuns: an interrupted run must not pollute the
-// trajectory with a truncated wall time.
-func TestTrendSkipsPartialRuns(t *testing.T) {
-	trend := filepath.Join(t.TempDir(), "trend.json")
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	var stderr bytes.Buffer
-	if code := run(ctx, []string{"-exp", "fig7", "-workloads", "mcf", "-trend", trend}, io.Discard, &stderr); code == 0 {
-		t.Fatal("interrupted run exited 0")
-	}
-	if !strings.Contains(stderr.String(), "skipping -trend") {
-		t.Errorf("stderr does not explain the skipped append: %s", stderr.String())
-	}
-	if _, err := os.Stat(trend); !os.IsNotExist(err) {
-		t.Errorf("partial run wrote a trend file (stat err %v)", err)
 	}
 }
 

@@ -11,6 +11,9 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"watchdog/internal/report"
+	"watchdog/internal/security"
 )
 
 // testServer returns a Server with a tiny worker pool and its
@@ -55,62 +58,84 @@ func getMetrics(t *testing.T, base string) Metrics {
 	return m
 }
 
-// TestSimCoalescing is the tentpole contract: N identical concurrent
-// requests run exactly one simulation, and every requester gets the
-// identical cell back.
-func TestSimCoalescing(t *testing.T) {
-	_, ts := testServer(t, Config{MaxWorkers: 8})
-	req := SimRequest{Workload: "mcf", Config: "conservative"}
+// TestCoalescing is the tentpole contract, on both computing
+// endpoints: N identical concurrent requests run the simulations of
+// one request, every requester gets the identical body back, and a
+// later identical request replays it without simulating again.
+func TestCoalescing(t *testing.T) {
+	for _, tc := range []struct {
+		name, path string
+		req        any
+		sims       uint64 // what one request simulates
+		check      func(t *testing.T, body []byte)
+	}{
+		{"sim", "/v1/sim", SimRequest{Workload: "mcf", Config: "conservative"}, 1, func(t *testing.T, body []byte) {
+			var sr SimResponse
+			if err := json.Unmarshal(body, &sr); err != nil {
+				t.Fatal(err)
+			}
+			if sr.Schema != Schema || sr.Version != Version {
+				t.Fatalf("schema stamp %q v%d", sr.Schema, sr.Version)
+			}
+			if sr.Cell.Workload != "mcf" || sr.Cell.Config != "conservative" || sr.Cell.Cycles <= 0 {
+				t.Fatalf("bad cell: %+v", sr.Cell)
+			}
+		}},
+		{"juliet", "/v1/juliet", JulietRequest{Policy: "watchdog"}, uint64(len(security.Suite())), func(t *testing.T, body []byte) {
+			var jr report.JulietReport
+			if err := json.Unmarshal(body, &jr); err != nil {
+				t.Fatal(err)
+			}
+			if jr.Schema != report.JulietSchema || jr.Version != report.Version {
+				t.Fatalf("schema stamp %q v%d", jr.Schema, jr.Version)
+			}
+			if j := jr.Juliet; j.Policy != "watchdog" || j.BadTotal == 0 || j.BadDetected != j.BadTotal {
+				t.Fatalf("bad juliet summary: %+v", j)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, ts := testServer(t, Config{MaxWorkers: 8})
+			const n = 8
+			var wg sync.WaitGroup
+			bodies := make([][]byte, n)
+			codes := make([]int, n)
+			for i := 0; i < n; i++ {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					resp, body := postJSON(t, ts.URL+tc.path, tc.req)
+					codes[i], bodies[i] = resp.StatusCode, body
+				}(i)
+			}
+			wg.Wait()
 
-	const n = 8
-	var wg sync.WaitGroup
-	bodies := make([][]byte, n)
-	codes := make([]int, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			resp, body := postJSON(t, ts.URL+"/v1/sim", req)
-			codes[i], bodies[i] = resp.StatusCode, body
-		}(i)
-	}
-	wg.Wait()
+			for i := 0; i < n; i++ {
+				if codes[i] != http.StatusOK {
+					t.Fatalf("request %d: status %d, body %s", i, codes[i], bodies[i])
+				}
+				if !bytes.Equal(bodies[i], bodies[0]) {
+					t.Fatalf("request %d got a different body:\n%s\nvs\n%s", i, bodies[i], bodies[0])
+				}
+			}
+			tc.check(t, bodies[0])
 
-	for i := 0; i < n; i++ {
-		if codes[i] != http.StatusOK {
-			t.Fatalf("request %d: status %d, body %s", i, codes[i], bodies[i])
-		}
-		if !bytes.Equal(bodies[i], bodies[0]) {
-			t.Fatalf("request %d got a different body:\n%s\nvs\n%s", i, bodies[i], bodies[0])
-		}
-	}
-	var sr SimResponse
-	if err := json.Unmarshal(bodies[0], &sr); err != nil {
-		t.Fatal(err)
-	}
-	if sr.Schema != Schema || sr.Version != Version {
-		t.Fatalf("schema stamp %q v%d", sr.Schema, sr.Version)
-	}
-	if sr.Cell.Workload != "mcf" || sr.Cell.Config != "conservative" || sr.Cell.Cycles <= 0 {
-		t.Fatalf("bad cell: %+v", sr.Cell)
-	}
+			m := getMetrics(t, ts.URL)
+			if m.Harness.Sims != tc.sims {
+				t.Errorf("%d identical requests ran %d simulations, want %d (one request's)", n, m.Harness.Sims, tc.sims)
+			}
+			if m.Coalesced != n-1 {
+				t.Errorf("coalesced = %d, want %d", m.Coalesced, n-1)
+			}
 
-	m := getMetrics(t, ts.URL)
-	if m.Harness.Sims != 1 {
-		t.Errorf("%d identical requests ran %d simulations, want 1", n, m.Harness.Sims)
-	}
-	if m.Coalesced != n-1 {
-		t.Errorf("coalesced = %d, want %d", m.Coalesced, n-1)
-	}
-
-	// A later identical request replays the completed flight — still
-	// no new simulation.
-	resp, body := postJSON(t, ts.URL+"/v1/sim", req)
-	if resp.StatusCode != http.StatusOK || !bytes.Equal(body, bodies[0]) {
-		t.Fatalf("replay: status %d, body %s", resp.StatusCode, body)
-	}
-	if m := getMetrics(t, ts.URL); m.Harness.Sims != 1 {
-		t.Errorf("replay ran a new simulation: sims = %d", m.Harness.Sims)
+			resp, body := postJSON(t, ts.URL+tc.path, tc.req)
+			if resp.StatusCode != http.StatusOK || !bytes.Equal(body, bodies[0]) {
+				t.Fatalf("replay: status %d, body %s", resp.StatusCode, body)
+			}
+			if m := getMetrics(t, ts.URL); m.Harness.Sims != tc.sims {
+				t.Errorf("replay ran a new simulation: sims = %d, want %d", m.Harness.Sims, tc.sims)
+			}
+		})
 	}
 }
 
