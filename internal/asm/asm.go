@@ -6,8 +6,10 @@ package asm
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
+	"sync"
 
 	"watchdog/internal/isa"
 	"watchdog/internal/mem"
@@ -21,8 +23,6 @@ type DataInit struct {
 
 // Program is an assembled WD64 program ready for loading.
 type Program struct {
-	labelsAt map[int][]string
-
 	Insts []isa.Inst
 	Entry int // instruction index of the entry label ("_start" if present, else 0)
 	Data  []DataInit
@@ -32,6 +32,14 @@ type Program struct {
 	Symbols map[string]int
 	// Globals maps global names to their data-segment addresses.
 	Globals map[string]uint64
+
+	// uops holds the µops of the Prefix the program was built from
+	// (nil when there was none).
+	uops *isa.CrackCache
+
+	// labelsAt indexes Symbols by pc, built when first asked for.
+	labelsOnce sync.Once
+	labelsAt   map[int][]string
 }
 
 // Builder incrementally assembles a program. Errors (duplicate or
@@ -45,6 +53,15 @@ type Builder struct {
 	dataCur uint64
 	data    []DataInit
 	err     error
+	uops    *isa.CrackCache // the µops of the Prefix this builder started from
+}
+
+// A Prefix is the frozen start of a program: what a builder had
+// emitted when Freeze was called, with its instructions cracked.
+// Builders started from it share it read-only, so a start common to
+// many programs (the runtime library) is assembled and cracked once.
+type Prefix struct {
+	b Builder
 }
 
 type fixup struct {
@@ -155,54 +172,98 @@ func (b *Builder) GlobalAddrOf(name string) uint64 {
 	return addr
 }
 
-// Build resolves labels and returns the program.
+// resolve patches every fixup whose label is defined and returns the
+// others.
+func (b *Builder) resolve() []fixup {
+	var pending []fixup
+	for _, f := range b.fixups {
+		target, ok := b.labels[f.label]
+		switch {
+		case !ok:
+			pending = append(pending, f)
+		case f.code:
+			b.insts[f.inst].Imm = int64(mem.CodeAddr(target))
+		default:
+			b.insts[f.inst].Imm = int64(target)
+		}
+	}
+	return pending
+}
+
+// Build resolves labels and returns the program, which takes over the
+// builder's instructions, labels and globals: the builder must not be
+// used afterwards.
 func (b *Builder) Build() (*Program, error) {
 	if b.err != nil {
 		return nil, b.err
 	}
-	for _, f := range b.fixups {
-		target, ok := b.labels[f.label]
-		if !ok {
-			return nil, fmt.Errorf("asm: undefined label %q", f.label)
-		}
-		if f.code {
-			b.insts[f.inst].Imm = int64(mem.CodeAddr(target))
-		} else {
-			b.insts[f.inst].Imm = int64(target)
-		}
+	if pending := b.resolve(); len(pending) > 0 {
+		return nil, fmt.Errorf("asm: undefined label %q", pending[0].label)
 	}
 	entry := 0
 	if e, ok := b.labels["_start"]; ok {
 		entry = e
 	}
-	syms := make(map[string]int, len(b.labels))
-	for k, v := range b.labels {
-		syms[k] = v
-	}
-	globals := make(map[string]uint64, len(b.globals))
-	for k, v := range b.globals {
-		globals[k] = v
-	}
-	labelsAt := make(map[int][]string)
-	for name, pc := range syms {
-		labelsAt[pc] = append(labelsAt[pc], name)
-	}
-	for _, names := range labelsAt {
-		sort.Strings(names)
-	}
 	return &Program{
-		labelsAt:  labelsAt,
 		Insts:     b.insts,
 		Entry:     entry,
 		Data:      b.data,
 		GlobalEnd: b.dataCur,
-		Symbols:   syms,
-		Globals:   globals,
+		Symbols:   b.labels,
+		Globals:   b.globals,
+		uops:      b.uops,
 	}, nil
 }
 
-// LabelsAt returns the labels defined at instruction index pc.
-func (p *Program) LabelsAt(pc int) []string { return p.labelsAt[pc] }
+// Freeze returns what the builder has emitted as a Prefix, resolving
+// the references to labels defined so far and leaving the others to
+// the programs built from it. The builder must not be used afterwards.
+func (b *Builder) Freeze() (*Prefix, error) {
+	if b.err != nil {
+		return nil, b.err
+	}
+	b.fixups = b.resolve()
+	b.uops = isa.NewCrackCacheFrom(b.uops, b.insts)
+	return &Prefix{b: *b}, nil
+}
+
+// Len returns the number of instructions in the prefix.
+func (p *Prefix) Len() int { return len(p.b.insts) }
+
+// NewBuilder returns a builder holding the prefix, positioned after
+// it. Its instructions and maps are its own, since Build patches
+// fixups in place and the workload adds labels and globals; appends
+// to the pending fixups and the data directives copy them, and the
+// elements stay shared, read-only.
+func (p *Prefix) NewBuilder() *Builder {
+	b := p.b
+	b.insts = append(make([]isa.Inst, 0, 2*len(b.insts)), b.insts...)
+	b.labels = maps.Clone(b.labels)
+	b.globals = maps.Clone(b.globals)
+	b.fixups = b.fixups[:len(b.fixups):len(b.fixups)]
+	b.data = b.data[:len(b.data):len(b.data)]
+	return &b
+}
+
+// CrackCache returns a new µop cache of the program's instructions. A
+// program built from a Prefix copies the prefix's µops and cracks only
+// its own instructions.
+func (p *Program) CrackCache() *isa.CrackCache { return isa.NewCrackCacheFrom(p.uops, p.Insts) }
+
+// LabelsAt returns the labels defined at instruction index pc. The
+// first call indexes Symbols by pc; calls may be concurrent.
+func (p *Program) LabelsAt(pc int) []string {
+	p.labelsOnce.Do(func() {
+		p.labelsAt = make(map[int][]string)
+		for name, pc := range p.Symbols {
+			p.labelsAt[pc] = append(p.labelsAt[pc], name)
+		}
+		for _, names := range p.labelsAt {
+			sort.Strings(names)
+		}
+	})
+	return p.labelsAt[pc]
+}
 
 // Disasm renders a listing of the program with labels.
 func (p *Program) Disasm(from, to int) string {
@@ -214,7 +275,7 @@ func (p *Program) Disasm(from, to int) string {
 	}
 	var sb strings.Builder
 	for pc := from; pc < to; pc++ {
-		for _, l := range p.labelsAt[pc] {
+		for _, l := range p.LabelsAt(pc) {
 			fmt.Fprintf(&sb, "%s:\n", l)
 		}
 		fmt.Fprintf(&sb, "%6d  %s\n", pc, p.Insts[pc].String())

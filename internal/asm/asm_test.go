@@ -1,6 +1,8 @@
 package asm
 
 import (
+	"slices"
+	"sync"
 	"testing"
 
 	"watchdog/internal/isa"
@@ -184,4 +186,46 @@ func TestAllHelpersEmitNoRegDefaults(t *testing.T) {
 			t.Fatalf("inst %d cracked to nothing", i)
 		}
 	}
+}
+
+// TestLabelsAtConcurrent: the pc index behind LabelsAt and Disasm is
+// built on first use, so concurrent first callers must agree (and stay
+// race-free under -race).
+func TestLabelsAtConcurrent(t *testing.T) {
+	build := func() *Program {
+		b := NewBuilder()
+		b.Label("_start")
+		b.Label("entry")
+		b.Call("fn")
+		b.Halt()
+		b.Label("fn")
+		b.Ret()
+		p, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	want := build().Disasm(0, 0)
+	p := build()
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			if g%2 == 0 {
+				if got := p.Disasm(0, 0); got != want {
+					t.Errorf("Disasm = %q, want %q", got, want)
+				}
+				return
+			}
+			if got := p.LabelsAt(0); !slices.Equal(got, []string{"_start", "entry"}) {
+				t.Errorf("LabelsAt(0) = %v", got)
+			}
+			if got := p.LabelsAt(2); !slices.Equal(got, []string{"fn"}) {
+				t.Errorf("LabelsAt(2) = %v", got)
+			}
+		}(g)
+	}
+	wg.Wait()
 }

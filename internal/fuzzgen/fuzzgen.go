@@ -130,6 +130,9 @@ type gen struct {
 
 	// danglingSlot holds a stale pointer after an injected UAF free.
 	danglingSlot int
+
+	// picks backs the slices liveSlots and emptySlots return.
+	picks [tableSlots]int
 }
 
 func (g *gen) label(pfx string) string {
@@ -137,25 +140,22 @@ func (g *gen) label(pfx string) string {
 	return fmt.Sprintf("fz.%s.%d", pfx, g.uid)
 }
 
-// liveSlots returns the indexes of live slots.
-func (g *gen) liveSlots() []int {
-	var out []int
-	for i, s := range g.slots {
-		if s.live {
-			out = append(out, i)
-		}
-	}
-	return out
-}
+// liveSlots returns the indexes of live slots. The result shares
+// g.picks, so it holds until the next liveSlots or emptySlots call.
+func (g *gen) liveSlots() []int { return g.slotsWhere(true) }
 
-func (g *gen) emptySlots() []int {
-	var out []int
+// emptySlots returns the indexes of empty slots, as liveSlots does.
+func (g *gen) emptySlots() []int { return g.slotsWhere(false) }
+
+func (g *gen) slotsWhere(live bool) []int {
+	n := 0
 	for i, s := range g.slots {
-		if !s.live {
-			out = append(out, i)
+		if s.live == live {
+			g.picks[n] = i
+			n++
 		}
 	}
-	return out
+	return g.picks[:n]
 }
 
 // step emits one random operation.

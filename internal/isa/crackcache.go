@@ -22,17 +22,39 @@ type CrackCache struct {
 }
 
 // NewCrackCache cracks every instruction of the program once.
-func NewCrackCache(insts []Inst) *CrackCache {
+func NewCrackCache(insts []Inst) *CrackCache { return NewCrackCacheFrom(nil, insts) }
+
+// NewCrackCacheFrom builds the cache of a program whose first
+// prefix.Len() instructions are the ones prefix was built from: it
+// copies their µops and cracks only the rest. Crack reads no field a
+// label fixup patches, so a prefix cracked before its labels were
+// resolved serves every program that starts with it. A nil prefix
+// cracks the whole program.
+func NewCrackCacheFrom(prefix *CrackCache, insts []Inst) *CrackCache {
+	var n int
+	var uops []Uop
+	if prefix != nil {
+		n, uops = prefix.Len(), prefix.buf
+	}
+	// Room for two µops an instruction: programs average about 1.1,
+	// so the buffer is allocated once.
 	c := &CrackCache{
 		off: make([]uint32, len(insts)+1),
-		buf: make([]Uop, 0, len(insts)),
+		buf: make([]Uop, len(uops), len(uops)+2*(len(insts)-n)),
 	}
-	for i := range insts {
+	if prefix != nil {
+		copy(c.off, prefix.off)
+	}
+	copy(c.buf, uops)
+	for i := n; i < len(insts); i++ {
 		c.buf = Crack(&insts[i], c.buf)
 		c.off[i+1] = uint32(len(c.buf))
 	}
 	return c
 }
+
+// Len returns the number of instructions the cache covers.
+func (c *CrackCache) Len() int { return len(c.off) - 1 }
 
 // Cached returns the base µop sequence of the instruction at pc. The
 // slice aliases the cache (full-slice expression, so appends cannot

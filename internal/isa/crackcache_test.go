@@ -64,3 +64,22 @@ func TestCrackCacheEmpty(t *testing.T) {
 		t.Fatal("nil cache")
 	}
 }
+
+// TestCrackCacheFromPrefix: a cache built from a prefix's cache serves
+// exactly what cracking the whole program serves, at every pc, whether
+// the prefix covers none, some or all of the program.
+func TestCrackCacheFromPrefix(t *testing.T) {
+	prog := crackSpace()
+	want := NewCrackCache(prog)
+	for _, n := range []int{0, 1, len(prog) / 2, len(prog)} {
+		c := NewCrackCacheFrom(NewCrackCache(prog[:n]), prog)
+		if c.Len() != len(prog) {
+			t.Fatalf("prefix %d: Len = %d, want %d", n, c.Len(), len(prog))
+		}
+		for pc := range prog {
+			if !reflect.DeepEqual(c.Cached(pc), want.Cached(pc)) {
+				t.Fatalf("prefix %d, pc %d: cached %v, want %v", n, pc, c.Cached(pc), want.Cached(pc))
+			}
+		}
+	}
+}

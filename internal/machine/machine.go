@@ -99,7 +99,8 @@ type Machine struct {
 	nextCheck  uint64
 
 	// crack serves each static instruction's base µop sequence,
-	// cracked once per program; step copies it into uopArr (a fixed
+	// cracked once per machine, or once per process for the runtime
+	// prelude (asm.Prefix); step copies it into uopArr (a fixed
 	// buffer, so the steady-state path never allocates) before the
 	// dynamic annotations are filled in.
 	crack  *isa.CrackCache
@@ -117,7 +118,7 @@ func New(prog *asm.Program, memory *mem.Memory, eng *core.Engine, model *pipelin
 		bp:        bp,
 		pc:        prog.Entry,
 		InstLimit: 200_000_000,
-		crack:     isa.NewCrackCache(prog.Insts),
+		crack:     prog.CrackCache(),
 	}
 	m.Regs[isa.SP] = mem.StackTop
 	return m

@@ -21,6 +21,7 @@ package rt
 
 import (
 	"fmt"
+	"sync"
 
 	"watchdog/internal/asm"
 	"watchdog/internal/core"
@@ -49,10 +50,43 @@ type Build struct {
 	runtimeEnd int
 }
 
-// NewBuild emits the runtime and returns the builder positioned for
+// NewBuild returns a builder holding the runtime, positioned for
 // workload code. The program entry is _start, which initializes the
-// runtime, calls main, and exits.
+// runtime, calls main, and exits. The runtime is assembled and cracked
+// once per Options value in a process, and shared (see prelude).
 func NewBuild(opts Options) *Build {
+	p := prelude(opts)
+	return &Build{B: p.NewBuilder(), opts: opts, runtimeEnd: p.Len()}
+}
+
+// preludes holds the frozen runtime of each Options value built so
+// far. Options is small and comparable and Policy a uint8, so the set
+// is bounded. A prelude is assembled on first use, never at package
+// init, so a process pays only for the variants it builds.
+var preludes struct {
+	sync.Mutex
+	m map[Options]*asm.Prefix
+}
+
+func prelude(opts Options) *asm.Prefix {
+	preludes.Lock()
+	defer preludes.Unlock()
+	p, ok := preludes.m[opts]
+	if !ok {
+		var err error
+		if p, err = emit(opts).B.Freeze(); err != nil {
+			panic(err) // the runtime is fixed code: only a bug fails to assemble
+		}
+		if preludes.m == nil {
+			preludes.m = make(map[Options]*asm.Prefix)
+		}
+		preludes.m[opts] = p
+	}
+	return p
+}
+
+// emit emits the runtime into a new builder.
+func emit(opts Options) *Build {
 	b := asm.NewBuilder()
 	r := &Build{B: b, opts: opts}
 	r.emitGlobals()

@@ -1,8 +1,6 @@
 package security
 
 import (
-	"fmt"
-
 	"watchdog/internal/asm"
 	"watchdog/internal/isa"
 )
@@ -138,22 +136,29 @@ func flows416() []flow416 {
 
 // usesDerefHelperFn reports whether the flow routes the deref block
 // into a generated function.
-func (f flow416) usesDerefHelperFn() bool {
+func (f *flow416) usesDerefHelperFn() bool {
 	return f.name == "deref-in-helper" || f.name == "free-and-deref-in-helpers"
 }
 
-func cases416() []Case {
-	var out []Case
-	for _, d := range derefs416() {
-		for _, cx := range ctxs416() {
-			for _, fl := range flows416() {
-				d, cx, fl := d, cx, fl
-				variant := fmt.Sprintf("%s/%s/%s", d.name, cx.name, fl.name)
-				id := fmt.Sprintf("c416_%s_%s_%s", short(d.name), short(cx.name), short(fl.name))
+// append416 appends the CWE-416 cases to out.
+func append416(out []Case) []Case {
+	derefs, ctxs, flows := derefs416(), ctxs416(), flows416()
+	flowIDs := make([]string, len(flows))
+	for k, fl := range flows {
+		flowIDs[k] = short(fl.name)
+	}
+	for i := range derefs {
+		d := &derefs[i]
+		for j := range ctxs {
+			cx := &ctxs[j]
+			id := "c416_" + short(d.name) + "_" + short(cx.name) + "_"
+			for k := range flows {
+				fl := &flows[k]
+				variant := d.name + "/" + cx.name + "/" + fl.name
 				out = append(out,
-					Case{ID: id + "_bad", CWE: 416, Variant: variant, Bad: true,
+					Case{ID: id + flowIDs[k] + "_bad", CWE: 416, Variant: variant, Bad: true,
 						Build: build416(d, cx, fl, true)},
-					Case{ID: id + "_good", CWE: 416, Variant: variant, Bad: false,
+					Case{ID: id + flowIDs[k] + "_good", CWE: 416, Variant: variant, Bad: false,
 						Build: build416(d, cx, fl, false)},
 				)
 			}
@@ -162,7 +167,7 @@ func cases416() []Case {
 	return out
 }
 
-func build416(d deref416, cx ctx416, fl flow416, bad bool) func(b *asm.Builder, uid string) {
+func build416(d *deref416, cx *ctx416, fl *flow416, bad bool) func(b *asm.Builder, uid string) {
 	return func(b *asm.Builder, uid string) {
 		b.GlobalWords("sec_flag", []uint64{1})
 
@@ -206,7 +211,7 @@ func build416(d deref416, cx ctx416, fl flow416, bad bool) func(b *asm.Builder, 
 	}
 }
 
-func emitFree416(b *asm.Builder, fl flow416, uid string) {
+func emitFree416(b *asm.Builder, fl *flow416, uid string) {
 	b.Mov(isa.R1, isa.R4)
 	if fl.freeViaHelper {
 		b.Call("f416free_" + uid)

@@ -1,7 +1,7 @@
 package security
 
 import (
-	"fmt"
+	"strconv"
 
 	"watchdog/internal/asm"
 	"watchdog/internal/isa"
@@ -173,7 +173,7 @@ func flows562() []flow562 {
 	}
 	loopN := func(n int64) func(b *asm.Builder, uid string, body func()) {
 		return func(b *asm.Builder, uid string, body func()) {
-			top := fmt.Sprintf("f562loop_%s_%d", uid, n)
+			top := "f562loop_" + uid + "_" + strconv.FormatInt(n, 10)
 			b.Movi(isa.R7, n)
 			b.Label(top)
 			body()
@@ -196,18 +196,25 @@ func flows562() []flow562 {
 	}
 }
 
-func cases562() []Case {
-	var out []Case
-	for _, p := range pubs562() {
-		for _, d := range derefs562() {
-			for _, fl := range flows562() {
-				p, d, fl := p, d, fl
-				variant := fmt.Sprintf("%s/%s/%s", p.name, d.name, fl.name)
-				id := fmt.Sprintf("c562_%s_%s_%s", short(p.name), short(d.name), short(fl.name))
+// append562 appends the CWE-562 cases to out.
+func append562(out []Case) []Case {
+	pubs, derefs, flows := pubs562(), derefs562(), flows562()
+	flowIDs := make([]string, len(flows))
+	for k, fl := range flows {
+		flowIDs[k] = short(fl.name)
+	}
+	for i := range pubs {
+		p := &pubs[i]
+		for j := range derefs {
+			d := &derefs[j]
+			id := "c562_" + short(p.name) + "_" + short(d.name) + "_"
+			for k := range flows {
+				fl := &flows[k]
+				variant := p.name + "/" + d.name + "/" + fl.name
 				out = append(out,
-					Case{ID: id + "_bad", CWE: 562, Variant: variant, Bad: true,
+					Case{ID: id + flowIDs[k] + "_bad", CWE: 562, Variant: variant, Bad: true,
 						Build: build562(p, d, fl, true)},
-					Case{ID: id + "_good", CWE: 562, Variant: variant, Bad: false,
+					Case{ID: id + flowIDs[k] + "_good", CWE: 562, Variant: variant, Bad: false,
 						Build: build562(p, d, fl, false)},
 				)
 			}
@@ -216,7 +223,7 @@ func cases562() []Case {
 	return out
 }
 
-func build562(p pub562, d deref562, fl flow562, bad bool) func(b *asm.Builder, uid string) {
+func build562(p *pub562, d *deref562, fl *flow562, bad bool) func(b *asm.Builder, uid string) {
 	return func(b *asm.Builder, uid string) {
 		b.GlobalWords("sec_flag", []uint64{1})
 		b.GlobalWords("sec_zero", []uint64{0})
@@ -226,7 +233,7 @@ func build562(p pub562, d deref562, fl flow562, bad bool) func(b *asm.Builder, u
 		// Acquire the published pointer (or value, in good twins),
 		// optionally through extra nesting frames.
 		if fl.makerDepth > 0 {
-			b.Call(fmt.Sprintf("nest562_%s_%d", uid, fl.makerDepth))
+			b.Call(nest562(uid, fl.makerDepth))
 		} else {
 			b.Call("acq562_" + uid)
 		}
@@ -289,12 +296,17 @@ func build562(p pub562, d deref562, fl flow562, bad bool) func(b *asm.Builder, u
 // the call tree and the pointer travels up through returns.
 func emitNestWrappers(b *asm.Builder, uid string, depth int) {
 	for lv := depth; lv >= 1; lv-- {
-		b.Label(fmt.Sprintf("nest562_%s_%d", uid, lv))
+		b.Label(nest562(uid, lv))
 		if lv == 1 {
 			b.Call("acq562_" + uid)
 		} else {
-			b.Call(fmt.Sprintf("nest562_%s_%d", uid, lv-1))
+			b.Call(nest562(uid, lv-1))
 		}
 		b.Ret()
 	}
+}
+
+// nest562 names the nesting wrapper of the given level.
+func nest562(uid string, level int) string {
+	return "nest562_" + uid + "_" + strconv.Itoa(level)
 }

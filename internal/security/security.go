@@ -20,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -53,12 +54,32 @@ type Case struct {
 }
 
 // Suite returns all cases: exactly 291 bad cases (matching the
-// paper's count) plus their good twins.
-func Suite() []Case {
-	var cases []Case
-	cases = append(cases, cases416()...)
-	cases = append(cases, cases562()...)
-	return cases
+// paper's count) plus their good twins. The cases are built once per
+// process; each call returns a copy the caller may change.
+func Suite() []Case { return slices.Clone(suiteCases()) }
+
+// suite is the case table Suite copies, built on first use rather than
+// at package init, so a process that never runs the suite never pays
+// for it.
+var suite struct {
+	once  sync.Once
+	cases []Case
+}
+
+// suiteCases returns the shared case table; callers must not modify
+// it.
+func suiteCases() []Case {
+	suite.once.Do(func() { suite.cases = buildSuite() })
+	return suite.cases
+}
+
+// suiteSize is the number of cases the CWE-416 and CWE-562 tables
+// generate (TestSuiteCount).
+const suiteSize = 2 * (192 + 99)
+
+// buildSuite constructs the suite's cases.
+func buildSuite() []Case {
+	return append562(append416(make([]Case, 0, suiteSize)))
 }
 
 // Outcome is the result of running one case.
@@ -87,7 +108,7 @@ func (o Outcome) Pass() bool {
 
 // CaseByID returns the suite case with the given ID.
 func CaseByID(id string) (Case, bool) {
-	for _, c := range Suite() {
+	for _, c := range suiteCases() {
 		if c.ID == id {
 			return c, true
 		}

@@ -1,6 +1,7 @@
 package security
 
 import (
+	"sync"
 	"testing"
 
 	"watchdog/internal/core"
@@ -106,4 +107,58 @@ func contains(s, sub string) bool {
 		}
 	}
 	return false
+}
+
+// TestSuiteReturnsCopy: Suite shares one case table, so what a caller
+// does to the slice it gets — appending, as watchdog-juliet appends
+// WdasmCases, or overwriting an element — must not reach the next
+// caller.
+func TestSuiteReturnsCopy(t *testing.T) {
+	want := buildSuite()
+	got := Suite()
+	got[0] = Case{ID: "overwritten"}
+	extra := WdasmCases()
+	_ = append(got[:1], extra...)
+	_ = append(Suite(), extra...)
+	after := Suite()
+	if len(after) != len(want) {
+		t.Fatalf("Suite() has %d cases after a caller appended, want %d", len(after), len(want))
+	}
+	for i := range want {
+		if after[i].ID != want[i].ID || after[i].Variant != want[i].Variant {
+			t.Fatalf("case %d is %s (%s) after a caller's changes, want %s (%s)",
+				i, after[i].ID, after[i].Variant, want[i].ID, want[i].Variant)
+		}
+	}
+	if c, ok := CaseByID(want[0].ID); !ok || c.Variant != want[0].Variant {
+		t.Fatalf("CaseByID(%s) = %v, %v after a caller's changes", want[0].ID, c.ID, ok)
+	}
+}
+
+// TestSuiteConcurrentFirstUse: goroutines racing on the first Suite
+// and CaseByID calls all see the whole suite (and stay race-free under
+// -race).
+func TestSuiteConcurrentFirstUse(t *testing.T) {
+	last := buildSuite()[suiteSize-1].ID
+	suite = struct {
+		once  sync.Once
+		cases []Case
+	}{}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			if g%2 == 0 {
+				if n := len(Suite()); n != suiteSize {
+					t.Errorf("Suite() has %d cases, want %d", n, suiteSize)
+				}
+				return
+			}
+			if _, ok := CaseByID(last); !ok {
+				t.Errorf("CaseByID misses %s", last)
+			}
+		}(g)
+	}
+	wg.Wait()
 }

@@ -1,10 +1,12 @@
 package security
 
 import (
+	"context"
 	"testing"
 
 	"watchdog/internal/core"
 	"watchdog/internal/rt"
+	"watchdog/internal/sim"
 )
 
 func TestWdasmCasesShape(t *testing.T) {
@@ -125,4 +127,44 @@ func TestDangKillerMatchesWatchdogVerdicts(t *testing.T) {
 				c.ID, wd[i].Detected, wd[i].Clean, dk[i].Detected, dk[i].Clean)
 		}
 	}
+}
+
+// FuzzParseWdasmCase feeds the .wdasm case grammar arbitrary text,
+// seeded with the shipped cases. ParseWdasmCase must not panic; a case
+// it accepts must build on a fresh runtime builder without panicking;
+// and when that program assembles, a functional run bounded at 10,000
+// instructions must return, with or without an error, rather than
+// panic. Run it with
+//
+//	go test ./internal/security -run '^$' -fuzz '^FuzzParseWdasmCase$' -fuzztime 20s
+func FuzzParseWdasmCase(f *testing.F) {
+	entries, err := wdasmFS.ReadDir("cases")
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, e := range entries {
+		src, err := wdasmFS.ReadFile("cases/" + e.Name())
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(string(src))
+	}
+	cfg, opts, err := PolicyConfig("watchdog")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		c, err := ParseWdasmCase("fuzz", src)
+		if err != nil {
+			return
+		}
+		r := rt.NewBuild(opts)
+		r.B.Label("main")
+		c.Build(r.B, c.ID)
+		prog, err := r.Finish()
+		if err != nil {
+			return
+		}
+		_, _ = sim.RunCtx(context.Background(), prog, sim.Config{Core: cfg, RuntimeEnd: r.RuntimeEnd(), InstLimit: 10_000})
+	})
 }
