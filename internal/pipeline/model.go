@@ -118,6 +118,9 @@ func (m *Model) SetSink(s *trace.Sink) { m.sink = s }
 // New builds a model over the given hierarchy and predictor.
 func New(cfg Config, hier *cache.Hierarchy, bp *bpred.Predictor) *Model {
 	m := &Model{cfg: cfg, hier: hier, bp: bp}
+	// Live reservations belong to the last ROBSize µops, at most one
+	// per resource each, so a search passes fewer than 2·ROBSize full
+	// cycles.
 	m.slots = newSlotTable([numResources]int{
 		resDispatch:    cfg.DispatchWidth,
 		resIssue:       cfg.IssueWidth,
@@ -131,7 +134,7 @@ func New(cfg Config, hier *cache.Hierarchy, bp *bpred.Predictor) *Model {
 		isa.ExecFPMul:  cfg.FPMuls,
 		isa.ExecFPDiv:  cfg.FPDivs,
 		isa.ExecLock:   cfg.LockPorts,
-	})
+	}, 2*(int64(cfg.ROBSize)+1))
 	m.rob = newRing(cfg.ROBSize)
 	m.iq = newIQ()
 	m.lq = newRing(cfg.LQSize)
@@ -196,9 +199,14 @@ func (m *Model) OnUop(u *isa.Uop) {
 	lockMissed := false
 
 	// --- dispatch (front end + window allocation) ---
+	// Every slot search below starts at or after low, once the oldest
+	// ROB entry retires, so reservations before low are dead. A search
+	// that starts after last must grow the slot table first.
+	low := m.rob.peek() + 1
+	last := m.slots.last(low)
 	dispMin := m.fetchTime + int64(m.cfg.FrontEndDepth)
-	if t := m.rob.peek(); t+1 > dispMin {
-		dispMin = t + 1 // ROB full until the oldest entry retires
+	if low > dispMin {
+		dispMin = low // ROB full until the oldest entry retires
 	}
 	// IQ full until some occupant issues: drain the earliest-issuing
 	// occupants until a slot exists at the dispatch cycle.
@@ -216,6 +224,9 @@ func (m *Model) OnUop(u *isa.Uop) {
 		if t := m.sq.peek(); t+1 > dispMin {
 			dispMin = t + 1
 		}
+	}
+	if dispMin > last {
+		last = m.slots.grow(low, dispMin)
 	}
 	disp := m.slots.reserve(resDispatch, dispMin)
 
@@ -239,6 +250,9 @@ func (m *Model) OnUop(u *isa.Uop) {
 	// unit; ExecNone µops take neither.
 	issueAt := ready
 	if u.Class != isa.ExecNone {
+		if ready > last {
+			last = m.slots.grow(low, ready)
+		}
 		issueAt = m.slots.take(resIssue, int(u.Class), ready)
 	}
 
@@ -280,6 +294,9 @@ func (m *Model) OnUop(u *isa.Uop) {
 	if ret <= m.lastRetire {
 		ret = m.lastRetire
 	}
+	if ret > last {
+		m.slots.grow(low, ret)
+	}
 	ret = m.slots.reserve(resRetire, ret)
 	if ret < m.lastRetire {
 		ret = m.lastRetire
@@ -319,6 +336,7 @@ func (m *Model) OnUop(u *isa.Uop) {
 		}
 	}
 	m.rob.push(ret)
+	m.iq.cover(issueAt)
 	m.iq.push(issueAt)
 	// (IQ occupancy is bounded: the dispatch loop above pops to capacity.)
 	if u.IsMem && !u.IsWr {

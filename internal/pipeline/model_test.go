@@ -370,8 +370,8 @@ func TestDeterministicCycles(t *testing.T) {
 // modelSink keeps the measured constructions from being optimized away.
 var modelSink *Model
 
-// A model's fixed arrays are the one slot table (768 KiB) and the IQ
-// ring (256 KiB), so building one costs about 1 MiB.
+// A model starts with 1,024-cycle windows, a 24 KiB slot table and a
+// 4 KiB IQ ring, and grows them only when a run spreads that far.
 func TestNewFootprint(t *testing.T) {
 	h := cache.NewHierarchy(cache.DefaultHierConfig())
 	bp := bpred.New(bpred.DefaultConfig())
@@ -382,7 +382,65 @@ func TestNewFootprint(t *testing.T) {
 	})
 	got := res.AllocedBytesPerOp()
 	t.Logf("New allocates %d bytes", got)
-	if got >= 3<<19 {
-		t.Fatalf("New allocates %d bytes, want under %d", got, 3<<19)
+	if got >= 64<<10 {
+		t.Fatalf("New allocates %d bytes, want under %d", got, 64<<10)
 	}
+}
+
+// Configurations reachable through the public SimConfig that spread
+// the pipeline's windows far past their initial 1,024 cycles: a
+// 5,000-cycle divide chain, and chains of dependent loads that miss
+// every level on large windows with slow DRAM. Each runs to completion
+// with a table that covers its widest live span, and chains as slow
+// as each µop's latency.
+func TestLargeWindowConfigs(t *testing.T) {
+	chain := func(t *testing.T, cfg Config, dram int, div bool, n int) *Model {
+		hc := cache.DefaultHierConfig()
+		hc.DRAMLatency = dram
+		m := New(cfg, cache.NewHierarchy(hc), bpred.New(bpred.DefaultConfig()))
+		widest := int64(0)
+		for i := 0; i < n; i++ {
+			m.OnInst(mem.CodeAddr(i % 64)) // loop-resident code
+			u := isa.NewUop(isa.UopDiv, isa.ExecMulDiv)
+			if !div {
+				u = isa.NewUop(isa.UopLoad, isa.ExecLoad)
+				u.IsMem, u.Width = true, 8
+				// 1 MiB apart: one set in every level and in the DTLB.
+				u.Addr = mem.HeapBase + uint64(i)<<20
+			}
+			u.Dst, u.Src1 = isa.R1, isa.R1
+			m.OnUop(&u)
+			widest = max(widest, m.lastRetire-(m.rob.peek()+1))
+		}
+		t.Logf("%d cycles; widest live span %d; slot table %d entries, IQ ring %d",
+			m.lastRetire, widest, len(m.slots.buf), len(m.iq.cnt))
+		if int64(len(m.slots.buf)) <= widest {
+			t.Fatalf("live reservations span %d cycles, beyond the %d-entry slot table", widest, len(m.slots.buf))
+		}
+		return m
+	}
+	t.Run("DivLat5000", func(t *testing.T) {
+		cfg := DefaultConfig()
+		cfg.DivLat = 5000
+		const n = 400
+		if m := chain(t, cfg, 60, true, n); m.lastRetire < n*5000 {
+			t.Fatalf("%d dependent 5,000-cycle divides took %d cycles", n, m.lastRetire)
+		}
+	})
+	t.Run("ROB1024IQ1024DRAM400", func(t *testing.T) {
+		cfg := DefaultConfig()
+		cfg.ROBSize, cfg.IQSize = 1024, 1024
+		const n = 3000
+		if m := chain(t, cfg, 400, false, n); m.lastRetire < n*400 {
+			t.Fatalf("%d dependent DRAM misses took %d cycles", n, m.lastRetire)
+		}
+	})
+	t.Run("ROB512DRAM200", func(t *testing.T) {
+		cfg := DefaultConfig()
+		cfg.ROBSize = 512
+		const n = 3000
+		if m := chain(t, cfg, 200, false, n); len(m.slots.buf) < 1<<17 {
+			t.Fatalf("slot table grew only to %d entries", len(m.slots.buf))
+		}
+	})
 }
