@@ -78,14 +78,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fail(err)
 	}
-	if *tagBits != 0 {
-		if *tagBits < 1 || *tagBits > 8 {
-			return fail(fmt.Errorf("-tag-bits %d: tag width must be 1..8", *tagBits))
-		}
-		if cfg.Policy != core.PolicyXTag {
-			return fail(fmt.Errorf("-tag-bits only applies to -policy xtag"))
-		}
-		cfg.TagBits = *tagBits
+	if err := security.SetTagBits(&cfg, *tagBits); err != nil {
+		return fail(fmt.Errorf("-tag-bits: %w", err))
 	}
 
 	// The built-in suite (the generated CWE-416/562 matrix plus the

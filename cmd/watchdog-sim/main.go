@@ -94,6 +94,12 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fail(err)
 	}
+	// Both paths below simulate the configuration's own config, so an
+	// unknown name is refused before anything runs.
+	simCfg, err := experiments.SimConfig(experiments.ConfigName(*cfg))
+	if err != nil {
+		return fail(err)
+	}
 
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
@@ -125,7 +131,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *asmFile != "" {
-		if err := runAsmFile(ctx, *asmFile, *cfg, *traceN, *timeline, *flightN, stdout, stderr); err != nil {
+		if err := runAsmFile(ctx, *asmFile, *cfg, simCfg, *traceN, *timeline, *flightN, stdout, stderr); err != nil {
 			return fail(err)
 		}
 		return 0
@@ -140,7 +146,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	if *disasm || *traceN > 0 {
 		// -disasm and -trace combine: the listing prints first, then
 		// the traced functional run.
-		if err := inspect(ctx, *name, *scale, *disasm, *traceN, stdout, stderr); err != nil {
+		if err := inspect(ctx, *name, *scale, simCfg.Core, *disasm, *traceN, stdout, stderr); err != nil {
 			return fail(err)
 		}
 		if *disasm && *traceN == 0 {
@@ -215,38 +221,16 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 }
 
 // runAsmFile assembles and runs a WD64 text program on top of the
-// simulated runtime.
-func runAsmFile(ctx context.Context, path, cfgName string, traceN int, timeline string, flightN int, stdout, stderr io.Writer) error {
+// simulated runtime under the configuration's own config. There is no
+// profiling pass (it cannot run a program that violates safety), so
+// ISA-assisted configurations identify pointers from the program's
+// annotations alone.
+func runAsmFile(ctx context.Context, path, cfgName string, simCfg sim.Config, traceN int, timeline string, flightN int, stdout, stderr io.Writer) error {
 	src, err := os.ReadFile(path)
 	if err != nil {
 		return err
 	}
-	opts := rt.Options{Policy: core.PolicyWatchdog}
-	cc := core.DefaultConfig()
-	switch cfgName {
-	case "baseline":
-		opts.Policy = core.PolicyBaseline
-		cc = core.Config{Policy: core.PolicyBaseline}
-	case "conservative":
-		cc.PtrPolicy = core.PtrConservative
-	case "bounds-1uop":
-		opts.Bounds = true
-		cc.Bounds = core.BoundsFused
-	case "location":
-		opts.Policy = core.PolicyLocation
-		cc = core.Config{Policy: core.PolicyLocation}
-	case "software":
-		opts.Policy = core.PolicySoftware
-		cc = core.Config{Policy: core.PolicySoftware, PtrPolicy: core.PtrConservative}
-	case "xtag":
-		opts.Policy = core.PolicyXTag
-		cc = core.Config{Policy: core.PolicyXTag, PtrPolicy: core.PtrConservative,
-			TagBits: core.DefaultTagBits}
-	case "dangkiller":
-		opts.Policy = core.PolicyDangKiller
-		cc = core.Config{Policy: core.PolicyDangKiller, PtrPolicy: core.PtrConservative}
-	}
-	build := rt.NewBuild(opts)
+	build := rt.NewBuild(rt.For(simCfg.Core))
 	if err := asm.Parse(build.B, string(src)); err != nil {
 		return err
 	}
@@ -254,8 +238,6 @@ func runAsmFile(ctx context.Context, path, cfgName string, traceN int, timeline 
 	if err != nil {
 		return err
 	}
-	simCfg := sim.Default()
-	simCfg.Core = cc
 	simCfg.RuntimeEnd = build.RuntimeEnd()
 	if traceN > 0 {
 		simCfg.TraceBudget = uint64(traceN)
@@ -293,13 +275,13 @@ func runAsmFile(ctx context.Context, path, cfgName string, traceN int, timeline 
 }
 
 // inspect prints a disassembly and/or traces execution of the
-// workload under the default Watchdog configuration (functional run).
-func inspect(ctx context.Context, name string, scale int, disasm bool, traceN int, stdout, stderr io.Writer) error {
+// workload under the configuration's engine (functional run).
+func inspect(ctx context.Context, name string, scale int, cc core.Config, disasm bool, traceN int, stdout, stderr io.Writer) error {
 	w, ok := workload.ByName(name)
 	if !ok {
 		return fmt.Errorf("unknown workload %q", name)
 	}
-	prog, rtEnd, err := workload.BuildProgram(w, rt.Options{Policy: core.PolicyWatchdog}, scale)
+	prog, rtEnd, err := workload.BuildProgram(w, rt.For(cc), scale)
 	if err != nil {
 		return err
 	}
@@ -309,7 +291,7 @@ func inspect(ctx context.Context, name string, scale int, disasm bool, traceN in
 	if traceN <= 0 {
 		return nil
 	}
-	cfg := sim.Config{Core: core.DefaultConfig(), RuntimeEnd: rtEnd}
+	cfg := sim.Config{Core: cc, RuntimeEnd: rtEnd}
 	// The budget lives in the sink, so once the first traceN
 	// instructions have printed the observer is detached instead of
 	// being re-entered (and skipped) for every remaining instruction.
@@ -342,11 +324,4 @@ func resolver(prog *asm.Program) func(pc int) string {
 		}
 		return prog.Insts[pc].String()
 	}
-}
-
-func max(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
+
+	"watchdog/internal/experiments"
 )
 
 // tracedLine matches one observer line of the instruction trace:
@@ -192,6 +195,66 @@ func TestFidelityFlagValidation(t *testing.T) {
 	}
 	if !strings.Contains(stderr.String(), "sampled") {
 		t.Errorf("stderr %q does not explain the sampled-only override", stderr.String())
+	}
+}
+
+// TestUnknownConfigRejected: an unknown -config exits 1 naming the
+// known configurations, before printing any result, on the workload
+// path and on the -asm path alike.
+func TestUnknownConfigRejected(t *testing.T) {
+	for _, args := range [][]string{
+		{"-workload", "mcf", "-config", "bogus"},
+		{"-asm", "../../examples/assembly/program.wdasm", "-config", "bogus"},
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := run(context.Background(), args, &stdout, &stderr); code != 1 {
+			t.Errorf("%v: exit %d, want 1", args, code)
+		}
+		if !strings.Contains(stderr.String(), `"bogus"`) || !strings.Contains(stderr.String(), "dangkiller") {
+			t.Errorf("%v: stderr %q does not name the bad and the known configs", args, stderr.String())
+		}
+		if stdout.Len() > 0 {
+			t.Errorf("%v: printed a result before failing: %q", args, stdout.String())
+		}
+	}
+}
+
+// TestAsmRunsEachConfig: -asm simulates every configuration under its
+// own config, so the configurations that differ from isa only in the
+// engine or timing model differ in µops or cycles on the example
+// program too.
+func TestAsmRunsEachConfig(t *testing.T) {
+	type counts struct{ uops, cycles int }
+	got := map[string]counts{}
+	for _, name := range experiments.ConfigNames() {
+		var stdout, stderr bytes.Buffer
+		args := []string{"-asm", "../../examples/assembly/program.wdasm", "-config", name}
+		if code := run(context.Background(), args, &stdout, &stderr); code != 0 {
+			t.Fatalf("%v: exit %d, stderr: %s", args, code, stderr.String())
+		}
+		var insts int
+		var c counts
+		if _, err := fmt.Sscanf(stdout.String(), "insts %d macro, %d µops, %d cycles",
+			&insts, &c.uops, &c.cycles); err != nil {
+			t.Fatalf("%s: summary line: %v\n%s", name, err, stdout.String())
+		}
+		got[name] = c
+	}
+	for _, d := range []struct {
+		more, less string
+		uops       bool
+	}{
+		{"bounds-2uop", "bounds-1uop", true},   // a separate bounds µop
+		{"no-copy-elim", "conservative", true}, // a select µop per copy
+		{"isa-nolock", "isa", false},           // checks contend for load ports
+	} {
+		m, l := got[d.more], got[d.less]
+		if d.uops && m.uops <= l.uops {
+			t.Errorf("%s issues %d µops, not more than %s's %d", d.more, m.uops, d.less, l.uops)
+		}
+		if !d.uops && m.cycles <= l.cycles {
+			t.Errorf("%s takes %d cycles, not more than %s's %d", d.more, m.cycles, d.less, l.cycles)
+		}
 	}
 }
 

@@ -56,14 +56,11 @@ var AllConfigs = []ConfigName{
 	CfgMonolithic, CfgXTag, CfgDangKiller,
 }
 
-// IsConfig reports whether name is a predefined configuration.
+// IsConfig reports whether name is a predefined configuration, one
+// SimConfig gives a meaning.
 func IsConfig(name string) bool {
-	for _, c := range AllConfigs {
-		if string(c) == name {
-			return true
-		}
-	}
-	return false
+	_, err := SimConfig(ConfigName(name))
+	return err == nil
 }
 
 // ConfigNames returns the predefined configuration names as strings
@@ -120,11 +117,12 @@ type Runner struct {
 	// is unaffected.
 	Progress *trace.Progress
 
-	// Ctx, when non-nil, is the default context for the methods that
-	// predate context threading (the figure methods, Sweep, Run). The
-	// CLIs set it once to their signal context so a SIGINT cancels
-	// whatever sweep is in flight; the serving layer ignores it and
-	// passes a per-request context to the *Ctx variants instead.
+	// Ctx, when non-nil, is the context of every method without a
+	// context argument (the figure methods, Sweep, RunAll, Run,
+	// Juliet). The CLIs set it once to their signal context so a
+	// SIGINT cancels whatever sweep is in flight; the serving layer
+	// ignores it and passes a per-request context to RunCtx and
+	// CellCtx instead.
 	Ctx context.Context
 
 	// Remote, when non-nil, replaces local simulation entirely: every
@@ -188,26 +186,6 @@ func NewRunner(scale int, names ...string) (*Runner, error) {
 	return &Runner{Scale: scale, Workloads: ws}, nil
 }
 
-// rtOptions maps a configuration to its runtime variant.
-func rtOptions(name ConfigName) rt.Options {
-	switch name {
-	case CfgBaseline:
-		return rt.Options{Policy: core.PolicyBaseline}
-	case CfgLocation:
-		return rt.Options{Policy: core.PolicyLocation}
-	case CfgSoftware:
-		return rt.Options{Policy: core.PolicySoftware}
-	case CfgXTag:
-		return rt.Options{Policy: core.PolicyXTag}
-	case CfgDangKiller:
-		return rt.Options{Policy: core.PolicyDangKiller}
-	case CfgBounds1, CfgBounds2:
-		return rt.Options{Policy: core.PolicyWatchdog, Bounds: true}
-	default:
-		return rt.Options{Policy: core.PolicyWatchdog}
-	}
-}
-
 // cellKey is the result-cache key of one (workload, configuration,
 // fidelity) cell. Fidelity is part of the key so cells simulated at
 // different fidelities coexist in one cache; report assembly parses
@@ -229,28 +207,27 @@ func splitCellKey(key string) (wname, cname string, fid sim.Fidelity, ok bool) {
 	return wname, cname, sim.Fidelity(f), true
 }
 
-// simConfig maps a configuration name to the full simulation config.
-// The profile argument is used by ISA-assisted configurations.
-func simConfig(name ConfigName, prof *core.Profile) sim.Config {
+// SimConfig is the one place a configuration name gets its meaning:
+// the engine configuration and timing-model switches it simulates
+// under. The runtime variant follows from the engine configuration
+// (rt.For), and so does the need for a profiling pass (needsProfile),
+// whose profile the runner fills in. An unknown name is an error that
+// lists the known ones.
+func SimConfig(name ConfigName) (sim.Config, error) {
 	cfg := sim.Default()
 	switch name {
 	case CfgBaseline:
 		cfg.Core = core.Config{Policy: core.PolicyBaseline}
 	case CfgConservative:
 		cfg.Core.PtrPolicy = core.PtrConservative
-	case CfgISA:
-		cfg.Core.Profile = prof
+	case CfgISA: // sim.Default's engine: ISA-assisted Watchdog
 	case CfgISANoLock:
-		cfg.Core.Profile = prof
 		cfg.Core.LockCache = false
 	case CfgISAIdeal:
-		cfg.Core.Profile = prof
 		cfg.IdealShadow = true
 	case CfgBounds1:
-		cfg.Core.Profile = prof
 		cfg.Core.Bounds = core.BoundsFused
 	case CfgBounds2:
-		cfg.Core.Profile = prof
 		cfg.Core.Bounds = core.BoundsSeparate
 	case CfgLocation:
 		cfg.Core = core.Config{Policy: core.PolicyLocation}
@@ -265,23 +242,21 @@ func simConfig(name ConfigName, prof *core.Profile) sim.Config {
 		cfg.Core.PtrPolicy = core.PtrConservative
 		cfg.Core.CopyElim = false
 	case CfgMonolithic:
-		cfg.Core.Profile = prof
 		cfg.Monolithic = true
+	default:
+		return sim.Config{}, fmt.Errorf("unknown config %q (known: %s)", name, strings.Join(ConfigNames(), ", "))
 	}
-	return cfg
+	return cfg, nil
 }
 
-// needsProfile reports whether the configuration uses ISA-assisted
-// identification driven by the profiling pass.
-func needsProfile(name ConfigName) bool {
-	switch name {
-	case CfgISA, CfgISANoLock, CfgISAIdeal, CfgBounds1, CfgBounds2, CfgMonolithic:
-		return true
-	}
-	return false
+// needsProfile reports whether an engine configuration identifies
+// pointers with ISA assistance, which the profiling pass drives.
+func needsProfile(cc core.Config) bool {
+	return cc.Policy == core.PolicyWatchdog && cc.PtrPolicy == core.PtrISAAssisted
 }
 
-// ctx returns the runner's default context for the non-Ctx methods.
+// ctx returns the runner's default context for the methods without
+// a context argument.
 func (r *Runner) ctx() context.Context {
 	if r.Ctx != nil {
 		return r.Ctx
@@ -292,7 +267,7 @@ func (r *Runner) ctx() context.Context {
 // Run executes one workload under one configuration (cached; safe for
 // concurrent use).
 func (r *Runner) Run(w workload.Workload, name ConfigName) (*machine.Result, error) {
-	return r.RunCtx(r.ctx(), w, name)
+	return r.run(r.ctx(), r.Fidelity, w, name)
 }
 
 // RunCtx is Run under an explicit context. Cancellation is
@@ -304,14 +279,14 @@ func (r *Runner) Run(w workload.Workload, name ConfigName) (*machine.Result, err
 // cancellation kills the computation starts it again. Failures are
 // never kept, so a later request recomputes.
 func (r *Runner) RunCtx(ctx context.Context, w workload.Workload, name ConfigName) (*machine.Result, error) {
-	return r.RunFidelityCtx(ctx, w, name, r.Fidelity)
+	return r.run(ctx, r.Fidelity, w, name)
 }
 
-// RunFidelityCtx is RunCtx at an explicit fidelity, overriding the
-// runner's default. The fidelity-drift experiment uses it to simulate
-// the same cell at every fidelity within one runner (and one program/
-// profile cache).
-func (r *Runner) RunFidelityCtx(ctx context.Context, w workload.Workload, name ConfigName, fid sim.Fidelity) (*machine.Result, error) {
+// run is the one cell path behind Run, RunCtx and every sweep: the
+// cell at an explicit fidelity, so the fidelity-drift experiment can
+// simulate the same cell at every fidelity within one runner (and one
+// program/profile cache).
+func (r *Runner) run(ctx context.Context, fid sim.Fidelity, w workload.Workload, name ConfigName) (*machine.Result, error) {
 	c, err := r.results.Do(ctx, cellKey(w.Name, name, fid), r.Timing.AddHit, func() (cellResult, error) {
 		if r.Remote != nil {
 			// Ask for the overhead ratio on every non-baseline cell so
@@ -330,7 +305,7 @@ func (r *Runner) RunFidelityCtx(ctx context.Context, w workload.Workload, name C
 			r.Timing.AddRemoteCell()
 			return cellResult{res: resultFromCell(&cell), wire: &cell}, nil
 		}
-		res, err := r.runUncached(ctx, w, name, fid)
+		res, err := r.runUncached(ctx, fid, w, name, 0)
 		return cellResult{res: res}, err
 	})
 	return c.res, err
@@ -390,21 +365,29 @@ func resultFromCell(c *report.Cell) *machine.Result {
 	return res
 }
 
-// runUncached is the uncached simulation of one cell.
-func (r *Runner) runUncached(ctx context.Context, w workload.Workload, name ConfigName, fid sim.Fidelity) (*machine.Result, error) {
-	opts := rtOptions(name)
+// runUncached is the uncached simulation of one cell: the named
+// configuration at fidelity fid, with the lock location cache resized
+// to lockSize bytes when lockSize is non-zero (LockSweep's cells).
+func (r *Runner) runUncached(ctx context.Context, fid sim.Fidelity, w workload.Workload, name ConfigName, lockSize int) (*machine.Result, error) {
+	cfg, err := SimConfig(name)
+	if err != nil {
+		return nil, err
+	}
+	what := string(name)
+	if lockSize != 0 {
+		cfg.Hier.Lock.SizeBytes = lockSize
+		what = fmt.Sprintf("%s with a %d-byte lock location cache", name, lockSize)
+	}
+	opts := rt.For(cfg.Core)
 	prog, rtEnd, err := workload.BuildProgram(w, opts, r.Scale)
 	if err != nil {
 		return nil, err
 	}
-	var prof *core.Profile
-	if needsProfile(name) {
-		prof, err = r.profileFor(ctx, w, opts, prog, rtEnd)
-		if err != nil {
+	if needsProfile(cfg.Core) {
+		if cfg.Core.Profile, err = r.profileFor(ctx, w, opts, prog, rtEnd); err != nil {
 			return nil, err
 		}
 	}
-	cfg := simConfig(name, prof)
 	cfg.RuntimeEnd = rtEnd
 	cfg.Fidelity = fid
 	if fid.OrExact() == sim.FidelitySampled {
@@ -415,13 +398,13 @@ func (r *Runner) runUncached(ctx context.Context, w workload.Workload, name Conf
 	}
 	res, err := r.simulate(ctx, prog, cfg)
 	if err != nil {
-		return nil, fmt.Errorf("%s under %s: %w", w.Name, name, err)
+		return nil, fmt.Errorf("%s under %s: %w", w.Name, what, err)
 	}
 	if res.MemErr != nil {
-		return nil, fmt.Errorf("%s under %s: unexpected violation: %v", w.Name, name, res.MemErr)
+		return nil, fmt.Errorf("%s under %s: unexpected violation: %v", w.Name, what, res.MemErr)
 	}
 	if res.Aborted {
-		return nil, fmt.Errorf("%s under %s: runtime abort %d", w.Name, name, res.AbortCode)
+		return nil, fmt.Errorf("%s under %s: runtime abort %d", w.Name, what, res.AbortCode)
 	}
 	return res, nil
 }
@@ -460,26 +443,17 @@ func (r *Runner) profileFor(ctx context.Context, w workload.Workload, opts rt.Op
 	})
 }
 
-// Overhead computes the slowdown ratio of cfg over the baseline for
-// one workload.
-func (r *Runner) Overhead(w workload.Workload, name ConfigName) (float64, error) {
-	return r.OverheadCtx(r.ctx(), w, name)
-}
-
-// OverheadCtx is Overhead under an explicit context. Cycle counts go
-// through Result.EstimatedCycles, so at the sampled fidelity the ratio
-// compares whole-program extrapolations (for exact runs EstimatedCycles
-// is the measured count and nothing changes).
-func (r *Runner) OverheadCtx(ctx context.Context, w workload.Workload, name ConfigName) (float64, error) {
-	return r.overheadFidelity(ctx, w, name, r.Fidelity)
-}
-
-func (r *Runner) overheadFidelity(ctx context.Context, w workload.Workload, name ConfigName, fid sim.Fidelity) (float64, error) {
-	base, err := r.RunFidelityCtx(ctx, w, CfgBaseline, fid)
+// overhead is the slowdown ratio of the named configuration over the
+// baseline for one workload, both at fidelity fid. Cycle counts go
+// through Result.EstimatedCycles, so a sampled ratio compares
+// whole-program extrapolations (for exact runs EstimatedCycles is the
+// measured count).
+func (r *Runner) overhead(ctx context.Context, fid sim.Fidelity, w workload.Workload, name ConfigName) (float64, error) {
+	base, err := r.run(ctx, fid, w, CfgBaseline)
 	if err != nil {
 		return 0, err
 	}
-	res, err := r.RunFidelityCtx(ctx, w, name, fid)
+	res, err := r.run(ctx, fid, w, name)
 	if err != nil {
 		return 0, err
 	}
@@ -492,20 +466,20 @@ func (r *Runner) overheadFidelity(ctx context.Context, w workload.Workload, name
 // runner's workers; the series is assembled serially in workload
 // order afterwards, so the output is identical to a serial sweep.
 func (r *Runner) Sweep(name ConfigName) (stats.Series, float64, error) {
-	return r.SweepCtx(r.ctx(), name)
+	return r.sweep(r.ctx(), r.Fidelity, name)
 }
 
-// SweepCtx is Sweep under an explicit context; cancellation stops the
-// fan-out without handing out new cells and lands mid-simulation in
-// the cells already running.
-func (r *Runner) SweepCtx(ctx context.Context, name ConfigName) (stats.Series, float64, error) {
+// sweep is Sweep under an explicit context and fidelity; cancellation
+// stops the fan-out without handing out new cells and lands
+// mid-simulation in the cells already running.
+func (r *Runner) sweep(ctx context.Context, fid sim.Fidelity, name ConfigName) (stats.Series, float64, error) {
 	s := stats.Series{Name: string(name)}
-	if err := r.RunAllCtx(ctx, CfgBaseline, name); err != nil {
+	if err := r.runAll(ctx, fid, CfgBaseline, name); err != nil {
 		return s, 0, err
 	}
 	var ratios []float64
 	for _, w := range r.Workloads {
-		ratio, err := r.OverheadCtx(ctx, w, name)
+		ratio, err := r.overhead(ctx, fid, w, name)
 		if err != nil {
 			return s, 0, err
 		}
@@ -516,7 +490,7 @@ func (r *Runner) SweepCtx(ctx context.Context, name ConfigName) (stats.Series, f
 	// cycle count; fail loudly instead of rendering NaN cells.
 	geo, err := stats.GeomeanOverheadErr(ratios)
 	if err != nil {
-		return s, 0, fmt.Errorf("sweep %s: %w", name, err)
+		return s, 0, fmt.Errorf("%s sweep %s: %w", fid.OrExact(), name, err)
 	}
 	return s, geo, nil
 }

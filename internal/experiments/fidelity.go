@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"watchdog/internal/report"
+	"watchdog/internal/rt"
 	"watchdog/internal/sim"
 	"watchdog/internal/stats"
 	"watchdog/internal/workload"
@@ -25,12 +26,8 @@ var driftConfigs = []ConfigName{CfgConservative, CfgISA, CfgXTag, CfgDangKiller}
 // before the clock starts, so no fidelity's wall time is billed for
 // the shared functional profiling.
 func (r *Runner) FidelityDrift() (*stats.Table, []report.Drift, error) {
-	return r.FidelityDriftCtx(r.ctx())
-}
-
-// FidelityDriftCtx is FidelityDrift under an explicit context.
-func (r *Runner) FidelityDriftCtx(ctx context.Context) (*stats.Table, []report.Drift, error) {
-	if err := r.warmProfilesCtx(ctx, driftConfigs); err != nil {
+	ctx := r.ctx()
+	if err := r.warmProfiles(ctx, driftConfigs); err != nil {
 		return nil, nil, err
 	}
 	cfgs := append([]ConfigName{CfgBaseline}, driftConfigs...)
@@ -38,13 +35,13 @@ func (r *Runner) FidelityDriftCtx(ctx context.Context) (*stats.Table, []report.D
 	geos := make(map[sim.Fidelity]map[ConfigName]float64, len(sim.Fidelities))
 	for _, fid := range sim.Fidelities {
 		t0 := time.Now()
-		if err := r.runAllFidelityCtx(ctx, fid, cfgs...); err != nil {
+		if err := r.runAll(ctx, fid, cfgs...); err != nil {
 			return nil, nil, err
 		}
 		wall[fid] = time.Since(t0)
 		geos[fid] = make(map[ConfigName]float64, len(driftConfigs))
 		for _, cfg := range driftConfigs {
-			geo, err := r.geomeanFidelity(ctx, cfg, fid)
+			_, geo, err := r.sweep(ctx, fid, cfg)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -78,55 +75,34 @@ func (r *Runner) FidelityDriftCtx(ctx context.Context) (*stats.Table, []report.D
 	return t, drift, nil
 }
 
-// geomeanFidelity is the geomean-overhead half of SweepCtx at an
-// explicit fidelity (pure cache reads after runAllFidelityCtx).
-func (r *Runner) geomeanFidelity(ctx context.Context, name ConfigName, fid sim.Fidelity) (float64, error) {
-	var ratios []float64
-	for _, w := range r.Workloads {
-		ratio, err := r.overheadFidelity(ctx, w, name, fid)
-		if err != nil {
-			return 0, err
-		}
-		ratios = append(ratios, ratio)
-	}
-	geo, err := stats.GeomeanOverheadErr(ratios)
-	if err != nil {
-		return 0, fmt.Errorf("fidelity %s sweep %s: %w", fid.OrExact(), name, err)
-	}
-	return geo, nil
-}
-
-// warmProfilesCtx runs the ISA-assisted profiling passes the given
-// configurations will need, in parallel, before any timing clock
-// starts. Profiles are fidelity-invariant (the pass is functional), so
-// whichever fidelity ran first would otherwise be billed for them.
-func (r *Runner) warmProfilesCtx(ctx context.Context, cfgs []ConfigName) error {
-	var need []ConfigName
-	for _, c := range cfgs {
-		if needsProfile(c) {
-			need = append(need, c)
-		}
-	}
-	if len(need) == 0 {
-		return nil
-	}
+// warmProfiles runs the profiling passes the given configurations
+// will need, in parallel, before any timing clock starts. Profiles are
+// fidelity-invariant (the pass is functional), so whichever fidelity
+// ran first would otherwise be billed for them.
+func (r *Runner) warmProfiles(ctx context.Context, cfgs []ConfigName) error {
 	type job struct {
-		w workload.Workload
-		c ConfigName
+		w    workload.Workload
+		opts rt.Options
 	}
-	jobs := make([]job, 0, len(r.Workloads)*len(need))
-	for _, c := range need {
-		for _, w := range r.Workloads {
-			jobs = append(jobs, job{w, c})
-		}
-	}
-	return r.parallelDo(ctx, len(jobs), func(i int) error {
-		opts := rtOptions(jobs[i].c)
-		prog, rtEnd, err := workload.BuildProgram(jobs[i].w, opts, r.Scale)
+	var jobs []job
+	for _, c := range cfgs {
+		cfg, err := SimConfig(c)
 		if err != nil {
 			return err
 		}
-		_, err = r.profileFor(ctx, jobs[i].w, opts, prog, rtEnd)
+		if !needsProfile(cfg.Core) {
+			continue
+		}
+		for _, w := range r.Workloads {
+			jobs = append(jobs, job{w, rt.For(cfg.Core)})
+		}
+	}
+	return r.parallelDo(ctx, len(jobs), func(i int) error {
+		prog, rtEnd, err := workload.BuildProgram(jobs[i].w, jobs[i].opts, r.Scale)
+		if err != nil {
+			return err
+		}
+		_, err = r.profileFor(ctx, jobs[i].w, jobs[i].opts, prog, rtEnd)
 		return err
 	})
 }

@@ -1,16 +1,13 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
 	"watchdog/internal/cache"
-	"watchdog/internal/core"
 	"watchdog/internal/isa"
 	"watchdog/internal/mem"
 	"watchdog/internal/pipeline"
-	"watchdog/internal/rt"
 	"watchdog/internal/security"
 	"watchdog/internal/stats"
 )
@@ -166,44 +163,35 @@ func (r *Runner) Table1() (*stats.Table, error) {
 	t := stats.NewTable("Table 1: comparison of checking approaches",
 		"approach", "class", "metadata", "casts-safe", "comprehensive", "overhead", "juliet")
 	rows := []struct {
-		name   string
-		cfg    ConfigName
-		class  string
-		meta   string
-		casts  string
-		compr  string
-		policy core.Policy
-		ptr    core.PtrPolicy
+		name  string
+		cfg   ConfigName
+		class string
+		meta  string
+		casts string
+		compr string
 	}{
 		{"location (MemTracker-like)", CfgLocation, "location", "disjoint", "Y",
-			"N — misses reallocated UAF", core.PolicyLocation, core.PtrConservative},
+			"N — misses reallocated UAF"},
 		{"xTag (pointer tagging)", CfgXTag, "tag", "in-pointer", "Y",
-			"N — tag aliasing, heap only", core.PolicyXTag, core.PtrConservative},
-		{"software id-based (CETS-like)", CfgSoftware, "identifier", "disjoint", "Y",
-			"Y", core.PolicySoftware, core.PtrConservative},
-		{"DangKiller (implicit id)", CfgDangKiller, "identifier", "implicit", "Y",
-			"Y", core.PolicyDangKiller, core.PtrConservative},
-		{"Watchdog (this work)", CfgConservative, "identifier", "disjoint", "Y",
-			"Y", core.PolicyWatchdog, core.PtrConservative},
-		{"Watchdog + ISA assist", CfgISA, "identifier", "disjoint", "Y",
-			"Y", core.PolicyWatchdog, core.PtrISAAssisted},
+			"N — tag aliasing, heap only"},
+		{"software id-based (CETS-like)", CfgSoftware, "identifier", "disjoint", "Y", "Y"},
+		{"DangKiller (implicit id)", CfgDangKiller, "identifier", "implicit", "Y", "Y"},
+		{"Watchdog (this work)", CfgConservative, "identifier", "disjoint", "Y", "Y"},
+		{"Watchdog + ISA assist", CfgISA, "identifier", "disjoint", "Y", "Y"},
 	}
 	if err := r.RunAll(CfgBaseline, CfgLocation, CfgXTag, CfgSoftware,
 		CfgDangKiller, CfgConservative, CfgISA); err != nil {
 		return nil, err
 	}
-	cases := security.Suite()
 	for _, row := range rows {
 		_, ov, err := r.Sweep(row.cfg)
 		if err != nil {
 			return nil, err
 		}
-		cc := core.Config{Policy: row.policy, PtrPolicy: row.ptr, LockCache: true, CopyElim: true}
-		outs, err := security.RunCasesCtx(r.ctx(), cases, cc, rtOptions(row.cfg), r.jobs(), &r.Timing, nil)
+		sum, err := r.juliet(row.cfg)
 		if err != nil {
 			return nil, err
 		}
-		sum := security.Summarize(cases, outs)
 		t.Row(row.name, row.class, row.meta, row.casts, row.compr,
 			fmt.Sprintf("%.2fx", 1+ov/100),
 			fmt.Sprintf("%d/%d", sum.BadDetected, sum.BadTotal))
@@ -237,14 +225,11 @@ func Table2() string {
 
 // Juliet runs the Section 9.2 security suite under Watchdog and
 // returns the summary (paper: 291/291 detected, no false positives).
-// The 582 cases run in parallel over all CPUs.
+// The 582 cases run in parallel over all CPUs. The background context
+// never fires, so every case runs and the error is always nil.
 func Juliet() security.Summary {
-	cases := security.Suite()
-	// The background context never fires, so every case runs and the
-	// error is always nil.
-	outs, _ := security.RunCasesCtx(context.Background(), cases, core.DefaultConfig(),
-		rt.Options{Policy: core.PolicyWatchdog}, 0, nil, nil)
-	return security.Summarize(cases, outs)
+	s, _ := new(Runner).Juliet()
+	return s
 }
 
 // Bars renders one of the overhead comparisons as grouped horizontal

@@ -97,19 +97,13 @@ func (r *Runner) parallelDo(ctx context.Context, n int, fn func(i int) error) er
 // profiles), and figure assembly afterwards reads the warmed cache in
 // workload order, so output is byte-identical to a serial run.
 func (r *Runner) RunAll(cfgs ...ConfigName) error {
-	return r.RunAllCtx(r.ctx(), cfgs...)
+	return r.runAll(r.ctx(), r.Fidelity, cfgs...)
 }
 
-// RunAllCtx is RunAll under an explicit context: cancellation stops
-// the fan-out from claiming new cells and interrupts the cells
-// already simulating.
-func (r *Runner) RunAllCtx(ctx context.Context, cfgs ...ConfigName) error {
-	return r.runAllFidelityCtx(ctx, r.Fidelity, cfgs...)
-}
-
-// runAllFidelityCtx is the fan-out at an explicit fidelity (the
-// fidelity-drift experiment warms each fidelity's cells separately).
-func (r *Runner) runAllFidelityCtx(ctx context.Context, fid sim.Fidelity, cfgs ...ConfigName) error {
+// runAll is RunAll under an explicit context and fidelity:
+// cancellation stops the fan-out from claiming new cells and
+// interrupts the cells already simulating.
+func (r *Runner) runAll(ctx context.Context, fid sim.Fidelity, cfgs ...ConfigName) error {
 	type pair struct {
 		w workload.Workload
 		c ConfigName
@@ -124,7 +118,7 @@ func (r *Runner) runAllFidelityCtx(ctx context.Context, fid sim.Fidelity, cfgs .
 		r.Progress.AddTotal(len(pairs))
 	}
 	return r.parallelDo(ctx, len(pairs), func(i int) error {
-		_, err := r.RunFidelityCtx(ctx, pairs[i].w, pairs[i].c, fid)
+		_, err := r.run(ctx, fid, pairs[i].w, pairs[i].c)
 		if r.Progress != nil {
 			r.Progress.CellDone()
 		}

@@ -315,7 +315,7 @@ func TestRunAllCtxCanceled(t *testing.T) {
 	r := runnerJ(t, 4)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if err := r.RunAllCtx(ctx, CfgBaseline); !Canceled(err) {
+	if err := r.runAll(ctx, r.Fidelity, CfgBaseline); !Canceled(err) {
 		t.Fatalf("err = %v, want a cancellation", err)
 	}
 	if got := r.Timing.Sims(); got != 0 {

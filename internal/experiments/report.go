@@ -41,25 +41,32 @@ func IsOverheadFigure(name string) bool {
 	return false
 }
 
-// Juliet runs the Section 9.2 security suite over the runner's worker
-// pool, recording every case into r.Timing (so -stats reports real
-// sim counts for the Juliet path, not "0 sims"). On cancellation the
-// summary covers the cases that completed and the context error is
-// returned alongside it.
+// Juliet runs the Section 9.2 security suite under ISA-assisted
+// Watchdog over the runner's worker pool, recording every case into
+// r.Timing (so -stats reports real sim counts for the Juliet path, not
+// "0 sims"). On cancellation the summary covers the cases that
+// completed and the context error is returned alongside it.
 func (r *Runner) Juliet() (security.Summary, error) {
-	return r.JulietCtx(r.ctx())
+	return r.juliet(CfgISA)
 }
 
-// JulietCtx is Juliet under an explicit context.
-func (r *Runner) JulietCtx(ctx context.Context) (security.Summary, error) {
+// juliet runs the security suite under the named configuration's
+// engine and runtime, on the runner's context and workers, billing
+// r.Timing and ticking r.Progress per case. The runs are functional,
+// so ISA-assisted configurations identify pointers from annotations
+// alone, with no profiling pass.
+func (r *Runner) juliet(name ConfigName) (security.Summary, error) {
+	cfg, err := SimConfig(name)
+	if err != nil {
+		return security.Summary{}, err
+	}
 	cases := security.Suite()
 	var onDone func()
 	if r.Progress != nil {
 		r.Progress.AddTotal(len(cases))
 		onDone = r.Progress.CellDone
 	}
-	outs, err := security.RunCasesCtx(ctx, cases, core.DefaultConfig(),
-		rt.Options{Policy: core.PolicyWatchdog}, r.jobs(), &r.Timing, onDone)
+	outs, err := security.RunCasesCtx(r.ctx(), cases, cfg.Core, rt.For(cfg.Core), r.jobs(), &r.Timing, onDone)
 	return security.SummarizeRan(cases, outs), err
 }
 
@@ -96,7 +103,7 @@ func (r *Runner) Report(figures []string, juliet *security.Summary) (*report.Rep
 		}
 		fig := report.Figure{Name: f.name}
 		for _, cfg := range f.cfgs {
-			_, geo, err := r.SweepCtx(context.Background(), cfg)
+			_, geo, err := r.sweep(context.Background(), r.Fidelity, cfg)
 			if err != nil {
 				return nil, err
 			}

@@ -108,7 +108,7 @@ func TestReportFidelityCellsCoexist(t *testing.T) {
 	for _, fid := range []sim.Fidelity{sim.FidelityExact, sim.FidelitySampled} {
 		for _, w := range r.Workloads {
 			for _, cfg := range []ConfigName{CfgBaseline, CfgISA} {
-				if _, err := r.RunFidelityCtx(ctx, w, cfg, fid); err != nil {
+				if _, err := r.run(ctx, fid, w, cfg); err != nil {
 					t.Fatalf("%s/%s@%s: %v", w.Name, cfg, fid, err)
 				}
 			}

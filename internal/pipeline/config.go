@@ -11,6 +11,8 @@
 // path so they overlap under superscalar execution.
 package pipeline
 
+import "fmt"
+
 // Config holds the core parameters (Table 2 of the paper).
 type Config struct {
 	ClockGHz float64
@@ -71,4 +73,30 @@ func DefaultConfig() Config {
 		FPMulLat:        5,
 		FPDivLat:        20,
 	}
+}
+
+// Validate refuses a configuration the model cannot time: every width,
+// window size, unit count and latency must be at least 1 (a zero ROB
+// divides by zero, a zero IQ never issues). The error names the first
+// offending field. ClockGHz only labels reports and is not checked.
+func (c Config) Validate() error {
+	for _, f := range []struct {
+		name string
+		v    int
+	}{
+		{"FetchWidthMacro", c.FetchWidthMacro}, {"FrontEndDepth", c.FrontEndDepth},
+		{"DispatchWidth", c.DispatchWidth}, {"IssueWidth", c.IssueWidth},
+		{"RetireWidth", c.RetireWidth},
+		{"ROBSize", c.ROBSize}, {"IQSize", c.IQSize}, {"LQSize", c.LQSize}, {"SQSize", c.SQSize},
+		{"IntALUs", c.IntALUs}, {"MulDivs", c.MulDivs}, {"LoadPorts", c.LoadPorts},
+		{"StorePorts", c.StorePorts}, {"BranchUnits", c.BranchUnits}, {"FPAlus", c.FPAlus},
+		{"FPMuls", c.FPMuls}, {"FPDivs", c.FPDivs}, {"LockPorts", c.LockPorts},
+		{"MulLat", c.MulLat}, {"DivLat", c.DivLat}, {"FPAluLat", c.FPAluLat},
+		{"FPMulLat", c.FPMulLat}, {"FPDivLat", c.FPDivLat},
+	} {
+		if f.v < 1 {
+			return fmt.Errorf("pipeline: %s is %d, want at least 1", f.name, f.v)
+		}
+	}
+	return nil
 }

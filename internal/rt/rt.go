@@ -42,6 +42,13 @@ type Options struct {
 	MT bool
 }
 
+// For returns the single-threaded runtime variant an engine
+// configuration runs on: its policy's runtime, conveying bounds when a
+// bounds-checking mode is on.
+func For(cfg core.Config) Options {
+	return Options{Policy: cfg.Policy, Bounds: cfg.Bounds != core.BoundsOff}
+}
+
 // Build is a program under construction: the runtime prelude is
 // already emitted; the workload appends a "main" function.
 type Build struct {

@@ -428,3 +428,22 @@ func TestProfilePassMarksPointerOps(t *testing.T) {
 		t.Fatalf("profiled run wrong: %v %v", res.MemErr, res.Output)
 	}
 }
+
+// TestFor: an engine configuration runs on its policy's runtime, which
+// conveys bounds exactly when a bounds-checking mode is on.
+func TestFor(t *testing.T) {
+	for _, c := range []struct {
+		cfg  core.Config
+		want Options
+	}{
+		{core.Config{Policy: core.PolicyBaseline}, Options{Policy: core.PolicyBaseline}},
+		{core.DefaultConfig(), Options{Policy: core.PolicyWatchdog}},
+		{core.Config{Policy: core.PolicyWatchdog, Bounds: core.BoundsFused}, Options{Policy: core.PolicyWatchdog, Bounds: true}},
+		{core.Config{Policy: core.PolicyWatchdog, Bounds: core.BoundsSeparate}, Options{Policy: core.PolicyWatchdog, Bounds: true}},
+		{core.Config{Policy: core.PolicyXTag, TagBits: 3}, Options{Policy: core.PolicyXTag}},
+	} {
+		if got := For(c.cfg); got != c.want {
+			t.Errorf("For(%+v) = %+v, want %+v", c.cfg, got, c.want)
+		}
+	}
+}

@@ -149,28 +149,46 @@ func runCaseSink(ctx context.Context, c Case, cfg core.Config, opts rt.Options, 
 
 // PolicyConfig maps a policy name (the -policy vocabulary shared by
 // watchdog-juliet and the serving layer's security endpoint) to the
-// engine configuration and runtime options it runs under.
+// engine configuration and runtime options it runs under. The runtime
+// follows from the engine configuration (rt.For).
 func PolicyConfig(name string) (core.Config, rt.Options, error) {
+	var cfg core.Config
 	switch name {
 	case "watchdog":
-		return core.DefaultConfig(), rt.Options{Policy: core.PolicyWatchdog}, nil
+		cfg = core.DefaultConfig()
 	case "conservative":
-		cfg := core.DefaultConfig()
+		cfg = core.DefaultConfig()
 		cfg.PtrPolicy = core.PtrConservative
-		return cfg, rt.Options{Policy: core.PolicyWatchdog}, nil
 	case "location":
-		return core.Config{Policy: core.PolicyLocation}, rt.Options{Policy: core.PolicyLocation}, nil
+		cfg = core.Config{Policy: core.PolicyLocation}
 	case "software":
-		return core.Config{Policy: core.PolicySoftware, PtrPolicy: core.PtrConservative},
-			rt.Options{Policy: core.PolicySoftware}, nil
+		cfg = core.Config{Policy: core.PolicySoftware, PtrPolicy: core.PtrConservative}
 	case "xtag":
-		return core.Config{Policy: core.PolicyXTag, PtrPolicy: core.PtrConservative, TagBits: core.DefaultTagBits},
-			rt.Options{Policy: core.PolicyXTag}, nil
+		cfg = core.Config{Policy: core.PolicyXTag, PtrPolicy: core.PtrConservative, TagBits: core.DefaultTagBits}
 	case "dangkiller":
-		return core.Config{Policy: core.PolicyDangKiller, PtrPolicy: core.PtrConservative},
-			rt.Options{Policy: core.PolicyDangKiller}, nil
+		cfg = core.Config{Policy: core.PolicyDangKiller, PtrPolicy: core.PtrConservative}
+	default:
+		return core.Config{}, rt.Options{}, fmt.Errorf("unknown policy %q (known: %s)", name, strings.Join(Policies(), ", "))
 	}
-	return core.Config{}, rt.Options{}, fmt.Errorf("unknown policy %q (known: %s)", name, strings.Join(Policies(), ", "))
+	return cfg, rt.For(cfg), nil
+}
+
+// SetTagBits applies a requested xTag tag width to cfg: 0 keeps
+// PolicyConfig's default (core.DefaultTagBits), 1..8 replaces it, and
+// any other width, or any width on a policy other than xtag, is an
+// error. Afterwards cfg.TagBits is the width that runs (0 off xtag),
+// so requests that differ only by an explicit default agree on it.
+func SetTagBits(cfg *core.Config, bits int) error {
+	switch {
+	case bits == 0:
+		return nil
+	case bits < 1 || bits > 8:
+		return fmt.Errorf("tag width %d out of range 1..8", bits)
+	case cfg.Policy != core.PolicyXTag:
+		return fmt.Errorf("a tag width only applies to the xtag policy")
+	}
+	cfg.TagBits = bits
+	return nil
 }
 
 // Policies lists the -policy vocabulary in presentation order.

@@ -162,3 +162,35 @@ func TestSuiteConcurrentFirstUse(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestSetTagBits: the tag-width rule the CLI and the serving layer
+// share. 0 keeps the default, 1..8 applies to xtag only, and the width
+// that runs is left in cfg.TagBits (0 off xtag).
+func TestSetTagBits(t *testing.T) {
+	for _, c := range []struct {
+		policy string
+		bits   int
+		want   int // the width that runs; -1 for a refusal
+	}{
+		{"xtag", 0, core.DefaultTagBits},
+		{"xtag", 1, 1},
+		{"xtag", 8, 8},
+		{"xtag", 9, -1},
+		{"xtag", -1, -1},
+		{"watchdog", 0, 0},
+		{"watchdog", 4, -1},
+		{"location", 9, -1},
+	} {
+		cfg, _, err := PolicyConfig(c.policy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = SetTagBits(&cfg, c.bits)
+		switch {
+		case c.want < 0 && err == nil:
+			t.Errorf("%s with %d bits: accepted", c.policy, c.bits)
+		case c.want >= 0 && (err != nil || cfg.TagBits != c.want):
+			t.Errorf("%s with %d bits: TagBits %d, err %v; want %d", c.policy, c.bits, cfg.TagBits, err, c.want)
+		}
+	}
+}

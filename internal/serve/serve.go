@@ -55,7 +55,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"watchdog/internal/core"
 	"watchdog/internal/experiments"
 	"watchdog/internal/flight"
 	"watchdog/internal/report"
@@ -622,24 +621,13 @@ func (s *Server) handleJuliet(w http.ResponseWriter, r *http.Request) int {
 	if err != nil {
 		return writeError(w, http.StatusBadRequest, err.Error())
 	}
-	if req.TagBits != 0 {
-		if req.TagBits < 1 || req.TagBits > 8 {
-			return writeError(w, http.StatusBadRequest,
-				fmt.Sprintf("tag_bits %d out of range [1, 8]", req.TagBits))
-		}
-		if cfg.Policy != core.PolicyXTag {
-			return writeError(w, http.StatusBadRequest, "tag_bits only applies to the xtag policy")
-		}
-		cfg.TagBits = req.TagBits
+	if err := security.SetTagBits(&cfg, req.TagBits); err != nil {
+		return writeError(w, http.StatusBadRequest, "tag_bits: "+err.Error())
 	}
-	// Normalize the tag-width default before the key is built:
-	// juliet/xtag/0 and juliet/xtag/8 are the same computation (the
-	// default width is 8) and must coalesce onto one flight.
-	if cfg.Policy == core.PolicyXTag && req.TagBits == 0 {
-		req.TagBits = core.DefaultTagBits
-	}
-
-	key := JulietFlightKey(req.Policy, req.TagBits)
+	// The key takes the width that runs: juliet/xtag/0 and
+	// juliet/xtag/8 are the same computation (the default width is 8)
+	// and must coalesce onto one flight.
+	key := JulietFlightKey(req.Policy, cfg.TagBits)
 	return s.flightDo(w, r, &s.julietMet, key, req.TimeoutMS, func(ctx context.Context) ([]byte, error) {
 		cases := security.Suite()
 		outs, err := security.RunCasesCtx(ctx, cases, cfg, opts, s.cfg.MaxWorkers, &s.julietTiming, nil)

@@ -67,13 +67,6 @@ func Default() Config {
 	}
 }
 
-// Baseline returns the uninstrumented configuration with timing.
-func Baseline() Config {
-	c := Default()
-	c.Core = core.Config{Policy: core.PolicyBaseline}
-	return c
-}
-
 // Run executes the program under the configuration.
 func Run(prog *asm.Program, cfg Config) (*machine.Result, error) {
 	return RunCtx(context.Background(), prog, cfg)
@@ -95,6 +88,9 @@ func RunCtx(ctx context.Context, prog *asm.Program, cfg Config) (*machine.Result
 	var model *pipeline.Model
 	var bp *bpred.Predictor
 	if cfg.Timing {
+		if err := cfg.Pipeline.Validate(); err != nil {
+			return nil, err
+		}
 		bp = bpred.New(bpred.DefaultConfig())
 		model = pipeline.New(cfg.Pipeline, cache.NewHierarchy(hier), bp)
 		model.IdealShadow = cfg.IdealShadow

@@ -1,11 +1,14 @@
 package sim
 
 import (
+	"reflect"
+	"strings"
 	"testing"
 
 	"watchdog/internal/asm"
 	"watchdog/internal/core"
 	"watchdog/internal/isa"
+	"watchdog/internal/pipeline"
 	"watchdog/internal/rt"
 )
 
@@ -58,7 +61,8 @@ func TestRunFunctionalAndTimed(t *testing.T) {
 
 func TestBaselineConfig(t *testing.T) {
 	prog, rtEnd := buildCounting(t, rt.Options{Policy: core.PolicyBaseline})
-	cfg := Baseline()
+	cfg := Default()
+	cfg.Core = core.Config{Policy: core.PolicyBaseline}
 	cfg.RuntimeEnd = rtEnd
 	res, err := Run(prog, cfg)
 	if err != nil {
@@ -90,6 +94,69 @@ func TestLockCacheConsistency(t *testing.T) {
 	res, err := Run(prog, cfg)
 	if err != nil || res.MemErr != nil {
 		t.Fatalf("no-lock-cache run: %v %v", err, res.MemErr)
+	}
+}
+
+// TestPipelineConfigValidated: a timed run refuses a pipeline config
+// with any width, window size, unit count or latency below 1, with an
+// error naming the field, where it used to panic (a zero ROB divides
+// by zero) or never return (a zero IQ never issues). The table holds
+// every integer field of pipeline.Config, so a field added without a
+// check fails here. The Table 2 default, the large-window configs of
+// pipeline.TestLargeWindowConfigs and the all-ones floor still run.
+func TestPipelineConfigValidated(t *testing.T) {
+	prog, rtEnd := buildCounting(t, rt.Options{Policy: core.PolicyWatchdog})
+	var cases []reflect.StructField
+	for _, f := range reflect.VisibleFields(reflect.TypeOf(pipeline.Config{})) {
+		if f.Type.Kind() == reflect.Int {
+			cases = append(cases, f)
+		}
+	}
+	if len(cases) < 20 {
+		t.Fatalf("found only %d integer fields in pipeline.Config", len(cases))
+	}
+	for _, f := range cases {
+		t.Run(f.Name, func(t *testing.T) {
+			for _, bad := range []int64{0, -1} {
+				cfg := Default()
+				cfg.RuntimeEnd = rtEnd
+				reflect.ValueOf(&cfg.Pipeline).Elem().FieldByIndex(f.Index).SetInt(bad)
+				res, err := Run(prog, cfg)
+				if err == nil || !strings.Contains(err.Error(), f.Name) {
+					t.Errorf("%s = %d: err = %v, want an error naming the field", f.Name, bad, err)
+				}
+				if res != nil {
+					t.Errorf("%s = %d: the refused config still ran", f.Name, bad)
+				}
+			}
+		})
+	}
+	if _, err := Run(prog, Config{Core: core.DefaultConfig(), RuntimeEnd: rtEnd, Timing: true}); err == nil {
+		t.Error("a zero pipeline config with timing on ran")
+	}
+	for name, set := range map[string]func(*pipeline.Config){
+		"default":             func(*pipeline.Config) {},
+		"DivLat5000":          func(c *pipeline.Config) { c.DivLat = 5000 },
+		"ROB1024IQ1024":       func(c *pipeline.Config) { c.ROBSize, c.IQSize = 1024, 1024 },
+		"ROB512":              func(c *pipeline.Config) { c.ROBSize = 512 },
+		"all-ones (smallest)": func(c *pipeline.Config) { reflectSetInts(c, 1) },
+	} {
+		cfg := Default()
+		cfg.RuntimeEnd = rtEnd
+		set(&cfg.Pipeline)
+		if res, err := Run(prog, cfg); err != nil || res.Output[0] != 99 {
+			t.Errorf("%s: err = %v, want a clean run", name, err)
+		}
+	}
+}
+
+// reflectSetInts sets every integer field of c to v.
+func reflectSetInts(c *pipeline.Config, v int64) {
+	rv := reflect.ValueOf(c).Elem()
+	for i := 0; i < rv.NumField(); i++ {
+		if rv.Field(i).Kind() == reflect.Int {
+			rv.Field(i).SetInt(v)
+		}
 	}
 }
 

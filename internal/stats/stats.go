@@ -10,51 +10,24 @@ import (
 	"strings"
 )
 
-// Geomean returns the geometric mean of xs; values must be positive.
-// Zero-length input returns 0.
-func Geomean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
+// GeomeanOverheadErr converts slowdown ratios (time/baseline) to a
+// geometric-mean percentage overhead, the paper's headline metric. A
+// non-positive or NaN ratio means a simulation reported a nonsensical
+// cycle count: it is an error naming its index and value, so a figure
+// fails loudly instead of rendering a literal "NaN" cell. No ratios
+// give 0.
+func GeomeanOverheadErr(ratios []float64) (float64, error) {
+	if len(ratios) == 0 {
+		return 0, nil
 	}
 	sum := 0.0
-	for _, x := range xs {
-		if x <= 0 {
-			return math.NaN()
+	for i, x := range ratios {
+		if math.IsNaN(x) || x <= 0 {
+			return 0, fmt.Errorf("geomean: non-positive value %v at index %d of %d", x, i, len(ratios))
 		}
 		sum += math.Log(x)
 	}
-	return math.Exp(sum / float64(len(xs)))
-}
-
-// GeomeanOverhead converts slowdown ratios (time/baseline) to a
-// geometric-mean percentage overhead, the paper's headline metric.
-func GeomeanOverhead(ratios []float64) float64 {
-	return (Geomean(ratios) - 1) * 100
-}
-
-// GeomeanErr is Geomean with the domain error surfaced: a
-// non-positive (or NaN) input reports its index and value instead of
-// silently producing NaN — which the tables would render as literal
-// "NaN" cells.
-func GeomeanErr(xs []float64) (float64, error) {
-	for i, x := range xs {
-		if math.IsNaN(x) || x <= 0 {
-			return 0, fmt.Errorf("geomean: non-positive value %v at index %d of %d", x, i, len(xs))
-		}
-	}
-	return Geomean(xs), nil
-}
-
-// GeomeanOverheadErr is GeomeanOverhead with non-positive ratios
-// surfaced as an error (a ratio <= 0 means a simulation reported a
-// nonsensical cycle count; the figure must fail loudly, not print
-// NaN).
-func GeomeanOverheadErr(ratios []float64) (float64, error) {
-	g, err := GeomeanErr(ratios)
-	if err != nil {
-		return 0, err
-	}
-	return (g - 1) * 100, nil
+	return (math.Exp(sum/float64(len(ratios))) - 1) * 100, nil
 }
 
 // Mean returns the arithmetic mean.

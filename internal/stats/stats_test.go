@@ -7,33 +7,26 @@ import (
 	"testing/quick"
 )
 
+// TestGeomean: the geometric mean under the overhead is exact (2 and 8
+// give 4, a 300% overhead), and no ratios give 0.
 func TestGeomean(t *testing.T) {
-	if g := Geomean([]float64{2, 8}); math.Abs(g-4) > 1e-12 {
-		t.Fatalf("Geomean(2,8) = %f", g)
+	if o, err := GeomeanOverheadErr([]float64{2, 8}); err != nil || math.Abs(o-300) > 1e-9 {
+		t.Fatalf("GeomeanOverheadErr(2,8) = %v, %v; want 300", o, err)
 	}
-	if g := Geomean(nil); g != 0 {
-		t.Fatalf("Geomean(nil) = %f", g)
-	}
-	if !math.IsNaN(Geomean([]float64{1, -1})) {
-		t.Fatal("negative input must yield NaN")
+	if o, err := GeomeanOverheadErr(nil); err != nil || o != 0 {
+		t.Fatalf("GeomeanOverheadErr(nil) = %v, %v; want 0", o, err)
 	}
 }
 
-// TestGeomeanErr: the error-surfacing variant reports the offending
-// index and value instead of silently returning NaN.
+// TestGeomeanErr: a non-positive or NaN ratio is reported by index and
+// value instead of rendered as NaN.
 func TestGeomeanErr(t *testing.T) {
-	if g, err := GeomeanErr([]float64{2, 8}); err != nil || math.Abs(g-4) > 1e-12 {
-		t.Fatalf("GeomeanErr(2,8) = %v, %v", g, err)
-	}
 	for _, bad := range [][]float64{{1, -1}, {1, 0, 2}, {math.NaN()}} {
-		if _, err := GeomeanErr(bad); err == nil {
-			t.Errorf("GeomeanErr(%v): expected error", bad)
+		if _, err := GeomeanOverheadErr(bad); err == nil {
+			t.Errorf("GeomeanOverheadErr(%v): expected error", bad)
 		} else if !strings.Contains(err.Error(), "index") {
-			t.Errorf("GeomeanErr(%v) error %q should name the index", bad, err)
+			t.Errorf("GeomeanOverheadErr(%v) error %q should name the index", bad, err)
 		}
-	}
-	if g, err := GeomeanErr(nil); err != nil || g != 0 {
-		t.Fatalf("GeomeanErr(nil) = %v, %v", g, err)
 	}
 }
 
@@ -49,12 +42,13 @@ func TestGeomeanOverheadErr(t *testing.T) {
 func TestGeomeanOverhead(t *testing.T) {
 	// 15% overhead on every benchmark -> 15% geomean overhead.
 	xs := []float64{1.15, 1.15, 1.15}
-	if o := GeomeanOverhead(xs); math.Abs(o-15) > 1e-9 {
-		t.Fatalf("overhead = %f", o)
+	if o, err := GeomeanOverheadErr(xs); err != nil || math.Abs(o-15) > 1e-9 {
+		t.Fatalf("overhead = %v, %v", o, err)
 	}
 }
 
-// Property: geomean lies between min and max.
+// Property: the geomean ratio lies between the smallest and largest
+// ratio.
 func TestGeomeanBounds(t *testing.T) {
 	f := func(raw []uint16) bool {
 		if len(raw) == 0 {
@@ -67,8 +61,9 @@ func TestGeomeanBounds(t *testing.T) {
 			lo = math.Min(lo, xs[i])
 			hi = math.Max(hi, xs[i])
 		}
-		g := Geomean(xs)
-		return g >= lo-1e-9 && g <= hi+1e-9
+		o, err := GeomeanOverheadErr(xs)
+		g := 1 + o/100
+		return err == nil && g >= lo-1e-9 && g <= hi+1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
