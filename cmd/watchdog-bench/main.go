@@ -15,8 +15,8 @@
 //
 // With -workers the cell simulations run on watchdog-serve processes
 // (the /v1/sim wire format) instead of in-process: the coordinator
-// shards cells across the fleet with hedged retries and health-based
-// ejection, and the output stays byte-identical to a local run.
+// shards cells across the fleet, fails a cell over to the next worker
+// when one dies, and the output stays byte-identical to a local run.
 //
 // SIGINT/SIGTERM cancel the sweep cooperatively — mid-simulation, not
 // just between cells. An interrupted run still flushes its partial
@@ -102,10 +102,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		sampleWU  = fs.Uint64("sample-warmup", 0, "sampled fidelity: warmup instructions per period (0 = paper default)")
 		sampleWin = fs.Uint64("sample", 0, "sampled fidelity: measured instructions per period (0 = paper default)")
 		workers   = fs.String("workers", "", "comma-separated watchdog-serve workers (host:port,...): shard cell simulations across them instead of simulating locally")
-		apiKey    = fs.String("api-key", "", "with -workers: API key sent to each worker (Authorization: Bearer) for authed gateway fleets")
 
 		metricsAddr = fs.String("metrics-addr", "", "with -workers: serve the coordinator's Prometheus /metrics on this address for the duration of the sweep")
-		logJSON     = fs.Bool("log", false, "emit structured JSON logs (fabric events: hedges, ejections, cell fetches) to stderr")
+		logJSON     = fs.Bool("log", false, "emit structured JSON logs (fabric events: ejections, cell fetches) to stderr")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -176,12 +175,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	if *metricsAddr != "" && len(workerAddrs) == 0 {
 		return fail(fmt.Errorf("-metrics-addr only applies with -workers (it serves the coordinator's fabric metrics)"))
 	}
-	if *apiKey != "" && len(workerAddrs) == 0 {
-		return fail(fmt.Errorf("-api-key only applies with -workers (it authenticates cell requests to the fleet)"))
-	}
 	var fab *fabric.Coordinator
 	if len(workerAddrs) > 0 {
-		fabOpts := fabric.Options{Scale: *scale, APIKey: *apiKey}
+		fabOpts := fabric.Options{Scale: *scale}
 		if *logJSON {
 			fabOpts.Logger = slog.New(slog.NewJSONHandler(stderr, nil))
 		}
@@ -469,8 +465,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "watchdog-bench: %s (-j %d)\n", r.Timing.String(), *jobs)
 		if fab != nil {
 			fs := fab.Stats()
-			fmt.Fprintf(stderr, "watchdog-bench: fabric: %d cells sent, %d hedged, %d retried, %d ejections\n",
-				fs.CellsSent, fs.Hedged, fs.Retried, fs.Ejections)
+			fmt.Fprintf(stderr, "watchdog-bench: fabric: %d cells sent, %d retried, %d ejections\n",
+				fs.CellsSent, fs.Retried, fs.Ejections)
 			for _, w := range fs.Workers {
 				state := "alive"
 				if !w.Alive {

@@ -28,7 +28,6 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"math"
 	"net"
 	"os"
 	"os/signal"
@@ -57,9 +56,6 @@ func run(ctx context.Context, args []string, stderr io.Writer) int {
 		timeout  = fs.Duration("timeout", 120*time.Second, "per-request computation cap (requests may ask for less via timeout_ms)")
 		drain    = fs.Duration("drain-timeout", 30*time.Second, "graceful-shutdown window before in-flight simulations are force-canceled")
 
-		keys       = fs.String("keys", "", "API-key file (`<key> <tenant>` lines); empty serves unauthenticated as the anonymous tenant")
-		rate       = fs.Float64("rate", 0, "per-tenant sustained request rate in req/s (0 = unlimited)")
-		quota      = fs.Int64("quota", 0, "per-tenant daily request quota (0 = unlimited)")
 		storeDir   = fs.String("store-dir", "", "persist completed results here and replay them across restarts (empty = memory only)")
 		storeMaxMB = fs.Int("store-max-mb", 256, "disk budget for -store-dir in MiB; least recently used entries are evicted past it")
 
@@ -73,8 +69,7 @@ func run(ctx context.Context, args []string, stderr io.Writer) int {
 		return 1
 	}
 	// serve.Config turns a non-positive size or duration into its
-	// default, the tenant limiter skips a rate or quota that is not
-	// positive, and OpenStore raises a budget below 1 MiB: each of these
+	// default, and OpenStore raises a budget below 1 MiB: each of these
 	// values would quietly lift the limit it names.
 	switch {
 	case *workers < 0:
@@ -85,10 +80,6 @@ func run(ctx context.Context, args []string, stderr io.Writer) int {
 		return fail(fmt.Errorf("-timeout %s: must be positive", *timeout))
 	case *drain <= 0:
 		return fail(fmt.Errorf("-drain-timeout %s: must be positive", *drain))
-	case *rate < 0 || math.IsNaN(*rate) || math.IsInf(*rate, 0):
-		return fail(fmt.Errorf("-rate %g: must be finite and >= 0 (0 = unlimited)", *rate))
-	case *quota < 0:
-		return fail(fmt.Errorf("-quota %d: must be >= 0 (0 = unlimited)", *quota))
 	case *storeMaxMB < 1:
 		return fail(fmt.Errorf("-store-max-mb %d: must be >= 1", *storeMaxMB))
 	}
@@ -98,16 +89,6 @@ func run(ctx context.Context, args []string, stderr io.Writer) int {
 		MaxScale:       *maxScale,
 		RequestTimeout: *timeout,
 		DrainTimeout:   *drain,
-		Rate:           *rate,
-		Quota:          *quota,
-	}
-	if *keys != "" {
-		km, err := serve.LoadKeys(*keys)
-		if err != nil {
-			return fail(err)
-		}
-		cfg.Keys = km
-		fmt.Fprintf(stderr, "watchdog-serve: auth enabled (%d keys)\n", len(km))
 	}
 	if *storeDir != "" {
 		st, err := serve.OpenStore(*storeDir, *storeMaxMB)

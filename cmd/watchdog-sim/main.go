@@ -31,6 +31,7 @@ import (
 	"watchdog/internal/core"
 	"watchdog/internal/experiments"
 	"watchdog/internal/isa"
+	"watchdog/internal/machine"
 	"watchdog/internal/rt"
 	"watchdog/internal/sim"
 	"watchdog/internal/trace"
@@ -74,6 +75,20 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fail := func(err error) int {
 		fmt.Fprintln(stderr, "watchdog-sim:", err)
 		return 1
+	}
+	if *asmFile != "" {
+		// The program comes from the file, so the flags that pick or
+		// size a workload have nothing to act on.
+		var workloadOnly []string
+		fs.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "workload", "scale", "list":
+				workloadOnly = append(workloadOnly, "-"+f.Name)
+			}
+		})
+		if len(workloadOnly) > 0 {
+			return fail(fmt.Errorf("%s cannot be used with -asm", strings.Join(workloadOnly, ", ")))
+		}
 	}
 
 	// Reject a bogus scale up front: workload.BuildProgram clamps
@@ -131,7 +146,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *asmFile != "" {
-		if err := runAsmFile(ctx, *asmFile, *cfg, simCfg, *traceN, *timeline, *flightN, stdout, stderr); err != nil {
+		simCfg.Fidelity = fid
+		simCfg.Sampling = sampling
+		if err := runAsmFile(ctx, *asmFile, *cfg, simCfg, *disasm, *verbose, *traceN, *timeline, *flightN, stdout, stderr); err != nil {
 			return fail(err)
 		}
 		return 0
@@ -210,22 +227,30 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		100*float64(res.Engine.PtrOps)/float64(max(res.Engine.MemAccesses, 1)))
 	fmt.Fprintf(stdout, "checks     %d injected\n", res.Engine.Checks)
 	if *verbose {
-		fmt.Fprintf(stdout, "µop classes:\n")
-		for m := isa.MetaClass(0); m < isa.NumMetaClasses; m++ {
-			fmt.Fprintf(stdout, "  %-9s %d\n", m, res.Timing.UopsByMeta[m])
-		}
-		fmt.Fprintf(stdout, "mispredicts %d\n", res.Timing.Mispredicts)
+		printUopClasses(stdout, res)
 		fmt.Fprintf(stdout, "output      %v\n", res.Output)
 	}
 	return 0
 }
 
+// printUopClasses prints the -v detail of a timed run: µops by class
+// and branch mispredicts.
+func printUopClasses(w io.Writer, res *machine.Result) {
+	fmt.Fprintf(w, "µop classes:\n")
+	for m := isa.MetaClass(0); m < isa.NumMetaClasses; m++ {
+		fmt.Fprintf(w, "  %-9s %d\n", m, res.Timing.UopsByMeta[m])
+	}
+	fmt.Fprintf(w, "mispredicts %d\n", res.Timing.Mispredicts)
+}
+
 // runAsmFile assembles and runs a WD64 text program on top of the
-// simulated runtime under the configuration's own config. There is no
-// profiling pass (it cannot run a program that violates safety), so
-// ISA-assisted configurations identify pointers from the program's
-// annotations alone.
-func runAsmFile(ctx context.Context, path, cfgName string, simCfg sim.Config, traceN int, timeline string, flightN int, stdout, stderr io.Writer) error {
+// simulated runtime under the configuration's own config, at the
+// fidelity simCfg names; disasm prints the listing first, and verbose
+// the µop classes after the summary. There is no profiling pass (it
+// cannot run a program that violates safety), so ISA-assisted
+// configurations identify pointers from the program's annotations
+// alone.
+func runAsmFile(ctx context.Context, path, cfgName string, simCfg sim.Config, disasm, verbose bool, traceN int, timeline string, flightN int, stdout, stderr io.Writer) error {
 	src, err := os.ReadFile(path)
 	if err != nil {
 		return err
@@ -237,6 +262,9 @@ func runAsmFile(ctx context.Context, path, cfgName string, simCfg sim.Config, tr
 	prog, err := build.Finish()
 	if err != nil {
 		return err
+	}
+	if disasm {
+		fmt.Fprint(stdout, prog.Disasm(0, 0))
 	}
 	simCfg.RuntimeEnd = build.RuntimeEnd()
 	if traceN > 0 {
@@ -252,12 +280,22 @@ func runAsmFile(ctx context.Context, path, cfgName string, simCfg sim.Config, tr
 	}
 	fmt.Fprintf(stdout, "insts   %d macro, %d µops, %d cycles (IPC %.2f)\n",
 		res.Insts, res.Timing.Uops, res.Timing.Cycles, res.Timing.IPC())
+	if res.SampledInsts > 0 && res.SampledInsts < res.Insts {
+		// As in the workload summary: the raw cycle counter covers only
+		// the measured windows.
+		fmt.Fprintf(stdout, "sampled %d of %d insts (%.1f%%), estimated %d cycles\n",
+			res.SampledInsts, res.Insts,
+			100*float64(res.SampledInsts)/float64(res.Insts), res.EstimatedCycles())
+	}
 	fmt.Fprintf(stdout, "output  %v %q\n", res.Output, res.Text)
 	switch {
 	case res.MemErr != nil:
 		fmt.Fprintf(stdout, "caught  %v\n", res.MemErr)
 	case res.Aborted:
 		fmt.Fprintf(stdout, "abort   runtime code %d\n", res.AbortCode)
+	}
+	if verbose {
+		printUopClasses(stdout, res)
 	}
 	if flightN > 0 && (res.MemErr != nil || res.Aborted) {
 		if err := res.Trace.DumpFlight(stderr, resolver(prog)); err != nil {

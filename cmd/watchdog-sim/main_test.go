@@ -204,7 +204,7 @@ func TestFidelityFlagValidation(t *testing.T) {
 func TestUnknownConfigRejected(t *testing.T) {
 	for _, args := range [][]string{
 		{"-workload", "mcf", "-config", "bogus"},
-		{"-asm", "../../examples/assembly/program.wdasm", "-config", "bogus"},
+		{"-asm", exampleAsm, "-config", "bogus"},
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := run(context.Background(), args, &stdout, &stderr); code != 1 {
@@ -228,7 +228,7 @@ func TestAsmRunsEachConfig(t *testing.T) {
 	got := map[string]counts{}
 	for _, name := range experiments.ConfigNames() {
 		var stdout, stderr bytes.Buffer
-		args := []string{"-asm", "../../examples/assembly/program.wdasm", "-config", name}
+		args := []string{"-asm", exampleAsm, "-config", name}
 		if code := run(context.Background(), args, &stdout, &stderr); code != 0 {
 			t.Fatalf("%v: exit %d, stderr: %s", args, code, stderr.String())
 		}
@@ -254,6 +254,84 @@ func TestAsmRunsEachConfig(t *testing.T) {
 		}
 		if !d.uops && m.cycles <= l.cycles {
 			t.Errorf("%s takes %d cycles, not more than %s's %d", d.more, m.cycles, d.less, l.cycles)
+		}
+	}
+}
+
+// exampleAsm is the example WD64 program: 558 macro instructions,
+// ending in a double free that the runtime aborts on.
+const exampleAsm = "../../examples/assembly/program.wdasm"
+
+// TestAsmHonorsFidelity: -asm runs at the -fidelity and -sample*
+// values it is given and prints the sampled estimate, as the workload
+// summary does. A 350-instruction period over 558 instructions times
+// the 100-instruction windows of two periods.
+func TestAsmHonorsFidelity(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	args := []string{"-asm", exampleAsm, "-fidelity", "sampled",
+		"-sample", "100", "-sample-ff", "200", "-sample-warmup", "50"}
+	if code := run(context.Background(), args, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d, stderr: %s", code, stderr.String())
+	}
+	m := regexp.MustCompile(`(?m)^sampled (\d+) of 558 insts \(\d+\.\d%\), estimated (\d+) cycles$`).FindStringSubmatch(stdout.String())
+	if m == nil {
+		t.Fatalf("no sampled estimate line:\n%s", stdout.String())
+	}
+	if m[1] != "200" {
+		t.Errorf("timed %s instructions, want 200", m[1])
+	}
+}
+
+// TestAsmDisasm: -asm with -disasm prints the listing of the assembled
+// program before the run's summary.
+func TestAsmDisasm(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := run(context.Background(), []string{"-asm", exampleAsm, "-disasm"}, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d, stderr: %s", code, stderr.String())
+	}
+	out := stdout.String()
+	listing, summary := strings.Index(out, "main:\n"), strings.Index(out, "insts ")
+	if listing < 0 || summary < 0 || listing > summary {
+		t.Errorf("want the listing (main:) before the summary (insts):\n%s", firstLines(out, 8))
+	}
+}
+
+// TestAsmVerbose: -asm with -v prints the µop classes and mispredicts
+// after the summary, as the workload path does.
+func TestAsmVerbose(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := run(context.Background(), []string{"-asm", exampleAsm, "-v"}, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d, stderr: %s", code, stderr.String())
+	}
+	for _, want := range []string{"µop classes:", "mispredicts "} {
+		if !strings.Contains(stdout.String(), want) {
+			t.Errorf("-asm -v output lacks %q:\n%s", want, stdout.String())
+		}
+	}
+}
+
+// TestAsmRefusesWorkloadFlags: -workload, -scale and -list choose or
+// size a workload, which -asm replaces, so any of them set explicitly
+// next to -asm exits 1 naming the flag, before anything runs.
+func TestAsmRefusesWorkloadFlags(t *testing.T) {
+	for _, tc := range []struct {
+		flags []string
+		name  string
+	}{
+		{[]string{"-workload", "lbm"}, "-workload"},
+		{[]string{"-scale", "1"}, "-scale"},
+		{[]string{"-list"}, "-list"},
+	} {
+		var stdout, stderr bytes.Buffer
+		args := append([]string{"-asm", exampleAsm}, tc.flags...)
+		if code := run(context.Background(), args, &stdout, &stderr); code != 1 {
+			t.Errorf("%v: exit %d, want 1", args, code)
+		}
+		if !strings.Contains(stderr.String(), tc.name) {
+			t.Errorf("%v: stderr %q does not name %s", args, stderr.String(), tc.name)
+		}
+		if stdout.Len() > 0 {
+			t.Errorf("%v: printed %q before failing", args, stdout.String())
 		}
 	}
 }

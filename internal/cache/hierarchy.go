@@ -1,6 +1,10 @@
 package cache
 
-import "watchdog/internal/mem"
+import (
+	"fmt"
+
+	"watchdog/internal/mem"
+)
 
 // HierConfig describes the full Table 2 memory hierarchy.
 type HierConfig struct {
@@ -37,6 +41,76 @@ func DefaultHierConfig() HierConfig {
 	}
 }
 
+// tlbWays is the associativity of every TLB in the hierarchy.
+const tlbWays = 4
+
+// Validate refuses a hierarchy the model cannot build as described:
+// each level needs at least one way, a power-of-two block, and a size
+// that is a positive multiple of Ways×BlockBytes (New would otherwise
+// divide by zero, round the block up or floor the size to whole sets),
+// and no latency, stream count or prefetch depth may be negative. The
+// lock level is checked only when LockCacheEnabled. DRAMLatency and
+// TLBWalkPenalty must not be negative, and each TLB's entry count must
+// be a positive multiple of its 4 ways (NewTLB would round it). The
+// error names the first offending field.
+func (c HierConfig) Validate() error {
+	for _, l := range []struct {
+		name string
+		cfg  Config
+		used bool
+	}{
+		{"L1I", c.L1I, true}, {"L1D", c.L1D, true}, {"L2", c.L2, true}, {"L3", c.L3, true},
+		{"Lock", c.Lock, c.LockCacheEnabled},
+	} {
+		if !l.used {
+			continue
+		}
+		if err := l.cfg.validate(l.name); err != nil {
+			return err
+		}
+	}
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"DRAMLatency", c.DRAMLatency}, {"TLBWalkPenalty", c.TLBWalkPenalty}} {
+		if f.v < 0 {
+			return fmt.Errorf("cache: %s is %d, want at least 0", f.name, f.v)
+		}
+	}
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"ITLBEntries", c.ITLBEntries}, {"DTLBEntries", c.DTLBEntries}, {"LockTLBEntries", c.LockTLBEntries}} {
+		if f.v < tlbWays || f.v%tlbWays != 0 {
+			return fmt.Errorf("cache: %s is %d, want a positive multiple of %d", f.name, f.v, tlbWays)
+		}
+	}
+	return nil
+}
+
+// validate checks one level, naming its fields after level.
+func (c Config) validate(level string) error {
+	switch {
+	case c.Ways < 1:
+		return fmt.Errorf("cache: %s.Ways is %d, want at least 1", level, c.Ways)
+	case c.BlockBytes < 1 || c.BlockBytes&(c.BlockBytes-1) != 0:
+		return fmt.Errorf("cache: %s.BlockBytes is %d, want a power of two", level, c.BlockBytes)
+	case c.SizeBytes < 1 || c.SizeBytes%c.BlockBytes != 0 || c.SizeBytes/c.BlockBytes%c.Ways != 0:
+		// Dividing step by step cannot overflow as Ways×BlockBytes can.
+		return fmt.Errorf("cache: %s.SizeBytes is %d, want a positive multiple of Ways×BlockBytes (%d×%d)",
+			level, c.SizeBytes, c.Ways, c.BlockBytes)
+	}
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"Latency", c.Latency}, {"Streams", c.Streams}, {"PrefetchDepth", c.PrefetchDepth}} {
+		if f.v < 0 {
+			return fmt.Errorf("cache: %s.%s is %d, want at least 0", level, f.name, f.v)
+		}
+	}
+	return nil
+}
+
 // Hierarchy wires the levels together. The lock location cache, when
 // enabled, is a peer of the L1 caches backed by the same L2 (Figure
 // 4c); lock-location accesses from check µops and from allocation /
@@ -67,9 +141,9 @@ func NewHierarchy(cfg HierConfig) *Hierarchy {
 	if cfg.LockCacheEnabled {
 		h.Lock = New(cfg.Lock, h.L2)
 	}
-	h.ITLB = NewTLB(cfg.ITLBEntries, 4, cfg.TLBWalkPenalty)
-	h.DTLB = NewTLB(cfg.DTLBEntries, 4, cfg.TLBWalkPenalty)
-	h.LockTLB = NewTLB(cfg.LockTLBEntries, 4, cfg.TLBWalkPenalty)
+	h.ITLB = NewTLB(cfg.ITLBEntries, tlbWays, cfg.TLBWalkPenalty)
+	h.DTLB = NewTLB(cfg.DTLBEntries, tlbWays, cfg.TLBWalkPenalty)
+	h.LockTLB = NewTLB(cfg.LockTLBEntries, tlbWays, cfg.TLBWalkPenalty)
 	return h
 }
 

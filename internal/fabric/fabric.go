@@ -12,9 +12,8 @@
 //   - a worker registry with periodic /healthz probing — a worker that
 //     fails a probe (or a connection) is ejected from routing and
 //     readmitted when a later probe succeeds;
-//   - hedged retries — a cell whose first request outlives the
-//     worker's recent p99 (or a configured delay) is re-issued to a
-//     second worker, first success wins and the loser is canceled;
+//   - failover — a cell whose request fails at the transport level
+//     moves to the next worker in the cell's ranking;
 //   - per-worker latency/error accounting and fabric counters, folded
 //     into the bench timing record (report.FabricStats).
 //
@@ -24,7 +23,8 @@
 // Cell placement uses rendezvous hashing over the live worker set:
 // each cell has a stable preferred worker, so every worker's serve
 // cache warms on a distinct shard of the sweep instead of all workers
-// computing all cells.
+// computing all cells. A fetch ranks the workers once, and its
+// failover walks that one fixed order.
 package fabric
 
 import (
@@ -55,26 +55,15 @@ type Options struct {
 	// Scale is the workload scale factor stamped on every cell request
 	// (0 means 1).
 	Scale int
-	// HedgeAfter is the ceiling on how long a cell request runs before
-	// a second worker is raced against it (default 3s). Once a worker
-	// has enough observed latency history, the hedge fires at twice
-	// its recent p99 instead, capped by this ceiling — slow-worker
-	// detection adapts to the actual cell cost.
-	HedgeAfter time.Duration
 	// ProbeEvery is the health-probe period (default 2s).
 	ProbeEvery time.Duration
-	// APIKey, when set, rides every cell request as `Authorization:
-	// Bearer` so sweeps work against an authed gateway fleet. A fleet
-	// answering 401 fails the sweep fast (permanent, not retried).
-	APIKey string
 	// Client overrides the HTTP client (default: a dedicated client
 	// with no overall timeout — cell requests are bounded by their
 	// context, probes by ProbeEvery).
 	Client *http.Client
 	// Logger receives the coordinator's structured event log: worker
-	// ejected/readmitted, cell fetched, hedge fired/won/lost — each
-	// tagged with the cell's correlation id where one applies. Nil
-	// discards.
+	// ejected/readmitted and cell fetched, the latter tagged with the
+	// cell's correlation id. Nil discards.
 	Logger *slog.Logger
 }
 
@@ -95,7 +84,6 @@ type Coordinator struct {
 	log     *slog.Logger
 
 	cellsSent atomic.Int64
-	hedged    atomic.Int64
 	retried   atomic.Int64
 	ejections atomic.Int64
 
@@ -140,9 +128,6 @@ func New(addrs []string, opts Options) (*Coordinator, error) {
 	}
 	if opts.Scale == 0 {
 		opts.Scale = 1
-	}
-	if opts.HedgeAfter <= 0 {
-		opts.HedgeAfter = 3 * time.Second
 	}
 	if opts.ProbeEvery <= 0 {
 		opts.ProbeEvery = 2 * time.Second
@@ -191,7 +176,6 @@ func (c *Coordinator) Close() {
 func (c *Coordinator) Stats() report.FabricStats {
 	fs := report.FabricStats{
 		CellsSent: c.cellsSent.Load(),
-		Hedged:    c.hedged.Load(),
 		Retried:   c.retried.Load(),
 		Ejections: c.ejections.Load(),
 	}
@@ -210,8 +194,8 @@ func (c *Coordinator) Stats() report.FabricStats {
 	return fs
 }
 
-// RemoteCell fetches one cell through hedged placement rounds over the
-// worker registry. It implements experiments.RemoteCellRunner.
+// RemoteCell fetches one cell through placement rounds over the worker
+// registry. It implements experiments.RemoteCellRunner.
 func (c *Coordinator) RemoteCell(ctx context.Context, workload string, config experiments.ConfigName, fid sim.Fidelity, overhead bool) (report.Cell, error) {
 	// The cell key is the serve flight key (every default normalized)
 	// under the report schema version: it ranks the workers for the
@@ -219,7 +203,7 @@ func (c *Coordinator) RemoteCell(ctx context.Context, workload string, config ex
 	key := fmt.Sprintf("v%d/%s", report.Version,
 		serve.SimFlightKey(workload, string(config), c.opts.Scale, fid, overhead))
 	// One correlation id per cell fetch, reused across every attempt
-	// (hedges and retries included), so the same id ties together the
+	// (retries included), so the same id ties together the
 	// coordinator's event log, each worker's request log, and the
 	// workers' flight-recorder dumps.
 	reqID := serve.NewRequestID()
@@ -240,7 +224,6 @@ func (c *Coordinator) RemoteCell(ctx context.Context, workload string, config ex
 type attemptOut struct {
 	cell      report.Cell
 	err       error
-	from      *worker       // who answered (nil for pre-send failures)
 	permanent bool          // a definitive worker answer: retrying cannot help
 	backoff   time.Duration // >0 for 429/503: the worker asked us to wait
 }
@@ -251,43 +234,39 @@ type attemptOut struct {
 // answers busy forever must still fail the cell rather than spin.
 const maxBusyRetries = 256
 
-// fetch runs the placement rounds for one cell. Each placement sends
-// to the next worker in the cell's rendezvous ranking and hedges onto
-// the following one if the primary outlives its hedge delay; the
-// first success wins and cancels the other request. Transport
-// failures consume a round, and the cell fails after one round per
-// worker (minimum 2); busy answers (429/503) only consume the backoff
-// the worker asked for, and permanent worker answers (other 4xx/5xx)
-// fail the cell immediately.
+// fetch runs the placement rounds for one cell. It ranks the workers
+// once, and round n goes to the n-th worker of that fixed order
+// (wrapping), so a worker that failed the cell is asked again only
+// after every other worker has had its turn. Transport failures
+// consume a round, and the cell fails after one round per worker
+// (minimum 2); busy answers (429/503) only consume the backoff the
+// worker asked for, and permanent worker answers (other 4xx/5xx) fail
+// the cell immediately.
 func (c *Coordinator) fetch(ctx context.Context, key, reqID string, body []byte) (report.Cell, error) {
+	order := c.ranking(key)
 	var lastErr error
 	rounds, busy := 0, 0
 	for n := 0; ; n++ {
-		order := c.ranking(key)
-		primary := order[n%len(order)]
-		var hedge *worker
-		if len(order) > 1 {
-			hedge = order[(n+1)%len(order)]
-		}
+		w := order[n%len(order)]
 		if n > 0 {
 			c.retried.Add(1)
 		}
-		cell, out, err := c.round(ctx, primary, hedge, reqID, body)
-		if err == nil {
+		out := c.attempt(ctx, w, reqID, body)
+		if out.err == nil {
 			c.log.LogAttrs(ctx, slog.LevelInfo, "cell fetched",
 				slog.String("cell", key),
 				slog.String("request_id", reqID),
-				slog.String("worker", out.from.addr),
+				slog.String("worker", w.addr),
 				slog.Int("round", n+1))
-			return cell, nil
+			return out.cell, nil
 		}
 		if ctx.Err() != nil {
 			return report.Cell{}, ctx.Err()
 		}
 		if out.permanent {
-			return report.Cell{}, err
+			return report.Cell{}, out.err
 		}
-		lastErr = err
+		lastErr = out.err
 		if out.backoff > 0 {
 			if busy++; busy > maxBusyRetries {
 				return report.Cell{}, fmt.Errorf("fabric: cell %s still rejected after %d busy retries: %w", key, maxBusyRetries, lastErr)
@@ -307,119 +286,37 @@ func (c *Coordinator) fetch(ctx context.Context, key, reqID string, body []byte)
 	}
 }
 
-// round issues one primary request and, if it outlives the hedge
-// delay, races a second worker against it. The returned attemptOut
-// describes the decisive failure when err != nil.
-func (c *Coordinator) round(ctx context.Context, primary, hedge *worker, reqID string, body []byte) (report.Cell, attemptOut, error) {
-	actx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	results := make(chan attemptOut, 2)
-	go c.attempt(actx, primary, reqID, body, results)
-	outstanding := 1
-
-	timer := time.NewTimer(c.hedgeDelay(primary))
-	defer timer.Stop()
-	hedgeArmed := hedge != nil
-	hedgeFired := false
-
-	var decisive attemptOut
-	var lastErr error
-	for outstanding > 0 {
-		select {
-		case <-timer.C:
-			if hedgeArmed {
-				hedgeArmed = false
-				hedgeFired = true
-				c.hedged.Add(1)
-				c.log.LogAttrs(ctx, slog.LevelInfo, "hedge fired",
-					slog.String("request_id", reqID),
-					slog.String("primary", primary.addr),
-					slog.String("hedge", hedge.addr))
-				go c.attempt(actx, hedge, reqID, body, results)
-				outstanding++
-			}
-		case out := <-results:
-			outstanding--
-			if out.err == nil {
-				if hedgeFired {
-					// The race is decided: say who won (the loser's
-					// request is canceled by the deferred cancel).
-					verdict := "hedge lost"
-					if out.from == hedge {
-						verdict = "hedge won"
-					}
-					c.log.LogAttrs(ctx, slog.LevelInfo, verdict,
-						slog.String("request_id", reqID),
-						slog.String("winner", out.from.addr))
-				}
-				return out.cell, out, nil
-			}
-			lastErr = out.err
-			// Keep the stronger verdict: a permanent answer or a
-			// requested backoff beats a plain transport failure.
-			if out.permanent || (out.backoff > 0 && decisive.backoff == 0) {
-				decisive = out
-			}
-			if out.permanent {
-				return report.Cell{}, out, out.err
-			}
-			// The primary failed before the hedge fired: promote the
-			// hedge worker immediately rather than waiting out the
-			// timer with nothing in flight.
-			if outstanding == 0 && hedgeArmed {
-				hedgeArmed = false
-				go c.attempt(actx, hedge, reqID, body, results)
-				outstanding++
-			}
-		case <-ctx.Done():
-			return report.Cell{}, attemptOut{err: ctx.Err()}, ctx.Err()
-		}
-	}
-	if decisive.err == nil {
-		decisive = attemptOut{err: lastErr}
-	}
-	return report.Cell{}, decisive, lastErr
-}
-
 // attempt sends one /v1/sim request to one worker and classifies the
-// outcome. A transport failure under a live parent context ejects the
-// worker; a canceled context (the other racer won, or the caller gave
-// up) is reported without touching worker health.
-func (c *Coordinator) attempt(ctx context.Context, w *worker, reqID string, body []byte, results chan<- attemptOut) {
+// outcome. A transport failure under a live context ejects the worker;
+// a canceled context (the caller gave up) is reported without touching
+// worker health.
+func (c *Coordinator) attempt(ctx context.Context, w *worker, reqID string, body []byte) attemptOut {
 	c.cellsSent.Add(1)
 	start := time.Now()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, w.addr+"/v1/sim", bytes.NewReader(body))
 	if err != nil {
-		results <- attemptOut{err: err, from: w, permanent: true}
-		return
+		return attemptOut{err: err, permanent: true}
 	}
 	req.Header.Set("Content-Type", "application/json")
 	req.Header.Set(serve.RequestIDHeader, reqID)
-	if c.opts.APIKey != "" {
-		req.Header.Set("Authorization", "Bearer "+c.opts.APIKey)
-	}
 	resp, err := c.client.Do(req)
 	if err != nil {
 		if ctx.Err() != nil {
-			results <- attemptOut{err: ctx.Err(), from: w}
-			return
+			return attemptOut{err: ctx.Err()}
 		}
 		w.lat.Observe(time.Since(start), true)
 		c.eject(w)
-		results <- attemptOut{err: fmt.Errorf("%s: %w", w.addr, err), from: w}
-		return
+		return attemptOut{err: fmt.Errorf("%s: %w", w.addr, err)}
 	}
 	defer resp.Body.Close()
 	data, err := io.ReadAll(io.LimitReader(resp.Body, 4<<20))
 	if err != nil {
 		if ctx.Err() != nil {
-			results <- attemptOut{err: ctx.Err(), from: w}
-			return
+			return attemptOut{err: ctx.Err()}
 		}
 		w.lat.Observe(time.Since(start), true)
 		c.eject(w)
-		results <- attemptOut{err: fmt.Errorf("%s: reading response: %w", w.addr, err), from: w}
-		return
+		return attemptOut{err: fmt.Errorf("%s: reading response: %w", w.addr, err)}
 	}
 	w.lat.Observe(time.Since(start), resp.StatusCode != http.StatusOK)
 
@@ -427,33 +324,29 @@ func (c *Coordinator) attempt(ctx context.Context, w *worker, reqID string, body
 	case http.StatusOK:
 		var sr serve.SimResponse
 		if err := json.Unmarshal(data, &sr); err != nil {
-			results <- attemptOut{err: fmt.Errorf("%s: bad cell response: %w", w.addr, err), from: w, permanent: true}
-			return
+			return attemptOut{err: fmt.Errorf("%s: bad cell response: %w", w.addr, err), permanent: true}
 		}
 		if sr.Version > report.Version {
-			results <- attemptOut{err: fmt.Errorf("%s: worker speaks schema version %d, this build understands %d",
-				w.addr, sr.Version, report.Version), from: w, permanent: true}
-			return
+			return attemptOut{err: fmt.Errorf("%s: worker speaks schema version %d, this build understands %d",
+				w.addr, sr.Version, report.Version), permanent: true}
 		}
 		// A request answered is a worker alive, however it was routed.
 		c.readmit(w)
-		results <- attemptOut{cell: sr.Cell, from: w}
+		return attemptOut{cell: sr.Cell}
 	case http.StatusTooManyRequests, http.StatusServiceUnavailable:
 		// Busy or draining: the worker is up but shedding load. Back
 		// off for the hinted interval (bounded — a sweep should route
 		// around a drain, not sleep through it).
-		results <- attemptOut{
+		return attemptOut{
 			err:     fmt.Errorf("%s: %s", w.addr, workerError(resp.StatusCode, data)),
-			from:    w,
 			backoff: retryAfter(resp, data),
 		}
 	default:
 		// 4xx/5xx with a definitive answer (bad request, unknown
 		// workload, internal error): re-sending the same bytes cannot
 		// produce a different result.
-		results <- attemptOut{
+		return attemptOut{
 			err:       fmt.Errorf("%s: %s", w.addr, workerError(resp.StatusCode, data)),
-			from:      w,
 			permanent: true,
 		}
 	}
@@ -479,27 +372,12 @@ func (c *Coordinator) readmit(w *worker) {
 	}
 }
 
-// hedgeDelay is when to race a second worker against w: twice w's
-// recent p99 once enough history exists, capped by the configured
-// ceiling (and floored so a fast worker is not hedged on noise).
-func (c *Coordinator) hedgeDelay(w *worker) time.Duration {
-	d := c.opts.HedgeAfter
-	if s := w.lat.Snapshot(); s.Requests >= 8 && s.P99Milli > 0 {
-		adaptive := time.Duration(2 * s.P99Milli * float64(time.Millisecond))
-		adaptive = max(adaptive, 10*time.Millisecond)
-		if adaptive < d {
-			d = adaptive
-		}
-	}
-	return d
-}
-
 // ranking orders the workers for one cell key: live workers first,
 // each group by descending rendezvous score. The per-key shuffle
 // spreads a sweep's cells evenly and deterministically across the
 // fleet — each cell has a stable preferred worker, so serve-side
 // flight caches warm on disjoint shards. Dead workers stay in the
-// ranking (at the end): if every live worker fails a round, a retry
+// ranking (at the end): if every live worker fails the cell, a later
 // round may still land on a recovered one before its next probe.
 func (c *Coordinator) ranking(key string) []*worker {
 	type scored struct {

@@ -10,7 +10,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"watchdog/internal/report"
 	"watchdog/internal/serve"
@@ -130,71 +129,12 @@ func TestRequestCorrelation(t *testing.T) {
 
 }
 
-// TestHedgeLogging: when a hedge fires and the race resolves, the
-// coordinator logs both edges under the cell's correlation id.
-func TestHedgeLogging(t *testing.T) {
-	var coordLog syncBuffer
-	release := make(chan struct{})
-	var slowOnce sync.Once
-	slowWrap := func(h http.Handler) http.Handler {
-		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if r.URL.Path == "/v1/sim" {
-				// Only the very first cell request — the primary,
-				// whichever worker placement picked — stalls; the hedge
-				// answers immediately and deterministically wins.
-				var first bool
-				slowOnce.Do(func() { first = true })
-				if first {
-					<-release
-				}
-			}
-			h.ServeHTTP(w, r)
-		})
-	}
-	w1 := httptest.NewServer(slowWrap(serve.New(serve.Config{MaxWorkers: 4}).Handler()))
-	w2 := httptest.NewServer(slowWrap(serve.New(serve.Config{MaxWorkers: 4}).Handler()))
-	t.Cleanup(w1.Close)
-	t.Cleanup(w2.Close)
-	t.Cleanup(func() { close(release) })
-
-	fab := newFabric(t, Options{
-		HedgeAfter: 50 * time.Millisecond,
-		Logger:     slog.New(slog.NewJSONHandler(&coordLog, nil)),
-	}, w1.URL, w2.URL)
-
-	if _, err := fab.RemoteCell(context.Background(), "lbm", "baseline", "", false); err != nil {
-		t.Fatal(err)
-	}
-	if fab.Stats().Hedged != 1 {
-		t.Fatalf("hedged = %d, want 1", fab.Stats().Hedged)
-	}
-
-	var fired, resolved bool
-	var firedID, resolvedID string
-	for _, rec := range logRecords(t, coordLog.String()) {
-		switch rec["msg"] {
-		case "hedge fired":
-			fired = true
-			firedID, _ = rec["request_id"].(string)
-		case "hedge won", "hedge lost":
-			resolved = true
-			resolvedID, _ = rec["request_id"].(string)
-		}
-	}
-	if !fired || !resolved {
-		t.Fatalf("hedge lifecycle not logged (fired=%v resolved=%v): %s", fired, resolved, coordLog.String())
-	}
-	if firedID == "" || firedID != resolvedID {
-		t.Errorf("hedge fired id %q != resolution id %q", firedID, resolvedID)
-	}
-}
-
 // TestFabricPromStats: the fabric exposition, rendered from the
 // FabricStats field tags, carries the coordinator counters and
 // per-worker series with worker labels.
 func TestFabricPromStats(t *testing.T) {
 	fs := report.FabricStats{
-		CellsSent: 12, Hedged: 2, Retried: 1, Ejections: 1,
+		CellsSent: 12, Retried: 1, Ejections: 1,
 		Workers: []report.FabricWorker{
 			{Addr: "http://a:1", Alive: true, Requests: 8, Errors: 0, Window: 8, P50Milli: 4, P99Milli: 20},
 			{Addr: "http://b:2", Alive: false, Requests: 4, Errors: 4, Window: 4, P50Milli: 100, P99Milli: 900},

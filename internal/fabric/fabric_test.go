@@ -3,7 +3,6 @@ package fabric
 import (
 	"context"
 	"encoding/json"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -126,8 +125,7 @@ func TestDistributedMatchesLocal(t *testing.T) {
 	fs := fab.Stats()
 	// fig7 over 2 workloads = 2 baselines + 2×4 swept configs = 10
 	// distinct cells, each fetched exactly once (the runner's cache
-	// absorbs re-reads; hedges would add to CellsSent but the default
-	// 3s hedge never fires on these tiny cells).
+	// absorbs re-reads).
 	if fs.CellsSent < 10 {
 		t.Errorf("CellsSent = %d, want >= 10", fs.CellsSent)
 	}
@@ -141,10 +139,10 @@ func TestDistributedMatchesLocal(t *testing.T) {
 			t.Errorf("worker %s marked dead", w.Addr)
 		}
 	}
-	// Per-worker requests count completions; hedge losers are canceled
-	// mid-flight, so they show up in CellsSent only.
-	if reqs < fs.CellsSent-fs.Hedged || reqs > fs.CellsSent {
-		t.Errorf("per-worker requests %d outside [%d, %d]", reqs, fs.CellsSent-fs.Hedged, fs.CellsSent)
+	// Nothing is canceled mid-flight on a healthy fleet, so every
+	// request sent completes at exactly one worker.
+	if reqs != fs.CellsSent {
+		t.Errorf("per-worker requests sum to %d, want cells_sent %d", reqs, fs.CellsSent)
 	}
 }
 
@@ -183,51 +181,6 @@ func TestWorkerDeathMidSweep(t *testing.T) {
 	fs := fab.Stats()
 	if fs.Ejections < 1 {
 		t.Errorf("Ejections = %d, want >= 1 after connection failures", fs.Ejections)
-	}
-}
-
-// TestHedging: when the primary request stalls, the hedge timer
-// races a second worker and its answer wins.
-func TestHedging(t *testing.T) {
-	// Both workers share one "first sim request hangs" latch, so the
-	// stall hits whichever worker the rendezvous ranking prefers; the
-	// hang parks on the request context, i.e. the loser unblocks when
-	// the fabric cancels it.
-	var first atomic.Bool
-	first.Store(true)
-	slowWrap := func(h http.Handler) http.Handler {
-		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if strings.HasPrefix(r.URL.Path, "/v1/sim") && first.CompareAndSwap(true, false) {
-				// Drain the body first: the server only watches for a
-				// client disconnect (which cancels r.Context()) once
-				// the request body has been consumed.
-				io.Copy(io.Discard, r.Body)
-				select {
-				case <-r.Context().Done():
-				case <-time.After(10 * time.Second):
-					t.Error("stalled primary was never canceled")
-				}
-				panic(http.ErrAbortHandler)
-			}
-			h.ServeHTTP(w, r)
-		})
-	}
-	w1 := httptest.NewServer(slowWrap(serve.New(serve.Config{MaxWorkers: 4}).Handler()))
-	w2 := httptest.NewServer(slowWrap(serve.New(serve.Config{MaxWorkers: 4}).Handler()))
-	t.Cleanup(w1.Close)
-	t.Cleanup(w2.Close)
-
-	fab := newFabric(t, Options{HedgeAfter: 20 * time.Millisecond}, w1.URL, w2.URL)
-	cell, err := fab.RemoteCell(context.Background(), "lbm", experiments.CfgConservative, sim.FidelityExact, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cell.Workload != "lbm" || cell.Cycles <= 0 || cell.Overhead <= 0 {
-		t.Fatalf("bad hedged cell: %+v", cell)
-	}
-	fs := fab.Stats()
-	if fs.Hedged < 1 {
-		t.Errorf("Hedged = %d, want >= 1 (the stalled primary should have been raced)", fs.Hedged)
 	}
 }
 
@@ -294,34 +247,9 @@ func TestStatsShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, field := range []string{"cells_sent", "hedged", "retried", "ejections", "workers", "addr", "alive", "p50_ms", "p99_ms"} {
+	for _, field := range []string{"cells_sent", "retried", "ejections", "workers", "addr", "alive", "p50_ms", "p99_ms"} {
 		if !strings.Contains(string(b), field) {
 			t.Errorf("fabric stats JSON missing %q: %s", field, b)
 		}
-	}
-}
-
-// TestAPIKeyPassThrough: against an authed gateway worker, a keyless
-// coordinator fails fast (401 is permanent, not retried) and a keyed
-// one sweeps normally.
-func TestAPIKeyPassThrough(t *testing.T) {
-	authed := httptest.NewServer(serve.New(serve.Config{
-		MaxWorkers: 4,
-		Keys:       map[string]string{"sk-fleet": "fleet"},
-	}).Handler())
-	t.Cleanup(authed.Close)
-
-	keyless := newFabric(t, Options{}, authed.URL)
-	if _, err := keyless.RemoteCell(context.Background(), "lbm", experiments.CfgBaseline, sim.FidelityExact, false); err == nil {
-		t.Fatal("keyless coordinator fetched a cell from an authed worker")
-	}
-
-	keyed := newFabric(t, Options{APIKey: "sk-fleet"}, authed.URL)
-	cell, err := keyed.RemoteCell(context.Background(), "lbm", experiments.CfgBaseline, sim.FidelityExact, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cell.Workload != "lbm" {
-		t.Errorf("cell workload %q, want lbm", cell.Workload)
 	}
 }

@@ -16,14 +16,11 @@ import (
 
 // jsonOnly lists, by JSON path (map keys as *), the leaves of the
 // serve /metrics document that have no Prometheus series: the schema
-// stamp, a configured bound, and the quota pair, which the JSON omits
-// when no quota is configured — a gauge cannot be omitted that way.
+// stamp and a configured bound.
 var jsonOnly = map[string]bool{
-	"schema":                    true,
-	"version":                   true,
-	"store.cache_max":           true,
-	"tenants.*.quota_used":      true,
-	"tenants.*.quota_remaining": true,
+	"schema":          true,
+	"version":         true,
+	"store.cache_max": true,
 }
 
 // TestOneDeclaration: the JSON snapshot types are the only declaration

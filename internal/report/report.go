@@ -261,12 +261,10 @@ type BenchExperiment struct {
 // the BenchReport and the `-stats` output, and its `prom` tags declare
 // the coordinator's Prometheus series (see stats.PromWriter.Struct).
 type FabricStats struct {
-	// CellsSent counts HTTP cell requests issued to workers, hedges
-	// and retries included.
-	CellsSent int64 `json:"cells_sent" prom:"watchdog_fabric_cells_sent_total,counter" help:"Cell requests issued to workers, hedges and retries included."`
-	// Hedged counts cells that got a second, racing request after the
-	// hedge delay; Retried counts re-issues after a worker failed.
-	Hedged  int64 `json:"hedged" prom:"watchdog_fabric_hedges_total,counter" help:"Cells that got a second racing request after the hedge delay."`
+	// CellsSent counts HTTP cell requests issued to workers, retries
+	// included.
+	CellsSent int64 `json:"cells_sent" prom:"watchdog_fabric_cells_sent_total,counter" help:"Cell requests issued to workers, retries included."`
+	// Retried counts re-issues after a worker failed or was busy.
 	Retried int64 `json:"retried" prom:"watchdog_fabric_retries_total,counter" help:"Cell re-issues after a failed placement round."`
 	// Ejections counts workers marked dead (connection failures or
 	// failed health probes); a worker can be ejected and readmitted

@@ -65,7 +65,7 @@ func TestRoundTrip(t *testing.T) {
 }
 
 // TestReadBenchFileKeepsOldFabricRecords: timing records written while
-// the fabric still counted cache hits decode unchanged.
+// the fabric still counted cache hits and hedges decode unchanged.
 func TestReadBenchFileKeepsOldFabricRecords(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "BENCH_old.json")
 	old := `{"schema":"` + BenchSchema + `","version":1,"exp":"fig7","fabric":{"cells_sent":240,"hedged":0,"retried":0,"cache_hits":7,"ejections":0}}`

@@ -18,10 +18,7 @@ type FlightRecord struct {
 	// coalesced onto (empty when the request never reached a flight —
 	// validation failures, backpressure rejections).
 	FlightKey string `json:"flight_key,omitempty"`
-	// Tenant is the tenant the request resolved to (empty for probe
-	// endpoints and requests refused before auth).
-	Tenant string `json:"tenant,omitempty"`
-	Status int    `json:"status"`
+	Status    int    `json:"status"`
 	// Coalesced marks a request that joined an existing flight (or
 	// replayed a completed one) instead of computing.
 	Coalesced    bool    `json:"coalesced,omitempty"`

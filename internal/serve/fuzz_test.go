@@ -1,44 +1,103 @@
 package serve
 
 import (
-	"fmt"
-	"maps"
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"watchdog/internal/report"
 )
 
-// FuzzParseKeys feeds the API-key file grammar arbitrary text, seeded
-// with TestParseKeys' inputs. ParseKeys must not panic, and a key file
-// it accepts must round-trip: rendered back as one `key tenant` line
-// per mapping, it parses to the same map. Run it with
+// FuzzStoreRead feeds the disk store arbitrary entry files, seeded
+// with an envelope Write produced and four broken variants of it. Each
+// input is written as the entry for one fixed key, then the store is
+// opened over it (so disk_bytes counts the file) and read. Read must
+// not panic. It may serve a body only from a valid envelope (this
+// schema version, this key, a matching sha256), and then it serves
+// that envelope's body; any other entry is deleted and counted as
+// corrupt. disk_bytes never goes below zero. Run it with
 //
-//	go test ./internal/serve -run '^$' -fuzz '^FuzzParseKeys$' -fuzztime 10s
-func FuzzParseKeys(f *testing.F) {
-	for _, seed := range []string{
-		"# comment\n\nsk-a alpha\nsk-b\tbeta\nsk-a2 alpha\n",
-		"",
-		"# only comments\n",
-		"sk-a\n",
-		"sk-a alpha extra\n",
-		"sk-a alpha\nsk-a b\n",
-	} {
-		f.Add(seed)
+//	go test ./internal/serve -run '^$' -fuzz '^FuzzStoreRead$' -fuzztime 10s
+func FuzzStoreRead(f *testing.F) {
+	const key = "sim/mcf/isa/1/exact/true"
+	seed, err := OpenStore(f.TempDir(), 1)
+	if err != nil {
+		f.Fatal(err)
 	}
-	f.Fuzz(func(t *testing.T, text string) {
-		keys, err := ParseKeys(strings.NewReader(text))
+	seed.Write(key, []byte(`{"schema":"watchdog-serve","version":1}`))
+	valid, err := os.ReadFile(seed.path(key))
+	if err != nil {
+		f.Fatal(err)
+	}
+	variant := func(edit func(*storeEnvelope)) []byte {
+		var env storeEnvelope
+		if err := json.Unmarshal(valid, &env); err != nil {
+			f.Fatal(err)
+		}
+		edit(&env)
+		b, err := json.Marshal(&env)
 		if err != nil {
-			return
+			f.Fatal(err)
 		}
-		var b strings.Builder
-		for key, tenant := range keys {
-			fmt.Fprintf(&b, "%s %s\n", key, tenant)
+		return b
+	}
+	f.Add(valid)
+	f.Add(valid[:len(valid)/2])
+	f.Add(variant(func(e *storeEnvelope) { e.Key = "sim/lbm/isa/1/exact/true" }))
+	f.Add(variant(func(e *storeEnvelope) { e.Body[0] ^= 1 }))
+	f.Add(variant(func(e *storeEnvelope) { e.Schema = 2 }))
+
+	// One directory serves every input: a worker process runs the fuzz
+	// function serially, and each input's entry is removed after it.
+	dir := f.TempDir()
+	path := filepath.Join(dir, filepath.Base(seed.path(key)))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
 		}
-		again, err := ParseKeys(strings.NewReader(b.String()))
+		defer os.Remove(path)
+		st, err := OpenStore(dir, 1)
 		if err != nil {
-			t.Fatalf("rendered key file %q refused: %v", b.String(), err)
+			t.Fatal(err)
 		}
-		if !maps.Equal(keys, again) {
-			t.Fatalf("round trip changed the mappings: %q -> %q", keys, again)
+		if got := st.bytes.Load(); got != int64(len(data)) {
+			t.Fatalf("disk_bytes = %d after opening a %d-byte entry", got, len(data))
+		}
+
+		body, ok := st.Read(key)
+
+		var env struct {
+			Schema int    `json:"schema"`
+			Key    string `json:"key"`
+			Sum    string `json:"sum"`
+			Body   []byte `json:"body"`
+		}
+		decoded := json.Unmarshal(data, &env) == nil
+		sum := sha256.Sum256(env.Body)
+		isValid := decoded && env.Schema == report.Version && env.Key == key &&
+			env.Sum == hex.EncodeToString(sum[:])
+		switch {
+		case ok && !isValid:
+			t.Fatalf("Read served %q from an invalid entry %q", body, data)
+		case ok && !bytes.Equal(body, env.Body):
+			t.Fatalf("Read served %q, want the envelope's body %q", body, env.Body)
+		case !ok && isValid:
+			t.Fatalf("Read refused a valid entry %q", data)
+		case !ok:
+			if _, err := os.Stat(path); !os.IsNotExist(err) {
+				t.Fatalf("refused entry left on disk (stat error %v)", err)
+			}
+			if got := st.corrupt.Load(); got != 1 {
+				t.Fatalf("corrupt_evicted = %d after one refused entry, want 1", got)
+			}
+		}
+		if got := st.bytes.Load(); got < 0 {
+			t.Fatalf("disk_bytes = %d, below zero", got)
 		}
 	})
 }

@@ -14,27 +14,21 @@ import (
 var updateGolden = flag.Bool("update", false, "rewrite the /metrics JSON golden")
 
 // fullMetrics is a /metrics document with every field non-zero: two
-// endpoints, two tenants with quota rows, and a disk store.
+// endpoints and a disk store.
 func fullMetrics() Metrics {
 	return Metrics{
-		Schema:               Schema,
-		Version:              Version,
-		UptimeNanos:          12_345_678_901,
-		Draining:             true,
-		Inflight:             3,
-		RejectedBusy:         4,
-		RejectedDraining:     5,
-		Coalesced:            6,
-		TimedOut:             7,
-		RejectedUnauthorized: 8,
-		RejectedLimited:      9,
+		Schema:           Schema,
+		Version:          Version,
+		UptimeNanos:      12_345_678_901,
+		Draining:         true,
+		Inflight:         3,
+		RejectedBusy:     4,
+		RejectedDraining: 5,
+		Coalesced:        6,
+		TimedOut:         7,
 		Endpoints: map[string]EndpointMetrics{
 			"sim":    {Requests: 40, Errors: 2, Window: 38, P50Milli: 1.25, P90Milli: 7.5, P99Milli: 120.125},
 			"juliet": {Requests: 11, Errors: 1, Window: 11, P50Milli: 310.5, P90Milli: 402.25, P99Milli: 998},
-		},
-		Tenants: map[string]TenantMetrics{
-			"alpha": {Requests: 30, Limited: 3, QuotaDenied: 2, QuotaUsed: 25, QuotaRemaining: 75},
-			"beta":  {Requests: 21, Limited: 1, QuotaDenied: 4, QuotaUsed: 17, QuotaRemaining: 83},
 		},
 		Store: StoreMetrics{
 			CacheEntries:   10,

@@ -9,8 +9,8 @@ import (
 
 // RequestIDHeader carries the request correlation id: the server
 // honors an incoming value (the distributed-sweep coordinator mints
-// one per cell and stamps it on every worker request, hedges and
-// retries included) and echoes the resolved id on every response, so
+// one per cell and stamps it on every worker request, retries
+// included) and echoes the resolved id on every response, so
 // one slow cell can be traced coordinator log → worker log → worker
 // flight-recorder dump across process boundaries.
 const RequestIDHeader = "X-Request-ID"

@@ -20,24 +20,21 @@
 //   - Deadlines and drain. Every computation runs under a context
 //     capped by the request's timeout_ms and the server-wide
 //     RequestTimeout — and detached from its creator's connection, so
-//     a disconnecting client (a canceled CLI, a hedged retry's
-//     abandoned loser) never kills a flight that coalesced waiters are
-//     still blocked on. An expired deadline is a 504 and the aborted
-//     computation is not kept, so a retry recomputes. A waiter never
-//     inherits the creator's deadline: while its own is live, it
-//     starts the computation again. On shutdown the server stops
-//     admitting work (503), lets in-flight requests finish within
-//     DrainTimeout, then force-cancels whatever is still running —
-//     cancellation lands mid-simulation via the machine's cooperative
-//     check.
+//     a disconnecting client (a canceled CLI or sweep) never kills a
+//     flight that coalesced waiters are still blocked on. An expired
+//     deadline is a 504 and the aborted computation is not kept, so a
+//     retry recomputes. A waiter never inherits the creator's
+//     deadline: while its own is live, it starts the computation
+//     again. On shutdown the server stops admitting work (503), lets
+//     in-flight requests finish within DrainTimeout, then
+//     force-cancels whatever is still running — cancellation lands
+//     mid-simulation via the machine's cooperative check.
 //
-// On top of those, the gateway layers (PR 10) add tenancy: API-key
-// auth resolving every request to a tenant (the anonymous tenant when
-// auth is off), per-tenant token-bucket rate limits and daily quotas,
-// and a persistent result store — the flight Group, bounded by
-// CacheEntries, in front of an optional disk-backed content-addressed
-// layer — so retention is capped and a restarted server replays prior
-// results byte-identically without re-simulating.
+// Completed results live in a two-layer store: the flight Group,
+// bounded by CacheEntries, in front of an optional disk-backed
+// content-addressed layer, so retention is capped and a restarted
+// server replays prior results byte-identically without
+// re-simulating.
 package serve
 
 import (
@@ -98,17 +95,6 @@ type Config struct {
 	// GET /debug/flights (most recent requests with their correlation
 	// ids). Default: 256.
 	FlightLogN int
-	// Keys maps API keys to tenant names (see LoadKeys). Empty disables
-	// auth: every request is admitted as the anonymous tenant, so
-	// pre-gateway clients keep working unchanged.
-	Keys map[string]string
-	// Rate is each tenant's sustained /v1/* admission rate in
-	// requests/second (0 = unlimited); the bucket holds twice that
-	// (at least one token).
-	Rate float64
-	// Quota caps each tenant's admitted /v1/* requests per UTC day
-	// (0 = unlimited).
-	Quota int64
 	// CacheEntries bounds the completed flight bodies kept in memory;
 	// past it the least recently used is evicted. Default: 512.
 	CacheEntries int
@@ -218,16 +204,8 @@ type Metrics struct {
 	// mid-computation). Added after PR 5; absent (zero) in older
 	// documents.
 	TimedOut int64 `json:"timed_out,omitempty" prom:"watchdog_serve_timeouts_total,counter" help:"Requests answered 504 (deadline expired mid-computation)."`
-	// RejectedUnauthorized / RejectedLimited count 401 and
-	// rate-or-quota 429 refusals (gateway additions; zero values are
-	// omitted so pre-gateway documents are byte-identical).
-	RejectedUnauthorized int64 `json:"rejected_unauthorized,omitempty" prom:"watchdog_serve_rejected_total,counter,reason=unauthorized"`
-	RejectedLimited      int64 `json:"rejected_limited,omitempty" prom:"watchdog_serve_rejected_total,counter,reason=limited"`
 
 	Endpoints map[string]EndpointMetrics `json:"endpoints" prom:"endpoint,label"`
-	// Tenants has one row per tenant seen since start (absent until the
-	// first /v1/* admission attempt).
-	Tenants map[string]TenantMetrics `json:"tenants,omitempty" prom:"tenant,label"`
 	// Store describes the result cache and disk store layers.
 	Store   StoreMetrics   `json:"store"`
 	Harness HarnessMetrics `json:"harness"`
@@ -263,16 +241,12 @@ type Server struct {
 	sem      chan struct{}
 	draining atomic.Bool
 
-	inflight             atomic.Int64
-	rejectedBusy         atomic.Int64
-	rejectedDraining     atomic.Int64
-	coalesced            atomic.Int64
-	timedOut             atomic.Int64
-	rejectedUnauthorized atomic.Int64
-	rejectedLimited      atomic.Int64
+	inflight         atomic.Int64
+	rejectedBusy     atomic.Int64
+	rejectedDraining atomic.Int64
+	coalesced        atomic.Int64
+	timedOut         atomic.Int64
 
-	// limiter holds every tenant's token bucket and quota window.
-	limiter *tenantLimiter
 	// flights coalesces requests by flight key and keeps the completed
 	// bodies, at most CacheEntries of them.
 	flights flight.Group[[]byte]
@@ -317,7 +291,6 @@ func New(cfg Config) *Server {
 		sem:       make(chan struct{}, cfg.MaxWorkers),
 		runners:   make(map[runnerKey]*experiments.Runner),
 		flightLog: newFlightLog(cfg.FlightLogN),
-		limiter:   newTenantLimiter(cfg.Rate, cfg.Quota),
 	}
 	s.flights.Max = cfg.CacheEntries
 	s.simMet.hist = stats.NewHistogram()
@@ -386,7 +359,6 @@ func (s *Server) Flush() { s.storeWG.Wait() }
 type reqInfo struct {
 	id        string
 	key       string
-	tenant    string
 	coalesced bool
 }
 
@@ -431,7 +403,6 @@ func (s *Server) timed(met *endpointTrack, fn func(http.ResponseWriter, *http.Re
 			Method:       r.Method,
 			Path:         r.URL.Path,
 			FlightKey:    info.key,
-			Tenant:       info.tenant,
 			Status:       status,
 			Coalesced:    info.coalesced,
 			LatencyMilli: latencyMilli,
@@ -451,7 +422,6 @@ func (s *Server) timed(met *endpointTrack, fn func(http.ResponseWriter, *http.Re
 			slog.String("path", r.URL.Path),
 			slog.String("request_id", info.id),
 			slog.String("flight", info.key),
-			slog.String("tenant", info.tenant),
 			slog.Bool("coalesced", info.coalesced),
 			slog.Int("status", status),
 			slog.Float64("latency_ms", latencyMilli),
@@ -494,19 +464,16 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) int {
 		UptimeNanos: time.Since(s.start).Nanoseconds(),
 		Draining:    s.draining.Load(),
 
-		Inflight:             s.inflight.Load(),
-		RejectedBusy:         s.rejectedBusy.Load(),
-		RejectedDraining:     s.rejectedDraining.Load(),
-		Coalesced:            s.coalesced.Load(),
-		TimedOut:             s.timedOut.Load(),
-		RejectedUnauthorized: s.rejectedUnauthorized.Load(),
-		RejectedLimited:      s.rejectedLimited.Load(),
+		Inflight:         s.inflight.Load(),
+		RejectedBusy:     s.rejectedBusy.Load(),
+		RejectedDraining: s.rejectedDraining.Load(),
+		Coalesced:        s.coalesced.Load(),
+		TimedOut:         s.timedOut.Load(),
 
 		Endpoints: map[string]EndpointMetrics{
 			"sim":    EndpointMetrics(s.simMet.win.Snapshot()),
 			"juliet": EndpointMetrics(s.julietMet.win.Snapshot()),
 		},
-		Tenants: s.limiter.snapshot(),
 		Store:   s.storeMetrics(),
 		Harness: s.harnessMetrics(),
 	}
@@ -539,8 +506,8 @@ func (s *Server) harnessMetrics() HarnessMetrics {
 // handleSim serves POST /v1/sim: validate, coalesce, compute one
 // report cell.
 func (s *Server) handleSim(w http.ResponseWriter, r *http.Request) int {
-	if st, ok := s.gate(w, r); !ok {
-		return st
+	if s.draining.Load() {
+		return s.refuseDraining(w)
 	}
 	var req SimRequest
 	if st, err := decodeBody(r, &req); err != nil {
@@ -603,8 +570,8 @@ func (s *Server) handleSim(w http.ResponseWriter, r *http.Request) int {
 // internally but occupies a single admission slot — it is the
 // heavyweight endpoint.
 func (s *Server) handleJuliet(w http.ResponseWriter, r *http.Request) int {
-	if st, ok := s.gate(w, r); !ok {
-		return st
+	if s.draining.Load() {
+		return s.refuseDraining(w)
 	}
 	var req JulietRequest
 	if st, err := decodeBody(r, &req); err != nil {
@@ -643,38 +610,12 @@ func (s *Server) handleJuliet(w http.ResponseWriter, r *http.Request) int {
 	})
 }
 
-// gate applies the admission gates in order — drain, auth, per-tenant
-// rate and quota — and resolves the request's tenant. During drain
-// every request — even one a completed flight could answer — is
-// refused, so the listener empties deterministically. An
-// unauthenticated request is refused before it can touch (or reveal
-// anything about) the limiter.
-func (s *Server) gate(w http.ResponseWriter, r *http.Request) (int, bool) {
-	if s.draining.Load() {
-		s.rejectedDraining.Add(1)
-		return writeError(w, http.StatusServiceUnavailable, "server is draining"), false
-	}
-	tenant, ok := s.tenantFor(r)
-	if !ok {
-		s.rejectedUnauthorized.Add(1)
-		w.Header().Set("WWW-Authenticate", `Bearer realm="watchdog-serve"`)
-		return writeError(w, http.StatusUnauthorized, "missing or unknown API key"), false
-	}
-	if info := requestInfo(r); info != nil {
-		info.tenant = tenant
-	}
-	if v := s.limiter.allow(tenant); !v.ok {
-		s.rejectedLimited.Add(1)
-		retry := retrySeconds(v.retryAfter)
-		w.Header().Set("Retry-After", strconv.Itoa(retry))
-		msg := "rate limit exceeded"
-		if v.reason == "quota" {
-			msg = "daily quota exhausted"
-		}
-		return writeJSON(w, http.StatusTooManyRequests,
-			&ErrorResponse{Error: msg, RetryAfterSec: retry}), false
-	}
-	return 0, true
+// refuseDraining answers a /v1/* request that arrived during drain.
+// Every such request — even one a completed flight could answer — is
+// refused, so the listener empties deterministically.
+func (s *Server) refuseDraining(w http.ResponseWriter) int {
+	s.rejectedDraining.Add(1)
+	return writeError(w, http.StatusServiceUnavailable, "server is draining")
 }
 
 // errBusy refuses a new computation: every worker slot is taken.
@@ -728,8 +669,7 @@ func (s *Server) flightDo(w http.ResponseWriter, r *http.Request, met *endpointT
 		// drain deadline still force-cancels it) capped by the request's
 		// deadline, never under r.Context(). A flight is shared — if the
 		// creating client disconnects, the coalesced waiters still need
-		// the result, and the fabric's hedged retries deliberately
-		// abandon the slower of two identical requests.
+		// the result.
 		ctx, cancel := context.WithDeadline(s.forceCtx, deadline)
 		defer cancel()
 		if s.computeStarted != nil {
@@ -808,6 +748,17 @@ func busyRetrySeconds(met *endpointTrack) int {
 		secs = 60
 	}
 	return secs
+}
+
+// retrySeconds rounds a Retry-After duration up to whole seconds with
+// a floor of 1 (the header's unit; zero would invite an instant
+// retry).
+func retrySeconds(d time.Duration) int {
+	s := int((d + time.Second - 1) / time.Second)
+	if s < 1 {
+		s = 1
+	}
+	return s
 }
 
 // timeout resolves a request's timeout_ms against the server cap.

@@ -301,3 +301,36 @@ func (l lockedWriter) Write(p []byte) (int, error) {
 	defer l.mu.Unlock()
 	return l.w.Write(p)
 }
+
+// TestProbeEndpointsEchoRequestID: /healthz, /metrics, and
+// /debug/flights used to bypass the timed wrapper and never echo a
+// correlation id; now they resolve and echo one like every other
+// endpoint.
+func TestProbeEndpointsEchoRequestID(t *testing.T) {
+	_, ts := testServer(t, Config{MaxWorkers: 1})
+	for _, path := range []string{"/healthz", "/metrics", "/debug/flights"} {
+		// A supplied id is echoed verbatim.
+		req, err := http.NewRequest(http.MethodGet, ts.URL+path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set(RequestIDHeader, "probe-42")
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if got := resp.Header.Get(RequestIDHeader); got != "probe-42" {
+			t.Errorf("%s echoed %q, want the supplied id", path, got)
+		}
+		// An absent id is minted, not left empty.
+		resp, err = http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.Header.Get(RequestIDHeader) == "" {
+			t.Errorf("%s answered without a generated %s", path, RequestIDHeader)
+		}
+	}
+}

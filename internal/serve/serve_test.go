@@ -683,9 +683,7 @@ func TestTimeoutResolution(t *testing.T) {
 // TestCreatorDisconnectWaitersSurvive is the flight-lifecycle bugfix
 // contract: the computation is detached from the creating client's
 // connection, so when the creator disconnects mid-flight the coalesced
-// waiters still get their 200 from the single shared simulation. (The
-// fabric's hedged retries depend on this too — a canceled hedge loser
-// must not kill the winner's flight.)
+// waiters still get their 200 from the single shared simulation.
 func TestCreatorDisconnectWaitersSurvive(t *testing.T) {
 	s, ts := testServer(t, Config{MaxWorkers: 4})
 	started := make(chan struct{})
@@ -833,5 +831,88 @@ func TestOversizedBody(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "1048576") {
 		t.Errorf("413 body does not name the limit: %s", out.String())
+	}
+}
+
+// TestNegativeTimeoutRejected: a negative timeout_ms used to be
+// silently treated as "server default"; it must be a 400 naming the
+// field, on both endpoints.
+func TestNegativeTimeoutRejected(t *testing.T) {
+	_, ts := testServer(t, Config{MaxWorkers: 2})
+	for _, tc := range []struct {
+		path string
+		body any
+	}{
+		{"/v1/sim", SimRequest{Workload: "mcf", Config: "conservative", TimeoutMS: -5}},
+		{"/v1/juliet", JulietRequest{Policy: "watchdog", TimeoutMS: -1}},
+	} {
+		resp, body := postJSON(t, ts.URL+tc.path, tc.body)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s with negative timeout_ms answered %d (%s), want 400", tc.path, resp.StatusCode, body)
+		}
+		if !strings.Contains(string(body), "timeout_ms") {
+			t.Errorf("%s error %s does not name timeout_ms", tc.path, body)
+		}
+	}
+}
+
+// TestBusyRetrySecondsTracksCompute: the backpressure Retry-After hint
+// is the clamped p50 of actual computation latencies — 1s floor on an
+// empty window, 60s ceiling.
+func TestBusyRetrySecondsTracksCompute(t *testing.T) {
+	var met endpointTrack
+	if got := busyRetrySeconds(nil); got != 1 {
+		t.Errorf("nil track: %d, want 1", got)
+	}
+	if got := busyRetrySeconds(&met); got != 1 {
+		t.Errorf("empty window: %d, want 1", got)
+	}
+	for i := 0; i < 8; i++ {
+		met.compute.Observe(2500*time.Millisecond, false)
+	}
+	if got := busyRetrySeconds(&met); got != 3 {
+		t.Errorf("p50=2.5s: %d, want 3", got)
+	}
+	var slow endpointTrack
+	for i := 0; i < 8; i++ {
+		slow.compute.Observe(10*time.Minute, false)
+	}
+	if got := busyRetrySeconds(&slow); got != 60 {
+		t.Errorf("p50=10m: %d, want the 60s clamp", got)
+	}
+}
+
+// TestBackpressureRetryAfterFromWindow: a saturated server's 429
+// quotes the observed compute p50, not the old hardcoded "1".
+func TestBackpressureRetryAfterFromWindow(t *testing.T) {
+	s, ts := testServer(t, Config{MaxWorkers: 1})
+	for i := 0; i < 8; i++ {
+		s.simMet.compute.Observe(5*time.Second, false)
+	}
+	started := make(chan struct{})
+	release := make(chan struct{})
+	s.computeStarted = func() {
+		started <- struct{}{}
+		<-release
+	}
+	slowDone := make(chan struct{})
+	go func() {
+		defer close(slowDone)
+		postJSON(t, ts.URL+"/v1/sim", SimRequest{Workload: "mcf", Config: "conservative"})
+	}()
+	<-started // the only worker slot is now held
+
+	resp, body := postJSON(t, ts.URL+"/v1/sim", SimRequest{Workload: "lbm", Config: "conservative"})
+	close(release)
+	<-slowDone
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("saturated server answered %d (%s), want 429", resp.StatusCode, body)
+	}
+	if got := resp.Header.Get("Retry-After"); got != "5" {
+		t.Errorf("Retry-After = %q, want \"5\" (compute p50)", got)
+	}
+	var er ErrorResponse
+	if err := json.Unmarshal(body, &er); err != nil || er.RetryAfterSec != 5 {
+		t.Errorf("429 body %s (err %v), want retry_after_sec 5", body, err)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"watchdog/internal/asm"
+	"watchdog/internal/cache"
 	"watchdog/internal/core"
 	"watchdog/internal/isa"
 	"watchdog/internal/pipeline"
@@ -147,6 +148,45 @@ func TestPipelineConfigValidated(t *testing.T) {
 		if res, err := Run(prog, cfg); err != nil || res.Output[0] != 99 {
 			t.Errorf("%s: err = %v, want a clean run", name, err)
 		}
+	}
+}
+
+// TestHierConfigValidated: a timed run refuses a cache hierarchy that
+// cache.HierConfig.Validate refuses, naming the field, where it used to
+// panic (an L1D with no ways divides by zero) or quietly run another
+// machine (a negative L2 latency shaved cycles off lbm). The lock
+// level is checked only when the engine has a lock cache, and a
+// functional run builds no hierarchy, so its zero config still runs.
+func TestHierConfigValidated(t *testing.T) {
+	prog, rtEnd := buildCounting(t, rt.Options{Policy: core.PolicyWatchdog})
+	for name, set := range map[string]func(*cache.HierConfig){
+		"L1D.Ways":       func(h *cache.HierConfig) { h.L1D.Ways = 0 },
+		"L1D.BlockBytes": func(h *cache.HierConfig) { h.L1D.BlockBytes = 0 },
+		"L2.Latency":     func(h *cache.HierConfig) { h.L2.Latency = -5 },
+		"Lock.SizeBytes": func(h *cache.HierConfig) { h.Lock.SizeBytes = 1000 },
+		"ITLBEntries":    func(h *cache.HierConfig) { h.ITLBEntries = 0 },
+	} {
+		cfg := Default()
+		cfg.RuntimeEnd = rtEnd
+		set(&cfg.Hier)
+		res, err := Run(prog, cfg)
+		if err == nil || !strings.Contains(err.Error(), name) {
+			t.Errorf("%s: err = %v, want an error naming the field", name, err)
+		}
+		if res != nil {
+			t.Errorf("%s: the refused hierarchy still ran", name)
+		}
+	}
+
+	noLock := Default()
+	noLock.RuntimeEnd = rtEnd
+	noLock.Core.LockCache = false
+	noLock.Hier.Lock = cache.Config{}
+	if res, err := Run(prog, noLock); err != nil || res.Output[0] != 99 {
+		t.Errorf("no lock cache, zero lock level: err = %v, want a clean run", err)
+	}
+	if res, err := Run(prog, Config{Core: core.DefaultConfig(), RuntimeEnd: rtEnd}); err != nil || res.Output[0] != 99 {
+		t.Errorf("functional run with a zero hierarchy: err = %v, want a clean run", err)
 	}
 }
 
