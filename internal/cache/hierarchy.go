@@ -2,6 +2,7 @@ package cache
 
 import (
 	"fmt"
+	"math"
 
 	"watchdog/internal/mem"
 )
@@ -44,15 +45,27 @@ func DefaultHierConfig() HierConfig {
 // tlbWays is the associativity of every TLB in the hierarchy.
 const tlbWays = 4
 
+// MaxSets and MaxWays bound one level, and MaxSets each TLB. New
+// allocates a level's set directory up front, one 4-byte word per
+// set, so MaxSets caps it at 4 MB: a 1 GB 16-way level with 64-byte
+// blocks, 64 times the Table 2 L3. A set's ways are allocated together
+// when it is first filled, and MaxSets×MaxWays lines still index from
+// the directory's 32-bit words.
+const (
+	MaxSets = 1 << 20
+	MaxWays = 1 << 10
+)
+
 // Validate refuses a hierarchy the model cannot build as described:
 // each level needs at least one way, a power-of-two block, and a size
 // that is a positive multiple of Ways×BlockBytes (New would otherwise
 // divide by zero, round the block up or floor the size to whole sets),
 // and no latency, stream count or prefetch depth may be negative. The
-// lock level is checked only when LockCacheEnabled. DRAMLatency and
+// lock level is checked only when LockCacheEnabled. No level may have
+// more than MaxSets sets or MaxWays ways. DRAMLatency and
 // TLBWalkPenalty must not be negative, and each TLB's entry count must
-// be a positive multiple of its 4 ways (NewTLB would round it). The
-// error names the first offending field.
+// be a positive multiple of its 4 ways (NewTLB would round it) with at
+// most MaxSets sets. The error names the first offending field.
 func (c HierConfig) Validate() error {
 	for _, l := range []struct {
 		name string
@@ -81,24 +94,47 @@ func (c HierConfig) Validate() error {
 		name string
 		v    int
 	}{{"ITLBEntries", c.ITLBEntries}, {"DTLBEntries", c.DTLBEntries}, {"LockTLBEntries", c.LockTLBEntries}} {
-		if f.v < tlbWays || f.v%tlbWays != 0 {
-			return fmt.Errorf("cache: %s is %d, want a positive multiple of %d", f.name, f.v, tlbWays)
+		if f.v < tlbWays || f.v%tlbWays != 0 || f.v/tlbWays > MaxSets {
+			return fmt.Errorf("cache: %s is %d, want a positive multiple of %d, at most %d",
+				f.name, f.v, tlbWays, tlbWays*MaxSets)
 		}
 	}
 	return nil
 }
 
+// MissLatency returns the latency of a data, fetch or lock access that
+// misses its TLB and every level down to DRAM: the longest latency the
+// hierarchy charges one access. It saturates at math.MaxInt and
+// assumes Validate has passed, so no latency is negative.
+func (c HierConfig) MissLatency() int {
+	l1 := max(c.L1I.Latency, c.L1D.Latency)
+	if c.LockCacheEnabled {
+		l1 = max(l1, c.Lock.Latency)
+	}
+	lat := 0
+	for _, v := range []int{c.TLBWalkPenalty, l1, c.L2.Latency, c.L3.Latency, c.DRAMLatency} {
+		if v > math.MaxInt-lat {
+			return math.MaxInt
+		}
+		lat += v
+	}
+	return lat
+}
+
 // validate checks one level, naming its fields after level.
 func (c Config) validate(level string) error {
 	switch {
-	case c.Ways < 1:
-		return fmt.Errorf("cache: %s.Ways is %d, want at least 1", level, c.Ways)
+	case c.Ways < 1 || c.Ways > MaxWays:
+		return fmt.Errorf("cache: %s.Ways is %d, want 1 to %d", level, c.Ways, MaxWays)
 	case c.BlockBytes < 1 || c.BlockBytes&(c.BlockBytes-1) != 0:
 		return fmt.Errorf("cache: %s.BlockBytes is %d, want a power of two", level, c.BlockBytes)
 	case c.SizeBytes < 1 || c.SizeBytes%c.BlockBytes != 0 || c.SizeBytes/c.BlockBytes%c.Ways != 0:
 		// Dividing step by step cannot overflow as Ways×BlockBytes can.
 		return fmt.Errorf("cache: %s.SizeBytes is %d, want a positive multiple of Ways×BlockBytes (%d×%d)",
 			level, c.SizeBytes, c.Ways, c.BlockBytes)
+	case c.SizeBytes/c.BlockBytes/c.Ways > MaxSets:
+		return fmt.Errorf("cache: %s.SizeBytes is %d, want at most %d sets of %d×%d bytes",
+			level, c.SizeBytes, MaxSets, c.Ways, c.BlockBytes)
 	}
 	for _, f := range []struct {
 		name string

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -11,15 +12,19 @@ import (
 // HierConfig, and of cache.Config at every level, with an error naming
 // the field. A field added to either struct without bad values here
 // fails the test. The lock level is checked only while the lock cache
-// is enabled. The Table 2 default, LockSweep's 1–8 KB lock caches and
-// the smallest legal values pass.
+// is enabled. Bad values include levels and TLBs one set past MaxSets
+// and a 2^40-byte level, which New would give a 2^30-word directory;
+// only Validate runs, so nothing that large is allocated. The Table 2
+// default, LockSweep's 1–8 KB lock caches and the smallest and largest
+// legal values pass.
 func TestHierConfigValidate(t *testing.T) {
 	// Bad values of a level's fields, from the level's default geometry.
 	levelBad := map[string]func(Config) []int{
 		"SizeBytes": func(c Config) []int {
-			return []int{0, -c.SizeBytes, c.SizeBytes + c.BlockBytes, c.Ways * c.BlockBytes / 2}
+			return []int{0, -c.SizeBytes, c.SizeBytes + c.BlockBytes, c.Ways * c.BlockBytes / 2,
+				(MaxSets + 1) * c.Ways * c.BlockBytes, 1 << 40}
 		},
-		"Ways":          func(Config) []int { return []int{0, -1} },
+		"Ways":          func(Config) []int { return []int{0, -1, MaxWays + 1} },
 		"BlockBytes":    func(Config) []int { return []int{0, -64, 48} },
 		"Latency":       func(Config) []int { return []int{-1, -5} },
 		"Streams":       func(Config) []int { return []int{-1} },
@@ -28,9 +33,9 @@ func TestHierConfigValidate(t *testing.T) {
 	topBad := map[string][]int{
 		"DRAMLatency":    {-1},
 		"TLBWalkPenalty": {-1},
-		"ITLBEntries":    {0, -4, 6},
-		"DTLBEntries":    {0, -4, 6},
-		"LockTLBEntries": {0, -4, 2},
+		"ITLBEntries":    {0, -4, 6, tlbWays * (MaxSets + 1)},
+		"DTLBEntries":    {0, -4, 6, tlbWays * (MaxSets + 1)},
+		"LockTLBEntries": {0, -4, 2, 1 << 40},
 	}
 	refused := func(name string, cfg HierConfig) {
 		t.Helper()
@@ -86,6 +91,12 @@ func TestHierConfigValidate(t *testing.T) {
 			}
 			c.ITLBEntries, c.DTLBEntries, c.LockTLBEntries = 4, 4, 4
 		},
+		"largest levels and TLBs": func(c *HierConfig) {
+			for _, l := range []*Config{&c.L1I, &c.L1D, &c.L2, &c.L3, &c.Lock} {
+				l.SizeBytes, l.Ways = MaxSets*MaxWays*l.BlockBytes, MaxWays
+			}
+			c.ITLBEntries, c.DTLBEntries, c.LockTLBEntries = tlbWays*MaxSets, tlbWays*MaxSets, tlbWays*MaxSets
+		},
 	}
 	for _, kb := range []int{1, 2, 4, 8} { // LockSweep's default sizes
 		good[fmt.Sprintf("%d KB lock cache", kb)] = func(c *HierConfig) { c.Lock.SizeBytes = kb << 10 }
@@ -96,5 +107,27 @@ func TestHierConfigValidate(t *testing.T) {
 		if err := cfg.Validate(); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
+	}
+}
+
+// TestMissLatency: the longest latency is a TLB walk, the slowest L1,
+// L2, L3 and DRAM; the lock level counts only while enabled, and a sum
+// past math.MaxInt saturates instead of wrapping negative.
+func TestMissLatency(t *testing.T) {
+	c := DefaultHierConfig()
+	if got := c.MissLatency(); got != 30+3+10+25+60 {
+		t.Errorf("default: MissLatency = %d, want 128", got)
+	}
+	c.Lock.Latency = 50
+	if got := c.MissLatency(); got != 30+50+10+25+60 {
+		t.Errorf("50-cycle lock cache: MissLatency = %d, want 175", got)
+	}
+	c.LockCacheEnabled = false
+	if got := c.MissLatency(); got != 128 {
+		t.Errorf("50-cycle lock cache, disabled: MissLatency = %d, want 128", got)
+	}
+	c.DRAMLatency, c.L3.Latency = math.MaxInt, math.MaxInt
+	if got := c.MissLatency(); got != math.MaxInt {
+		t.Errorf("MaxInt DRAM and L3: MissLatency = %d, want math.MaxInt", got)
 	}
 }

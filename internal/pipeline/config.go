@@ -100,3 +100,37 @@ func (c Config) Validate() error {
 	}
 	return nil
 }
+
+// MaxWindowCycles bounds ROBSize × the longest latency a µop can see.
+// A full ROB of dependent µops of that latency spreads the live cycles
+// about that far, and the slot table and IQ ring grow to cover the
+// spread: 2^20 cycles keeps them to tens of MB, where a latency in the
+// millions would ask for more memory than a host has. It admits a
+// 168-entry ROB with 5,000-cycle divides (840,000, a 24 MB slot table)
+// and a 1,024-entry ROB whose misses take 468 cycles (479,232).
+const MaxWindowCycles = 1 << 20
+
+// ValidateWindow refuses a configuration whose windows could spread
+// over more than MaxWindowCycles cycles: ROBSize times the longest of
+// the pipeline's latencies and memLatency, the latency of an access
+// that misses every cache level (cache.HierConfig.MissLatency). It
+// assumes Validate has passed.
+func (c Config) ValidateWindow(memLatency int) error {
+	name, lat := "miss latency", memLatency
+	for _, f := range []struct {
+		name string
+		v    int
+	}{
+		{"MulLat", c.MulLat}, {"DivLat", c.DivLat}, {"FPAluLat", c.FPAluLat},
+		{"FPMulLat", c.FPMulLat}, {"FPDivLat", c.FPDivLat},
+	} {
+		if f.v > lat {
+			name, lat = f.name, f.v
+		}
+	}
+	if lat > MaxWindowCycles/c.ROBSize {
+		return fmt.Errorf("pipeline: ROBSize %d × %s %d exceeds %d cycles",
+			c.ROBSize, name, lat, MaxWindowCycles)
+	}
+	return nil
+}

@@ -1,6 +1,8 @@
 package pipeline
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"watchdog/internal/bpred"
@@ -390,13 +392,16 @@ func TestNewFootprint(t *testing.T) {
 // Configurations reachable through the public SimConfig that spread
 // the pipeline's windows far past their initial 1,024 cycles: a
 // 5,000-cycle divide chain, and chains of dependent loads that miss
-// every level on large windows with slow DRAM. Each runs to completion
-// with a table that covers its widest live span, and chains as slow
-// as each µop's latency.
+// every level on large windows with slow DRAM. Each passes
+// ValidateWindow, runs to completion with a table that covers its
+// widest live span, and chains as slow as each µop's latency.
 func TestLargeWindowConfigs(t *testing.T) {
 	chain := func(t *testing.T, cfg Config, dram int, div bool, n int) *Model {
 		hc := cache.DefaultHierConfig()
 		hc.DRAMLatency = dram
+		if err := cfg.ValidateWindow(hc.MissLatency()); err != nil {
+			t.Fatalf("the window ceiling refuses this configuration: %v", err)
+		}
 		m := New(cfg, cache.NewHierarchy(hc), bpred.New(bpred.DefaultConfig()))
 		widest := int64(0)
 		for i := 0; i < n; i++ {
@@ -443,4 +448,45 @@ func TestLargeWindowConfigs(t *testing.T) {
 			t.Fatalf("slot table grew only to %d entries", len(m.slots.buf))
 		}
 	})
+}
+
+// TestValidateWindow: ROBSize × the longest latency may reach
+// MaxWindowCycles and no further, whichever latency is the longest,
+// memory's included; a product that would overflow is refused, not
+// wrapped. Only the error is checked: nothing runs.
+func TestValidateWindow(t *testing.T) {
+	cfg := DefaultConfig()
+	if err := cfg.ValidateWindow(128); err != nil {
+		t.Errorf("Table 2 config with the default hierarchy: %v", err)
+	}
+	rob := cfg.ROBSize
+	for _, c := range []struct {
+		name string
+		set  func(*Config, int) int // sets latency lat, returns memLatency
+	}{
+		{"DivLat", func(c *Config, lat int) int { c.DivLat = lat; return 128 }},
+		{"FPDivLat", func(c *Config, lat int) int { c.FPDivLat = lat; return 128 }},
+		{"MulLat", func(c *Config, lat int) int { c.MulLat = lat; return 128 }},
+		{"miss latency", func(c *Config, lat int) int { return lat }},
+	} {
+		most := MaxWindowCycles / rob
+		for _, lat := range []int{most, most + 1, 1 << 40, math.MaxInt} {
+			cfg := DefaultConfig()
+			err := cfg.ValidateWindow(c.set(&cfg, lat))
+			if lat == most {
+				if err != nil {
+					t.Errorf("%s %d × ROB %d = %d: %v", c.name, lat, rob, lat*rob, err)
+				}
+				continue
+			}
+			if err == nil || !strings.Contains(err.Error(), c.name+" ") {
+				t.Errorf("%s %d: err = %v, want an error naming %s", c.name, lat, err, c.name)
+			}
+		}
+	}
+	big := DefaultConfig()
+	big.ROBSize = MaxWindowCycles
+	if err := big.ValidateWindow(0); err == nil || !strings.Contains(err.Error(), "ROBSize") {
+		t.Errorf("ROBSize %d with 20-cycle divides: err = %v, want an error naming ROBSize", big.ROBSize, err)
+	}
 }

@@ -52,9 +52,11 @@ import (
 	"sync/atomic"
 	"time"
 
+	"watchdog/internal/core"
 	"watchdog/internal/experiments"
 	"watchdog/internal/flight"
 	"watchdog/internal/report"
+	"watchdog/internal/rt"
 	"watchdog/internal/security"
 	"watchdog/internal/sim"
 	"watchdog/internal/stats"
@@ -509,50 +511,18 @@ func (s *Server) handleSim(w http.ResponseWriter, r *http.Request) int {
 	if s.draining.Load() {
 		return s.refuseDraining(w)
 	}
-	var req SimRequest
-	if st, err := decodeBody(r, &req); err != nil {
+	req, st, err := parseSim(r.Body, s.cfg.MaxScale)
+	if err != nil {
 		return writeError(w, st, err.Error())
 	}
-	if req.TimeoutMS < 0 {
-		return writeError(w, http.StatusBadRequest,
-			fmt.Sprintf("timeout_ms must be >= 0, got %d", req.TimeoutMS))
-	}
-	wl, ok := workload.ByName(req.Workload)
-	if !ok {
-		return writeError(w, http.StatusBadRequest,
-			fmt.Sprintf("unknown workload %q (known: %v)", req.Workload, workload.Names()))
-	}
-	if !experiments.IsConfig(req.Config) {
-		return writeError(w, http.StatusBadRequest,
-			fmt.Sprintf("unknown config %q (known: %v)", req.Config, experiments.ConfigNames()))
-	}
-	if req.Scale == 0 {
-		req.Scale = 1
-	}
-	if req.Scale < 0 || req.Scale > s.cfg.MaxScale {
-		return writeError(w, http.StatusBadRequest,
-			fmt.Sprintf("scale %d out of range [1, %d]", req.Scale, s.cfg.MaxScale))
-	}
-	fid, err := sim.ParseFidelity(req.Fidelity)
-	if err != nil {
-		return writeError(w, http.StatusBadRequest, err.Error())
-	}
-	// A baseline cell's overhead ratio is meaningless (it would be 1 by
-	// definition) and the runner never computes it, so the flag is
-	// normalized away: with and without it the request is the same
-	// computation and must share one flight.
-	if req.Config == string(experiments.CfgBaseline) {
-		req.Overhead = false
-	}
-
-	key := SimFlightKey(req.Workload, req.Config, req.Scale, fid, req.Overhead)
+	key := SimFlightKey(req.Workload, req.Config, req.Scale, req.fid, req.Overhead)
 	return s.flightDo(w, r, &s.simMet, key, req.TimeoutMS, func(ctx context.Context) ([]byte, error) {
-		rn, err := s.runner(req.Scale, fid)
+		rn, err := s.runner(req.Scale, req.fid)
 		if err != nil {
 			return nil, err
 		}
 		start := time.Now()
-		cell, err := rn.CellCtx(ctx, wl, experiments.ConfigName(req.Config), req.Overhead)
+		cell, err := rn.CellCtx(ctx, req.wl, experiments.ConfigName(req.Config), req.Overhead)
 		if err != nil {
 			return nil, err
 		}
@@ -565,6 +535,57 @@ func (s *Server) handleSim(w http.ResponseWriter, r *http.Request) int {
 	})
 }
 
+// simCall is a /v1/sim request that passed parseSim: its defaults
+// filled in and its workload and fidelity resolved.
+type simCall struct {
+	SimRequest
+	wl  workload.Workload
+	fid sim.Fidelity
+}
+
+// parseSim decodes and checks a /v1/sim body against the server's
+// MaxScale. It returns the normalised request, or the status (400, or
+// 413 for a body over maxBody) and error to refuse it with. It runs
+// nothing, so FuzzSimRequest drives it with any body.
+func parseSim(body io.Reader, maxScale int) (simCall, int, error) {
+	var req SimRequest
+	if st, err := decodeBody(body, &req); err != nil {
+		return simCall{}, st, err
+	}
+	bad := func(format string, args ...any) (simCall, int, error) {
+		return simCall{}, http.StatusBadRequest, fmt.Errorf(format, args...)
+	}
+	if req.TimeoutMS < 0 {
+		return bad("timeout_ms must be >= 0, got %d", req.TimeoutMS)
+	}
+	wl, ok := workload.ByName(req.Workload)
+	if !ok {
+		return bad("unknown workload %q (known: %v)", req.Workload, workload.Names())
+	}
+	if !experiments.IsConfig(req.Config) {
+		return bad("unknown config %q (known: %v)", req.Config, experiments.ConfigNames())
+	}
+	if req.Scale == 0 {
+		req.Scale = 1
+	}
+	if req.Scale < 0 || req.Scale > maxScale {
+		return bad("scale %d out of range [1, %d]", req.Scale, maxScale)
+	}
+	fid, err := sim.ParseFidelity(req.Fidelity)
+	if err != nil {
+		return simCall{}, http.StatusBadRequest, err
+	}
+	req.Fidelity = string(fid)
+	// A baseline cell's overhead ratio is meaningless (it would be 1 by
+	// definition) and the runner never computes it, so the flag is
+	// normalized away: with and without it the request is the same
+	// computation and must share one flight.
+	if req.Config == string(experiments.CfgBaseline) {
+		req.Overhead = false
+	}
+	return simCall{SimRequest: req, wl: wl, fid: fid}, 0, nil
+}
+
 // handleJuliet serves POST /v1/juliet: the full security suite under
 // one policy. The suite fans out over the server's worker count
 // internally but occupies a single admission slot — it is the
@@ -573,31 +594,14 @@ func (s *Server) handleJuliet(w http.ResponseWriter, r *http.Request) int {
 	if s.draining.Load() {
 		return s.refuseDraining(w)
 	}
-	var req JulietRequest
-	if st, err := decodeBody(r, &req); err != nil {
+	req, st, err := parseJuliet(r.Body)
+	if err != nil {
 		return writeError(w, st, err.Error())
 	}
-	if req.TimeoutMS < 0 {
-		return writeError(w, http.StatusBadRequest,
-			fmt.Sprintf("timeout_ms must be >= 0, got %d", req.TimeoutMS))
-	}
-	if req.Policy == "" {
-		req.Policy = "watchdog"
-	}
-	cfg, opts, err := security.PolicyConfig(req.Policy)
-	if err != nil {
-		return writeError(w, http.StatusBadRequest, err.Error())
-	}
-	if err := security.SetTagBits(&cfg, req.TagBits); err != nil {
-		return writeError(w, http.StatusBadRequest, "tag_bits: "+err.Error())
-	}
-	// The key takes the width that runs: juliet/xtag/0 and
-	// juliet/xtag/8 are the same computation (the default width is 8)
-	// and must coalesce onto one flight.
-	key := JulietFlightKey(req.Policy, cfg.TagBits)
+	key := JulietFlightKey(req.Policy, req.TagBits)
 	return s.flightDo(w, r, &s.julietMet, key, req.TimeoutMS, func(ctx context.Context) ([]byte, error) {
 		cases := security.Suite()
-		outs, err := security.RunCasesCtx(ctx, cases, cfg, opts, s.cfg.MaxWorkers, &s.julietTiming, nil)
+		outs, err := security.RunCasesCtx(ctx, cases, req.cfg, req.opts, s.cfg.MaxWorkers, &s.julietTiming, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -608,6 +612,44 @@ func (s *Server) handleJuliet(w http.ResponseWriter, r *http.Request) int {
 			Juliet:  sum.ReportRecord(req.Policy),
 		})
 	})
+}
+
+// julietCall is a /v1/juliet request that passed parseJuliet: its
+// policy defaulted and resolved, and TagBits the width that runs.
+type julietCall struct {
+	JulietRequest
+	cfg  core.Config
+	opts rt.Options
+}
+
+// parseJuliet decodes and checks a /v1/juliet body. It returns the
+// normalised request, or the status (400, or 413 for a body over
+// maxBody) and error to refuse it with. It runs nothing, so
+// FuzzJulietRequest drives it with any body.
+func parseJuliet(body io.Reader) (julietCall, int, error) {
+	var req JulietRequest
+	if st, err := decodeBody(body, &req); err != nil {
+		return julietCall{}, st, err
+	}
+	if req.TimeoutMS < 0 {
+		return julietCall{}, http.StatusBadRequest,
+			fmt.Errorf("timeout_ms must be >= 0, got %d", req.TimeoutMS)
+	}
+	if req.Policy == "" {
+		req.Policy = "watchdog"
+	}
+	cfg, opts, err := security.PolicyConfig(req.Policy)
+	if err != nil {
+		return julietCall{}, http.StatusBadRequest, err
+	}
+	if err := security.SetTagBits(&cfg, req.TagBits); err != nil {
+		return julietCall{}, http.StatusBadRequest, fmt.Errorf("tag_bits: %w", err)
+	}
+	// The key takes the width that runs: juliet/xtag/0 and
+	// juliet/xtag/8 are the same computation (the default width is 8)
+	// and must coalesce onto one flight.
+	req.TagBits = cfg.TagBits
+	return julietCall{JulietRequest: req, cfg: cfg, opts: opts}, 0, nil
 }
 
 // refuseDraining answers a /v1/* request that arrived during drain.
@@ -788,21 +830,27 @@ func failureStatus(err error) (int, []byte) {
 	}
 }
 
-// decodeBody decodes a request body, returning the status to answer
+// decodeBody decodes a request body that holds one JSON object and
+// nothing after it but white space, returning the status to answer
 // with on failure: 413 (naming the limit) when the body overflowed
 // maxBody, 400 for everything else.
-func decodeBody(r *http.Request, v any) (int, error) {
-	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, maxBody))
+func decodeBody(body io.Reader, v any) (int, error) {
+	dec := json.NewDecoder(http.MaxBytesReader(nil, io.NopCloser(body), maxBody))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			return http.StatusRequestEntityTooLarge,
-				fmt.Errorf("request body exceeds the %d-byte limit", maxBody)
+	err := dec.Decode(v)
+	if err == nil {
+		if _, err = dec.Token(); err == io.EOF {
+			return 0, nil
+		} else if err == nil {
+			err = errors.New("trailing data after the JSON object")
 		}
-		return http.StatusBadRequest, fmt.Errorf("bad request body: %w", err)
 	}
-	return 0, nil
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return http.StatusRequestEntityTooLarge,
+			fmt.Errorf("request body exceeds the %d-byte limit", maxBody)
+	}
+	return http.StatusBadRequest, fmt.Errorf("bad request body: %w", err)
 }
 
 // SimFlightKey is the canonical identity of one /v1/sim computation:

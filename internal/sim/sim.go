@@ -94,6 +94,9 @@ func RunCtx(ctx context.Context, prog *asm.Program, cfg Config) (*machine.Result
 		if err := hier.Validate(); err != nil {
 			return nil, err
 		}
+		if err := cfg.Pipeline.ValidateWindow(hier.MissLatency()); err != nil {
+			return nil, err
+		}
 		bp = bpred.New(bpred.DefaultConfig())
 		model = pipeline.New(cfg.Pipeline, cache.NewHierarchy(hier), bp)
 		model.IdealShadow = cfg.IdealShadow

@@ -190,6 +190,35 @@ func TestHierConfigValidated(t *testing.T) {
 	}
 }
 
+// TestWindowCeilingRefused: a timed run refuses a configuration whose
+// ROBSize × longest latency, the hierarchy's miss latency included,
+// passes pipeline.MaxWindowCycles, where it used to grow the slot
+// table until the host ran out of memory. A functional run times
+// nothing, so the same configuration still runs there.
+func TestWindowCeilingRefused(t *testing.T) {
+	prog, rtEnd := buildCounting(t, rt.Options{Policy: core.PolicyWatchdog})
+	for name, set := range map[string]func(*Config){
+		"DivLat":       func(c *Config) { c.Pipeline.DivLat = 10_000_000 },
+		"miss latency": func(c *Config) { c.Hier.DRAMLatency = 1 << 30 },
+		"ROBSize":      func(c *Config) { c.Pipeline.ROBSize = pipeline.MaxWindowCycles },
+	} {
+		cfg := Default()
+		cfg.RuntimeEnd = rtEnd
+		set(&cfg)
+		res, err := Run(prog, cfg)
+		if err == nil || !strings.Contains(err.Error(), name) {
+			t.Errorf("%s: err = %v, want an error naming it", name, err)
+		}
+		if res != nil {
+			t.Errorf("%s: the refused config still ran", name)
+		}
+		cfg.Timing = false
+		if res, err := Run(prog, cfg); err != nil || res.Output[0] != 99 {
+			t.Errorf("%s, functional: err = %v, want a clean run", name, err)
+		}
+	}
+}
+
 // reflectSetInts sets every integer field of c to v.
 func reflectSetInts(c *pipeline.Config, v int64) {
 	rv := reflect.ValueOf(c).Elem()
