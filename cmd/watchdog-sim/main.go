@@ -1,14 +1,37 @@
-// watchdog-sim runs a single workload on the simulated processor under
+// watchdog-sim simulates one program on the simulated processor under
 // a chosen checking configuration and reports timing and engine
-// statistics.
+// statistics. The program is a workload (-workload, sized by -scale)
+// or a WD64 assembly file (-asm, which needs a "main" function). It
+// runs once under the configuration and, unless that is baseline,
+// once more under baseline, and one summary reports both runs. A
+// configuration that identifies pointers with ISA assistance profiles
+// a workload first; an -asm program runs on its annotations alone.
+//
+// The summary has one format on both sources: the program and the
+// configuration, then insts (macro, µops, cycles), the sampled estimate
+// at sampled fidelity, the overhead over baseline, memory ops, checks,
+// the program's output, and caught or abort when the run ended on
+// either; -v adds µop classes and branch mispredicts.
+//
+// Every flag acts alike on both sources, except that -workload, -scale
+// and -list, which pick or size a workload, exit 1 next to -asm.
+// -disasm prints the listing and then runs; -trace, -timeline and
+// -flight-log observe the configuration's run, not the baseline's. A
+// memory-safety violation or runtime abort is the simulated program's
+// outcome: the summary prints it (caught or abort), -flight-log dumps
+// the events before it, and the exit code is 0. So does a program that
+// fails under baseline, which checks nothing: the overhead line then
+// says why it has no number. Exit 1 means a bad flag, a program that
+// does not build, or a failed or interrupted simulation.
 //
 // Usage:
 //
 //	watchdog-sim -list
 //	watchdog-sim -workload mcf -config isa -scale 2
 //	watchdog-sim -workload perl -config conservative -v
+//	watchdog-sim -workload mcf -disasm -trace 20                # listing, then the run, its first 20 instructions traced
 //	watchdog-sim -workload mcf -config isa -timeline out.json   # open in ui.perfetto.dev
-//	watchdog-sim -asm prog.wd -flight-log 64                    # dump last events on a violation
+//	watchdog-sim -asm prog.wdasm -flight-log 64                 # dump last events on a violation
 //
 // SIGINT/SIGTERM cancel the simulation cooperatively mid-run: the
 // exit code is non-zero and a -cpuprofile is still stopped and
@@ -28,7 +51,6 @@ import (
 	"syscall"
 
 	"watchdog/internal/asm"
-	"watchdog/internal/core"
 	"watchdog/internal/experiments"
 	"watchdog/internal/isa"
 	"watchdog/internal/machine"
@@ -56,8 +78,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		cfg      = fs.String("config", "isa", "configuration: "+strings.Join(experiments.ConfigNames(), "|"))
 		scale    = fs.Int("scale", 1, "problem-size multiplier")
 		list     = fs.Bool("list", false, "list workloads and exit")
-		verbose  = fs.Bool("v", false, "print per-class µop counts and program output")
-		disasm   = fs.Bool("disasm", false, "print the assembled program listing (combines with -trace)")
+		verbose  = fs.Bool("v", false, "print per-class µop counts and branch mispredicts")
+		disasm   = fs.Bool("disasm", false, "print the assembled program listing before the run")
 		traceN   = fs.Int("trace", 0, "trace the first N executed instructions to stderr")
 		timeline = fs.String("timeline", "", "write the run's Perfetto/Chrome trace-event timeline (load in ui.perfetto.dev) to this JSON path")
 		flightN  = fs.Int("flight-log", 0, "keep the last N trace events in a flight recorder and dump them on a violation or runtime abort")
@@ -93,10 +115,13 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 
 	// Reject a bogus scale up front: workload.BuildProgram clamps
 	// non-positive scales to 1, so without this check `-scale 0` would
-	// run fine while the banner below reports the scale that was asked
-	// for, not the one simulated.
+	// run fine while the summary reports the scale that was asked for,
+	// not the one simulated.
 	if *scale < 1 {
 		return fail(fmt.Errorf("-scale %d: the problem-size multiplier must be >= 1", *scale))
+	}
+	if *traceN < 0 {
+		return fail(fmt.Errorf("-trace %d: the instruction count must be >= 0", *traceN))
 	}
 	if *flightN < 0 {
 		return fail(fmt.Errorf("-flight-log %d: the event count must be >= 0", *flightN))
@@ -109,12 +134,17 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fail(err)
 	}
-	// Both paths below simulate the configuration's own config, so an
-	// unknown name is refused before anything runs.
-	simCfg, err := experiments.SimConfig(experiments.ConfigName(*cfg))
+	cfgName := experiments.ConfigName(*cfg)
+	simCfg, err := experiments.SimConfig(cfgName)
 	if err != nil {
 		return fail(err)
 	}
+	baseCfg, err := experiments.SimConfig(experiments.CfgBaseline)
+	if err != nil {
+		return fail(err)
+	}
+	simCfg.Fidelity, simCfg.Sampling = fid, sampling
+	baseCfg.Fidelity, baseCfg.Sampling = fid, sampling
 
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
@@ -145,61 +175,48 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		}()
 	}
 
-	if *asmFile != "" {
-		simCfg.Fidelity = fid
-		simCfg.Sampling = sampling
-		if err := runAsmFile(ctx, *asmFile, *cfg, simCfg, *disasm, *verbose, *traceN, *timeline, *flightN, stdout, stderr); err != nil {
-			return fail(err)
-		}
-		return 0
-	}
-
 	if *list {
 		for _, w := range workload.All() {
 			fmt.Fprintf(stdout, "%-9s %s\n", w.Name, w.Kernel)
 		}
 		return 0
 	}
-	if *disasm || *traceN > 0 {
-		// -disasm and -trace combine: the listing prints first, then
-		// the traced functional run.
-		if err := inspect(ctx, *name, *scale, simCfg.Core, *disasm, *traceN, stdout, stderr); err != nil {
+	src, err := newSource(*asmFile, *name, *scale)
+	if err != nil {
+		return fail(err)
+	}
+	prog, rtEnd, err := src.build(rt.For(simCfg.Core))
+	if err != nil {
+		return fail(err)
+	}
+	if *disasm {
+		fmt.Fprint(stdout, prog.Disasm(0, 0))
+	}
+	if *traceN > 0 || *timeline != "" || *flightN > 0 {
+		// One sink serves all three. The trace budget lives in it, so
+		// once the first traceN instructions have printed the observer
+		// detaches instead of being consulted for every remaining one.
+		simCfg.Sink = trace.New(trace.Config{Timeline: *timeline != "", FlightN: *flightN, InstBudget: uint64(*traceN)})
+		if *traceN > 0 {
+			simCfg.Sink.SetInstObserver(traceFn(prog, stderr))
+		}
+	}
+	res, err := simulate(ctx, src, prog, rtEnd, simCfg)
+	if err != nil {
+		return fail(err)
+	}
+	if *traceN > 0 {
+		fmt.Fprintf(stderr, "-- traced %d of %d executed instructions --\n",
+			res.Trace.InstObserved(), res.Insts)
+	}
+	if *flightN > 0 && (res.MemErr != nil || res.Aborted) {
+		if err := res.Trace.DumpFlight(stderr, resolver(prog)); err != nil {
 			return fail(err)
 		}
-		if *disasm && *traceN == 0 {
-			return 0
-		}
 	}
-
-	w, ok := workload.ByName(*name)
-	if !ok {
-		return fail(fmt.Errorf("unknown workload %q (try -list)", *name))
-	}
-	r, err := experiments.NewRunner(*scale, w.Name)
-	if err != nil {
-		return fail(err)
-	}
-	// The signal context rides the runner: a SIGINT mid-simulation
-	// cancels cooperatively inside machine.Run, the error path below
-	// returns non-zero, and the profile defers still flush.
-	r.Ctx = ctx
-	r.Fidelity = fid
-	r.Sampling = sampling
-	if *timeline != "" || *flightN > 0 {
-		r.Trace = &trace.Config{Timeline: *timeline != "", FlightN: *flightN}
-	}
-	res, err := r.Run(w, experiments.ConfigName(*cfg))
-	// The baseline comparison run below needs no trace attached.
-	r.Trace = nil
-	if err != nil {
-		return fail(err)
-	}
+	config := fmt.Sprintf("%s, fidelity %s", cfgName, fid.OrExact())
 	if *timeline != "" {
-		labels := map[string]string{
-			"workload": w.Name,
-			"config":   *cfg,
-			"scale":    fmt.Sprint(*scale),
-		}
+		labels := map[string]string{"program": src.desc, "config": config}
 		if err := trace.WritePerfettoFile(*timeline, res.Trace, labels); err != nil {
 			return fail(err)
 		}
@@ -207,10 +224,22 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			*timeline, len(res.Trace.Events()))
 	}
 
-	fmt.Fprintf(stdout, "workload   %s (%s)\n", w.Name, w.Kernel)
-	fmt.Fprintf(stdout, "config     %s, scale %d, fidelity %s\n", *cfg, *scale, fid.OrExact())
-	fmt.Fprintf(stdout, "insts      %d macro, %d µops\n", res.Insts, res.Timing.Uops)
-	fmt.Fprintf(stdout, "cycles     %d (IPC %.2f)\n", res.Timing.Cycles, res.Timing.IPC())
+	base, baseErr := res, error(nil)
+	if cfgName != experiments.CfgBaseline {
+		baseProg, baseEnd, err := src.build(rt.For(baseCfg.Core))
+		if err == nil {
+			base, err = simulate(ctx, src, baseProg, baseEnd, baseCfg)
+		}
+		if ctx.Err() != nil {
+			return fail(ctx.Err())
+		}
+		baseErr = err
+	}
+
+	fmt.Fprintf(stdout, "%-10s %s\n", src.kind, src.desc)
+	fmt.Fprintf(stdout, "config     %s\n", config)
+	fmt.Fprintf(stdout, "insts      %d macro, %d µops, %d cycles (IPC %.2f)\n",
+		res.Insts, res.Timing.Uops, res.Timing.Cycles, res.Timing.IPC())
 	if res.SampledInsts > 0 && res.SampledInsts < res.Insts {
 		// A sampled run's raw cycle counter covers only the measured
 		// windows; the extrapolation is the whole-program estimate.
@@ -218,7 +247,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			res.SampledInsts, res.Insts,
 			100*float64(res.SampledInsts)/float64(res.Insts), res.EstimatedCycles())
 	}
-	if base, err := r.Run(w, experiments.CfgBaseline); err == nil && *cfg != "baseline" {
+	switch {
+	case baseErr != nil:
+		fmt.Fprintf(stdout, "overhead   unknown: under baseline, %v\n", baseErr)
+	case base != res:
 		ratio := float64(res.EstimatedCycles()) / float64(base.EstimatedCycles())
 		fmt.Fprintf(stdout, "overhead   %.1f%% over baseline (%d cycles)\n", (ratio-1)*100, base.EstimatedCycles())
 	}
@@ -226,131 +258,88 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		res.Engine.MemAccesses, res.Engine.PtrOps,
 		100*float64(res.Engine.PtrOps)/float64(max(res.Engine.MemAccesses, 1)))
 	fmt.Fprintf(stdout, "checks     %d injected\n", res.Engine.Checks)
+	fmt.Fprintf(stdout, "output     %v %q\n", res.Output, res.Text)
+	switch {
+	case res.MemErr != nil:
+		fmt.Fprintf(stdout, "caught     %v\n", res.MemErr)
+	case res.Aborted:
+		fmt.Fprintf(stdout, "abort      runtime code %d\n", res.AbortCode)
+	}
 	if *verbose {
-		printUopClasses(stdout, res)
-		fmt.Fprintf(stdout, "output      %v\n", res.Output)
+		fmt.Fprintf(stdout, "µop classes:\n")
+		for m := isa.MetaClass(0); m < isa.NumMetaClasses; m++ {
+			fmt.Fprintf(stdout, "  %-9s %d\n", m, res.Timing.UopsByMeta[m])
+		}
+		fmt.Fprintf(stdout, "mispredicts %d\n", res.Timing.Mispredicts)
 	}
 	return 0
 }
 
-// printUopClasses prints the -v detail of a timed run: µops by class
-// and branch mispredicts.
-func printUopClasses(w io.Writer, res *machine.Result) {
-	fmt.Fprintf(w, "µop classes:\n")
-	for m := isa.MetaClass(0); m < isa.NumMetaClasses; m++ {
-		fmt.Fprintf(w, "  %-9s %d\n", m, res.Timing.UopsByMeta[m])
-	}
-	fmt.Fprintf(w, "mispredicts %d\n", res.Timing.Mispredicts)
+// source is the program to simulate: a workload at a scale, or an
+// assembly file. build makes it under one runtime variant, so the
+// configuration's run and the baseline's each get their own.
+type source struct {
+	kind, desc string // the summary's first line: "workload", "mcf (…), scale 1"
+	build      func(rt.Options) (*asm.Program, int, error)
+	// profiled is false for an -asm program, which runs on its
+	// annotations alone: the profiling pass cannot run a program that
+	// violates safety.
+	profiled bool
 }
 
-// runAsmFile assembles and runs a WD64 text program on top of the
-// simulated runtime under the configuration's own config, at the
-// fidelity simCfg names; disasm prints the listing first, and verbose
-// the µop classes after the summary. There is no profiling pass (it
-// cannot run a program that violates safety), so ISA-assisted
-// configurations identify pointers from the program's annotations
-// alone.
-func runAsmFile(ctx context.Context, path, cfgName string, simCfg sim.Config, disasm, verbose bool, traceN int, timeline string, flightN int, stdout, stderr io.Writer) error {
-	src, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	build := rt.NewBuild(rt.For(simCfg.Core))
-	if err := asm.Parse(build.B, string(src)); err != nil {
-		return err
-	}
-	prog, err := build.Finish()
-	if err != nil {
-		return err
-	}
-	if disasm {
-		fmt.Fprint(stdout, prog.Disasm(0, 0))
-	}
-	simCfg.RuntimeEnd = build.RuntimeEnd()
-	if traceN > 0 {
-		simCfg.TraceBudget = uint64(traceN)
-		simCfg.Trace = traceFn(prog, stderr)
-	}
-	if timeline != "" || flightN > 0 {
-		simCfg.Sink = trace.New(trace.Config{Timeline: timeline != "", FlightN: flightN})
-	}
-	res, err := sim.RunCtx(ctx, prog, simCfg)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(stdout, "insts   %d macro, %d µops, %d cycles (IPC %.2f)\n",
-		res.Insts, res.Timing.Uops, res.Timing.Cycles, res.Timing.IPC())
-	if res.SampledInsts > 0 && res.SampledInsts < res.Insts {
-		// As in the workload summary: the raw cycle counter covers only
-		// the measured windows.
-		fmt.Fprintf(stdout, "sampled %d of %d insts (%.1f%%), estimated %d cycles\n",
-			res.SampledInsts, res.Insts,
-			100*float64(res.SampledInsts)/float64(res.Insts), res.EstimatedCycles())
-	}
-	fmt.Fprintf(stdout, "output  %v %q\n", res.Output, res.Text)
-	switch {
-	case res.MemErr != nil:
-		fmt.Fprintf(stdout, "caught  %v\n", res.MemErr)
-	case res.Aborted:
-		fmt.Fprintf(stdout, "abort   runtime code %d\n", res.AbortCode)
-	}
-	if verbose {
-		printUopClasses(stdout, res)
-	}
-	if flightN > 0 && (res.MemErr != nil || res.Aborted) {
-		if err := res.Trace.DumpFlight(stderr, resolver(prog)); err != nil {
-			return err
+// newSource picks the assembly file at path, or else the named
+// workload at scale.
+func newSource(path, name string, scale int) (source, error) {
+	if path != "" {
+		text, err := os.ReadFile(path)
+		if err != nil {
+			return source{}, err
 		}
+		return source{kind: "asm", desc: path, build: func(opts rt.Options) (*asm.Program, int, error) {
+			b := rt.NewBuild(opts)
+			if err := asm.Parse(b.B, string(text)); err != nil {
+				return nil, 0, err
+			}
+			prog, err := b.Finish()
+			return prog, b.RuntimeEnd(), err
+		}}, nil
 	}
-	if timeline != "" {
-		if err := trace.WritePerfettoFile(timeline, res.Trace, map[string]string{"asm": path, "config": cfgName}); err != nil {
-			return err
-		}
-		fmt.Fprintf(stderr, "watchdog-sim: wrote timeline %s (%d events)\n",
-			timeline, len(res.Trace.Events()))
-	}
-	return nil
-}
-
-// inspect prints a disassembly and/or traces execution of the
-// workload under the configuration's engine (functional run).
-func inspect(ctx context.Context, name string, scale int, cc core.Config, disasm bool, traceN int, stdout, stderr io.Writer) error {
 	w, ok := workload.ByName(name)
 	if !ok {
-		return fmt.Errorf("unknown workload %q", name)
+		return source{}, fmt.Errorf("unknown workload %q (try -list)", name)
 	}
-	prog, rtEnd, err := workload.BuildProgram(w, rt.For(cc), scale)
-	if err != nil {
-		return err
+	return source{
+		kind: "workload",
+		desc: fmt.Sprintf("%s (%s), scale %d", w.Name, w.Kernel, scale),
+		build: func(opts rt.Options) (*asm.Program, int, error) {
+			return workload.BuildProgram(w, opts, scale)
+		},
+		profiled: true,
+	}, nil
+}
+
+// simulate runs prog, which src built under rt.For(cfg.Core) with its
+// runtime ending at rtEnd, under cfg. A workload is profiled first
+// when the engine identifies pointers from a profile.
+func simulate(ctx context.Context, src source, prog *asm.Program, rtEnd int, cfg sim.Config) (*machine.Result, error) {
+	cfg.RuntimeEnd = rtEnd
+	if src.profiled && experiments.NeedsProfile(cfg.Core) {
+		p, err := experiments.Profile(ctx, prog, rt.For(cfg.Core), rtEnd)
+		if err != nil {
+			return nil, fmt.Errorf("profiling: %w", err)
+		}
+		cfg.Core.Profile = p
 	}
-	if disasm {
-		fmt.Fprint(stdout, prog.Disasm(0, 0))
-	}
-	if traceN <= 0 {
-		return nil
-	}
-	cfg := sim.Config{Core: cc, RuntimeEnd: rtEnd}
-	// The budget lives in the sink, so once the first traceN
-	// instructions have printed the observer is detached instead of
-	// being re-entered (and skipped) for every remaining instruction.
-	cfg.TraceBudget = uint64(traceN)
-	cfg.Trace = traceFn(prog, stderr)
-	res, err := sim.RunCtx(ctx, prog, cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(stderr, "-- traced %d of %d executed instructions --\n",
-		res.Trace.InstObserved(), res.Insts)
-	return nil
+	return sim.RunCtx(ctx, prog, cfg)
 }
 
 // traceFn renders one macro instruction per line, with labels.
-func traceFn(prog *asm.Program, w io.Writer) func(pc int, in *isa.Inst) {
-	return func(pc int, in *isa.Inst) {
-		for _, l := range prog.LabelsAt(pc) {
+func traceFn(prog *asm.Program, w io.Writer) func(ev trace.Event) {
+	return func(ev trace.Event) {
+		for _, l := range prog.LabelsAt(ev.PC) {
 			fmt.Fprintf(w, "%s:\n", l)
 		}
-		fmt.Fprintf(w, "%6d  %s\n", pc, in.String())
+		fmt.Fprintf(w, "%6d  %s\n", ev.PC, prog.Insts[ev.PC].String())
 	}
 }
 

@@ -8,10 +8,13 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
 	"watchdog/internal/experiments"
+	"watchdog/internal/workload"
 )
 
 // tracedLine matches one observer line of the instruction trace:
@@ -55,7 +58,7 @@ func TestTraceFooterCountsObserved(t *testing.T) {
 	if m[2] == "3" || m[2] == "0" {
 		t.Errorf("footer total %s looks like the budget, not the executed count", m[2])
 	}
-	// The timed report still prints after the traced inspection.
+	// The observer rides the timed run, whose report still prints.
 	if !strings.Contains(stdout.String(), "cycles") {
 		t.Errorf("-trace without -disasm must still run the timed report:\n%s", stdout.String())
 	}
@@ -120,7 +123,7 @@ func TestFlightLogDumpsOnViolation(t *testing.T) {
 	if code := run(context.Background(), []string{"-asm", path, "-flight-log", "32"}, &stdout, &stderr); code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, stderr.String())
 	}
-	if !strings.Contains(stdout.String(), "caught  use-after-free") {
+	if !strings.Contains(stdout.String(), "caught     use-after-free") {
 		t.Fatalf("run did not catch the UAF:\n%s", stdout.String())
 	}
 	dump := stderr.String()
@@ -156,10 +159,47 @@ func TestFlightLogQuietOnCleanRun(t *testing.T) {
 	}
 }
 
+// hijackProgram is a use-after-free that calls through the freed
+// box's first word: isa catches the dangling load, and baseline, which
+// checks nothing, calls the non-code address it reads.
+const hijackProgram = `
+main:
+    movi r1, 16
+    call malloc
+    mov  r4, r1
+    call free
+    ld   r2, [r4]
+    callr r2
+    ret
+`
+
+// TestBaselineFailureKeepsSummary: a program that fails only under
+// baseline still prints its summary and exits 0, and the overhead line
+// names the baseline's failure instead of a number.
+func TestBaselineFailureKeepsSummary(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "hijack.wdasm")
+	if err := os.WriteFile(path, []byte(hijackProgram), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var stdout, stderr bytes.Buffer
+	if code := run(context.Background(), []string{"-asm", path, "-config", "isa"}, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d, stderr: %s", code, stderr.String())
+	}
+	for _, want := range []string{
+		"\noverhead   unknown: under baseline, machine: indirect call to non-code address",
+		"\ncaught     use-after-free",
+	} {
+		if !strings.Contains(stdout.String(), want) {
+			t.Errorf("summary lacks %q:\n%s", want, stdout.String())
+		}
+	}
+}
+
 // TestBadFlagValuesRejected: invalid numeric flags fail fast.
 func TestBadFlagValuesRejected(t *testing.T) {
 	for _, args := range [][]string{
 		{"-scale", "0"},
+		{"-trace", "-1"},
 		{"-flight-log", "-1"},
 	} {
 		var stdout, stderr bytes.Buffer
@@ -234,7 +274,7 @@ func TestAsmRunsEachConfig(t *testing.T) {
 		}
 		var insts int
 		var c counts
-		if _, err := fmt.Sscanf(stdout.String(), "insts %d macro, %d µops, %d cycles",
+		if _, err := fmt.Sscanf(instsLine.FindString(stdout.String()), "insts %d macro, %d µops, %d cycles",
 			&insts, &c.uops, &c.cycles); err != nil {
 			t.Fatalf("%s: summary line: %v\n%s", name, err, stdout.String())
 		}
@@ -273,7 +313,7 @@ func TestAsmHonorsFidelity(t *testing.T) {
 	if code := run(context.Background(), args, &stdout, &stderr); code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, stderr.String())
 	}
-	m := regexp.MustCompile(`(?m)^sampled (\d+) of 558 insts \(\d+\.\d%\), estimated (\d+) cycles$`).FindStringSubmatch(stdout.String())
+	m := regexp.MustCompile(`(?m)^sampled    (\d+) of 558 insts \(\d+\.\d%\), estimated (\d+) cycles$`).FindStringSubmatch(stdout.String())
 	if m == nil {
 		t.Fatalf("no sampled estimate line:\n%s", stdout.String())
 	}
@@ -282,30 +322,204 @@ func TestAsmHonorsFidelity(t *testing.T) {
 	}
 }
 
-// TestAsmDisasm: -asm with -disasm prints the listing of the assembled
-// program before the run's summary.
-func TestAsmDisasm(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	if code := run(context.Background(), []string{"-asm", exampleAsm, "-disasm"}, &stdout, &stderr); code != 0 {
-		t.Fatalf("exit %d, stderr: %s", code, stderr.String())
-	}
-	out := stdout.String()
-	listing, summary := strings.Index(out, "main:\n"), strings.Index(out, "insts ")
-	if listing < 0 || summary < 0 || listing > summary {
-		t.Errorf("want the listing (main:) before the summary (insts):\n%s", firstLines(out, 8))
-	}
-}
+// instsLine matches the summary line with the run's macro-instruction,
+// µop and cycle counts.
+var instsLine = regexp.MustCompile(`(?m)^insts +(\d+) macro, .*$`)
 
-// TestAsmVerbose: -asm with -v prints the µop classes and mispredicts
-// after the summary, as the workload path does.
-func TestAsmVerbose(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	if code := run(context.Background(), []string{"-asm", exampleAsm, "-v"}, &stdout, &stderr); code != 0 {
-		t.Fatalf("exit %d, stderr: %s", code, stderr.String())
+// TestFlagsOnBothSources runs every flag -h lists on a workload and on
+// an assembly file. On each source a flag either changes the output as
+// its usage line says, against the same run without it, or exits 1
+// naming itself before printing anything: -workload, -scale and -list
+// next to -asm, and -asm next to an explicit -workload.
+func TestFlagsOnBothSources(t *testing.T) {
+	// outcome is what one run printed and returned.
+	type outcome struct {
+		code           int
+		stdout, stderr string
 	}
-	for _, want := range []string{"µop classes:", "mispredicts "} {
-		if !strings.Contains(stdout.String(), want) {
-			t.Errorf("-asm -v output lacks %q:\n%s", want, stdout.String())
+	var usage bytes.Buffer
+	run(context.Background(), []string{"-h"}, &bytes.Buffer{}, &usage)
+	var flags []string
+	for _, m := range regexp.MustCompile(`(?m)^  -([\w-]+)`).FindAllStringSubmatch(usage.String(), -1) {
+		flags = append(flags, m[1])
+	}
+	if len(flags) != 16 {
+		t.Errorf("-h lists %d flags, want 16: %v", len(flags), flags)
+	}
+	uaf := filepath.Join(t.TempDir(), "uaf.wdasm")
+	if err := os.WriteFile(uaf, []byte(uafProgram), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// Periods short enough for several windows in the example
+	// program's 558 instructions.
+	sampled := []string{"-fidelity", "sampled", "-sample", "100", "-sample-ff", "200", "-sample-warmup", "50"}
+	line := func(out, label string) string {
+		return regexp.MustCompile(`(?m)^` + label + ` .*$`).FindString(out)
+	}
+	insts := func(out string) int {
+		m := instsLine.FindStringSubmatch(out)
+		if m == nil {
+			return -1
+		}
+		n, _ := strconv.Atoi(m[1])
+		return n
+	}
+	same := func(t *testing.T, got, ref outcome) {
+		t.Helper()
+		if got.stdout != ref.stdout {
+			t.Errorf("summary changed:\n%s\nwant:\n%s", got.stdout, ref.stdout)
+		}
+	}
+	written := func(t *testing.T, path string) {
+		t.Helper()
+		if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
+			t.Errorf("%s not written: %v", path, err)
+		}
+	}
+	changed := func(label string) func(t *testing.T, got, ref outcome) {
+		return func(t *testing.T, got, ref outcome) {
+			if line(got.stdout, label) == line(ref.stdout, label) {
+				t.Errorf("%s line unchanged: %q", label, line(got.stdout, label))
+			}
+		}
+	}
+	for _, src := range [][]string{{"-workload", "mcf"}, {"-asm", exampleAsm}} {
+		dir := t.TempDir()
+		rows := []struct {
+			flag      string
+			args, ref []string // each after src; ref is the run args is compared with
+			refusedBy string   // the source flag next to which this flag exits 1
+			check     func(t *testing.T, got, ref outcome)
+		}{
+			{"workload", []string{"-workload", "lbm"}, nil, "-asm", func(t *testing.T, got, ref outcome) {
+				if !strings.HasPrefix(got.stdout, "workload   lbm (") {
+					t.Errorf("summary does not name lbm:\n%s", got.stdout)
+				}
+			}},
+			{"config", []string{"-config", "baseline"}, nil, "", func(t *testing.T, got, ref outcome) {
+				if l := line(got.stdout, "config"); l != "config     baseline, fidelity exact" {
+					t.Errorf("config line %q, want baseline", l)
+				}
+				if line(ref.stdout, "overhead") == "" || line(got.stdout, "overhead") != "" {
+					t.Errorf("want an overhead line under isa, none under baseline:\n%s\n%s", ref.stdout, got.stdout)
+				}
+			}},
+			{"scale", []string{"-scale", "2"}, nil, "-asm", func(t *testing.T, got, ref outcome) {
+				if !strings.HasSuffix(firstLines(got.stdout, 1), ", scale 2") || insts(got.stdout) <= insts(ref.stdout) {
+					t.Errorf("scale 2 did not grow the run:\n%s\n%s", ref.stdout, got.stdout)
+				}
+			}},
+			{"list", []string{"-list"}, nil, "-asm", func(t *testing.T, got, ref outcome) {
+				for _, w := range workload.Names() {
+					if !regexp.MustCompile(`(?m)^` + w + ` `).MatchString(got.stdout) {
+						t.Errorf("listing lacks %s:\n%s", w, got.stdout)
+					}
+				}
+				if strings.Contains(got.stdout, "insts ") {
+					t.Errorf("-list ran a simulation:\n%s", got.stdout)
+				}
+			}},
+			{"v", []string{"-v"}, nil, "", func(t *testing.T, got, ref outcome) {
+				rest, ok := strings.CutPrefix(got.stdout, ref.stdout)
+				if !ok || !strings.HasPrefix(rest, "µop classes:\n") || !strings.Contains(rest, "\nmispredicts ") {
+					t.Errorf("want the summary, then µop classes and mispredicts:\n%s", got.stdout)
+				}
+			}},
+			{"disasm", []string{"-disasm"}, nil, "", func(t *testing.T, got, ref outcome) {
+				listing, ok := strings.CutSuffix(got.stdout, ref.stdout)
+				if !ok || !strings.Contains(listing, "main:\n") {
+					t.Errorf("want the listing, then the summary:\n%s", firstLines(got.stdout, 8))
+				}
+			}},
+			{"trace", []string{"-trace", "5"}, nil, "", func(t *testing.T, got, ref outcome) {
+				same(t, got, ref)
+				if n := len(tracedLine.FindAllString(got.stderr, -1)); n != 5 {
+					t.Errorf("%d traced lines, want 5:\n%s", n, got.stderr)
+				}
+				foot := regexp.MustCompile(`-- traced (\d+) of (\d+) executed instructions --`).FindStringSubmatch(got.stderr)
+				if foot == nil || foot[1] != "5" || foot[2] != strconv.Itoa(insts(got.stdout)) {
+					t.Errorf("footer %q must count 5 of the summary's %d instructions", foot, insts(got.stdout))
+				}
+			}},
+			{"timeline", []string{"-timeline", filepath.Join(dir, "timeline.json")}, nil, "", func(t *testing.T, got, ref outcome) {
+				same(t, got, ref)
+				raw, err := os.ReadFile(filepath.Join(dir, "timeline.json"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				var doc struct {
+					TraceEvents []json.RawMessage `json:"traceEvents"`
+					Metadata    map[string]string `json:"metadata"`
+				}
+				if err := json.Unmarshal(raw, &doc); err != nil || len(doc.TraceEvents) == 0 {
+					t.Fatalf("timeline has no events: %v", err)
+				}
+				// The labels are the values of the summary's first two lines.
+				head := strings.SplitN(got.stdout, "\n", 3)
+				if !strings.HasSuffix(head[0], " "+doc.Metadata["program"]) || head[1] != "config     "+doc.Metadata["config"] {
+					t.Errorf("labels %v do not match the summary's head %q", doc.Metadata, head[:2])
+				}
+			}},
+			{"flight-log", []string{"-flight-log", "16"}, nil, "", func(t *testing.T, got, ref outcome) {
+				same(t, got, ref)
+				ended := line(got.stdout, "caught") != "" || line(got.stdout, "abort") != ""
+				if dumped := strings.Contains(got.stderr, "flight recorder: last"); dumped != ended {
+					t.Errorf("flight recorder dumped %v, the run caught or aborted %v:\n%s", dumped, ended, got.stderr)
+				}
+			}},
+			{"asm", []string{"-asm", uaf}, nil, "-workload", func(t *testing.T, got, ref outcome) {
+				if firstLines(got.stdout, 1) != "asm        "+uaf || !strings.HasPrefix(line(got.stdout, "caught"), "caught     use-after-free") {
+					t.Errorf("want the use-after-free program's summary:\n%s", got.stdout)
+				}
+			}},
+			{"cpuprofile", []string{"-cpuprofile", filepath.Join(dir, "cpu.pprof")}, nil, "", func(t *testing.T, got, ref outcome) {
+				same(t, got, ref)
+				written(t, filepath.Join(dir, "cpu.pprof"))
+			}},
+			{"memprofile", []string{"-memprofile", filepath.Join(dir, "mem.pprof")}, nil, "", func(t *testing.T, got, ref outcome) {
+				same(t, got, ref)
+				written(t, filepath.Join(dir, "mem.pprof"))
+			}},
+			{"fidelity", []string{"-fidelity", "sampled"}, nil, "", func(t *testing.T, got, ref outcome) {
+				if l := line(got.stdout, "config"); l != "config     isa, fidelity sampled" {
+					t.Errorf("config line %q, want the sampled fidelity", l)
+				}
+			}},
+			{"sample-ff", append(sampled, "-sample-ff", "100"), sampled, "", changed("insts")},
+			{"sample-warmup", append(sampled, "-sample-warmup", "20"), sampled, "", changed("insts")},
+			{"sample", append(sampled, "-sample", "50"), sampled, "", changed("sampled")},
+		}
+		covered := map[string]bool{}
+		for _, r := range rows {
+			covered[r.flag] = true
+		}
+		for _, f := range flags {
+			if !covered[f] {
+				t.Errorf("-%s has no row", f)
+			}
+		}
+		for _, r := range rows {
+			t.Run(strings.TrimPrefix(src[0], "-")+"/"+r.flag, func(t *testing.T) {
+				var stdout, stderr bytes.Buffer
+				code := run(context.Background(), append(slices.Clip(src), r.args...), &stdout, &stderr)
+				got := outcome{code, stdout.String(), stderr.String()}
+				if r.refusedBy == src[0] {
+					if code != 1 || !strings.Contains(got.stderr, "-"+r.flag) || got.stdout != "" {
+						t.Errorf("exit %d, stderr %q, stdout %q: want exit 1 naming -%s, nothing printed", code, got.stderr, got.stdout, r.flag)
+					}
+					return
+				}
+				if code != 0 {
+					t.Fatalf("exit %d, stderr: %s", code, got.stderr)
+				}
+				stdout.Reset()
+				stderr.Reset()
+				code = run(context.Background(), append(slices.Clip(src), r.ref...), &stdout, &stderr)
+				if code != 0 {
+					t.Fatalf("reference run: exit %d, stderr: %s", code, stderr.String())
+				}
+				r.check(t, got, outcome{code, stdout.String(), stderr.String()})
+			})
 		}
 	}
 }

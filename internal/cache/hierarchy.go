@@ -56,13 +56,23 @@ const (
 	MaxWays = 1 << 10
 )
 
+// MaxStreams and MaxPrefetchDepth bound a level's prefetcher. Every
+// access scans the level's stream table, and every hit on a stream
+// installs PrefetchDepth blocks, so these caps keep one access to a
+// few hundred steps: 8 and 4 times the largest Table 2 values.
+const (
+	MaxStreams       = 64
+	MaxPrefetchDepth = 64
+)
+
 // Validate refuses a hierarchy the model cannot build as described:
 // each level needs at least one way, a power-of-two block, and a size
 // that is a positive multiple of Ways×BlockBytes (New would otherwise
 // divide by zero, round the block up or floor the size to whole sets),
 // and no latency, stream count or prefetch depth may be negative. The
 // lock level is checked only when LockCacheEnabled. No level may have
-// more than MaxSets sets or MaxWays ways. DRAMLatency and
+// more than MaxSets sets or MaxWays ways, MaxStreams streams or a
+// prefetch depth over MaxPrefetchDepth. DRAMLatency and
 // TLBWalkPenalty must not be negative, and each TLB's entry count must
 // be a positive multiple of its 4 ways (NewTLB would round it) with at
 // most MaxSets sets. The error names the first offending field.
@@ -136,12 +146,15 @@ func (c Config) validate(level string) error {
 		return fmt.Errorf("cache: %s.SizeBytes is %d, want at most %d sets of %d×%d bytes",
 			level, c.SizeBytes, MaxSets, c.Ways, c.BlockBytes)
 	}
+	if c.Latency < 0 {
+		return fmt.Errorf("cache: %s.Latency is %d, want at least 0", level, c.Latency)
+	}
 	for _, f := range []struct {
-		name string
-		v    int
-	}{{"Latency", c.Latency}, {"Streams", c.Streams}, {"PrefetchDepth", c.PrefetchDepth}} {
-		if f.v < 0 {
-			return fmt.Errorf("cache: %s.%s is %d, want at least 0", level, f.name, f.v)
+		name    string
+		v, most int
+	}{{"Streams", c.Streams, MaxStreams}, {"PrefetchDepth", c.PrefetchDepth, MaxPrefetchDepth}} {
+		if f.v < 0 || f.v > f.most {
+			return fmt.Errorf("cache: %s.%s is %d, want 0 to %d", level, f.name, f.v, f.most)
 		}
 	}
 	return nil

@@ -12,9 +12,11 @@ import (
 // HierConfig, and of cache.Config at every level, with an error naming
 // the field. A field added to either struct without bad values here
 // fails the test. The lock level is checked only while the lock cache
-// is enabled. Bad values include levels and TLBs one set past MaxSets
-// and a 2^40-byte level, which New would give a 2^30-word directory;
-// only Validate runs, so nothing that large is allocated. The Table 2
+// is enabled. Bad values include levels and TLBs one set past MaxSets,
+// a 2^40-byte level, which New would give a 2^30-word directory, and
+// prefetchers past MaxStreams or MaxPrefetchDepth, which New would give
+// 2^50 stream slots or a hit would loop 2^40 times over; only Validate
+// runs, so nothing that large is allocated or looped over. The Table 2
 // default, LockSweep's 1–8 KB lock caches and the smallest and largest
 // legal values pass.
 func TestHierConfigValidate(t *testing.T) {
@@ -27,8 +29,8 @@ func TestHierConfigValidate(t *testing.T) {
 		"Ways":          func(Config) []int { return []int{0, -1, MaxWays + 1} },
 		"BlockBytes":    func(Config) []int { return []int{0, -64, 48} },
 		"Latency":       func(Config) []int { return []int{-1, -5} },
-		"Streams":       func(Config) []int { return []int{-1} },
-		"PrefetchDepth": func(Config) []int { return []int{-1} },
+		"Streams":       func(Config) []int { return []int{-1, MaxStreams + 1, 1 << 50} },
+		"PrefetchDepth": func(Config) []int { return []int{-1, MaxPrefetchDepth + 1, 1 << 40} },
 	}
 	topBad := map[string][]int{
 		"DRAMLatency":    {-1},
@@ -96,6 +98,11 @@ func TestHierConfigValidate(t *testing.T) {
 				l.SizeBytes, l.Ways = MaxSets*MaxWays*l.BlockBytes, MaxWays
 			}
 			c.ITLBEntries, c.DTLBEntries, c.LockTLBEntries = tlbWays*MaxSets, tlbWays*MaxSets, tlbWays*MaxSets
+		},
+		"largest prefetchers": func(c *HierConfig) {
+			for _, l := range []*Config{&c.L1I, &c.L1D, &c.L2, &c.L3, &c.Lock} {
+				l.Streams, l.PrefetchDepth = MaxStreams, MaxPrefetchDepth
+			}
 		},
 	}
 	for _, kb := range []int{1, 2, 4, 8} { // LockSweep's default sizes

@@ -210,7 +210,7 @@ func splitCellKey(key string) (wname, cname string, fid sim.Fidelity, ok bool) {
 // SimConfig is the one place a configuration name gets its meaning:
 // the engine configuration and timing-model switches it simulates
 // under. The runtime variant follows from the engine configuration
-// (rt.For), and so does the need for a profiling pass (needsProfile),
+// (rt.For), and so does the need for a profiling pass (NeedsProfile),
 // whose profile the runner fills in. An unknown name is an error that
 // lists the known ones.
 func SimConfig(name ConfigName) (sim.Config, error) {
@@ -249,10 +249,21 @@ func SimConfig(name ConfigName) (sim.Config, error) {
 	return cfg, nil
 }
 
-// needsProfile reports whether an engine configuration identifies
+// NeedsProfile reports whether an engine configuration identifies
 // pointers with ISA assistance, which the profiling pass drives.
-func needsProfile(cc core.Config) bool {
+func NeedsProfile(cc core.Config) bool {
 	return cc.Policy == core.PolicyWatchdog && cc.PtrPolicy == core.PtrISAAssisted
+}
+
+// Profile runs the profiling pass over prog, built under opts with its
+// runtime ending at rtEnd, and returns the profile an engine for which
+// NeedsProfile holds identifies pointers from.
+func Profile(ctx context.Context, prog *asm.Program, opts rt.Options, rtEnd int) (*core.Profile, error) {
+	base := core.DefaultConfig()
+	if opts.Bounds {
+		base.Bounds = core.BoundsFused
+	}
+	return sim.ProfileCtx(ctx, prog, base, rtEnd)
 }
 
 // ctx returns the runner's default context for the methods without
@@ -383,7 +394,7 @@ func (r *Runner) runUncached(ctx context.Context, fid sim.Fidelity, w workload.W
 	if err != nil {
 		return nil, err
 	}
-	if needsProfile(cfg.Core) {
+	if NeedsProfile(cfg.Core) {
 		if cfg.Core.Profile, err = r.profileFor(ctx, w, opts, prog, rtEnd); err != nil {
 			return nil, err
 		}
@@ -430,11 +441,7 @@ func (r *Runner) profileFor(ctx context.Context, w workload.Workload, opts rt.Op
 	key := fmt.Sprintf("%s/%s/%v", w.Name, opts.Policy, opts.Bounds)
 	return r.profiles.Do(ctx, key, nil, func() (*core.Profile, error) {
 		start := time.Now()
-		base := core.DefaultConfig()
-		if opts.Bounds {
-			base.Bounds = core.BoundsFused
-		}
-		p, err := sim.ProfileCtx(ctx, prog, base, rtEnd)
+		p, err := Profile(ctx, prog, opts, rtEnd)
 		r.Timing.AddProfile(time.Since(start))
 		if err != nil {
 			return nil, fmt.Errorf("profiling %s: %w", key, err)

@@ -90,7 +90,7 @@ func (r *Runner) warmProfiles(ctx context.Context, cfgs []ConfigName) error {
 		if err != nil {
 			return err
 		}
-		if !needsProfile(cfg.Core) {
+		if !NeedsProfile(cfg.Core) {
 			continue
 		}
 		for _, w := range r.Workloads {

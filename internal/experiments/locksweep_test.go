@@ -106,8 +106,8 @@ func TestSimConfigNames(t *testing.T) {
 			t.Errorf("%s: %v", name, err)
 			continue
 		}
-		if got := needsProfile(cfg.Core); got != profiled[name] {
-			t.Errorf("%s: needsProfile = %v, want %v", name, got, profiled[name])
+		if got := NeedsProfile(cfg.Core); got != profiled[name] {
+			t.Errorf("%s: NeedsProfile = %v, want %v", name, got, profiled[name])
 		}
 	}
 	if _, err := SimConfig("bogus"); err == nil || !strings.Contains(err.Error(), string(CfgDangKiller)) {

@@ -75,10 +75,18 @@ func DefaultConfig() Config {
 	}
 }
 
+// MaxLSQSize bounds LQSize and SQSize. New allocates both queues up
+// front, 8 bytes per load-queue entry and 40 per store-queue entry, so
+// the bound caps them at 3 MB. A queue longer than the ROB never
+// fills, and 65,536 entries is 64 times the largest ROB
+// TestLargeWindowConfigs times.
+const MaxLSQSize = 1 << 16
+
 // Validate refuses a configuration the model cannot time: every width,
 // window size, unit count and latency must be at least 1 (a zero ROB
-// divides by zero, a zero IQ never issues). The error names the first
-// offending field. ClockGHz only labels reports and is not checked.
+// divides by zero, a zero IQ never issues), and LQSize and SQSize at
+// most MaxLSQSize. The error names the first offending field. ClockGHz
+// only labels reports and is not checked.
 func (c Config) Validate() error {
 	for _, f := range []struct {
 		name string
@@ -96,6 +104,14 @@ func (c Config) Validate() error {
 	} {
 		if f.v < 1 {
 			return fmt.Errorf("pipeline: %s is %d, want at least 1", f.name, f.v)
+		}
+	}
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"LQSize", c.LQSize}, {"SQSize", c.SQSize}} {
+		if f.v > MaxLSQSize {
+			return fmt.Errorf("pipeline: %s is %d, want at most %d", f.name, f.v, MaxLSQSize)
 		}
 	}
 	return nil

@@ -11,7 +11,6 @@ import (
 	"watchdog/internal/bpred"
 	"watchdog/internal/cache"
 	"watchdog/internal/core"
-	"watchdog/internal/isa"
 	"watchdog/internal/machine"
 	"watchdog/internal/mem"
 	"watchdog/internal/pipeline"
@@ -37,16 +36,9 @@ type Config struct {
 	RuntimeEnd int
 	// InstLimit overrides the default macro-instruction limit.
 	InstLimit uint64
-	// Trace, when set, observes every executed macro instruction. It
-	// rides the trace sink's instruction-event stream (an adapter sink
-	// is created when Sink is nil), so -trace and the richer trace
-	// features share one entry point into the hot path.
-	Trace func(pc int, in *isa.Inst)
-	// TraceBudget bounds how many instructions Trace observes (0 =
-	// unlimited). Once spent, the observer short-circuits.
-	TraceBudget uint64
 	// Sink, when set, records per-µop lifecycle, check-outcome and
-	// shadow-traffic events (timeline export, flight recorder).
+	// shadow-traffic events (timeline export, flight recorder) and
+	// feeds its instruction observer, if it has one.
 	Sink *trace.Sink
 	// Sampling, when non-nil, overrides the sampled fidelity's default
 	// periodic-sampling parameters (Section 9.1). It is an error at any
@@ -103,19 +95,7 @@ func RunCtx(ctx context.Context, prog *asm.Program, cfg Config) (*machine.Result
 		model.Monolithic = cfg.Monolithic
 	}
 	m := machine.New(prog, memory, eng, model, bp)
-	sink := cfg.Sink
-	if cfg.Trace != nil {
-		if sink == nil {
-			// Adapter-only sink: no timeline, no ring — just the
-			// instruction observer stream.
-			sink = trace.New(trace.Config{InstBudget: cfg.TraceBudget})
-		}
-		tr := cfg.Trace
-		sink.SetInstObserver(func(ev trace.Event) {
-			tr(ev.PC, &prog.Insts[ev.PC])
-		})
-	}
-	if sink != nil {
+	if sink := cfg.Sink; sink != nil {
 		m.SetSink(sink)
 		if model != nil {
 			model.SetSink(sink)

@@ -99,12 +99,15 @@ func TestLockCacheConsistency(t *testing.T) {
 }
 
 // TestPipelineConfigValidated: a timed run refuses a pipeline config
-// with any width, window size, unit count or latency below 1, with an
-// error naming the field, where it used to panic (a zero ROB divides
-// by zero) or never return (a zero IQ never issues). The table holds
-// every integer field of pipeline.Config, so a field added without a
-// check fails here. The Table 2 default, the large-window configs of
-// pipeline.TestLargeWindowConfigs and the all-ones floor still run.
+// with any width, window size, unit count or latency below 1, or a
+// load or store queue over pipeline.MaxLSQSize, with an error naming
+// the field, where it used to panic (a zero ROB divides by zero, a
+// 2^50-entry store queue is out of makeslice's range) or never return
+// (a zero IQ never issues). The table holds every integer field of
+// pipeline.Config, so a field added without a check fails here. The
+// Table 2 default, the large-window configs of
+// pipeline.TestLargeWindowConfigs, the largest queues and the all-ones
+// floor still run.
 func TestPipelineConfigValidated(t *testing.T) {
 	prog, rtEnd := buildCounting(t, rt.Options{Policy: core.PolicyWatchdog})
 	var cases []reflect.StructField
@@ -118,7 +121,11 @@ func TestPipelineConfigValidated(t *testing.T) {
 	}
 	for _, f := range cases {
 		t.Run(f.Name, func(t *testing.T) {
-			for _, bad := range []int64{0, -1} {
+			bads := []int64{0, -1}
+			if f.Name == "LQSize" || f.Name == "SQSize" {
+				bads = append(bads, pipeline.MaxLSQSize+1, 1<<50)
+			}
+			for _, bad := range bads {
 				cfg := Default()
 				cfg.RuntimeEnd = rtEnd
 				reflect.ValueOf(&cfg.Pipeline).Elem().FieldByIndex(f.Index).SetInt(bad)
@@ -140,6 +147,7 @@ func TestPipelineConfigValidated(t *testing.T) {
 		"DivLat5000":          func(c *pipeline.Config) { c.DivLat = 5000 },
 		"ROB1024IQ1024":       func(c *pipeline.Config) { c.ROBSize, c.IQSize = 1024, 1024 },
 		"ROB512":              func(c *pipeline.Config) { c.ROBSize = 512 },
+		"largest LQ and SQ":   func(c *pipeline.Config) { c.LQSize, c.SQSize = pipeline.MaxLSQSize, pipeline.MaxLSQSize },
 		"all-ones (smallest)": func(c *pipeline.Config) { reflectSetInts(c, 1) },
 	} {
 		cfg := Default()
@@ -153,18 +161,22 @@ func TestPipelineConfigValidated(t *testing.T) {
 
 // TestHierConfigValidated: a timed run refuses a cache hierarchy that
 // cache.HierConfig.Validate refuses, naming the field, where it used to
-// panic (an L1D with no ways divides by zero) or quietly run another
-// machine (a negative L2 latency shaved cycles off lbm). The lock
+// panic (an L1D with no ways divides by zero, 2^50 L1D streams are out
+// of makeslice's range), never return (an L2 prefetch depth of 2^40
+// loops that often per stream hit) or quietly run another machine (a
+// negative L2 latency shaved cycles off lbm). The lock
 // level is checked only when the engine has a lock cache, and a
 // functional run builds no hierarchy, so its zero config still runs.
 func TestHierConfigValidated(t *testing.T) {
 	prog, rtEnd := buildCounting(t, rt.Options{Policy: core.PolicyWatchdog})
 	for name, set := range map[string]func(*cache.HierConfig){
-		"L1D.Ways":       func(h *cache.HierConfig) { h.L1D.Ways = 0 },
-		"L1D.BlockBytes": func(h *cache.HierConfig) { h.L1D.BlockBytes = 0 },
-		"L2.Latency":     func(h *cache.HierConfig) { h.L2.Latency = -5 },
-		"Lock.SizeBytes": func(h *cache.HierConfig) { h.Lock.SizeBytes = 1000 },
-		"ITLBEntries":    func(h *cache.HierConfig) { h.ITLBEntries = 0 },
+		"L1D.Ways":         func(h *cache.HierConfig) { h.L1D.Ways = 0 },
+		"L1D.BlockBytes":   func(h *cache.HierConfig) { h.L1D.BlockBytes = 0 },
+		"L2.Latency":       func(h *cache.HierConfig) { h.L2.Latency = -5 },
+		"Lock.SizeBytes":   func(h *cache.HierConfig) { h.Lock.SizeBytes = 1000 },
+		"ITLBEntries":      func(h *cache.HierConfig) { h.ITLBEntries = 0 },
+		"L1D.Streams":      func(h *cache.HierConfig) { h.L1D.Streams = 1 << 50 },
+		"L2.PrefetchDepth": func(h *cache.HierConfig) { h.L2.PrefetchDepth = 1 << 40 },
 	} {
 		cfg := Default()
 		cfg.RuntimeEnd = rtEnd
