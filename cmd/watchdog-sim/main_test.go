@@ -322,6 +322,34 @@ func TestAsmHonorsFidelity(t *testing.T) {
 	}
 }
 
+// TestAsmDisasm: -asm with -disasm prints the listing of the assembled
+// program before the run's summary.
+func TestAsmDisasm(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := run(context.Background(), []string{"-asm", exampleAsm, "-disasm"}, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d, stderr: %s", code, stderr.String())
+	}
+	out := stdout.String()
+	listing, summary := strings.Index(out, "main:\n"), strings.Index(out, "insts ")
+	if listing < 0 || summary < 0 || listing > summary {
+		t.Errorf("want the listing (main:) before the summary (insts):\n%s", firstLines(out, 8))
+	}
+}
+
+// TestAsmVerbose: -asm with -v prints the µop classes and mispredicts
+// after the summary, as the workload path does.
+func TestAsmVerbose(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := run(context.Background(), []string{"-asm", exampleAsm, "-v"}, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d, stderr: %s", code, stderr.String())
+	}
+	for _, want := range []string{"µop classes:", "mispredicts "} {
+		if !strings.Contains(stdout.String(), want) {
+			t.Errorf("-asm -v output lacks %q:\n%s", want, stdout.String())
+		}
+	}
+}
+
 // instsLine matches the summary line with the run's macro-instruction,
 // µop and cycle counts.
 var instsLine = regexp.MustCompile(`(?m)^insts +(\d+) macro, .*$`)
