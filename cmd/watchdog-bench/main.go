@@ -98,9 +98,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		memProf   = fs.String("memprofile", "", "write an allocation profile (go tool pprof) to this path when done")
 		benchOut  = fs.String("bench-out", "", "write the harness timing record (wall/busy time per experiment, schema v1 JSON) to this path")
 		fidelity  = fs.String("fidelity", "exact", "timing fidelity: "+sim.FidelityNames("|")+" (fidelity-drift runs every fidelity regardless)")
-		sampleFF  = fs.Uint64("sample-ff", 0, "sampled fidelity: fast-forward instructions per period (0 = paper default)")
-		sampleWU  = fs.Uint64("sample-warmup", 0, "sampled fidelity: warmup instructions per period (0 = paper default)")
-		sampleWin = fs.Uint64("sample", 0, "sampled fidelity: measured instructions per period (0 = paper default)")
 		workers   = fs.String("workers", "", "comma-separated watchdog-serve workers (host:port,...): shard cell simulations across them instead of simulating locally")
 
 		metricsAddr = fs.String("metrics-addr", "", "with -workers: serve the coordinator's Prometheus /metrics on this address for the duration of the sweep")
@@ -134,22 +131,13 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fail(err)
 	}
-	sampling, err := sim.SamplingOverride(fid, *sampleFF, *sampleWU, *sampleWin)
-	if err != nil {
-		return fail(err)
-	}
 	workerAddrs, err := workerList(*workers)
 	if err != nil {
 		return fail(err)
 	}
-	if len(workerAddrs) > 0 {
-		if !remotableExp(*exp) {
-			return fail(fmt.Errorf("-exp %s cannot run with -workers; distributable experiments: %s",
-				*exp, strings.Join(remotableExps, ", ")))
-		}
-		if sampling != nil {
-			return fail(fmt.Errorf("-sample-ff/-sample-warmup/-sample cannot run with -workers: sampling overrides are not part of the wire format, so workers would simulate different cells"))
-		}
+	if len(workerAddrs) > 0 && !remotableExp(*exp) {
+		return fail(fmt.Errorf("-exp %s cannot run with -workers; distributable experiments: %s",
+			*exp, strings.Join(remotableExps, ", ")))
 	}
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
@@ -171,7 +159,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 	r.Jobs = *jobs
 	r.Fidelity = fid
-	r.Sampling = sampling
 	if *metricsAddr != "" && len(workerAddrs) == 0 {
 		return fail(fmt.Errorf("-metrics-addr only applies with -workers (it serves the coordinator's fabric metrics)"))
 	}

@@ -161,9 +161,8 @@ func TestBaselineMissingFile(t *testing.T) {
 }
 
 // TestFidelityFlagValidation: an unknown -fidelity, the deleted
-// basic-block-memo fidelity included, and a sampling override on a
-// non-sampled fidelity are all rejected before any simulation; the
-// fidelity error names the valid values. (The removed name is spelled
+// basic-block-memo fidelity included, is rejected before any
+// simulation, with an error that names the valid values. (The removed name is spelled
 // split so a search for the deleted identifiers finds only live code.)
 func TestFidelityFlagValidation(t *testing.T) {
 	var stderr bytes.Buffer
@@ -182,14 +181,6 @@ func TestFidelityFlagValidation(t *testing.T) {
 		if stdout.Len() > 0 || strings.Contains(stderr.String(), "harness:") {
 			t.Errorf("-fidelity %s ran before failing: stdout %q stderr %q", bad, stdout.String(), stderr.String())
 		}
-	}
-	stderr.Reset()
-	if code := run(context.Background(), []string{"-exp", "fig7", "-workloads", "mcf",
-		"-sample", "1000"}, io.Discard, &stderr); code == 0 {
-		t.Fatal("sampling override at exact fidelity must exit non-zero")
-	}
-	if !strings.Contains(stderr.String(), "sampled") {
-		t.Fatalf("stderr %q does not explain the sampled-only override", stderr.String())
 	}
 }
 
@@ -459,8 +450,8 @@ func TestInterruptStopsCPUProfile(t *testing.T) {
 }
 
 // TestWorkersFlagValidation: -workers is validated eagerly — bad
-// addresses, non-distributable experiments and sampling overrides all
-// fail before any sweep starts.
+// addresses and non-distributable experiments fail before any sweep
+// starts.
 func TestWorkersFlagValidation(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -471,7 +462,6 @@ func TestWorkersFlagValidation(t *testing.T) {
 		{[]string{"-workers", "h:1", "-exp", "juliet"}, "cannot run with -workers"},
 		{[]string{"-workers", "h:1", "-exp", "all"}, "cannot run with -workers"},
 		{[]string{"-workers", "h:1", "-exp", "locksweep"}, "cannot run with -workers"},
-		{[]string{"-workers", "h:1", "-exp", "fig7", "-fidelity", "sampled", "-sample", "512"}, "sampling overrides"},
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := run(context.Background(), tc.args, &stdout, &stderr); code == 0 {

@@ -81,6 +81,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	if err := security.SetTagBits(&cfg, *tagBits); err != nil {
 		return fail(fmt.Errorf("-tag-bits: %w", err))
 	}
+	if *flightN < 1 || *flightN > trace.MaxFlightN {
+		return fail(fmt.Errorf("-flight-n %d: the flight recorder depth must be in [1, %d]", *flightN, trace.MaxFlightN))
+	}
 
 	// The built-in suite (the generated CWE-416/562 matrix plus the
 	// embedded .wdasm extensions), optionally extended from disk.

@@ -6,10 +6,12 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
 	"watchdog/internal/report"
+	"watchdog/internal/trace"
 )
 
 // TestFlightLogNamesIdentifier: the acceptance contract for the
@@ -147,6 +149,19 @@ func TestTagBitsFlagValidation(t *testing.T) {
 		var stdout, stderr bytes.Buffer
 		if code := run(context.Background(), args, &stdout, &stderr); code == 0 {
 			t.Errorf("%v: want non-zero exit", args)
+		}
+	}
+}
+
+// TestFlightNFlagValidation: a -flight-n below 1 or above
+// trace.MaxFlightN exits 1 naming the flag, before the suite is built
+// or a ring allocated.
+func TestFlightNFlagValidation(t *testing.T) {
+	for _, n := range []int{-1, 0, trace.MaxFlightN + 1} {
+		args := []string{"-flight-log", "c416_read_norealloc_straight_bad", "-flight-n", strconv.Itoa(n)}
+		var stdout, stderr bytes.Buffer
+		if code := run(context.Background(), args, &stdout, &stderr); code != 1 || !strings.Contains(stderr.String(), "-flight-n") || stdout.Len() > 0 {
+			t.Errorf("%v: exit %d, stderr %q, stdout %q: want exit 1 naming -flight-n, nothing printed", args, code, stderr.String(), stdout.String())
 		}
 	}
 }

@@ -87,9 +87,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile (go tool pprof) to this path")
 		memProf  = fs.String("memprofile", "", "write an allocation profile (go tool pprof) to this path when done")
 		fidelity = fs.String("fidelity", "exact", "timing fidelity: "+sim.FidelityNames("|"))
-		sampFF   = fs.Uint64("sample-ff", 0, "sampled fidelity: fast-forward instructions per period (0 = paper default)")
-		sampWU   = fs.Uint64("sample-warmup", 0, "sampled fidelity: warmup instructions per period (0 = paper default)")
-		sampWin  = fs.Uint64("sample", 0, "sampled fidelity: measured instructions per period (0 = paper default)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -123,14 +120,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	if *traceN < 0 {
 		return fail(fmt.Errorf("-trace %d: the instruction count must be >= 0", *traceN))
 	}
-	if *flightN < 0 {
-		return fail(fmt.Errorf("-flight-log %d: the event count must be >= 0", *flightN))
+	if *flightN < 0 || *flightN > trace.MaxFlightN {
+		return fail(fmt.Errorf("-flight-log %d: the event count must be in [0, %d]", *flightN, trace.MaxFlightN))
 	}
 	fid, err := sim.ParseFidelity(*fidelity)
-	if err != nil {
-		return fail(err)
-	}
-	sampling, err := sim.SamplingOverride(fid, *sampFF, *sampWU, *sampWin)
 	if err != nil {
 		return fail(err)
 	}
@@ -143,8 +136,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fail(err)
 	}
-	simCfg.Fidelity, simCfg.Sampling = fid, sampling
-	baseCfg.Fidelity, baseCfg.Sampling = fid, sampling
+	simCfg.Fidelity, baseCfg.Fidelity = fid, fid
 
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)

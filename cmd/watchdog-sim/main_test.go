@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"watchdog/internal/experiments"
+	"watchdog/internal/trace"
 	"watchdog/internal/workload"
 )
 
@@ -78,7 +79,7 @@ func TestTimelineWritesPerfettoJSON(t *testing.T) {
 		t.Fatal(err)
 	}
 	var doc struct {
-		TraceEvents []map[string]any `json:"traceEvents"`
+		TraceEvents []json.RawMessage `json:"traceEvents"`
 	}
 	if err := json.Unmarshal(raw, &doc); err != nil {
 		t.Fatalf("timeline is not valid JSON: %v", err)
@@ -195,24 +196,26 @@ func TestBaselineFailureKeepsSummary(t *testing.T) {
 	}
 }
 
-// TestBadFlagValuesRejected: invalid numeric flags fail fast.
+// TestBadFlagValuesRejected: invalid numeric flags exit 1 naming the
+// flag, before anything runs; a flight recorder deeper than
+// trace.MaxFlightN is refused before its ring is allocated.
 func TestBadFlagValuesRejected(t *testing.T) {
 	for _, args := range [][]string{
 		{"-scale", "0"},
 		{"-trace", "-1"},
 		{"-flight-log", "-1"},
+		{"-flight-log", strconv.Itoa(trace.MaxFlightN + 1)},
 	} {
 		var stdout, stderr bytes.Buffer
-		if code := run(context.Background(), args, &stdout, &stderr); code == 0 {
-			t.Errorf("run(%v) = 0, want non-zero", args)
+		if code := run(context.Background(), args, &stdout, &stderr); code != 1 || !strings.Contains(stderr.String(), args[0]) || stdout.Len() > 0 {
+			t.Errorf("run(%v) = %d, stderr %q, stdout %q: want exit 1 naming %s, nothing printed", args, code, stderr.String(), stdout.String(), args[0])
 		}
 	}
 }
 
 // TestFidelityFlagValidation: an unknown -fidelity, the deleted
-// basic-block-memo fidelity included, and a sampling override at exact
-// fidelity exit non-zero before the run, with a message that names the
-// valid values. (The removed name is spelled split so a search for the
+// basic-block-memo fidelity included, exits non-zero before the run,
+// with a message that names the valid values. (The removed name is spelled split so a search for the
 // deleted identifiers finds only live code.)
 func TestFidelityFlagValidation(t *testing.T) {
 	for _, bad := range []string{"bogus", "memo" + "ized"} {
@@ -228,13 +231,6 @@ func TestFidelityFlagValidation(t *testing.T) {
 		if stdout.Len() > 0 {
 			t.Errorf("-fidelity %s printed a result before failing: %q", bad, stdout.String())
 		}
-	}
-	var stderr bytes.Buffer
-	if code := run(context.Background(), []string{"-workload", "mcf", "-sample", "1000"}, &bytes.Buffer{}, &stderr); code == 0 {
-		t.Fatal("sampling override at exact fidelity must exit non-zero")
-	}
-	if !strings.Contains(stderr.String(), "sampled") {
-		t.Errorf("stderr %q does not explain the sampled-only override", stderr.String())
 	}
 }
 
@@ -302,23 +298,36 @@ func TestAsmRunsEachConfig(t *testing.T) {
 // ending in a double free that the runtime aborts on.
 const exampleAsm = "../../examples/assembly/program.wdasm"
 
-// TestAsmHonorsFidelity: -asm runs at the -fidelity and -sample*
-// values it is given and prints the sampled estimate, as the workload
-// summary does. A 350-instruction period over 558 instructions times
-// the 100-instruction windows of two periods.
+// spinProgram counts down a 3,000-instruction loop: long enough to
+// reach the sampled fidelity's first window, which the sampler opens
+// after 1,000 warmup instructions and closes 1,000 instructions later.
+const spinProgram = `
+main:
+    movi r5, 1500
+spin:
+    subi r5, r5, 1
+    br.nz r5, spin
+    ret
+`
+
+// TestAsmHonorsFidelity: -asm runs at the -fidelity it is given and
+// prints the sampled estimate, as the workload summary does: the spin
+// program's run times its first 1,000-instruction window.
 func TestAsmHonorsFidelity(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "spin.wdasm")
+	if err := os.WriteFile(path, []byte(spinProgram), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	var stdout, stderr bytes.Buffer
-	args := []string{"-asm", exampleAsm, "-fidelity", "sampled",
-		"-sample", "100", "-sample-ff", "200", "-sample-warmup", "50"}
-	if code := run(context.Background(), args, &stdout, &stderr); code != 0 {
+	if code := run(context.Background(), []string{"-asm", path, "-fidelity", "sampled"}, &stdout, &stderr); code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, stderr.String())
 	}
-	m := regexp.MustCompile(`(?m)^sampled    (\d+) of 558 insts \(\d+\.\d%\), estimated (\d+) cycles$`).FindStringSubmatch(stdout.String())
+	m := regexp.MustCompile(`(?m)^sampled    (\d+) of (\d+) insts \(\d+\.\d%\), estimated (\d+) cycles$`).FindStringSubmatch(stdout.String())
 	if m == nil {
 		t.Fatalf("no sampled estimate line:\n%s", stdout.String())
 	}
-	if m[1] != "200" {
-		t.Errorf("timed %s instructions, want 200", m[1])
+	if in := instsLine.FindStringSubmatch(stdout.String()); m[1] != "1000" || in == nil || m[2] != in[1] {
+		t.Errorf("%q: want 1000 timed of the insts line's count:\n%s", m[0], stdout.String())
 	}
 }
 
@@ -371,16 +380,13 @@ func TestFlagsOnBothSources(t *testing.T) {
 	for _, m := range regexp.MustCompile(`(?m)^  -([\w-]+)`).FindAllStringSubmatch(usage.String(), -1) {
 		flags = append(flags, m[1])
 	}
-	if len(flags) != 16 {
-		t.Errorf("-h lists %d flags, want 16: %v", len(flags), flags)
+	if len(flags) != 13 {
+		t.Errorf("-h lists %d flags, want 13: %v", len(flags), flags)
 	}
 	uaf := filepath.Join(t.TempDir(), "uaf.wdasm")
 	if err := os.WriteFile(uaf, []byte(uafProgram), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	// Periods short enough for several windows in the example
-	// program's 558 instructions.
-	sampled := []string{"-fidelity", "sampled", "-sample", "100", "-sample-ff", "200", "-sample-warmup", "50"}
 	line := func(out, label string) string {
 		return regexp.MustCompile(`(?m)^` + label + ` .*$`).FindString(out)
 	}
@@ -404,27 +410,20 @@ func TestFlagsOnBothSources(t *testing.T) {
 			t.Errorf("%s not written: %v", path, err)
 		}
 	}
-	changed := func(label string) func(t *testing.T, got, ref outcome) {
-		return func(t *testing.T, got, ref outcome) {
-			if line(got.stdout, label) == line(ref.stdout, label) {
-				t.Errorf("%s line unchanged: %q", label, line(got.stdout, label))
-			}
-		}
-	}
 	for _, src := range [][]string{{"-workload", "mcf"}, {"-asm", exampleAsm}} {
 		dir := t.TempDir()
 		rows := []struct {
 			flag      string
-			args, ref []string // each after src; ref is the run args is compared with
+			args      []string // after src; the reference run is src alone
 			refusedBy string   // the source flag next to which this flag exits 1
 			check     func(t *testing.T, got, ref outcome)
 		}{
-			{"workload", []string{"-workload", "lbm"}, nil, "-asm", func(t *testing.T, got, ref outcome) {
+			{"workload", []string{"-workload", "lbm"}, "-asm", func(t *testing.T, got, ref outcome) {
 				if !strings.HasPrefix(got.stdout, "workload   lbm (") {
 					t.Errorf("summary does not name lbm:\n%s", got.stdout)
 				}
 			}},
-			{"config", []string{"-config", "baseline"}, nil, "", func(t *testing.T, got, ref outcome) {
+			{"config", []string{"-config", "baseline"}, "", func(t *testing.T, got, ref outcome) {
 				if l := line(got.stdout, "config"); l != "config     baseline, fidelity exact" {
 					t.Errorf("config line %q, want baseline", l)
 				}
@@ -432,12 +431,12 @@ func TestFlagsOnBothSources(t *testing.T) {
 					t.Errorf("want an overhead line under isa, none under baseline:\n%s\n%s", ref.stdout, got.stdout)
 				}
 			}},
-			{"scale", []string{"-scale", "2"}, nil, "-asm", func(t *testing.T, got, ref outcome) {
+			{"scale", []string{"-scale", "2"}, "-asm", func(t *testing.T, got, ref outcome) {
 				if !strings.HasSuffix(firstLines(got.stdout, 1), ", scale 2") || insts(got.stdout) <= insts(ref.stdout) {
 					t.Errorf("scale 2 did not grow the run:\n%s\n%s", ref.stdout, got.stdout)
 				}
 			}},
-			{"list", []string{"-list"}, nil, "-asm", func(t *testing.T, got, ref outcome) {
+			{"list", []string{"-list"}, "-asm", func(t *testing.T, got, ref outcome) {
 				for _, w := range workload.Names() {
 					if !regexp.MustCompile(`(?m)^` + w + ` `).MatchString(got.stdout) {
 						t.Errorf("listing lacks %s:\n%s", w, got.stdout)
@@ -447,19 +446,19 @@ func TestFlagsOnBothSources(t *testing.T) {
 					t.Errorf("-list ran a simulation:\n%s", got.stdout)
 				}
 			}},
-			{"v", []string{"-v"}, nil, "", func(t *testing.T, got, ref outcome) {
+			{"v", []string{"-v"}, "", func(t *testing.T, got, ref outcome) {
 				rest, ok := strings.CutPrefix(got.stdout, ref.stdout)
 				if !ok || !strings.HasPrefix(rest, "µop classes:\n") || !strings.Contains(rest, "\nmispredicts ") {
 					t.Errorf("want the summary, then µop classes and mispredicts:\n%s", got.stdout)
 				}
 			}},
-			{"disasm", []string{"-disasm"}, nil, "", func(t *testing.T, got, ref outcome) {
+			{"disasm", []string{"-disasm"}, "", func(t *testing.T, got, ref outcome) {
 				listing, ok := strings.CutSuffix(got.stdout, ref.stdout)
 				if !ok || !strings.Contains(listing, "main:\n") {
 					t.Errorf("want the listing, then the summary:\n%s", firstLines(got.stdout, 8))
 				}
 			}},
-			{"trace", []string{"-trace", "5"}, nil, "", func(t *testing.T, got, ref outcome) {
+			{"trace", []string{"-trace", "5"}, "", func(t *testing.T, got, ref outcome) {
 				same(t, got, ref)
 				if n := len(tracedLine.FindAllString(got.stderr, -1)); n != 5 {
 					t.Errorf("%d traced lines, want 5:\n%s", n, got.stderr)
@@ -469,7 +468,7 @@ func TestFlagsOnBothSources(t *testing.T) {
 					t.Errorf("footer %q must count 5 of the summary's %d instructions", foot, insts(got.stdout))
 				}
 			}},
-			{"timeline", []string{"-timeline", filepath.Join(dir, "timeline.json")}, nil, "", func(t *testing.T, got, ref outcome) {
+			{"timeline", []string{"-timeline", filepath.Join(dir, "timeline.json")}, "", func(t *testing.T, got, ref outcome) {
 				same(t, got, ref)
 				raw, err := os.ReadFile(filepath.Join(dir, "timeline.json"))
 				if err != nil {
@@ -488,34 +487,31 @@ func TestFlagsOnBothSources(t *testing.T) {
 					t.Errorf("labels %v do not match the summary's head %q", doc.Metadata, head[:2])
 				}
 			}},
-			{"flight-log", []string{"-flight-log", "16"}, nil, "", func(t *testing.T, got, ref outcome) {
+			{"flight-log", []string{"-flight-log", "16"}, "", func(t *testing.T, got, ref outcome) {
 				same(t, got, ref)
 				ended := line(got.stdout, "caught") != "" || line(got.stdout, "abort") != ""
 				if dumped := strings.Contains(got.stderr, "flight recorder: last"); dumped != ended {
 					t.Errorf("flight recorder dumped %v, the run caught or aborted %v:\n%s", dumped, ended, got.stderr)
 				}
 			}},
-			{"asm", []string{"-asm", uaf}, nil, "-workload", func(t *testing.T, got, ref outcome) {
+			{"asm", []string{"-asm", uaf}, "-workload", func(t *testing.T, got, ref outcome) {
 				if firstLines(got.stdout, 1) != "asm        "+uaf || !strings.HasPrefix(line(got.stdout, "caught"), "caught     use-after-free") {
 					t.Errorf("want the use-after-free program's summary:\n%s", got.stdout)
 				}
 			}},
-			{"cpuprofile", []string{"-cpuprofile", filepath.Join(dir, "cpu.pprof")}, nil, "", func(t *testing.T, got, ref outcome) {
+			{"cpuprofile", []string{"-cpuprofile", filepath.Join(dir, "cpu.pprof")}, "", func(t *testing.T, got, ref outcome) {
 				same(t, got, ref)
 				written(t, filepath.Join(dir, "cpu.pprof"))
 			}},
-			{"memprofile", []string{"-memprofile", filepath.Join(dir, "mem.pprof")}, nil, "", func(t *testing.T, got, ref outcome) {
+			{"memprofile", []string{"-memprofile", filepath.Join(dir, "mem.pprof")}, "", func(t *testing.T, got, ref outcome) {
 				same(t, got, ref)
 				written(t, filepath.Join(dir, "mem.pprof"))
 			}},
-			{"fidelity", []string{"-fidelity", "sampled"}, nil, "", func(t *testing.T, got, ref outcome) {
+			{"fidelity", []string{"-fidelity", "sampled"}, "", func(t *testing.T, got, ref outcome) {
 				if l := line(got.stdout, "config"); l != "config     isa, fidelity sampled" {
 					t.Errorf("config line %q, want the sampled fidelity", l)
 				}
 			}},
-			{"sample-ff", append(sampled, "-sample-ff", "100"), sampled, "", changed("insts")},
-			{"sample-warmup", append(sampled, "-sample-warmup", "20"), sampled, "", changed("insts")},
-			{"sample", append(sampled, "-sample", "50"), sampled, "", changed("sampled")},
 		}
 		covered := map[string]bool{}
 		for _, r := range rows {
@@ -542,7 +538,7 @@ func TestFlagsOnBothSources(t *testing.T) {
 				}
 				stdout.Reset()
 				stderr.Reset()
-				code = run(context.Background(), append(slices.Clip(src), r.ref...), &stdout, &stderr)
+				code = run(context.Background(), src, &stdout, &stderr)
 				if code != 0 {
 					t.Fatalf("reference run: exit %d, stderr: %s", code, stderr.String())
 				}

@@ -98,19 +98,11 @@ type Runner struct {
 	// of different fidelities never alias, so a runner used at several
 	// fidelities (the fidelity-drift experiment) keeps them apart.
 	Fidelity sim.Fidelity
-	// Sampling overrides the sampled fidelity's default parameters
-	// (nil = sim.DefaultSampling()). Ignored at other fidelities.
-	Sampling *machine.Sampling
 
 	// Timing counts executed simulations, profiling passes and cache
 	// hits (observability for the parallel harness).
 	Timing stats.Timing
 
-	// Trace, when non-nil, attaches a fresh trace sink with this
-	// configuration to every uncached simulation (reachable afterwards
-	// via the cached Result.Trace). Sinks are strictly per-cell, so
-	// traced sweeps stay race-free at any Jobs.
-	Trace *trace.Config
 	// Progress, when non-nil, receives cell-completion ticks from the
 	// fan-out paths (RunAll and the Juliet suite). The counters are
 	// atomic and ordering-free, so the deterministic merge of results
@@ -401,12 +393,6 @@ func (r *Runner) runUncached(ctx context.Context, fid sim.Fidelity, w workload.W
 	}
 	cfg.RuntimeEnd = rtEnd
 	cfg.Fidelity = fid
-	if fid.OrExact() == sim.FidelitySampled {
-		cfg.Sampling = r.Sampling
-	}
-	if r.Trace != nil {
-		cfg.Sink = trace.New(*r.Trace)
-	}
 	res, err := r.simulate(ctx, prog, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("%s under %s: %w", w.Name, what, err)

@@ -88,61 +88,68 @@ func TestNewValidation(t *testing.T) {
 
 // TestDistributedMatchesLocal is the tentpole contract: a sweep
 // sharded across two workers produces byte-identical figure tables
-// and report documents to a purely local run.
+// and report documents to a purely local run, at every fidelity. A
+// sampled cell is a function of its key like an exact one: the
+// sampling period is one constant, not a setting of the run.
 func TestDistributedMatchesLocal(t *testing.T) {
-	w1, w2 := newWorker(t), newWorker(t)
-	fab := newFabric(t, Options{}, w1.URL, w2.URL)
+	for _, fid := range sim.Fidelities {
+		t.Run(string(fid), func(t *testing.T) {
+			w1, w2 := newWorker(t), newWorker(t)
+			fab := newFabric(t, Options{}, w1.URL, w2.URL)
 
-	remote := newRunner(t, fab)
-	local := newRunner(t, nil)
+			remote := newRunner(t, fab)
+			local := newRunner(t, nil)
+			remote.Fidelity, local.Fidelity = fid, fid
 
-	rt, err := remote.Fig7()
-	if err != nil {
-		t.Fatal(err)
-	}
-	lt, err := local.Fig7()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rt.String() != lt.String() {
-		t.Errorf("distributed Fig7 differs from local:\n%s\nvs\n%s", rt, lt)
-	}
+			rt, err := remote.Fig7()
+			if err != nil {
+				t.Fatal(err)
+			}
+			lt, err := local.Fig7()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rt.String() != lt.String() {
+				t.Errorf("distributed Fig7 differs from local:\n%s\nvs\n%s", rt, lt)
+			}
 
-	rrep, err := remote.Report([]string{"fig7"}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lrep, err := local.Report([]string{"fig7"}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rb, _ := json.MarshalIndent(rrep, "", "  ")
-	lb, _ := json.MarshalIndent(lrep, "", "  ")
-	if string(rb) != string(lb) {
-		t.Errorf("distributed report differs from local:\n%s\nvs\n%s", rb, lb)
-	}
+			rrep, err := remote.Report([]string{"fig7"}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lrep, err := local.Report([]string{"fig7"}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rb, _ := json.MarshalIndent(rrep, "", "  ")
+			lb, _ := json.MarshalIndent(lrep, "", "  ")
+			if string(rb) != string(lb) {
+				t.Errorf("distributed report differs from local:\n%s\nvs\n%s", rb, lb)
+			}
 
-	fs := fab.Stats()
-	// fig7 over 2 workloads = 2 baselines + 2×4 swept configs = 10
-	// distinct cells, each fetched exactly once (the runner's cache
-	// absorbs re-reads).
-	if fs.CellsSent < 10 {
-		t.Errorf("CellsSent = %d, want >= 10", fs.CellsSent)
-	}
-	if fs.Ejections != 0 {
-		t.Errorf("Ejections = %d on healthy workers", fs.Ejections)
-	}
-	var reqs int64
-	for _, w := range fs.Workers {
-		reqs += w.Requests
-		if !w.Alive {
-			t.Errorf("worker %s marked dead", w.Addr)
-		}
-	}
-	// Nothing is canceled mid-flight on a healthy fleet, so every
-	// request sent completes at exactly one worker.
-	if reqs != fs.CellsSent {
-		t.Errorf("per-worker requests sum to %d, want cells_sent %d", reqs, fs.CellsSent)
+			fs := fab.Stats()
+			// fig7 over 2 workloads = 2 baselines + 2×4 swept configs = 10
+			// distinct cells, each fetched exactly once (the runner's cache
+			// absorbs re-reads).
+			if fs.CellsSent < 10 {
+				t.Errorf("CellsSent = %d, want >= 10", fs.CellsSent)
+			}
+			if fs.Ejections != 0 {
+				t.Errorf("Ejections = %d on healthy workers", fs.Ejections)
+			}
+			var reqs int64
+			for _, w := range fs.Workers {
+				reqs += w.Requests
+				if !w.Alive {
+					t.Errorf("worker %s marked dead", w.Addr)
+				}
+			}
+			// Nothing is canceled mid-flight on a healthy fleet, so every
+			// request sent completes at exactly one worker.
+			if reqs != fs.CellsSent {
+				t.Errorf("per-worker requests sum to %d, want cells_sent %d", reqs, fs.CellsSent)
+			}
+		})
 	}
 }
 

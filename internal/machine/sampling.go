@@ -1,7 +1,6 @@
 package machine
 
 import (
-	"fmt"
 	"math"
 
 	"watchdog/internal/pipeline"
@@ -42,50 +41,8 @@ type Sampling struct {
 	Sample      uint64 // instructions with timing on, cycles measured
 }
 
-// PaperSampling returns the paper's parameters scaled down by the
-// given factor (the paper's 480M/10M/10M period is far larger than the
-// synthetic kernels). Division rounds to nearest rather than
-// truncating, so the 48:1:1 fast-forward:warmup:sample ratio is
-// preserved for factors that do not divide the paper's numbers, and
-// every phase is clamped to at least one instruction so no scale
-// factor can silently produce a sampler that measures nothing.
-func PaperSampling(scaleDown uint64) Sampling {
-	if scaleDown == 0 {
-		scaleDown = 1
-	}
-	div := func(n uint64) uint64 {
-		v := (n + scaleDown/2) / scaleDown
-		if v == 0 {
-			v = 1
-		}
-		return v
-	}
-	return Sampling{
-		FastForward: div(480_000_000),
-		Warmup:      div(10_000_000),
-		Sample:      div(10_000_000),
-	}
-}
-
 // Period returns the total instructions per sampling period.
 func (s Sampling) Period() uint64 { return s.FastForward + s.Warmup + s.Sample }
-
-// Validate checks the configuration for use as a measurement: the
-// period must be non-empty (a sampler with an all-zero period can
-// never advance past an instruction), and a zero-length sample window
-// measures nothing while reporting success, which is a silent lie.
-// The machine itself accepts Sample == 0 (a pure fast-forward run is
-// a meaningful degenerate for functional-only work); callers that
-// intend to measure should insist on Validate.
-func (s Sampling) Validate() error {
-	if s.Period() == 0 {
-		return fmt.Errorf("machine: %s", zeroPeriodInvariant)
-	}
-	if s.Sample == 0 {
-		return fmt.Errorf("machine: sampling config %+v has a zero-length sample window: every period fast-forwards and nothing is ever measured", s)
-	}
-	return nil
-}
 
 // zeroPeriodInvariant names the sampler's liveness invariant: at least
 // one phase must be non-empty or the phase machine could never assign

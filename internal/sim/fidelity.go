@@ -65,71 +65,33 @@ func (f Fidelity) OrExact() Fidelity {
 	return f
 }
 
-// DefaultSampling is the sampling configuration used when a sampled
-// run does not specify one: the paper's 480M/10M/10M parameters scaled
-// 10000x down (48k fast-forward, 1k warmup, 1k sample). The synthetic
-// kernels run ~10^5 fewer instructions than SPEC reference inputs, so
-// the deep scale-down is what preserves the paper's statistical
-// regime of many windows per run: at a 50k-instruction period a
-// bench-scale workload still crosses dozens of sample windows, where
-// the naive 1000x (500k period) left one or two — and a measured
-// geomean-overhead drift of several points instead of under one.
-func DefaultSampling() machine.Sampling { return machine.PaperSampling(10000) }
-
-// SamplingOverride builds a sampled run's parameter override from CLI
-// flags: unset (zero) values keep the paper defaults, a nil result
-// means no override at all, and any override on a non-sampled fidelity
-// is rejected rather than silently ignored.
-func SamplingOverride(fid Fidelity, ff, warmup, sample uint64) (*machine.Sampling, error) {
-	if ff == 0 && warmup == 0 && sample == 0 {
-		return nil, nil
-	}
-	if fid.OrExact() != FidelitySampled {
-		return nil, fmt.Errorf("sampling overrides only apply to the sampled fidelity (got %s)", fid.OrExact())
-	}
-	s := DefaultSampling()
-	if ff != 0 {
-		s.FastForward = ff
-	}
-	if warmup != 0 {
-		s.Warmup = warmup
-	}
-	if sample != 0 {
-		s.Sample = sample
-	}
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	return &s, nil
+// DefaultSampling is the sampled fidelity's one period: the paper's
+// 480M fast-forward, 10M warmup and 10M sample instructions (Section
+// 9.1), each divided by 10,000. The synthetic kernels run ~10^5 fewer
+// instructions than SPEC reference inputs, so the deep scale-down is
+// what preserves the paper's statistical regime of many windows per
+// run: at a 50k-instruction period a bench-scale workload still
+// crosses dozens of sample windows, where the naive 1000x (500k
+// period) left one or two — and a measured geomean-overhead drift of
+// several points instead of under one. No run can choose another
+// period, so a sampled cell is a function of its (workload,
+// configuration, scale, fidelity) key alone.
+func DefaultSampling() machine.Sampling {
+	return machine.Sampling{FastForward: 48_000, Warmup: 1_000, Sample: 1_000}
 }
 
-// applyFidelity validates the fidelity/sampling combination and arms
-// the machine. Fidelity alone selects the method: a Sampling config at
-// any fidelity but sampled is an error, as SamplingOverride treats it.
-// Functional-only runs (no timing model) skip the arming: there is no
-// timing to approximate, and the functional semantics are identical at
-// every fidelity by construction.
-func applyFidelity(m *machine.Machine, cfg *Config) error {
+// applyFidelity validates the fidelity and, at the sampled fidelity,
+// arms the machine's sampler with period. Functional-only runs (no
+// timing model) skip the arming: there is no timing to approximate,
+// and the functional semantics are identical at every fidelity by
+// construction.
+func applyFidelity(m *machine.Machine, cfg *Config, period machine.Sampling) error {
 	f, err := ParseFidelity(string(cfg.Fidelity))
 	if err != nil {
 		return err
 	}
-	if f != FidelitySampled {
-		if cfg.Sampling != nil {
-			return fmt.Errorf("sim: a Sampling config only applies to the %s fidelity (got %s)", FidelitySampled, f)
-		}
-		return nil
+	if f == FidelitySampled && cfg.Timing {
+		m.SetSampling(period)
 	}
-	if !cfg.Timing {
-		return nil
-	}
-	s := DefaultSampling()
-	if cfg.Sampling != nil {
-		s = *cfg.Sampling
-	}
-	if err := s.Validate(); err != nil {
-		return fmt.Errorf("sim: fidelity %s: %w", f, err)
-	}
-	m.SetSampling(s)
 	return nil
 }

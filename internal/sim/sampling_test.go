@@ -1,8 +1,8 @@
 package sim
 
 import (
+	"context"
 	"math"
-	"strings"
 	"testing"
 
 	"watchdog/internal/asm"
@@ -32,8 +32,7 @@ func TestSamplingApproximatesFullSimulation(t *testing.T) {
 	sampled := Default()
 	sampled.RuntimeEnd = rtEnd
 	sampled.Fidelity = FidelitySampled
-	sampled.Sampling = &machine.Sampling{FastForward: 40_000, Warmup: 5_000, Sample: 5_000}
-	sres, err := Run(prog, sampled)
+	sres, err := runCtx(context.Background(), prog, sampled, machine.Sampling{FastForward: 40_000, Warmup: 5_000, Sample: 5_000})
 	if err != nil || sres.MemErr != nil {
 		t.Fatalf("sampled run: %v %v", err, sres.MemErr)
 	}
@@ -51,55 +50,6 @@ func TestSamplingApproximatesFullSimulation(t *testing.T) {
 	// Checksums unaffected by sampling (functional execution is exact).
 	if len(sres.Output) != len(fres.Output) || sres.Output[0] != fres.Output[0] {
 		t.Fatalf("sampling changed program output: %v vs %v", sres.Output, fres.Output)
-	}
-}
-
-// TestSamplingZeroSampleWindow: a zero-length sample window measures
-// nothing, so the sampled fidelity refuses it up front instead of
-// running a measurement that reports success with no windows. (The
-// machine's own fallback for such a run is pinned by
-// machine.TestSamplingZeroSampleWindowFallsBack.)
-func TestSamplingZeroSampleWindow(t *testing.T) {
-	w, _ := workload.ByName("hmmer")
-	prog, rtEnd, err := workload.BuildProgram(w, rt.Options{Policy: core.PolicyWatchdog}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := Default()
-	cfg.RuntimeEnd = rtEnd
-	cfg.Fidelity = FidelitySampled
-	cfg.Sampling = &machine.Sampling{FastForward: 10_000, Warmup: 1_000, Sample: 0}
-	res, err := Run(prog, cfg)
-	if err == nil || !strings.Contains(err.Error(), "zero-length sample window") {
-		t.Fatalf("zero-length sample window: err = %v, want a refusal", err)
-	}
-	if res != nil {
-		t.Fatalf("refused config still ran: %+v", res)
-	}
-}
-
-// TestSamplingRequiresSampledFidelity: Fidelity alone selects the
-// timing method, so a Sampling config at the exact fidelity (explicit
-// or the zero value) is an error rather than a quiet switch to
-// sampling.
-func TestSamplingRequiresSampledFidelity(t *testing.T) {
-	w, _ := workload.ByName("hmmer")
-	prog, rtEnd, err := workload.BuildProgram(w, rt.Options{Policy: core.PolicyWatchdog}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, fid := range []Fidelity{"", FidelityExact} {
-		cfg := Default()
-		cfg.RuntimeEnd = rtEnd
-		cfg.Fidelity = fid
-		cfg.Sampling = &machine.Sampling{FastForward: 10_000, Warmup: 1_000, Sample: 1_000}
-		res, err := Run(prog, cfg)
-		if err == nil || !strings.Contains(err.Error(), "sampled") {
-			t.Errorf("Fidelity %q with a Sampling config: err = %v, want an error naming the sampled fidelity", fid, err)
-		}
-		if res != nil {
-			t.Errorf("Fidelity %q with a Sampling config still ran", fid)
-		}
 	}
 }
 
@@ -124,8 +74,7 @@ func TestSamplingFastForwardPastProgramEnd(t *testing.T) {
 	cfg := Default()
 	cfg.RuntimeEnd = rtEnd
 	cfg.Fidelity = FidelitySampled
-	cfg.Sampling = &machine.Sampling{FastForward: 1 << 40, Warmup: 1_000, Sample: 1_000}
-	res, err := Run(prog, cfg)
+	res, err := runCtx(context.Background(), prog, cfg, machine.Sampling{FastForward: 1 << 40, Warmup: 1_000, Sample: 1_000})
 	if err != nil || res.MemErr != nil {
 		t.Fatalf("sampled run: %v %v", err, res.MemErr)
 	}
@@ -160,8 +109,7 @@ func TestSamplingZeroFastForward(t *testing.T) {
 	cfg := Default()
 	cfg.RuntimeEnd = rtEnd
 	cfg.Fidelity = FidelitySampled
-	cfg.Sampling = &machine.Sampling{FastForward: 0, Warmup: 0, Sample: 10_000}
-	res, err := Run(prog, cfg)
+	res, err := runCtx(context.Background(), prog, cfg, machine.Sampling{FastForward: 0, Warmup: 0, Sample: 10_000})
 	if err != nil || res.MemErr != nil {
 		t.Fatalf("run: %v %v", err, res.MemErr)
 	}
@@ -205,8 +153,7 @@ func TestSamplingStillDetectsViolations(t *testing.T) {
 	cfg := Default()
 	cfg.RuntimeEnd = r.RuntimeEnd()
 	cfg.Fidelity = FidelitySampled
-	cfg.Sampling = &machine.Sampling{FastForward: 1_000_000, Warmup: 1000, Sample: 1000}
-	res, err := Run(prog, cfg)
+	res, err := runCtx(context.Background(), prog, cfg, machine.Sampling{FastForward: 1_000_000, Warmup: 1000, Sample: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}

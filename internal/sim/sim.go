@@ -40,10 +40,6 @@ type Config struct {
 	// shadow-traffic events (timeline export, flight recorder) and
 	// feeds its instruction observer, if it has one.
 	Sink *trace.Sink
-	// Sampling, when non-nil, overrides the sampled fidelity's default
-	// periodic-sampling parameters (Section 9.1). It is an error at any
-	// other fidelity.
-	Sampling *machine.Sampling
 	// Fidelity selects the timing methodology (exact when empty; see
 	// the Fidelity type). Functional-only runs ignore it.
 	Fidelity Fidelity
@@ -70,6 +66,13 @@ func Run(prog *asm.Program, cfg Config) (*machine.Result, error) {
 // between runs. A background (uncancellable) context leaves the hot
 // loop untouched — same results, same allocations.
 func RunCtx(ctx context.Context, prog *asm.Program, cfg Config) (*machine.Result, error) {
+	return runCtx(ctx, prog, cfg, DefaultSampling())
+}
+
+// runCtx is RunCtx with the sampled fidelity's period as an argument,
+// so this package's tests can time other periods. Every other run
+// samples with DefaultSampling.
+func runCtx(ctx context.Context, prog *asm.Program, cfg Config, period machine.Sampling) (*machine.Result, error) {
 	memory := mem.New()
 	// The hierarchy must agree with the engine about the lock cache.
 	hier := cfg.Hier
@@ -101,7 +104,7 @@ func RunCtx(ctx context.Context, prog *asm.Program, cfg Config) (*machine.Result
 			model.SetSink(sink)
 		}
 	}
-	if err := applyFidelity(m, &cfg); err != nil {
+	if err := applyFidelity(m, &cfg, period); err != nil {
 		return nil, err
 	}
 	if cfg.InstLimit != 0 {

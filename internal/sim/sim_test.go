@@ -11,6 +11,8 @@ import (
 	"watchdog/internal/isa"
 	"watchdog/internal/pipeline"
 	"watchdog/internal/rt"
+	"watchdog/internal/trace"
+	"watchdog/internal/workload"
 )
 
 func buildCounting(t *testing.T, opts rt.Options) (*progAlias, int) {
@@ -227,6 +229,40 @@ func TestWindowCeilingRefused(t *testing.T) {
 		cfg.Timing = false
 		if res, err := Run(prog, cfg); err != nil || res.Output[0] != 99 {
 			t.Errorf("%s, functional: err = %v, want a clean run", name, err)
+		}
+	}
+}
+
+// TestSinkDoesNotPerturb: a trace sink only observes. A kernel run
+// with a timeline and a flight recorder attached returns the same
+// result as the run without them, at either fidelity, apart from the
+// sink the result carries.
+func TestSinkDoesNotPerturb(t *testing.T) {
+	w, _ := workload.ByName("vpr")
+	cfg := Default()
+	cfg.Core.PtrPolicy = core.PtrConservative
+	prog, rtEnd, err := workload.BuildProgram(w, rt.For(cfg.Core), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.RuntimeEnd = rtEnd
+	for _, fid := range Fidelities {
+		cfg.Fidelity, cfg.Sink = fid, nil
+		plain, err := Run(prog, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Sink = trace.New(trace.Config{Timeline: true, FlightN: 64})
+		traced, err := Run(prog, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if traced.Trace != cfg.Sink || traced.Trace.CountByKind(trace.KindCheck) == 0 || len(traced.Trace.FlightEvents()) == 0 {
+			t.Fatalf("%s: the traced run recorded no checks or flight events", fid)
+		}
+		traced.Trace = nil
+		if !reflect.DeepEqual(plain, traced) {
+			t.Errorf("%s: tracing changed the result:\n%+v\nvs\n%+v", fid, traced, plain)
 		}
 	}
 }

@@ -1,6 +1,8 @@
 package trace
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -49,31 +51,45 @@ type tev struct {
 	Args map[string]any `json:"args,omitempty"`
 }
 
-// perfettoDoc is the top-level trace-event JSON object.
-type perfettoDoc struct {
-	TraceEvents     []tev             `json:"traceEvents"`
-	DisplayTimeUnit string            `json:"displayTimeUnit"`
-	Metadata        map[string]string `json:"metadata,omitempty"`
-}
-
 // WritePerfetto renders the sink's timeline as Chrome trace-event JSON
 // loadable by ui.perfetto.dev (and chrome://tracing). labels annotate
-// the document metadata (e.g. workload and configuration names); the
-// output is deterministic for a given timeline (json.Marshal emits
-// struct fields in order and sorts map keys).
+// the document metadata (e.g. workload and configuration names). Each
+// trace event is encoded and written as soon as it is rendered, so an
+// export holds one event at a time beyond the sink's own; a timeline
+// of a few hundred thousand events renders as about 100 MB of text.
+// The output is deterministic for a given timeline (struct fields
+// encode in order and map keys sorted) and laid out as
+// json.Encoder.SetIndent("", " ") lays out the whole document.
 func WritePerfetto(w io.Writer, s *Sink, labels map[string]string) error {
 	if s == nil || !s.cfg.Timeline {
 		return fmt.Errorf("trace: sink has no recorded timeline (Config.Timeline off)")
 	}
-	doc := perfettoDoc{DisplayTimeUnit: "ms", Metadata: labels}
+	out := bufio.NewWriter(w)
+	// Events sit two levels deep: "traceEvents" in the top object.
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetIndent("  ", " ")
+	var err error
+	sep := "{\n \"traceEvents\": [\n  "
+	emit := func(evs ...tev) {
+		for i := range evs {
+			buf.Reset()
+			if err == nil {
+				err = enc.Encode(&evs[i])
+			}
+			out.WriteString(sep)
+			out.Write(bytes.TrimSuffix(buf.Bytes(), []byte("\n")))
+			sep = ",\n  "
+		}
+	}
 
 	// Track-naming metadata first, in tid order.
-	doc.TraceEvents = append(doc.TraceEvents, tev{
+	emit(tev{
 		Name: "process_name", Ph: "M", Pid: 0,
 		Args: map[string]any{"name": "watchdog-sim"},
 	})
 	for tid := tidFetch; tid <= tidEngine; tid++ {
-		doc.TraceEvents = append(doc.TraceEvents, tev{
+		emit(tev{
 			Name: "thread_name", Ph: "M", Pid: 0, Tid: tid,
 			Args: map[string]any{"name": stageNames[tid]},
 		})
@@ -91,7 +107,7 @@ func WritePerfetto(w io.Writer, s *Sink, labels map[string]string) error {
 			if ev.Retire > cycle {
 				cycle = ev.Retire
 			}
-			doc.TraceEvents = append(doc.TraceEvents, tev{
+			emit(tev{
 				Name: "fetch", Ph: "i", S: "t", Ts: ev.Retire, Pid: 0, Tid: tidFetch,
 				Args: map[string]any{"addr": hex(ev.Addr)},
 			})
@@ -110,7 +126,7 @@ func WritePerfetto(w io.Writer, s *Sink, labels map[string]string) error {
 			if ev.LockMiss {
 				args["lock_miss"] = true
 			}
-			doc.TraceEvents = append(doc.TraceEvents,
+			emit(
 				slice(name, tidDispatch, ev.Dispatch, ev.Issue, args),
 				slice(name, tidExecute, ev.Issue, ev.Complete, args),
 				slice(name, tidRetire, ev.Complete, ev.Retire, args),
@@ -120,7 +136,7 @@ func WritePerfetto(w io.Writer, s *Sink, labels map[string]string) error {
 					Args: map[string]any{"lines": ev.LockLines}},
 			)
 		case KindCheck:
-			doc.TraceEvents = append(doc.TraceEvents, tev{
+			emit(tev{
 				Name: "check:" + ev.Outcome.String(), Ph: "i", S: "t", Ts: cycle, Pid: 0, Tid: tidEngine,
 				Args: map[string]any{
 					"pc": ev.PC, "addr": hex(ev.Addr), "key": ev.Key,
@@ -133,17 +149,17 @@ func WritePerfetto(w io.Writer, s *Sink, labels map[string]string) error {
 			if ev.Write {
 				name = "shadow-store"
 			}
-			doc.TraceEvents = append(doc.TraceEvents, tev{
+			emit(tev{
 				Name: name, Ph: "i", S: "t", Ts: cycle, Pid: 0, Tid: tidEngine,
 				Args: map[string]any{"pc": ev.PC, "addr": hex(ev.Addr)},
 			})
 		case KindCopyElim:
-			doc.TraceEvents = append(doc.TraceEvents, tev{
+			emit(tev{
 				Name: "copy-elim", Ph: "i", S: "t", Ts: cycle, Pid: 0, Tid: tidEngine,
 				Args: map[string]any{"pc": ev.PC, "dst": ev.Dst.String(), "src": ev.Src.String()},
 			})
 		case KindViolation:
-			doc.TraceEvents = append(doc.TraceEvents, tev{
+			emit(tev{
 				Name: "VIOLATION:" + ev.Outcome.String(), Ph: "i", S: "t", Ts: cycle, Pid: 0, Tid: tidEngine,
 				Args: map[string]any{
 					"pc": ev.PC, "addr": hex(ev.Addr),
@@ -151,16 +167,27 @@ func WritePerfetto(w io.Writer, s *Sink, labels map[string]string) error {
 				},
 			})
 		case KindAbort:
-			doc.TraceEvents = append(doc.TraceEvents, tev{
+			emit(tev{
 				Name: "ABORT", Ph: "i", S: "t", Ts: cycle, Pid: 0, Tid: tidEngine,
 				Args: map[string]any{"pc": ev.PC, "code": ev.AbortCode},
 			})
 		}
 	}
 
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(&doc)
+	out.WriteString("\n ],\n \"displayTimeUnit\": \"ms\"")
+	if len(labels) > 0 {
+		meta, merr := json.MarshalIndent(labels, " ", " ")
+		if err == nil {
+			err = merr
+		}
+		out.WriteString(",\n \"metadata\": ")
+		out.Write(meta)
+	}
+	out.WriteString("\n}\n")
+	if err != nil {
+		return err
+	}
+	return out.Flush()
 }
 
 // slice builds one duration event; zero-length stages render as 1-

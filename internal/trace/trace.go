@@ -146,12 +146,19 @@ type Event struct {
 	AbortCode int64
 }
 
+// MaxFlightN bounds Config.FlightN. New allocates the flight-recorder
+// ring up front, 144 bytes per event, so the bound caps it at 9 MB. A
+// dump is read for the events just before a violation, and a whole
+// scale-1 workload run emits a few hundred thousand.
+const MaxFlightN = 1 << 16
+
 // Config selects what a sink retains.
 type Config struct {
 	// Timeline records every event for the Perfetto exporter.
 	Timeline bool
 	// FlightN keeps the last FlightN events in the flight-recorder
-	// ring (0 disables the ring).
+	// ring (0 disables the ring). The CLIs refuse more than
+	// MaxFlightN.
 	FlightN int
 	// InstBudget stops the macro-instruction observer after this many
 	// KindInst events (0 = unlimited). Timeline and ring recording are
