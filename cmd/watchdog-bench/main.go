@@ -90,7 +90,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		csv       = fs.Bool("csv", false, "emit tables as CSV instead of aligned text")
 		jobs      = fs.Int("j", runtime.GOMAXPROCS(0), "parallel simulation workers (1 = serial; output is identical either way)")
 		progress  = fs.Bool("progress", false, "print live sweep progress (cells done/total, elapsed, ETA) to stderr")
-		timing    = fs.Bool("stats", false, "print harness timing counters to stderr when done")
+		timing    = fs.Bool("stats", false, "print the harness timing record (the -bench-out document) to stderr when done")
 		jsonOut   = fs.String("json", "", "write the machine-readable metrics report (schema v1 JSON) to this path")
 		baseline  = fs.String("baseline", "", "compare this run against a previous -json report; exit non-zero on regression")
 		threshold = fs.Float64("threshold", 1.0, "regression threshold for -baseline: percentage points on figure geomeans, percent on per-cell cycles")
@@ -162,6 +162,11 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	if *metricsAddr != "" && len(workerAddrs) == 0 {
 		return fail(fmt.Errorf("-metrics-addr only applies with -workers (it serves the coordinator's fabric metrics)"))
 	}
+	// statsRecord is the -stats record. Its write is deferred before
+	// the fabric's and the progress reporter's defers are, so it runs
+	// after them: the record is the last thing a run prints.
+	var statsRecord []byte
+	defer func() { stderr.Write(statsRecord) }()
 	var fab *fabric.Coordinator
 	if len(workerAddrs) > 0 {
 		fabOpts := fabric.Options{Scale: *scale}
@@ -249,7 +254,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		{"ideal", r.Ideal},
 		{"ablations", r.Ablations},
 		{"locksweep", func() (*stats.Table, error) { return r.LockSweep(nil) }},
-		{"tagsweep", func() (*stats.Table, error) { return r.TagSweep(nil) }},
+		{"tagsweep", r.TagSweep},
 	}
 
 	// ranFigures collects the overhead figures this invocation swept,
@@ -417,18 +422,15 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			}
 		}
 	}
-	r.Timing.SetWall(time.Since(start))
+	wall := time.Since(start)
 	rec := &report.BenchReport{
 		Exp:         *exp,
 		Scale:       *scale,
 		Jobs:        *jobs,
 		Fidelity:    string(fid.OrExact()),
 		Workloads:   names,
-		WallNanos:   int64(r.Timing.Wall()),
-		BusyNanos:   int64(r.Timing.BusyTime()),
-		Sims:        r.Timing.Sims(),
-		Profiles:    r.Timing.Profiles(),
-		CacheHits:   r.Timing.Hits(),
+		WallNanos:   int64(wall),
+		Harness:     r.Timing.Harness(),
 		Experiments: expTimes,
 		Partial:     partial,
 	}
@@ -441,7 +443,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			return fail(err)
 		}
 		fmt.Fprintf(stderr, "watchdog-bench: wrote timing record %s (%s wall)\n",
-			*benchOut, r.Timing.Wall().Round(time.Millisecond))
+			*benchOut, wall.Round(time.Millisecond))
 	}
 	if *memProf != "" {
 		if err := writeMemProfile(*memProf); err != nil {
@@ -449,19 +451,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	if *timing {
-		fmt.Fprintf(stderr, "watchdog-bench: %s (-j %d)\n", r.Timing.String(), *jobs)
-		if fab != nil {
-			fs := fab.Stats()
-			fmt.Fprintf(stderr, "watchdog-bench: fabric: %d cells sent, %d retried, %d ejections\n",
-				fs.CellsSent, fs.Retried, fs.Ejections)
-			for _, w := range fs.Workers {
-				state := "alive"
-				if !w.Alive {
-					state = "dead"
-				}
-				fmt.Fprintf(stderr, "watchdog-bench: fabric worker %s: %s, %d requests, %d errors, p50 %.1fms, p99 %.1fms\n",
-					w.Addr, state, w.Requests, w.Errors, w.P50Milli, w.P99Milli)
-			}
+		if statsRecord, err = report.EncodeBench(rec); err != nil {
+			return fail(err)
 		}
 	}
 	if partial {

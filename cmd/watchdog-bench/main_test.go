@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -178,7 +179,7 @@ func TestFidelityFlagValidation(t *testing.T) {
 				t.Errorf("-fidelity %s: stderr %q does not name %q", bad, stderr.String(), want)
 			}
 		}
-		if stdout.Len() > 0 || strings.Contains(stderr.String(), "harness:") {
+		if stdout.Len() > 0 || strings.Contains(stderr.String(), "busy_nanos") {
 			t.Errorf("-fidelity %s ran before failing: stdout %q stderr %q", bad, stdout.String(), stderr.String())
 		}
 	}
@@ -266,18 +267,16 @@ func TestFidelityDriftExperiment(t *testing.T) {
 }
 
 // TestJulietStats: -exp juliet -stats must report one sim per case,
-// not "0 sims" (the Timing plumbing bug).
+// not "0 sims" (the Timing plumbing bug), and the time they took.
 func TestJulietStats(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	code := run(context.Background(), []string{"-exp", "juliet", "-stats", "-workloads", "mcf"}, &stdout, &stderr)
 	if code != 0 {
 		t.Fatalf("exit %d: %s", code, stderr.String())
 	}
-	if !strings.Contains(stderr.String(), "582 sims") {
-		t.Fatalf("stderr %q must report 582 sims", stderr.String())
-	}
-	if strings.Contains(stderr.String(), "0.0x parallel") {
-		t.Fatalf("stderr %q reports a bogus parallelism ratio", stderr.String())
+	rec := decodeRecord(t, statsRecord(t, stderr.String()))
+	if rec.Sims != 582 || rec.BusyNanos <= 0 {
+		t.Fatalf("-stats record %+v must report 582 sims and their busy time", rec.Harness)
 	}
 	if !strings.Contains(stdout.String(), "291/291") {
 		t.Fatalf("stdout %q must report the detection matrix", stdout.String())
@@ -343,6 +342,61 @@ func TestBenchOutRecord(t *testing.T) {
 	if got := []string{"mcf"}; len(rec.Workloads) != 1 || rec.Workloads[0] != got[0] {
 		t.Fatalf("workloads = %v, want %v", rec.Workloads, got)
 	}
+}
+
+// TestStatsRecordIsBenchOut: -stats prints the -bench-out document
+// to stderr, byte for byte, as the last thing the run prints; with
+// -workers it carries the fabric block.
+func TestStatsRecordIsBenchOut(t *testing.T) {
+	w := httptest.NewServer(serve.New(serve.Config{MaxWorkers: 2}).Handler())
+	defer w.Close()
+	for _, tc := range []struct {
+		name   string
+		extra  []string
+		fabric bool
+	}{
+		{"local", nil, false},
+		{"workers", []string{"-workers", w.URL}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "BENCH.json")
+			args := append([]string{"-exp", "fig7", "-workloads", "mcf", "-stats", "-bench-out", path}, tc.extra...)
+			var stderr bytes.Buffer
+			if code := run(context.Background(), args, io.Discard, &stderr); code != 0 {
+				t.Fatalf("exit %d, stderr: %s", code, stderr.String())
+			}
+			file, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := statsRecord(t, stderr.String()); got != string(file) {
+				t.Fatalf("-stats record differs from -bench-out file:\n%s\nvs\n%s", got, file)
+			}
+			if rec := decodeRecord(t, string(file)); (rec.Fabric != nil) != tc.fabric || rec.Sims == 0 {
+				t.Errorf("record %+v: want fabric block %v and a sim count", rec, tc.fabric)
+			}
+		})
+	}
+}
+
+// statsRecord returns the -stats record: stderr from the line that
+// opens it to the end.
+func statsRecord(t *testing.T, stderr string) string {
+	t.Helper()
+	i := strings.Index("\n"+stderr, "\n{\n")
+	if i < 0 {
+		t.Fatalf("no -stats record on stderr:\n%s", stderr)
+	}
+	return stderr[i:]
+}
+
+func decodeRecord(t *testing.T, doc string) report.BenchReport {
+	t.Helper()
+	var rec report.BenchReport
+	if err := json.Unmarshal([]byte(doc), &rec); err != nil {
+		t.Fatalf("record %q: %v", doc, err)
+	}
+	return rec
 }
 
 // TestCPUProfileFlag: -cpuprofile produces a non-empty pprof file.
@@ -512,8 +566,8 @@ func TestWorkersEndToEnd(t *testing.T) {
 	if len(rec.Fabric.Workers) != 2 {
 		t.Errorf("workers in record: %d, want 2", len(rec.Fabric.Workers))
 	}
-	if !strings.Contains(distErr.String(), "fabric:") {
-		t.Errorf("-stats did not print fabric counters: %s", distErr.String())
+	if st := decodeRecord(t, statsRecord(t, distErr.String())); st.Fabric == nil || st.Fabric.CellsSent != rec.Fabric.CellsSent {
+		t.Errorf("-stats record's fabric block %+v, want cells_sent %d", st.Fabric, rec.Fabric.CellsSent)
 	}
 
 	// The local timing record must NOT carry fabric counters.

@@ -61,7 +61,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		casesIn = fs.String("cases", "", "append annotated .wdasm cases from this directory to the suite")
 		verbose = fs.Bool("v", false, "print each case outcome")
 		list    = fs.Bool("list", false, "list every case ID and exit")
-		jobs    = fs.Int("j", runtime.GOMAXPROCS(0), "parallel workers over the 582 cases (1 = serial; output is identical either way)")
+		jobs    = fs.Int("j", runtime.GOMAXPROCS(0), "parallel workers over the cases (1 = serial; output is identical either way)")
 		jsonOut = fs.String("json", "", "write the summary as machine-readable JSON (schema v1) to this path")
 		flight  = fs.String("flight-log", "", "run the single case with this ID under a flight recorder and dump the recorded events (see -list)")
 		flightN = fs.Int("flight-n", 64, "flight recorder depth for -flight-log")
@@ -87,7 +87,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 
 	// The built-in suite (the generated CWE-416/562 matrix plus the
 	// embedded .wdasm extensions), optionally extended from disk.
-	cases := append(security.Suite(), security.WdasmCases()...)
+	cases := security.BuiltinCases()
 	if *casesIn != "" {
 		extra, err := security.LoadWdasmDir(*casesIn)
 		if err != nil {

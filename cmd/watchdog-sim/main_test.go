@@ -65,38 +65,6 @@ func TestTraceFooterCountsObserved(t *testing.T) {
 	}
 }
 
-// TestTimelineWritesPerfettoJSON: -timeline produces a JSON document
-// with a non-empty traceEvents array (the Chrome/Perfetto trace-event
-// format) and leaves the normal report intact.
-func TestTimelineWritesPerfettoJSON(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "timeline.json")
-	var stdout, stderr bytes.Buffer
-	if code := run(context.Background(), []string{"-workload", "mcf", "-config", "isa", "-timeline", path}, &stdout, &stderr); code != 0 {
-		t.Fatalf("exit %d, stderr: %s", code, stderr.String())
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		TraceEvents []json.RawMessage `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		t.Fatalf("timeline is not valid JSON: %v", err)
-	}
-	if len(doc.TraceEvents) == 0 {
-		t.Fatal("timeline has no trace events")
-	}
-	if !strings.Contains(stderr.String(), "wrote timeline") {
-		t.Errorf("stderr should note the written timeline:\n%s", stderr.String())
-	}
-	for _, want := range []string{"workload", "cycles", "overhead"} {
-		if !strings.Contains(stdout.String(), want) {
-			t.Errorf("timed report missing %q with -timeline set:\n%s", want, stdout.String())
-		}
-	}
-}
-
 // uafProgram is a minimal WD64 use-after-free: read a heap box after
 // freeing it. The Watchdog identifier check flags the dangling load.
 const uafProgram = `
@@ -480,6 +448,9 @@ func TestFlagsOnBothSources(t *testing.T) {
 				}
 				if err := json.Unmarshal(raw, &doc); err != nil || len(doc.TraceEvents) == 0 {
 					t.Fatalf("timeline has no events: %v", err)
+				}
+				if !strings.Contains(got.stderr, "wrote timeline") {
+					t.Errorf("stderr does not note the written timeline:\n%s", got.stderr)
 				}
 				// The labels are the values of the summary's first two lines.
 				head := strings.SplitN(got.stdout, "\n", 3)

@@ -162,15 +162,6 @@ func (b *Builder) GlobalWords(name string, words []uint64) uint64 {
 	return addr
 }
 
-// GlobalBytes reserves and initializes a byte-granularity global.
-func (b *Builder) GlobalBytes(name string, bytes []byte) uint64 {
-	addr := b.Global(name, uint64(len(bytes)))
-	cp := make([]byte, len(bytes))
-	copy(cp, bytes)
-	b.data = append(b.data, DataInit{Addr: addr, Bytes: cp})
-	return addr
-}
-
 // GlobalAddrOf returns the address of a previously defined global.
 func (b *Builder) GlobalAddrOf(name string) uint64 {
 	addr, ok := b.globals[name]

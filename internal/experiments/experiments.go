@@ -302,10 +302,6 @@ func (r *Runner) run(ctx context.Context, fid sim.Fidelity, w workload.Workload,
 			if err != nil {
 				return cellResult{}, fmt.Errorf("%s under %s (remote): %w", w.Name, name, err)
 			}
-			// A remote fetch still counts as a Sim; the extra counter
-			// attributes it to the fabric for -stats and the metrics
-			// exporters.
-			r.Timing.AddRemoteCell()
 			return cellResult{res: resultFromCell(&cell), wire: &cell}, nil
 		}
 		res, err := r.runUncached(ctx, fid, w, name, 0)

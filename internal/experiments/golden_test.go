@@ -36,7 +36,7 @@ func renderEverything(t *testing.T, r *Runner) string {
 		{"ideal", r.Ideal},
 		{"ablations", r.Ablations},
 		{"locksweep", func() (*stats.Table, error) { return r.LockSweep([]int{2 << 10, 4 << 10}) }},
-		{"tagsweep", func() (*stats.Table, error) { return r.TagSweep(nil) }},
+		{"tagsweep", r.TagSweep},
 	} {
 		tab, err := f.fn()
 		if err != nil {

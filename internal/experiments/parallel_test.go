@@ -99,21 +99,21 @@ func TestProfileComputedOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Two workloads x two profile keys each (bounds off / bounds on).
-	if got, want := r.Timing.Profiles(), uint64(2*len(detSet)); got != want {
+	if got, want := r.Timing.Harness().Profiles, uint64(2*len(detSet)); got != want {
 		t.Errorf("profiling passes: got %d, want %d (once per key)", got, want)
 	}
-	if got, want := r.Timing.Sims(), uint64(len(cfgs)*len(detSet)); got != want {
+	if got, want := r.Timing.Harness().Sims, uint64(len(cfgs)*len(detSet)); got != want {
 		t.Errorf("simulations: got %d, want %d", got, want)
 	}
 	// A second fan-out over the same cells must be all cache hits.
-	sims := r.Timing.Sims()
+	sims := r.Timing.Harness().Sims
 	if err := r.RunAll(cfgs...); err != nil {
 		t.Fatal(err)
 	}
-	if r.Timing.Sims() != sims {
-		t.Errorf("re-running warmed cells simulated again: %d -> %d sims", sims, r.Timing.Sims())
+	if r.Timing.Harness().Sims != sims {
+		t.Errorf("re-running warmed cells simulated again: %d -> %d sims", sims, r.Timing.Harness().Sims)
 	}
-	if r.Timing.Hits() == 0 {
+	if r.Timing.Harness().CacheHits == 0 {
 		t.Error("cache hits not counted")
 	}
 }
@@ -129,10 +129,10 @@ func TestBusyTimeBillsProfilesOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	wall := time.Since(start)
-	if r.Timing.Profiles() == 0 {
+	if r.Timing.Harness().Profiles == 0 {
 		t.Fatal("profiled configs ran no profiling pass")
 	}
-	if busy := r.Timing.BusyTime(); busy > wall {
+	if busy := time.Duration(r.Timing.Harness().BusyNanos); busy > wall {
 		t.Errorf("serial busy time %v exceeds the sweep's wall time %v", busy, wall)
 	}
 }
@@ -163,7 +163,7 @@ func TestRunConcurrentSameCell(t *testing.T) {
 			t.Fatalf("goroutine %d got a different result: %v vs %v", i, results[i], results[0])
 		}
 	}
-	if got := r.Timing.Sims(); got != 1 {
+	if got := r.Timing.Harness().Sims; got != 1 {
 		t.Errorf("one cell hammered concurrently ran %d simulations, want 1", got)
 	}
 }
@@ -291,7 +291,7 @@ func TestRunAllCtxCanceled(t *testing.T) {
 	if err := r.runAll(ctx, r.Fidelity, CfgBaseline); !Canceled(err) {
 		t.Fatalf("err = %v, want a cancellation", err)
 	}
-	if got := r.Timing.Sims(); got != 0 {
+	if got := r.Timing.Harness().Sims; got != 0 {
 		t.Errorf("canceled fan-out still ran %d simulations", got)
 	}
 }
@@ -308,21 +308,21 @@ func TestTable1JulietPassesCanceled(t *testing.T) {
 		CfgDangKiller, CfgConservative, CfgISA); err != nil {
 		t.Fatal(err)
 	}
-	sweeps := r.Timing.Sims()
+	sweeps := r.Timing.Harness().Sims
 	done := make(chan error, 1)
 	go func() {
 		_, err := r.Table1()
 		done <- err
 	}()
 	// The kept sweeps add no sims, so the first new one is a Juliet case.
-	for r.Timing.Sims() == sweeps {
+	for r.Timing.Harness().Sims == sweeps {
 		time.Sleep(50 * time.Microsecond)
 	}
 	cancel()
 	if err := <-done; !Canceled(err) {
 		t.Fatalf("err = %v, want a cancellation", err)
 	}
-	if ran, pass := r.Timing.Sims()-sweeps, uint64(len(security.Suite())); ran >= pass {
+	if ran, pass := r.Timing.Harness().Sims-sweeps, uint64(len(security.Suite())); ran >= pass {
 		t.Errorf("%d Juliet cases ran: the pass in flight ignored the cancellation", ran)
 	}
 }

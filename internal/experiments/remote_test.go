@@ -225,7 +225,7 @@ func TestWaiterOutlivesCreatorCancel(t *testing.T) {
 		waiter <- outcome{res, err}
 	}()
 	deadline := time.Now().Add(5 * time.Second)
-	for r.Timing.Hits() == 0 {
+	for r.Timing.Harness().CacheHits == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("waiter never joined the cell")
 		}

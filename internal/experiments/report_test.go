@@ -191,10 +191,10 @@ func TestJulietRecordsTiming(t *testing.T) {
 	if sum.BadDetected != sum.BadTotal || sum.BadTotal == 0 {
 		t.Fatalf("juliet summary wrong: %s", sum.String())
 	}
-	if got := r.Timing.Sims(); got != uint64(sum.BadTotal+sum.GoodTotal) {
-		t.Fatalf("Timing.Sims() = %d, want one per case (%d)", got, sum.BadTotal+sum.GoodTotal)
+	if got := r.Timing.Harness().Sims; got != uint64(sum.BadTotal+sum.GoodTotal) {
+		t.Fatalf("Timing.Harness().Sims = %d, want one per case (%d)", got, sum.BadTotal+sum.GoodTotal)
 	}
-	if r.Timing.BusyTime() <= 0 {
+	if r.Timing.Harness().BusyNanos <= 0 {
 		t.Fatal("juliet cases recorded no busy time")
 	}
 }

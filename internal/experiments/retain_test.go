@@ -25,7 +25,7 @@ func TestKeptCellsStaySmall(t *testing.T) {
 	runtime.ReadMemStats(&after)
 
 	cells := len(r.Workloads)
-	if sims := r.Timing.Sims(); sims != uint64(cells) {
+	if sims := r.Timing.Harness().Sims; sims != uint64(cells) {
 		t.Fatalf("ran %d simulations, want %d distinct cells", sims, cells)
 	}
 	// The cells are kept: asking again simulates nothing.
@@ -34,7 +34,7 @@ func TestKeptCellsStaySmall(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if sims := r.Timing.Sims(); sims != uint64(cells) {
+	if sims := r.Timing.Harness().Sims; sims != uint64(cells) {
 		t.Fatalf("runner re-simulated kept cells: %d simulations for %d cells", sims, cells)
 	}
 	grown := int64(after.HeapAlloc) - int64(before.HeapAlloc)

@@ -20,7 +20,7 @@ const (
 	tagSweepSeeds = 24
 )
 
-// tagSweepWidths is the default tag-width axis.
+// tagSweepWidths is the tag-width axis.
 var tagSweepWidths = []int{1, 2, 4, 8}
 
 // TagSweep measures the pointer-tagging comparator's detection rate on
@@ -30,18 +30,15 @@ var tagSweepWidths = []int{1, 2, 4, 8}
 // identifiers are the oracle row — the corpus is rejected outright if
 // it ever misses. Runs are functional and deterministic, so the table
 // is golden-stable.
-func (r *Runner) TagSweep(widths []int) (*stats.Table, error) {
-	if len(widths) == 0 {
-		widths = tagSweepWidths
-	}
+func (r *Runner) TagSweep() (*stats.Table, error) {
 	ctx := r.ctx()
-	// detected[si][wi] records seed si's verdict at widths[wi];
-	// detected[si][len(widths)] is the Watchdog oracle.
+	// detected[si][wi] records seed si's verdict at tagSweepWidths[wi];
+	// detected[si][len(tagSweepWidths)] is the Watchdog oracle.
 	detected := make([][]bool, tagSweepSeeds)
 	err := r.parallelDo(ctx, tagSweepSeeds, func(si int) error {
 		seed := int64(tagSweepBase + si)
-		row := make([]bool, len(widths)+1)
-		for wi, w := range widths {
+		row := make([]bool, len(tagSweepWidths)+1)
+		for wi, w := range tagSweepWidths {
 			cc := core.Config{Policy: core.PolicyXTag, PtrPolicy: core.PtrConservative, TagBits: w}
 			hit, err := runTagSeed(ctx, seed, cc)
 			if err != nil {
@@ -56,7 +53,7 @@ func (r *Runner) TagSweep(widths []int) (*stats.Table, error) {
 		if !hit {
 			return fmt.Errorf("tagsweep seed %d: watchdog oracle missed the planted UAF", seed)
 		}
-		row[len(widths)] = true
+		row[len(tagSweepWidths)] = true
 		detected[si] = row
 		return nil
 	})
@@ -67,7 +64,7 @@ func (r *Runner) TagSweep(widths []int) (*stats.Table, error) {
 	t := stats.NewTable(
 		fmt.Sprintf("Tag-width sweep: planted-UAF detection, %d-seed fuzz corpus", tagSweepSeeds),
 		"scheme", "detected", "missed", "detect-rate")
-	for wi, w := range widths {
+	for wi, w := range tagSweepWidths {
 		n := 0
 		for si := range detected {
 			if detected[si][wi] {

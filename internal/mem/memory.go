@@ -1,10 +1,6 @@
 package mem
 
-import (
-	"encoding/binary"
-	"fmt"
-	"sort"
-)
+import "encoding/binary"
 
 // page is one 4 KiB page of simulated memory plus a touch bitmap at
 // word granularity (512 words per page) used for the Figure 10
@@ -160,32 +156,3 @@ func popcount(x uint64) int {
 
 // NumPages returns how many pages have been materialized.
 func (m *Memory) NumPages() int { return len(m.pages) }
-
-// Dump returns a deterministic hex dump of a memory range (debug aid).
-func (m *Memory) Dump(addr, n uint64) string {
-	s := ""
-	for i := uint64(0); i < n; i += 8 {
-		s += fmt.Sprintf("%#014x: %#016x\n", addr+i, m.ReadU64(addr+i))
-	}
-	return s
-}
-
-// TouchedPages returns the sorted list of touched page numbers
-// (test/debug aid).
-func (m *Memory) TouchedPages() []uint64 {
-	var pns []uint64
-	for pn, p := range m.pages {
-		any := false
-		for _, w := range p.touched {
-			if w != 0 {
-				any = true
-				break
-			}
-		}
-		if any {
-			pns = append(pns, pn)
-		}
-	}
-	sort.Slice(pns, func(i, j int) bool { return pns[i] < pns[j] })
-	return pns
-}

@@ -232,12 +232,9 @@ type BenchReport struct {
 	Workloads []string `json:"workloads,omitempty"`
 
 	WallNanos int64 `json:"wall_nanos"`
-	// BusyNanos is simulator time summed across workers; BusyNanos /
-	// WallNanos is the effective parallelism.
-	BusyNanos int64  `json:"busy_nanos"`
-	Sims      uint64 `json:"sims"`
-	Profiles  uint64 `json:"profiles"`
-	CacheHits uint64 `json:"cache_hits"`
+	// Harness is the work the run did; BusyNanos / WallNanos is the
+	// effective parallelism.
+	Harness
 
 	// Experiments breaks the wall time down per rendered experiment,
 	// in execution order.
@@ -256,10 +253,37 @@ type BenchExperiment struct {
 	WallNanos int64  `json:"wall_nanos"`
 }
 
+// Harness is the host-side work record of the experiment runners:
+// simulations and profiling passes executed, requests answered from
+// the runners' once-caches, and simulator time summed across workers.
+// stats.Timing accumulates it; the BenchReport embeds it, the
+// watchdog-serve /metrics document carries it, and its `prom` tags
+// declare the watchdog_harness_* series (see stats.PromWriter.Struct).
+type Harness struct {
+	Sims      uint64 `json:"sims" prom:"watchdog_harness_sims_total,counter" help:"Timed simulations executed by the shared runners."`
+	Profiles  uint64 `json:"profiles" prom:"watchdog_harness_profiles_total,counter" help:"Profiling passes executed by the shared runners."`
+	CacheHits uint64 `json:"cache_hits" prom:"watchdog_harness_cache_hits_total,counter" help:"Simulations answered from the runners' once-caches."`
+	BusyNanos int64  `json:"busy_nanos" prom:"watchdog_harness_busy_seconds_total,counter,/1e9" help:"Cumulative wall time spent inside simulations."`
+	// CacheHitRatio is hits / (hits + sims); 0 until something ran.
+	CacheHitRatio float64 `json:"cache_hit_ratio" prom:"watchdog_harness_cache_hit_ratio,gauge" help:"Cache hits / (hits + sims) since start."`
+}
+
+// Add folds o's counters into h and derives the hit ratio from the
+// sums.
+func (h *Harness) Add(o Harness) {
+	h.Sims += o.Sims
+	h.Profiles += o.Profiles
+	h.CacheHits += o.CacheHits
+	h.BusyNanos += o.BusyNanos
+	if total := h.CacheHits + h.Sims; total > 0 {
+		h.CacheHitRatio = float64(h.CacheHits) / float64(total)
+	}
+}
+
 // FabricStats is the distributed-sweep coordinator's counter record:
 // what the fabric did to complete a sweep across its workers. It rides
-// the BenchReport and the `-stats` output, and its `prom` tags declare
-// the coordinator's Prometheus series (see stats.PromWriter.Struct).
+// the BenchReport, and its `prom` tags declare the coordinator's
+// Prometheus series (see stats.PromWriter.Struct).
 type FabricStats struct {
 	// CellsSent counts HTTP cell requests issued to workers, retries
 	// included.
@@ -295,9 +319,20 @@ type FabricWorker struct {
 // WriteBenchFile serializes the timing document, stamping schema and
 // version like WriteFile does.
 func WriteBenchFile(path string, b *BenchReport) error {
+	data, err := EncodeBench(b)
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, data, 0o644)
+}
+
+// EncodeBench stamps the timing document's schema and version and
+// returns the bytes WriteBenchFile writes (watchdog-bench -stats
+// prints the same bytes).
+func EncodeBench(b *BenchReport) ([]byte, error) {
 	b.Schema = BenchSchema
 	b.Version = Version
-	return writeJSON(path, b)
+	return encodeJSON(b)
 }
 
 // ReadBenchFile loads and validates a document written by
@@ -328,9 +363,19 @@ func WriteJulietFile(path string, j Juliet, partial bool) error {
 }
 
 func writeJSON(path string, v any) error {
-	data, err := json.MarshalIndent(v, "", "  ")
+	data, err := encodeJSON(v)
 	if err != nil {
 		return err
 	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+	return os.WriteFile(path, data, 0o644)
+}
+
+// encodeJSON renders a document as every writer here does: indented
+// JSON and a trailing newline.
+func encodeJSON(v any) ([]byte, error) {
+	data, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		return nil, err
+	}
+	return append(data, '\n'), nil
 }

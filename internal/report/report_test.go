@@ -64,6 +64,16 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
+// TestHarnessAdd: Add sums the counters and derives the hit ratio
+// from the sums, not from the operands' ratios.
+func TestHarnessAdd(t *testing.T) {
+	h := Harness{Sims: 1, CacheHits: 3, BusyNanos: 5, CacheHitRatio: 0.75}
+	h.Add(Harness{Sims: 3, Profiles: 2, CacheHits: 1, BusyNanos: 7, CacheHitRatio: 0.25})
+	if want := (Harness{Sims: 4, Profiles: 2, CacheHits: 4, BusyNanos: 12, CacheHitRatio: 0.5}); h != want {
+		t.Fatalf("Add = %+v, want %+v", h, want)
+	}
+}
+
 // TestReadBenchFileKeepsOldFabricRecords: timing records written while
 // the fabric still counted cache hits and hedges decode unchanged.
 func TestReadBenchFileKeepsOldFabricRecords(t *testing.T) {

@@ -42,10 +42,10 @@ func TestRunCasesCtxTiming(t *testing.T) {
 		if len(outs) != len(cases) {
 			t.Fatalf("jobs=%d: %d outcomes, want %d", jobs, len(outs), len(cases))
 		}
-		if got := tm.Sims(); got != uint64(len(cases)) {
-			t.Fatalf("jobs=%d: Sims() = %d, want %d", jobs, got, len(cases))
+		if got := tm.Harness().Sims; got != uint64(len(cases)) {
+			t.Fatalf("jobs=%d: Harness().Sims = %d, want %d", jobs, got, len(cases))
 		}
-		if tm.BusyTime() <= 0 {
+		if tm.Harness().BusyNanos <= 0 {
 			t.Fatalf("jobs=%d: no busy time recorded", jobs)
 		}
 	}

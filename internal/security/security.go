@@ -106,16 +106,6 @@ func (o Outcome) Pass() bool {
 	return o.Clean
 }
 
-// CaseByID returns the suite case with the given ID.
-func CaseByID(id string) (Case, bool) {
-	for _, c := range suiteCases() {
-		if c.ID == id {
-			return c, true
-		}
-	}
-	return Case{}, false
-}
-
 // RunCaseCtx executes one case functionally under the given
 // configuration. The simulated machine polls ctx mid-run, so a
 // deadline or signal interrupts even a single long case.

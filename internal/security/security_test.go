@@ -1,6 +1,7 @@
 package security
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
@@ -130,14 +131,15 @@ func TestSuiteReturnsCopy(t *testing.T) {
 				i, after[i].ID, after[i].Variant, want[i].ID, want[i].Variant)
 		}
 	}
-	if c, ok := CaseByID(want[0].ID); !ok || c.Variant != want[0].Variant {
-		t.Fatalf("CaseByID(%s) = %v, %v after a caller's changes", want[0].ID, c.ID, ok)
+	table := suiteCases()
+	if i := slices.IndexFunc(table, func(c Case) bool { return c.ID == want[0].ID }); i < 0 || table[i].Variant != want[0].Variant {
+		t.Fatalf("the case table lost %s after a caller's changes", want[0].ID)
 	}
 }
 
 // TestSuiteConcurrentFirstUse: goroutines racing on the first Suite
-// and CaseByID calls all see the whole suite (and stay race-free under
-// -race).
+// and suiteCases calls all see the whole suite (and stay race-free
+// under -race).
 func TestSuiteConcurrentFirstUse(t *testing.T) {
 	last := buildSuite()[suiteSize-1].ID
 	suite = struct {
@@ -155,8 +157,8 @@ func TestSuiteConcurrentFirstUse(t *testing.T) {
 				}
 				return
 			}
-			if _, ok := CaseByID(last); !ok {
-				t.Errorf("CaseByID misses %s", last)
+			if !slices.ContainsFunc(suiteCases(), func(c Case) bool { return c.ID == last }) {
+				t.Errorf("suiteCases misses %s", last)
 			}
 		}(g)
 	}

@@ -52,6 +52,11 @@ func WdasmCases() []Case {
 	return out
 }
 
+// BuiltinCases returns Suite followed by WdasmCases: the case list
+// watchdog-juliet runs (before any -cases directory) and POST
+// /v1/juliet answers.
+func BuiltinCases() []Case { return append(Suite(), WdasmCases()...) }
+
 // LoadWdasmDir loads every .wdasm case file in dir (the
 // watchdog-juliet -cases flag), sorted by ID.
 func LoadWdasmDir(dir string) ([]Case, error) {

@@ -70,6 +70,6 @@ type FlightDump struct {
 	Schema  string `json:"schema"`
 	Version int    `json:"version"`
 	// Flights holds the most recent requests, oldest first (a bounded
-	// ring; the window size is the server's FlightLogN).
+	// ring of flightLogN records).
 	Flights []FlightRecord `json:"flights"`
 }

@@ -7,6 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"watchdog/internal/report"
 )
 
 // -update rewrites the recorded /metrics JSON golden instead of
@@ -42,7 +44,7 @@ func fullMetrics() Metrics {
 			DiskEvictions:  18,
 			CorruptEvicted: 19,
 		},
-		Harness: HarnessMetrics{
+		Harness: report.Harness{
 			Sims:          160,
 			Profiles:      20,
 			CacheHits:     140,

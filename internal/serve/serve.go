@@ -71,6 +71,11 @@ const (
 
 	// maxBody bounds request bodies; the requests are tiny.
 	maxBody = 1 << 20
+
+	// flightLogN sizes the request flight-recorder ring behind
+	// GET /debug/flights (most recent requests with their correlation
+	// ids).
+	flightLogN = 256
 )
 
 // Config sizes the service. Zero values select the defaults.
@@ -93,10 +98,6 @@ type Config struct {
 	// request id, coalesced). Nil discards — the service never logs
 	// unless given a destination.
 	Logger *slog.Logger
-	// FlightLogN sizes the request flight-recorder ring behind
-	// GET /debug/flights (most recent requests with their correlation
-	// ids). Default: 256.
-	FlightLogN int
 	// CacheEntries bounds the completed flight bodies kept in memory;
 	// past it the least recently used is evicted. Default: 512.
 	CacheEntries int
@@ -120,9 +121,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Logger == nil {
 		c.Logger = slog.New(slog.NewJSONHandler(io.Discard, nil))
-	}
-	if c.FlightLogN <= 0 {
-		c.FlightLogN = 256
 	}
 	if c.CacheEntries <= 0 {
 		c.CacheEntries = 512
@@ -162,8 +160,9 @@ type SimResponse struct {
 	WallNanos int64 `json:"wall_nanos"`
 }
 
-// JulietRequest is the POST /v1/juliet body. The response is a
-// report.JulietReport, byte-compatible with `watchdog-juliet -json`.
+// JulietRequest is the POST /v1/juliet body. The response is the
+// report.JulietReport `watchdog-juliet -json` writes for the same
+// policy and tag width, over the same cases.
 type JulietRequest struct {
 	// Policy is the checking policy (any of security.Policies():
 	// watchdog|conservative|location|software|xtag|dangkiller).
@@ -209,20 +208,10 @@ type Metrics struct {
 
 	Endpoints map[string]EndpointMetrics `json:"endpoints" prom:"endpoint,label"`
 	// Store describes the result cache and disk store layers.
-	Store   StoreMetrics   `json:"store"`
-	Harness HarnessMetrics `json:"harness"`
-}
-
-// HarnessMetrics aggregates the runner timing counters across every
-// scale the server has simulated at, plus the security suite.
-type HarnessMetrics struct {
-	Sims      uint64 `json:"sims" prom:"watchdog_harness_sims_total,counter" help:"Timed simulations executed by the shared runners."`
-	Profiles  uint64 `json:"profiles" prom:"watchdog_harness_profiles_total,counter" help:"Profiling passes executed by the shared runners."`
-	CacheHits uint64 `json:"cache_hits" prom:"watchdog_harness_cache_hits_total,counter" help:"Simulations answered from the runners' once-caches."`
-	BusyNanos int64  `json:"busy_nanos" prom:"watchdog_harness_busy_seconds_total,counter,/1e9" help:"Cumulative wall time spent inside simulations."`
-	// CacheHitRatio is hits / (hits + sims); 0 until the server has
-	// served something.
-	CacheHitRatio float64 `json:"cache_hit_ratio" prom:"watchdog_harness_cache_hit_ratio,gauge" help:"Cache hits / (hits + sims) since start."`
+	Store StoreMetrics `json:"store"`
+	// Harness sums the runners' counters across every scale and
+	// fidelity the server has simulated at, plus the security suite's.
+	Harness report.Harness `json:"harness"`
 }
 
 // runnerKey identifies one shared runner: requests at the same scale
@@ -292,7 +281,7 @@ func New(cfg Config) *Server {
 		log:       cfg.Logger,
 		sem:       make(chan struct{}, cfg.MaxWorkers),
 		runners:   make(map[runnerKey]*experiments.Runner),
-		flightLog: newFlightLog(cfg.FlightLogN),
+		flightLog: newFlightLog(flightLogN),
 	}
 	s.flights.Max = cfg.CacheEntries
 	s.simMet.hist = stats.NewHistogram()
@@ -477,7 +466,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) int {
 			"juliet": EndpointMetrics(s.julietMet.win.Snapshot()),
 		},
 		Store:   s.storeMetrics(),
-		Harness: s.harnessMetrics(),
+		Harness: s.harness(),
 	}
 	if wantsProm(r.Header.Get("Accept")) {
 		return s.writeProm(w, &m)
@@ -485,23 +474,15 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) int {
 	return writeJSON(w, http.StatusOK, &m)
 }
 
-// harnessMetrics sums the runners' timing counters and the security
+// harness sums the runners' harness records and the security
 // suite's.
-func (s *Server) harnessMetrics() HarnessMetrics {
-	var h HarnessMetrics
+func (s *Server) harness() report.Harness {
+	h := s.julietTiming.Harness()
 	s.mu.Lock()
 	for _, r := range s.runners {
-		h.Sims += r.Timing.Sims()
-		h.Profiles += r.Timing.Profiles()
-		h.CacheHits += r.Timing.Hits()
-		h.BusyNanos += int64(r.Timing.BusyTime())
+		h.Add(r.Timing.Harness())
 	}
 	s.mu.Unlock()
-	h.Sims += s.julietTiming.Sims()
-	h.BusyNanos += int64(s.julietTiming.BusyTime())
-	if total := h.CacheHits + h.Sims; total > 0 {
-		h.CacheHitRatio = float64(h.CacheHits) / float64(total)
-	}
 	return h
 }
 
@@ -598,9 +579,9 @@ func (s *Server) handleJuliet(w http.ResponseWriter, r *http.Request) int {
 	if err != nil {
 		return writeError(w, st, err.Error())
 	}
-	key := JulietFlightKey(req.Policy, req.TagBits)
+	cases := julietCases()
+	key := JulietFlightKey(req.Policy, req.TagBits, len(cases))
 	return s.flightDo(w, r, &s.julietMet, key, req.TimeoutMS, func(ctx context.Context) ([]byte, error) {
-		cases := security.Suite()
 		outs, err := security.RunCasesCtx(ctx, cases, req.cfg, req.opts, s.cfg.MaxWorkers, &s.julietTiming, nil)
 		if err != nil {
 			return nil, err
@@ -613,6 +594,10 @@ func (s *Server) handleJuliet(w http.ResponseWriter, r *http.Request) int {
 		})
 	})
 }
+
+// julietCases is the case list /v1/juliet runs, watchdog-juliet's
+// own, built on first use. The runs only read it.
+var julietCases = sync.OnceValue(security.BuiltinCases)
 
 // julietCall is a /v1/juliet request that passed parseJuliet: its
 // policy defaulted and resolved, and TagBits the width that runs.
@@ -645,9 +630,9 @@ func parseJuliet(body io.Reader) (julietCall, int, error) {
 	if err := security.SetTagBits(&cfg, req.TagBits); err != nil {
 		return julietCall{}, http.StatusBadRequest, fmt.Errorf("tag_bits: %w", err)
 	}
-	// The key takes the width that runs: juliet/xtag/0 and
-	// juliet/xtag/8 are the same computation (the default width is 8)
-	// and must coalesce onto one flight.
+	// The key takes the width that runs: xtag at tag_bits 0 and 8 is
+	// the same computation (the default width is 8) and must coalesce
+	// onto one flight.
 	req.TagBits = cfg.TagBits
 	return julietCall{JulietRequest: req, cfg: cfg, opts: opts}, 0, nil
 }
@@ -865,9 +850,11 @@ func SimFlightKey(workload, config string, scale int, fid sim.Fidelity, overhead
 // JulietFlightKey is the canonical identity of one /v1/juliet
 // computation. Callers must pass the normalized tag width (the xtag
 // default width, not 0, for a default-width request; 0 for policies
-// without one).
-func JulietFlightKey(policy string, tagBits int) string {
-	return fmt.Sprintf("juliet/%s/%d", policy, tagBits)
+// without one) and the number of cases the run covers, so a disk
+// store written by a build with another case list never replays its
+// body.
+func JulietFlightKey(policy string, tagBits, cases int) string {
+	return fmt.Sprintf("juliet/%s/%d/%d", policy, tagBits, cases)
 }
 
 func errorBody(msg string) []byte {

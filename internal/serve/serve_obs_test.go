@@ -173,7 +173,7 @@ func TestRequestIDEcho(t *testing.T) {
 // TestFlightRecorder: completed requests land in GET /debug/flights
 // with their correlation id, flight key, status, and coalesced flag.
 func TestFlightRecorder(t *testing.T) {
-	_, ts := testServer(t, Config{FlightLogN: 8})
+	_, ts := testServer(t, Config{})
 	body := []byte(`{"workload":"lbm","config":"baseline"}`)
 	for i, id := range []string{"corr-a", "corr-b"} {
 		req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/sim", bytes.NewReader(body))

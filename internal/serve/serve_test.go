@@ -81,7 +81,7 @@ func TestCoalescing(t *testing.T) {
 				t.Fatalf("bad cell: %+v", sr.Cell)
 			}
 		}},
-		{"juliet", "/v1/juliet", JulietRequest{Policy: "watchdog"}, uint64(len(security.Suite())), func(t *testing.T, body []byte) {
+		{"juliet", "/v1/juliet", JulietRequest{Policy: "watchdog"}, uint64(len(security.BuiltinCases())), func(t *testing.T, body []byte) {
 			var jr report.JulietReport
 			if err := json.Unmarshal(body, &jr); err != nil {
 				t.Fatal(err)
@@ -412,7 +412,8 @@ func TestSimFidelity(t *testing.T) {
 }
 
 // TestJulietEndpoint: the security endpoint returns the standalone
-// juliet document, byte-compatible with watchdog-juliet -json.
+// juliet document (cmd/watchdog-juliet's TestServiceMatchesJSON pins
+// it to the tool's -json document).
 func TestJulietEndpoint(t *testing.T) {
 	_, ts := testServer(t, Config{})
 	resp, body := postJSON(t, ts.URL+"/v1/juliet", JulietRequest{})

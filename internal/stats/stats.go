@@ -6,7 +6,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -151,19 +150,4 @@ type Series struct {
 func (s *Series) Add(label string, v float64) {
 	s.Labels = append(s.Labels, label)
 	s.Values = append(s.Values, v)
-}
-
-// Sorted returns a copy with labels sorted by value descending
-// (debug/report aid).
-func (s *Series) Sorted() Series {
-	idx := make([]int, len(s.Values))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool { return s.Values[idx[a]] > s.Values[idx[b]] })
-	out := Series{Name: s.Name}
-	for _, i := range idx {
-		out.Add(s.Labels[i], s.Values[i])
-	}
-	return out
 }

@@ -90,21 +90,6 @@ func TestTableRendering(t *testing.T) {
 	}
 }
 
-func TestSeriesSorted(t *testing.T) {
-	s := Series{Name: "x"}
-	s.Add("a", 1)
-	s.Add("b", 3)
-	s.Add("c", 2)
-	sorted := s.Sorted()
-	if sorted.Labels[0] != "b" || sorted.Values[2] != 1 {
-		t.Fatalf("sorted = %+v", sorted)
-	}
-	// Original untouched.
-	if s.Labels[0] != "a" {
-		t.Fatal("Sorted must not mutate")
-	}
-}
-
 func TestPct(t *testing.T) {
 	if Pct(0.316) != "31.6%" {
 		t.Fatalf("Pct = %s", Pct(0.316))

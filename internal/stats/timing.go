@@ -1,93 +1,50 @@
 package stats
 
 import (
-	"fmt"
-	"strings"
 	"sync/atomic"
 	"time"
+
+	"watchdog/internal/report"
 )
 
-// Timing aggregates the harness execution counters the parallel runner
-// reports: how many simulations and profiling passes actually executed,
-// how many requests were served from the cache, and how much simulator
-// wall time was spent summed across workers. Comparing the summed
-// worker time against the elapsed wall time makes the parallel speedup
-// directly observable. All counters are atomic, so workers update them
-// concurrently without coordination.
+// Timing accumulates the harness execution counters the parallel
+// runner reports: how many simulations and profiling passes actually
+// executed, how many requests were served from the cache, and how much
+// simulator time was spent summed across workers. All counters are
+// atomic, so workers update them concurrently without coordination;
+// Harness snapshots them as the one record every report renders.
 type Timing struct {
 	sims      atomic.Uint64
 	hits      atomic.Uint64
 	profiles  atomic.Uint64
-	remotes   atomic.Uint64
-	simNanos  atomic.Int64
-	profNanos atomic.Int64
-	wallNanos atomic.Int64
+	busyNanos atomic.Int64
 }
 
 // AddSim records one executed simulation and its duration.
 func (t *Timing) AddSim(d time.Duration) {
 	t.sims.Add(1)
-	t.simNanos.Add(int64(d))
+	t.busyNanos.Add(int64(d))
 }
 
 // AddProfile records one executed profiling pass and its duration.
 func (t *Timing) AddProfile(d time.Duration) {
 	t.profiles.Add(1)
-	t.profNanos.Add(int64(d))
+	t.busyNanos.Add(int64(d))
 }
 
 // AddHit records one cache hit (a request served without simulating).
 func (t *Timing) AddHit() { t.hits.Add(1) }
 
-// AddRemoteCell records one cell fetched from a remote worker instead
-// of being simulated in-process (the distributed sweep fabric). Such a
-// fetch also counts as a Sim — the runner's unit of work — so
-// RemoteCells() <= Sims() always; the separate counter lets operators
-// see how much of a sweep actually ran off-box.
-func (t *Timing) AddRemoteCell() { t.remotes.Add(1) }
-
-// SetWall records the elapsed wall-clock time of the whole harness run.
-func (t *Timing) SetWall(d time.Duration) { t.wallNanos.Store(int64(d)) }
-
-// Sims returns the number of simulations executed.
-func (t *Timing) Sims() uint64 { return t.sims.Load() }
-
-// Hits returns the number of cache hits.
-func (t *Timing) Hits() uint64 { return t.hits.Load() }
-
-// Profiles returns the number of profiling passes executed.
-func (t *Timing) Profiles() uint64 { return t.profiles.Load() }
-
-// RemoteCells returns the number of cells fetched remotely.
-func (t *Timing) RemoteCells() uint64 { return t.remotes.Load() }
-
-// BusyTime returns the simulator time summed across workers
-// (simulations plus profiling passes).
-func (t *Timing) BusyTime() time.Duration {
-	return time.Duration(t.simNanos.Load() + t.profNanos.Load())
-}
-
-// Wall returns the recorded wall-clock time (zero if never set).
-func (t *Timing) Wall() time.Duration { return time.Duration(t.wallNanos.Load()) }
-
-// String renders the counters, including the effective parallelism
-// (busy time / wall time) when both a wall time and busy time have
-// been recorded. With zero busy time (no simulation ran, or none was
-// instrumented) the ratio is meaningless and is omitted rather than
-// printed as a bogus "0.0x parallel".
-func (t *Timing) String() string {
-	var b strings.Builder
-	busy := t.BusyTime()
-	fmt.Fprintf(&b, "harness: %d sims + %d profiles (%d cache hits), %s busy",
-		t.Sims(), t.Profiles(), t.Hits(), busy.Round(time.Millisecond))
-	if r := t.RemoteCells(); r > 0 {
-		fmt.Fprintf(&b, ", %d remote cells", r)
-	}
-	if w := t.Wall(); w > 0 {
-		fmt.Fprintf(&b, ", %s wall", w.Round(time.Millisecond))
-		if busy > 0 {
-			fmt.Fprintf(&b, " (%.1fx parallel)", float64(busy)/float64(w))
-		}
-	}
-	return b.String()
+// Harness returns the counters as the harness record; busy time is
+// simulations plus profiling passes. Adding them to the zero record
+// derives the hit ratio.
+func (t *Timing) Harness() report.Harness {
+	var h report.Harness
+	h.Add(report.Harness{
+		Sims:      t.sims.Load(),
+		Profiles:  t.profiles.Load(),
+		CacheHits: t.hits.Load(),
+		BusyNanos: t.busyNanos.Load(),
+	})
+	return h
 }

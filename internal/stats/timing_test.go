@@ -1,10 +1,11 @@
 package stats
 
 import (
-	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"watchdog/internal/report"
 )
 
 func TestTimingCounters(t *testing.T) {
@@ -14,38 +15,9 @@ func TestTimingCounters(t *testing.T) {
 	tm.AddProfile(500 * time.Millisecond)
 	tm.AddHit()
 	tm.AddHit()
-	if tm.Sims() != 2 || tm.Profiles() != 1 || tm.Hits() != 2 {
-		t.Fatalf("counters: sims=%d profiles=%d hits=%d", tm.Sims(), tm.Profiles(), tm.Hits())
-	}
-	if got, want := tm.BusyTime(), 3500*time.Millisecond; got != want {
-		t.Fatalf("busy time %v, want %v", got, want)
-	}
-	s := tm.String()
-	for _, piece := range []string{"2 sims", "1 profiles", "2 cache hits", "3.5s busy"} {
-		if !strings.Contains(s, piece) {
-			t.Errorf("String() = %q, missing %q", s, piece)
-		}
-	}
-	// Wall time enables the observed-parallelism figure.
-	tm.SetWall(1750 * time.Millisecond)
-	if !strings.Contains(tm.String(), "2.0x parallel") {
-		t.Errorf("String() = %q, missing the parallel speedup", tm.String())
-	}
-}
-
-// TestTimingZeroBusyOmitsParallelism: with a wall time but no busy
-// time (nothing simulated, or a path that never recorded) the
-// parallelism ratio is meaningless, so String must omit it instead of
-// printing "0.0x parallel".
-func TestTimingZeroBusyOmitsParallelism(t *testing.T) {
-	var tm Timing
-	tm.SetWall(time.Second)
-	s := tm.String()
-	if strings.Contains(s, "parallel") {
-		t.Fatalf("String() = %q: parallelism ratio must be omitted with zero busy time", s)
-	}
-	if !strings.Contains(s, "1s wall") {
-		t.Fatalf("String() = %q: wall time must still be reported", s)
+	want := report.Harness{Sims: 2, Profiles: 1, CacheHits: 2, BusyNanos: int64(3500 * time.Millisecond), CacheHitRatio: 0.5}
+	if got := tm.Harness(); got != want {
+		t.Fatalf("Harness() = %+v, want %+v", got, want)
 	}
 }
 
@@ -66,10 +38,11 @@ func TestTimingConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if tm.Sims() != 8000 || tm.Hits() != 8000 || tm.Profiles() != 8000 {
-		t.Fatalf("lost updates: sims=%d hits=%d profiles=%d", tm.Sims(), tm.Hits(), tm.Profiles())
+	h := tm.Harness()
+	if h.Sims != 8000 || h.CacheHits != 8000 || h.Profiles != 8000 {
+		t.Fatalf("lost updates: %+v", h)
 	}
-	if got, want := tm.BusyTime(), 16*time.Millisecond; got != want {
+	if got, want := time.Duration(h.BusyNanos), 16*time.Millisecond; got != want {
 		t.Fatalf("busy time %v, want %v", got, want)
 	}
 }

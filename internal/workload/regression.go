@@ -76,16 +76,6 @@ func Regressions() []Regression {
 	}
 }
 
-// RegressionByName returns the named promoted find.
-func RegressionByName(name string) (Regression, bool) {
-	for _, r := range Regressions() {
-		if r.Name == name {
-			return r, true
-		}
-	}
-	return Regression{}, false
-}
-
 // Build regenerates the find's program against opts.Policy (and
 // opts.Bounds), returning the program, the runtime end marker and the
 // planted access's instruction index.
