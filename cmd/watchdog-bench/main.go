@@ -51,22 +51,83 @@ import (
 	"watchdog/internal/workload"
 )
 
-// knownExps is the -exp vocabulary, validated before anything runs so
-// a typo cannot silently select nothing (or be masked by -bars).
-var knownExps = []string{
-	"all", "table1", "table2", "fig5", "fig7", "fig8", "fig9", "fig10",
-	"fig11", "ideal", "ablations", "locksweep", "tagsweep", "juliet",
-	"fidelity-drift",
+// experiment is one -exp name: how it renders, whether -exp all runs
+// it, and whether -workers can run it (every cell is a /v1/sim
+// request: a standard configuration at the run's scale and fidelity).
+type experiment struct {
+	name   string
+	all    bool
+	remote bool
+	run    func(r *experiments.Runner) (rendered, error)
 }
 
-// remotableExps is the -workers vocabulary: the experiments whose
-// every cell is expressible as a /v1/sim request (a standard
-// configuration at the run's scale and fidelity). The others either
-// sweep non-standard configurations (locksweep, tagsweep), run the
-// security suite (juliet), or compose several of these (all,
-// fidelity-drift), so they stay local-only.
-var remotableExps = []string{
-	"fig5", "fig7", "fig8", "fig9", "fig10", "fig11", "ideal", "ablations",
+// rendered is what one experiment produced. An interrupted experiment
+// may still have rendered something: juliet's summary of the cases
+// that completed.
+type rendered struct {
+	table  *stats.Table                // printed as text, or with -csv as CSV
+	figure *experiments.OverheadFigure // the overhead figure the table shows
+	bars   string                      // with -bars, the figure's bar chart
+	text   string                      // printed as is
+	drift  []report.Drift
+	juliet *security.Summary
+}
+
+// experimentTable declares each -exp name once, in the order -exp all
+// renders them.
+var experimentTable = []experiment{
+	{name: "table2", all: true, run: func(*experiments.Runner) (rendered, error) {
+		return rendered{text: experiments.Table2() + "\n"}, nil
+	}},
+	{name: "table1", all: true, run: table((*experiments.Runner).Table1)},
+	{name: "fig5", all: true, remote: true, run: table((*experiments.Runner).Fig5)},
+	overhead(experiments.OverheadFig7),
+	{name: "fig8", all: true, remote: true, run: table((*experiments.Runner).Fig8)},
+	overhead(experiments.OverheadFig9),
+	{name: "fig10", all: true, remote: true, run: table((*experiments.Runner).Fig10)},
+	overhead(experiments.OverheadFig11),
+	overhead(experiments.OverheadIdeal),
+	overhead(experiments.OverheadAblations),
+	{name: "locksweep", all: true, run: table(func(r *experiments.Runner) (*stats.Table, error) { return r.LockSweep(nil) })},
+	{name: "tagsweep", all: true, run: table((*experiments.Runner).TagSweep)},
+	{name: "juliet", all: true, run: func(r *experiments.Runner) (rendered, error) {
+		s, err := r.Juliet()
+		return rendered{text: fmt.Sprintf("Section 9.2: security evaluation\n  %s\n\n", s), juliet: &s}, err
+	}},
+	// Not part of all: it sweeps the fig7 configurations once per
+	// fidelity, and its point — what sampling trades away — only
+	// matters when asked for.
+	{name: "fidelity-drift", run: func(r *experiments.Runner) (rendered, error) {
+		t, d, err := r.FidelityDrift()
+		return rendered{table: t, drift: d}, err
+	}},
+}
+
+// table is the run of an experiment that renders one table.
+func table(fn func(*experiments.Runner) (*stats.Table, error)) func(*experiments.Runner) (rendered, error) {
+	return func(r *experiments.Runner) (rendered, error) {
+		t, err := fn(r)
+		return rendered{table: t}, err
+	}
+}
+
+// overhead is the experiment that renders an overhead figure.
+func overhead(f experiments.OverheadFigure) experiment {
+	return experiment{name: f.Name, all: true, remote: true, run: func(r *experiments.Runner) (rendered, error) {
+		t, err := r.OverheadTable(f)
+		return rendered{table: t, figure: &f}, err
+	}}
+}
+
+// expNames lists the table's names, or only those -workers can run.
+func expNames(remoteOnly bool) []string {
+	var names []string
+	for _, e := range experimentTable {
+		if e.remote || !remoteOnly {
+			names = append(names, e.name)
+		}
+	}
+	return names
 }
 
 func main() {
@@ -83,7 +144,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("watchdog-bench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		exp       = fs.String("exp", "all", "experiment: "+strings.Join(knownExps, "|"))
+		exp       = fs.String("exp", "all", "experiment: all|"+strings.Join(expNames(false), "|"))
 		scale     = fs.Int("scale", 1, "problem-size multiplier")
 		wls       = fs.String("workloads", "", "comma-separated workload subset (default: all twenty)")
 		bars      = fs.Bool("bars", false, "render overhead figures as bar charts too")
@@ -111,8 +172,14 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
-	if !knownExp(*exp) {
-		return fail(fmt.Errorf("unknown experiment %q (known: %s)", *exp, strings.Join(knownExps, ", ")))
+	var selected []experiment
+	for _, e := range experimentTable {
+		if *exp == e.name || (*exp == "all" && e.all) {
+			selected = append(selected, e)
+		}
+	}
+	if len(selected) == 0 {
+		return fail(fmt.Errorf("unknown experiment %q (known: all, %s)", *exp, strings.Join(expNames(false), ", ")))
 	}
 	if *scale < 1 {
 		return fail(fmt.Errorf("-scale %d: the problem-size multiplier must be >= 1", *scale))
@@ -135,10 +202,21 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fail(err)
 	}
-	if len(workerAddrs) > 0 && !remotableExp(*exp) {
-		return fail(fmt.Errorf("-exp %s cannot run with -workers; distributable experiments: %s",
-			*exp, strings.Join(remotableExps, ", ")))
+	for _, e := range selected {
+		if len(workerAddrs) > 0 && !e.remote {
+			return fail(fmt.Errorf("-exp %s cannot run with -workers; distributable experiments: %s",
+				*exp, strings.Join(expNames(true), ", ")))
+		}
 	}
+	if *metricsAddr != "" && len(workerAddrs) == 0 {
+		return fail(fmt.Errorf("-metrics-addr only applies with -workers (it serves the coordinator's fabric metrics)"))
+	}
+	r, err := experiments.NewRunner(*scale, names...)
+	if err != nil {
+		return fail(err)
+	}
+	r.Jobs = *jobs
+	r.Fidelity = fid
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
 		if err != nil {
@@ -152,15 +230,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			pprof.StopCPUProfile()
 			f.Close()
 		}()
-	}
-	r, err := experiments.NewRunner(*scale, names...)
-	if err != nil {
-		return fail(err)
-	}
-	r.Jobs = *jobs
-	r.Fidelity = fid
-	if *metricsAddr != "" && len(workerAddrs) == 0 {
-		return fail(fmt.Errorf("-metrics-addr only applies with -workers (it serves the coordinator's fabric metrics)"))
 	}
 	// statsRecord is the -stats record. Its write is deferred before
 	// the fabric's and the progress reporter's defers are, so it runs
@@ -239,155 +308,67 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 	start := time.Now()
 
-	type tableFn struct {
-		name string
-		fn   func() (*stats.Table, error)
-	}
-	figures := []tableFn{
-		{"table1", r.Table1},
-		{"fig5", r.Fig5},
-		{"fig7", r.Fig7},
-		{"fig8", r.Fig8},
-		{"fig9", r.Fig9},
-		{"fig10", r.Fig10},
-		{"fig11", r.Fig11},
-		{"ideal", r.Ideal},
-		{"ablations", r.Ablations},
-		{"locksweep", func() (*stats.Table, error) { return r.LockSweep(nil) }},
-		{"tagsweep", r.TagSweep},
-	}
-
-	// ranFigures collects the overhead figures this invocation swept,
-	// for the report's geomean summaries (order-preserving, deduped).
-	var ranFigures []string
-	addFigure := func(name string) {
-		if !experiments.IsOverheadFigure(name) {
-			return
-		}
-		for _, n := range ranFigures {
-			if n == name {
-				return
-			}
-		}
-		ranFigures = append(ranFigures, name)
-	}
-
-	// expTimes breaks the run's wall time down per experiment for the
-	// -bench-out timing record.
-	var expTimes []report.BenchExperiment
-	timed := func(name string, t0 time.Time) {
-		expTimes = append(expTimes, report.BenchExperiment{Name: name, WallNanos: int64(time.Since(t0))})
-	}
-
-	// partial flips when the signal context interrupts a sweep: the
-	// remaining experiments are skipped, but everything that finished
-	// still flushes (-json, -bench-out, the CPU profile) before the
-	// non-zero exit.
-	partial := false
-	interrupted := func(err error) bool {
-		return experiments.Canceled(err) && ctx.Err() != nil
-	}
-
-	if *exp == "all" || *exp == "table2" {
-		fmt.Fprintln(stdout, experiments.Table2())
-	}
-	for _, f := range figures {
-		if *exp != "all" && *exp != f.name {
-			continue
-		}
+	// The run renders each selected experiment in table order. An
+	// interrupt stops it after printing what the experiment in flight
+	// rendered; everything that finished still flushes (-json,
+	// -bench-out, the CPU profile) before the non-zero exit.
+	var (
+		expTimes []report.BenchExperiment
+		figures  []string
+		drift    []report.Drift
+		juliet   *security.Summary
+		partial  bool
+	)
+	for _, e := range selected {
 		t0 := time.Now()
-		t, err := f.fn()
-		if err != nil {
-			if interrupted(err) {
-				partial = true
-				fmt.Fprintf(stderr, "watchdog-bench: interrupted during %s; flushing partial outputs\n", f.name)
-				break
-			}
+		out, err := e.run(r)
+		if err == nil && *bars && out.figure != nil {
+			label, _, _ := strings.Cut(out.figure.Title, ":")
+			out.bars, err = r.Bars(label+" (bars): % slowdown", out.figure.Cfgs...)
+		}
+		if err != nil && !(experiments.Canceled(err) && ctx.Err() != nil) {
 			return fail(err)
 		}
-		timed(f.name, t0)
-		if *csv {
-			fmt.Fprintf(stdout, "# %s\n%s\n", f.name, t.CSV())
-		} else {
-			fmt.Fprintln(stdout, t)
-		}
-		addFigure(f.name)
-	}
-	// The fidelity-drift experiment is deliberately not part of "all":
-	// it sweeps the fig7 configurations once per fidelity, and its
-	// point — quantifying what sampling trades away — only matters when
-	// asked for.
-	var driftRows []report.Drift
-	if *exp == "fidelity-drift" && !partial {
-		t0 := time.Now()
-		t, d, err := r.FidelityDrift()
-		if err != nil {
-			if !interrupted(err) {
-				return fail(err)
+		if out.table != nil || out.text != "" {
+			expTimes = append(expTimes, report.BenchExperiment{Name: e.name, WallNanos: int64(time.Since(t0))})
+			switch {
+			case out.table != nil && *csv:
+				fmt.Fprintf(stdout, "# %s\n%s\n", e.name, out.table.CSV())
+			case out.table != nil:
+				fmt.Fprintln(stdout, out.table)
 			}
-			partial = true
-			fmt.Fprintln(stderr, "watchdog-bench: interrupted during fidelity-drift; flushing partial outputs")
-		} else {
-			timed("fidelity-drift", t0)
-			if *csv {
-				fmt.Fprintf(stdout, "# fidelity-drift\n%s\n", t.CSV())
-			} else {
-				fmt.Fprintln(stdout, t)
+			if out.bars != "" {
+				fmt.Fprintln(stdout, out.bars)
 			}
-			driftRows = d
-		}
-	}
-	if *bars && !partial {
-		for _, bc := range []struct {
-			name string
-			fig  string
-			cfgs []experiments.ConfigName
-		}{
-			{"Figure 7 (bars): % slowdown", "fig7", []experiments.ConfigName{experiments.CfgConservative, experiments.CfgISA}},
-			{"Figure 9 (bars): % slowdown", "fig9", []experiments.ConfigName{experiments.CfgISA, experiments.CfgISANoLock}},
-			{"Figure 11 (bars): % slowdown", "fig11", []experiments.ConfigName{experiments.CfgISA, experiments.CfgBounds1, experiments.CfgBounds2}},
-		} {
-			out, err := r.Bars(bc.name, bc.cfgs...)
-			if err != nil {
-				if interrupted(err) {
-					partial = true
-					fmt.Fprintln(stderr, "watchdog-bench: interrupted during bars; flushing partial outputs")
-					break
-				}
-				return fail(err)
+			fmt.Fprint(stdout, out.text)
+			if out.figure != nil {
+				figures = append(figures, out.figure.Name)
 			}
-			fmt.Fprintln(stdout, out)
-			addFigure(bc.fig)
 		}
-	}
-	var julietSum *security.Summary
-	if (*exp == "all" || *exp == "juliet") && !partial {
-		t0 := time.Now()
-		s, err := r.Juliet()
-		if err != nil && !interrupted(err) {
-			return fail(err)
+		drift = append(drift, out.drift...)
+		if out.juliet != nil {
+			juliet = out.juliet
 		}
-		timed("juliet", t0)
-		fmt.Fprintln(stdout, "Section 9.2: security evaluation")
 		if err != nil {
 			partial = true
-			fmt.Fprintln(stderr, "watchdog-bench: interrupted during juliet; summary is partial")
+			fmt.Fprintf(stderr, "watchdog-bench: interrupted during %s; flushing partial outputs\n", e.name)
+			break
 		}
-		fmt.Fprintln(stdout, " ", s)
-		fmt.Fprintln(stdout)
-		julietSum = &s
 	}
 
+	// The run ends through one path: -json, the -baseline comparison,
+	// -bench-out, -memprofile, then -stats, whatever the exit code.
+	regressed := false
 	if *jsonOut != "" || *baseline != "" {
 		// Report assembly reads the warmed cache (completed figures
 		// only), so it works after an interrupt too; the document is
 		// marked partial so nobody gates a regression on it.
-		rep, err := r.Report(ranFigures, julietSum)
+		rep, err := r.Report(figures, juliet)
 		if err != nil {
 			return fail(err)
 		}
 		rep.Partial = partial
-		rep.Drift = driftRows
+		rep.Drift = drift
 		if *jsonOut != "" {
 			if err := report.WriteFile(*jsonOut, rep); err != nil {
 				return fail(err)
@@ -415,9 +396,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 					return fail(err)
 				}
 				fmt.Fprint(stdout, cmp)
-				if cmp.Regressed() {
+				if regressed = cmp.Regressed(); regressed {
 					fmt.Fprintln(stderr, "watchdog-bench: performance regressed past threshold against", *baseline)
-					return 1
 				}
 			}
 		}
@@ -455,7 +435,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			return fail(err)
 		}
 	}
-	if partial {
+	if partial || regressed {
 		return 1
 	}
 	return 0
@@ -471,24 +451,6 @@ func writeMemProfile(path string) error {
 	defer f.Close()
 	runtime.GC()
 	return pprof.Lookup("allocs").WriteTo(f, 0)
-}
-
-func knownExp(name string) bool {
-	for _, k := range knownExps {
-		if k == name {
-			return true
-		}
-	}
-	return false
-}
-
-func remotableExp(name string) bool {
-	for _, k := range remotableExps {
-		if k == name {
-			return true
-		}
-	}
-	return false
 }
 
 // workerList parses the -workers flag: a comma-separated address
@@ -515,28 +477,18 @@ func workerList(list string) ([]string, error) {
 	return addrs, nil
 }
 
-// workloadSubset parses the -workloads flag and validates every name
-// eagerly, reporting the full list of unknown names (instead of
-// silently running an empty or partial subset).
+// workloadSubset splits the -workloads flag into names, refusing a
+// list that selects none; experiments.NewRunner reports every unknown
+// name.
 func workloadSubset(list string) ([]string, error) {
 	if strings.TrimSpace(list) == "" {
 		return nil, nil
 	}
-	var names, unknown []string
+	var names []string
 	for _, n := range strings.Split(list, ",") {
-		n = strings.TrimSpace(n)
-		if n == "" {
-			continue
+		if n = strings.TrimSpace(n); n != "" {
+			names = append(names, n)
 		}
-		if _, ok := workload.ByName(n); !ok {
-			unknown = append(unknown, fmt.Sprintf("%q", n))
-			continue
-		}
-		names = append(names, n)
-	}
-	if len(unknown) > 0 {
-		return nil, fmt.Errorf("unknown workloads: %s (known: %s)",
-			strings.Join(unknown, ", "), strings.Join(workload.Names(), ", "))
 	}
 	if len(names) == 0 {
 		return nil, fmt.Errorf("-workloads %q selects no workloads (known: %s)",

@@ -10,11 +10,13 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"watchdog/internal/experiments"
 	"watchdog/internal/report"
 	"watchdog/internal/serve"
 )
@@ -132,14 +134,25 @@ func TestBaselineCompareExitCodes(t *testing.T) {
 	if err := report.WriteFile(seeded, rep); err != nil {
 		t.Fatal(err)
 	}
+	// The regressed run still ends through the one exit path: it
+	// writes -bench-out and prints the -stats record before exiting 1.
 	stdout.Reset()
 	stderr.Reset()
-	code = run(context.Background(), []string{"-exp", "fig7", "-workloads", "mcf", "-baseline", seeded}, &stdout, &stderr)
-	if code == 0 {
-		t.Fatalf("seeded regression must exit non-zero; output:\n%s", stdout.String())
+	benchOut := filepath.Join(dir, "BENCH.json")
+	code = run(context.Background(), []string{"-exp", "fig7", "-workloads", "mcf", "-baseline", seeded,
+		"-bench-out", benchOut, "-stats"}, &stdout, &stderr)
+	if code != 1 {
+		t.Fatalf("seeded regression: exit %d, want 1; output:\n%s", code, stdout.String())
 	}
 	if !strings.Contains(stdout.String(), "RESULT: REGRESSED") {
 		t.Fatalf("expected REGRESSED verdict, got:\n%s", stdout.String())
+	}
+	file, err := os.ReadFile(benchOut)
+	if err != nil {
+		t.Fatalf("regressed run wrote no -bench-out: %v", err)
+	}
+	if got := statsRecord(t, stderr.String()); got != string(file) {
+		t.Fatalf("-stats record differs from -bench-out file:\n%s\nvs\n%s", got, file)
 	}
 
 	// A generous threshold waves the same delta through.
@@ -341,6 +354,104 @@ func TestBenchOutRecord(t *testing.T) {
 	}
 	if got := []string{"mcf"}; len(rec.Workloads) != 1 || rec.Workloads[0] != got[0] {
 		t.Fatalf("workloads = %v, want %v", rec.Workloads, got)
+	}
+}
+
+// TestEachExperimentTimedOnce: every -exp name in the table runs and
+// its -bench-out record names it exactly once; -exp all names each
+// experiment it runs once, in table order.
+func TestEachExperimentTimedOnce(t *testing.T) {
+	var all []string
+	for _, e := range experimentTable {
+		if e.all {
+			all = append(all, e.name)
+		}
+	}
+	for _, e := range append(experimentTable, experiment{name: "all"}) {
+		t.Run(e.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "BENCH.json")
+			var stderr bytes.Buffer
+			args := []string{"-exp", e.name, "-workloads", "mcf", "-j", "2", "-bench-out", path}
+			if code := run(context.Background(), args, io.Discard, &stderr); code != 0 {
+				t.Fatalf("exit %d, stderr: %s", code, stderr.String())
+			}
+			rec, err := report.ReadBenchFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got []string
+			for _, x := range rec.Experiments {
+				got = append(got, x.Name)
+			}
+			want := []string{e.name}
+			if e.name == "all" {
+				want = all
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("record names %v, want %v", got, want)
+			}
+		})
+	}
+}
+
+// TestBarsAddNoSims: -bars draws the overhead figure the run rendered,
+// from that figure's configurations, so adding -json re-sweeps nothing
+// and its figure summaries are exactly the rendered tables' columns.
+func TestBarsAddNoSims(t *testing.T) {
+	args := []string{"-exp", "fig9", "-bars", "-workloads", "mcf,lbm", "-stats"}
+	var stdout, stderr bytes.Buffer
+	if code := run(context.Background(), args, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d, stderr: %s", code, stderr.String())
+	}
+	plain := decodeRecord(t, statsRecord(t, stderr.String()))
+
+	path := filepath.Join(t.TempDir(), "r.json")
+	var jsonOut, jsonErr bytes.Buffer
+	if code := run(context.Background(), append(args, "-json", path), &jsonOut, &jsonErr); code != 0 {
+		t.Fatalf("-json: exit %d, stderr: %s", code, jsonErr.String())
+	}
+	if withJSON := decodeRecord(t, statsRecord(t, jsonErr.String())); withJSON.Sims != plain.Sims {
+		t.Errorf("sims: %d with -json, %d without", withJSON.Sims, plain.Sims)
+	}
+	if jsonOut.String() != stdout.String() {
+		t.Errorf("-json changed stdout:\n%s\nvs\n%s", jsonOut.String(), stdout.String())
+	}
+	for _, title := range []string{"Figure 7 (bars)", "Figure 11 (bars)"} {
+		if strings.Contains(stdout.String(), title) {
+			t.Errorf("-exp fig9 -bars drew %q", title)
+		}
+	}
+	if !strings.Contains(stdout.String(), "Figure 9 (bars): % slowdown") {
+		t.Errorf("no fig9 bar chart:\n%s", stdout.String())
+	}
+
+	rep, err := report.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(stdout.String(), "\n")
+	var figures []string
+	for _, f := range rep.Figures {
+		figures = append(figures, f.Name)
+		i := slices.IndexFunc(experiments.OverheadFigures, func(o experiments.OverheadFigure) bool { return o.Name == f.Name })
+		row := -1
+		if i >= 0 {
+			row = slices.Index(lines, experiments.OverheadFigures[i].Title)
+		}
+		if row < 0 || row+1 >= len(lines) {
+			t.Errorf("-json summarizes %s, which the run did not render", f.Name)
+			continue
+		}
+		var cfgs []string
+		for _, g := range f.Geomeans {
+			cfgs = append(cfgs, g.Config)
+		}
+		if shown := strings.Fields(lines[row+1])[1:]; !slices.Equal(cfgs, shown) {
+			t.Errorf("%s summarizes %v, its table shows %v", f.Name, cfgs, shown)
+		}
+	}
+	if !slices.Equal(figures, []string{"fig9"}) {
+		t.Errorf("-json figures %v, want [fig9]", figures)
 	}
 }
 

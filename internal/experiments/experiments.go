@@ -22,6 +22,7 @@ import (
 	"watchdog/internal/mem"
 	"watchdog/internal/report"
 	"watchdog/internal/rt"
+	"watchdog/internal/security"
 	"watchdog/internal/sim"
 	"watchdog/internal/stats"
 	"watchdog/internal/trace"
@@ -171,8 +172,8 @@ func NewRunner(scale int, names ...string) (*Runner, error) {
 			ws = append(ws, w)
 		}
 		if len(unknown) > 0 {
-			return nil, fmt.Errorf("unknown workloads: %s (known: %v)",
-				strings.Join(unknown, ", "), workload.Names())
+			return nil, fmt.Errorf("unknown workloads: %s (known: %s)",
+				strings.Join(unknown, ", "), strings.Join(workload.Names(), ", "))
 		}
 	}
 	return &Runner{Scale: scale, Workloads: ws}, nil
@@ -207,11 +208,14 @@ func splitCellKey(key string) (wname, cname string, fid sim.Fidelity, ok bool) {
 // lists the known ones.
 func SimConfig(name ConfigName) (sim.Config, error) {
 	cfg := sim.Default()
+	var err error
 	switch name {
 	case CfgBaseline:
 		cfg.Core = core.Config{Policy: core.PolicyBaseline}
-	case CfgConservative:
-		cfg.Core.PtrPolicy = core.PtrConservative
+	case CfgConservative, CfgLocation, CfgSoftware, CfgXTag, CfgDangKiller:
+		// The security policy of the same name gives the engine, so
+		// Table 1's juliet column runs what watchdog-juliet -policy runs.
+		cfg.Core, _, err = security.PolicyConfig(string(name))
 	case CfgISA: // sim.Default's engine: ISA-assisted Watchdog
 	case CfgISANoLock:
 		cfg.Core.LockCache = false
@@ -221,15 +225,6 @@ func SimConfig(name ConfigName) (sim.Config, error) {
 		cfg.Core.Bounds = core.BoundsFused
 	case CfgBounds2:
 		cfg.Core.Bounds = core.BoundsSeparate
-	case CfgLocation:
-		cfg.Core = core.Config{Policy: core.PolicyLocation}
-	case CfgSoftware:
-		cfg.Core = core.Config{Policy: core.PolicySoftware, PtrPolicy: core.PtrConservative}
-	case CfgXTag:
-		cfg.Core = core.Config{Policy: core.PolicyXTag, PtrPolicy: core.PtrConservative,
-			TagBits: core.DefaultTagBits}
-	case CfgDangKiller:
-		cfg.Core = core.Config{Policy: core.PolicyDangKiller, PtrPolicy: core.PtrConservative}
 	case CfgNoCopyElim:
 		cfg.Core.PtrPolicy = core.PtrConservative
 		cfg.Core.CopyElim = false
@@ -238,7 +233,7 @@ func SimConfig(name ConfigName) (sim.Config, error) {
 	default:
 		return sim.Config{}, fmt.Errorf("unknown config %q (known: %s)", name, strings.Join(ConfigNames(), ", "))
 	}
-	return cfg, nil
+	return cfg, err
 }
 
 // NeedsProfile reports whether an engine configuration identifies

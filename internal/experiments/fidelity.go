@@ -12,13 +12,9 @@ import (
 	"watchdog/internal/workload"
 )
 
-// driftConfigs is the configuration set the fidelity-drift experiment
-// sweeps: Figure 7's, so the drift numbers speak about the paper's
-// headline overheads.
-var driftConfigs = []ConfigName{CfgConservative, CfgISA, CfgXTag, CfgDangKiller}
-
 // FidelityDrift quantifies what sampling trades away: it sweeps the
-// Figure 7 configurations at every fidelity in sim.Fidelities (exact
+// Figure 7 configurations (so the drift numbers speak about the
+// paper's headline overheads) at every fidelity in sim.Fidelities (exact
 // first: it defines the reference), and reports each approximation's
 // geomean-overhead drift against exact (percentage points) next to its
 // wall-clock speedup. The drift records also land in the -json report
@@ -26,11 +22,11 @@ var driftConfigs = []ConfigName{CfgConservative, CfgISA, CfgXTag, CfgDangKiller}
 // before the clock starts, so no fidelity's wall time is billed for
 // the shared functional profiling.
 func (r *Runner) FidelityDrift() (*stats.Table, []report.Drift, error) {
-	ctx := r.ctx()
-	if err := r.warmProfiles(ctx, driftConfigs); err != nil {
+	ctx, fig := r.ctx(), OverheadFig7
+	if err := r.warmProfiles(ctx, fig.Cfgs); err != nil {
 		return nil, nil, err
 	}
-	cfgs := append([]ConfigName{CfgBaseline}, driftConfigs...)
+	cfgs := append([]ConfigName{CfgBaseline}, fig.Cfgs...)
 	wall := make(map[sim.Fidelity]time.Duration, len(sim.Fidelities))
 	geos := make(map[sim.Fidelity]map[ConfigName]float64, len(sim.Fidelities))
 	for _, fid := range sim.Fidelities {
@@ -39,8 +35,8 @@ func (r *Runner) FidelityDrift() (*stats.Table, []report.Drift, error) {
 			return nil, nil, err
 		}
 		wall[fid] = time.Since(t0)
-		geos[fid] = make(map[ConfigName]float64, len(driftConfigs))
-		for _, cfg := range driftConfigs {
+		geos[fid] = make(map[ConfigName]float64, len(fig.Cfgs))
+		for _, cfg := range fig.Cfgs {
 			_, geo, err := r.sweep(ctx, fid, cfg)
 			if err != nil {
 				return nil, nil, err
@@ -50,12 +46,12 @@ func (r *Runner) FidelityDrift() (*stats.Table, []report.Drift, error) {
 	}
 
 	t := stats.NewTable(
-		fmt.Sprintf("Fidelity drift: fig7 geomean overhead vs exact (scale %d)", r.Scale),
+		fmt.Sprintf("Fidelity drift: %s geomean overhead vs exact (scale %d)", fig.Name, r.Scale),
 		"fidelity", "config", "geomean", "drift-pp", "speedup")
 	var drift []report.Drift
 	for _, fid := range sim.Fidelities {
 		speedup := speedupOver(wall[sim.FidelityExact], wall[fid])
-		for _, cfg := range driftConfigs {
+		for _, cfg := range fig.Cfgs {
 			exact := geos[sim.FidelityExact][cfg]
 			geo := geos[fid][cfg]
 			t.Row(string(fid), string(cfg), geo, geo-exact, speedup)
@@ -97,7 +93,7 @@ func (r *Runner) warmProfiles(ctx context.Context, cfgs []ConfigName) error {
 			jobs = append(jobs, job{w, rt.For(cfg.Core)})
 		}
 	}
-	return r.parallelDo(ctx, len(jobs), func(i int) error {
+	return stats.ParallelDo(ctx, r.Jobs, len(jobs), func(i int) error {
 		prog, rtEnd, err := workload.BuildProgram(jobs[i].w, jobs[i].opts, r.Scale)
 		if err != nil {
 			return err

@@ -12,6 +12,39 @@ import (
 	"watchdog/internal/stats"
 )
 
+// OverheadFigure is one of the Section 9 overhead figures: the -exp
+// name that selects it, the title of its table, and the configurations
+// whose slowdown over the baseline it tabulates, one column each.
+type OverheadFigure struct {
+	Name  string
+	Title string
+	Cfgs  []ConfigName
+}
+
+// The overhead figures, each declared once: the figure methods render
+// their entry, Report summarizes it, FidelityDrift sweeps Figure 7's,
+// and watchdog-bench -bars draws it.
+var (
+	OverheadFig7 = OverheadFigure{"fig7",
+		"Figure 7: runtime overhead of use-after-free checking (% slowdown)",
+		[]ConfigName{CfgConservative, CfgISA, CfgXTag, CfgDangKiller}}
+	OverheadFig9 = OverheadFigure{"fig9",
+		"Figure 9: effect of the lock location cache (% slowdown)",
+		[]ConfigName{CfgISA, CfgISANoLock}}
+	OverheadFig11 = OverheadFigure{"fig11",
+		"Figure 11: integrating bounds checking (% slowdown)",
+		[]ConfigName{CfgISA, CfgBounds1, CfgBounds2}}
+	OverheadIdeal = OverheadFigure{"ideal",
+		"Section 9.3: idealized shadow-space accesses (% slowdown)",
+		[]ConfigName{CfgISA, CfgISAIdeal}}
+	OverheadAblations = OverheadFigure{"ablations",
+		"Ablations: copy elimination (vs conservative) and monolithic metadata (vs isa)",
+		[]ConfigName{CfgConservative, CfgNoCopyElim, CfgISA, CfgMonolithic}}
+)
+
+// OverheadFigures lists the overhead figures in report order.
+var OverheadFigures = []OverheadFigure{OverheadFig7, OverheadFig9, OverheadFig11, OverheadIdeal, OverheadAblations}
+
 // Fig5 reproduces Figure 5: the percentage of memory accesses
 // classified as pointer loads/stores under conservative vs
 // ISA-assisted identification, per benchmark and on average.
@@ -45,11 +78,7 @@ func (r *Runner) Fig5() (*stats.Table, error) {
 // ISA-assisted pointer identification (paper: 25% and 15% geomean),
 // extended with the pointer-tagging and implicit-identifier
 // comparators (additive columns; the paper's two stay as-is).
-func (r *Runner) Fig7() (*stats.Table, error) {
-	return r.overheadTable(
-		"Figure 7: runtime overhead of use-after-free checking (% slowdown)",
-		CfgConservative, CfgISA, CfgXTag, CfgDangKiller)
-}
+func (r *Runner) Fig7() (*stats.Table, error) { return r.OverheadTable(OverheadFig7) }
 
 // Fig8 reproduces Figure 8: µop overhead breakdown under ISA-assisted
 // identification (paper: 44% total on average; checks dominate).
@@ -84,11 +113,7 @@ func (r *Runner) Fig8() (*stats.Table, error) {
 
 // Fig9 reproduces Figure 9: overhead with and without the dedicated
 // lock location cache (paper: 15% -> 24% without it).
-func (r *Runner) Fig9() (*stats.Table, error) {
-	return r.overheadTable(
-		"Figure 9: effect of the lock location cache (% slowdown)",
-		CfgISA, CfgISANoLock)
-}
+func (r *Runner) Fig9() (*stats.Table, error) { return r.OverheadTable(OverheadFig9) }
 
 // Fig10 reproduces Figure 10: memory overhead measured in words
 // touched and in 4 KB pages touched (paper: 32% and 56% average).
@@ -132,28 +157,16 @@ func (r *Runner) Fig10() (*stats.Table, error) {
 // Fig11 reproduces Figure 11: full memory safety — Watchdog alone vs
 // bounds checking fused into the check µop vs a separate bounds µop
 // (paper: 15% / 18% / 24% geomean).
-func (r *Runner) Fig11() (*stats.Table, error) {
-	return r.overheadTable(
-		"Figure 11: integrating bounds checking (% slowdown)",
-		CfgISA, CfgBounds1, CfgBounds2)
-}
+func (r *Runner) Fig11() (*stats.Table, error) { return r.OverheadTable(OverheadFig11) }
 
 // Ideal reproduces the Section 9.3 cache-pressure isolation study:
 // idealized shadow accesses (paper: overhead drops 15% -> 11%).
-func (r *Runner) Ideal() (*stats.Table, error) {
-	return r.overheadTable(
-		"Section 9.3: idealized shadow-space accesses (% slowdown)",
-		CfgISA, CfgISAIdeal)
-}
+func (r *Runner) Ideal() (*stats.Table, error) { return r.OverheadTable(OverheadIdeal) }
 
 // Ablations reports the design-choice studies DESIGN.md calls out:
 // rename copy elimination and decoupled vs monolithic register
 // metadata.
-func (r *Runner) Ablations() (*stats.Table, error) {
-	return r.overheadTable(
-		"Ablations: copy elimination (vs conservative) and monolithic metadata (vs isa)",
-		CfgConservative, CfgNoCopyElim, CfgISA, CfgMonolithic)
-}
+func (r *Runner) Ablations() (*stats.Table, error) { return r.OverheadTable(OverheadAblations) }
 
 // Table1 reproduces Table 1: the comparison of checking schemes, with
 // the qualitative columns from the paper, the overhead measured on
@@ -250,46 +263,36 @@ func (r *Runner) Bars(title string, cfgs ...ConfigName) (string, error) {
 	return stats.RenderBars(title, series)
 }
 
-// overheadTable renders per-benchmark % slowdowns for the given
-// configurations plus the geometric-mean row.
-func (r *Runner) overheadTable(title string, cfgs ...ConfigName) (*stats.Table, error) {
+// OverheadTable renders an overhead figure: per-benchmark % slowdowns
+// under each of its configurations, plus the geometric-mean row.
+func (r *Runner) OverheadTable(f OverheadFigure) (*stats.Table, error) {
 	// Warm every cell of the table in one parallel fan-out (the
 	// per-config Sweeps below then only read the cache).
-	if err := r.RunAll(append([]ConfigName{CfgBaseline}, cfgs...)...); err != nil {
+	if err := r.RunAll(append([]ConfigName{CfgBaseline}, f.Cfgs...)...); err != nil {
 		return nil, err
 	}
-	headers := append([]string{"bench"}, configHeaders(cfgs)...)
-	t := stats.NewTable(title, headers...)
-	series := make([]stats.Series, len(cfgs))
-	geos := make([]float64, len(cfgs))
-	for i, cfg := range cfgs {
+	headers := []string{"bench"}
+	series := make([]stats.Series, len(f.Cfgs))
+	geoRow := []any{"Geo.mean"}
+	for i, cfg := range f.Cfgs {
 		s, geo, err := r.Sweep(cfg)
 		if err != nil {
 			return nil, err
 		}
-		series[i], geos[i] = s, geo
+		headers = append(headers, string(cfg))
+		series[i] = s
+		geoRow = append(geoRow, geo)
 	}
+	t := stats.NewTable(f.Title, headers...)
 	for bi, w := range r.Workloads {
-		cells := []any{w.Name}
-		for i := range cfgs {
-			cells = append(cells, series[i].Values[bi])
+		row := []any{w.Name}
+		for _, s := range series {
+			row = append(row, s.Values[bi])
 		}
-		t.Row(cells...)
+		t.Row(row...)
 	}
-	geoCells := []any{"Geo.mean"}
-	for _, g := range geos {
-		geoCells = append(geoCells, g)
-	}
-	t.Row(geoCells...)
+	t.Row(geoRow...)
 	return t, nil
-}
-
-func configHeaders(cfgs []ConfigName) []string {
-	out := make([]string, len(cfgs))
-	for i, c := range cfgs {
-		out[i] = string(c)
-	}
-	return out
 }
 
 func frac(num, den uint64) float64 {

@@ -45,7 +45,7 @@ func (r *Runner) LockSweep(sizes []int) (*stats.Table, error) {
 			cells = append(cells, cell{w, sz})
 		}
 	}
-	if err := r.parallelDo(ctx, len(cells), func(i int) error {
+	if err := stats.ParallelDo(ctx, r.Jobs, len(cells), func(i int) error {
 		_, err := r.lockCell(ctx, fid, cells[i].w, cells[i].size)
 		return err
 	}); err != nil {

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"watchdog/internal/security"
+	"watchdog/internal/stats"
 	"watchdog/internal/trace"
 	"watchdog/internal/workload"
 )
@@ -172,9 +173,8 @@ func TestRunConcurrentSameCell(t *testing.T) {
 // fan-out must be the lowest-index one regardless of which worker
 // fails first, so error reporting is deterministic.
 func TestParallelDoFirstErrorByIndex(t *testing.T) {
-	r := runnerJ(t, 8)
 	want := errors.New("boom-3")
-	err := r.parallelDo(context.Background(), 10, func(i int) error {
+	err := stats.ParallelDo(context.Background(), 8, 10, func(i int) error {
 		if i == 3 {
 			return want
 		}
@@ -222,8 +222,7 @@ func TestTracedSweepParallel(t *testing.T) {
 func TestParallelDoFirstErrorAtAnyJobs(t *testing.T) {
 	want := errors.New("boom-3")
 	for _, jobs := range []int{1, 2, 4, 8, 16} {
-		r := runnerJ(t, jobs)
-		err := r.parallelDo(context.Background(), 10, func(i int) error {
+		err := stats.ParallelDo(context.Background(), jobs, 10, func(i int) error {
 			switch i {
 			case 3:
 				return want
@@ -242,10 +241,9 @@ func TestParallelDoFirstErrorAtAnyJobs(t *testing.T) {
 // fan-out stops handing out new indices instead of running the rest
 // of a large batch to completion.
 func TestParallelDoFailFast(t *testing.T) {
-	r := runnerJ(t, 4)
 	const n = 10_000
 	var calls atomic.Int64
-	err := r.parallelDo(context.Background(), n, func(i int) error {
+	err := stats.ParallelDo(context.Background(), 4, n, func(i int) error {
 		calls.Add(1)
 		if i == 0 {
 			return fmt.Errorf("boom-0")
@@ -267,9 +265,8 @@ func TestParallelDoCanceledBeforeStart(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, jobs := range []int{1, 4} {
-		r := runnerJ(t, jobs)
 		var calls atomic.Int64
-		err := r.parallelDo(ctx, 10, func(i int) error {
+		err := stats.ParallelDo(ctx, jobs, 10, func(i int) error {
 			calls.Add(1)
 			return nil
 		})

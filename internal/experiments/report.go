@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"watchdog/internal/core"
@@ -15,31 +16,6 @@ import (
 	"watchdog/internal/sim"
 	"watchdog/internal/workload"
 )
-
-// overheadFigures maps the overhead-figure experiments to the
-// configurations they sweep — the geomean summaries of the report and
-// the per-figure series of the baseline comparison.
-var overheadFigures = []struct {
-	name string
-	cfgs []ConfigName
-}{
-	{"fig7", []ConfigName{CfgConservative, CfgISA, CfgXTag, CfgDangKiller}},
-	{"fig9", []ConfigName{CfgISA, CfgISANoLock}},
-	{"fig11", []ConfigName{CfgISA, CfgBounds1, CfgBounds2}},
-	{"ideal", []ConfigName{CfgISA, CfgISAIdeal}},
-	{"ablations", []ConfigName{CfgConservative, CfgNoCopyElim, CfgISA, CfgMonolithic}},
-}
-
-// IsOverheadFigure reports whether the experiment name has a geomean
-// summary in the report.
-func IsOverheadFigure(name string) bool {
-	for _, f := range overheadFigures {
-		if f.name == name {
-			return true
-		}
-	}
-	return false
-}
 
 // Juliet runs the Section 9.2 security suite under ISA-assisted
 // Watchdog over the runner's worker pool, recording every case into
@@ -66,17 +42,16 @@ func (r *Runner) juliet(name ConfigName) (security.Summary, error) {
 		r.Progress.AddTotal(len(cases))
 		onDone = r.Progress.CellDone
 	}
-	outs, err := security.RunCasesCtx(r.ctx(), cases, cfg.Core, rt.For(cfg.Core), r.jobs(), &r.Timing, onDone)
+	outs, err := security.RunCasesCtx(r.ctx(), cases, cfg.Core, rt.For(cfg.Core), r.Jobs, &r.Timing, onDone)
 	return security.SummarizeRan(cases, outs), err
 }
 
 // Report assembles the machine-readable metrics report: one Cell per
 // (workload, configuration) pair simulated so far, the geomean
 // summaries for the named overhead figures, and the security summary
-// when one is supplied. Figure names must come from the overhead set
-// (fig7, fig9, fig11, ideal, ablations); their sweeps read the warmed
-// result cache, so calling Report after the figures ran adds no
-// simulations.
+// when one is supplied. Figure names must be OverheadFigures names;
+// their sweeps read the warmed result cache, so calling Report after
+// the figures ran adds no simulations.
 func (r *Runner) Report(figures []string, juliet *security.Summary) (*report.Report, error) {
 	rep := &report.Report{Scale: r.Scale, Fidelity: string(r.Fidelity.OrExact())}
 	for _, w := range r.Workloads {
@@ -85,24 +60,22 @@ func (r *Runner) Report(figures []string, juliet *security.Summary) (*report.Rep
 
 	// Geomean summaries, in the fixed figure order (input order and
 	// duplicates do not affect the document).
-	want := make(map[string]bool, len(figures))
 	for _, name := range figures {
-		if !IsOverheadFigure(name) {
+		if !slices.ContainsFunc(OverheadFigures, func(f OverheadFigure) bool { return f.Name == name }) {
 			return nil, fmt.Errorf("report: %q is not an overhead figure", name)
 		}
-		want[name] = true
 	}
 	// The sweeps below re-run under a background context on purpose:
 	// callers only name figures that completed, so these are pure
 	// cache reads — and after an interrupt the report must still
 	// assemble everything that finished, not fail on the dead signal
 	// context.
-	for _, f := range overheadFigures {
-		if !want[f.name] {
+	for _, f := range OverheadFigures {
+		if !slices.Contains(figures, f.Name) {
 			continue
 		}
-		fig := report.Figure{Name: f.name}
-		for _, cfg := range f.cfgs {
+		fig := report.Figure{Name: f.Name}
+		for _, cfg := range f.Cfgs {
 			_, geo, err := r.sweep(context.Background(), r.Fidelity, cfg)
 			if err != nil {
 				return nil, err

@@ -6,6 +6,7 @@ import (
 
 	"watchdog/internal/core"
 	"watchdog/internal/fuzzgen"
+	"watchdog/internal/security"
 	"watchdog/internal/sim"
 	"watchdog/internal/stats"
 )
@@ -35,11 +36,18 @@ func (r *Runner) TagSweep() (*stats.Table, error) {
 	// detected[si][wi] records seed si's verdict at tagSweepWidths[wi];
 	// detected[si][len(tagSweepWidths)] is the Watchdog oracle.
 	detected := make([][]bool, tagSweepSeeds)
-	err := r.parallelDo(ctx, tagSweepSeeds, func(si int) error {
+	xtag, _, err := security.PolicyConfig(string(CfgXTag))
+	if err != nil {
+		return nil, err
+	}
+	err = stats.ParallelDo(ctx, r.Jobs, tagSweepSeeds, func(si int) error {
 		seed := int64(tagSweepBase + si)
 		row := make([]bool, len(tagSweepWidths)+1)
 		for wi, w := range tagSweepWidths {
-			cc := core.Config{Policy: core.PolicyXTag, PtrPolicy: core.PtrConservative, TagBits: w}
+			cc := xtag
+			if err := security.SetTagBits(&cc, w); err != nil {
+				return err
+			}
 			hit, err := runTagSeed(ctx, seed, cc)
 			if err != nil {
 				return err

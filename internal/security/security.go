@@ -19,11 +19,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"slices"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"watchdog/internal/asm"
@@ -294,65 +292,22 @@ type Summary struct {
 // SummarizeRan. The returned error is ctx.Err() when the run was cut
 // short, nil otherwise.
 func RunCasesCtx(ctx context.Context, cases []Case, cfg core.Config, opts rt.Options, jobs int, t *stats.Timing, onDone func()) ([]Outcome, error) {
-	run := func(c Case) Outcome {
+	outs := make([]Outcome, len(cases))
+	err := stats.ParallelDo(ctx, jobs, len(cases), func(i int) error {
 		var start time.Time
 		if t != nil {
 			start = time.Now()
 		}
-		o := RunCaseCtx(ctx, c, cfg, opts)
+		outs[i] = RunCaseCtx(ctx, cases[i], cfg, opts)
 		if t != nil {
 			t.AddSim(time.Since(start))
 		}
 		if onDone != nil {
 			onDone()
 		}
-		return o
-	}
-	outs := make([]Outcome, len(cases))
-	if jobs <= 0 {
-		jobs = runtime.GOMAXPROCS(0)
-	}
-	if jobs > len(cases) {
-		jobs = len(cases)
-	}
-	done := ctx.Done()
-	claimed := func() bool {
-		if done == nil {
-			return true
-		}
-		select {
-		case <-done:
-			return false
-		default:
-			return true
-		}
-	}
-	if jobs <= 1 {
-		for i, c := range cases {
-			if !claimed() {
-				break
-			}
-			outs[i] = run(c)
-		}
-		return outs, ctx.Err()
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < jobs; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for claimed() {
-				i := int(next.Add(1)) - 1
-				if i >= len(cases) {
-					return
-				}
-				outs[i] = run(cases[i])
-			}
-		}()
-	}
-	wg.Wait()
-	return outs, ctx.Err()
+		return nil
+	})
+	return outs, err
 }
 
 // ReportRecord converts the summary to the report-schema security

@@ -1,6 +1,7 @@
 // Package stats provides the statistics helpers used by the benchmark
-// harness: geometric means, percentage formatting, and fixed-width
-// text tables in the shape of the paper's figures.
+// harness: geometric means, percentage formatting, fixed-width text
+// tables in the shape of the paper's figures, and the fan-out its
+// sweeps and suites run on.
 package stats
 
 import (
