@@ -68,7 +68,7 @@ type rendered struct {
 	table  *stats.Table                // printed as text, or with -csv as CSV
 	figure *experiments.OverheadFigure // the overhead figure the table shows
 	bars   string                      // with -bars, the figure's bar chart
-	text   string                      // printed as is
+	text   string                      // without -csv, printed as is in place of the table
 	drift  []report.Drift
 	juliet *security.Summary
 }
@@ -77,7 +77,7 @@ type rendered struct {
 // renders them.
 var experimentTable = []experiment{
 	{name: "table2", all: true, run: func(*experiments.Runner) (rendered, error) {
-		return rendered{text: experiments.Table2() + "\n"}, nil
+		return rendered{table: experiments.Table2Data(), text: experiments.Table2() + "\n"}, nil
 	}},
 	{name: "table1", all: true, run: table((*experiments.Runner).Table1)},
 	{name: "fig5", all: true, remote: true, run: table((*experiments.Runner).Fig5)},
@@ -92,7 +92,7 @@ var experimentTable = []experiment{
 	{name: "tagsweep", all: true, run: table((*experiments.Runner).TagSweep)},
 	{name: "juliet", all: true, run: func(r *experiments.Runner) (rendered, error) {
 		s, err := r.Juliet()
-		return rendered{text: fmt.Sprintf("Section 9.2: security evaluation\n  %s\n\n", s), juliet: &s}, err
+		return rendered{table: s.Table(), text: fmt.Sprintf("Section 9.2: security evaluation\n  %s\n\n", s), juliet: &s}, err
 	}},
 	// Not part of all: it sweeps the fig7 configurations once per
 	// fidelity, and its point — what sampling trades away — only
@@ -334,13 +334,14 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			switch {
 			case out.table != nil && *csv:
 				fmt.Fprintf(stdout, "# %s\n%s\n", e.name, out.table.CSV())
-			case out.table != nil:
+			case out.text != "":
+				fmt.Fprint(stdout, out.text)
+			default:
 				fmt.Fprintln(stdout, out.table)
 			}
 			if out.bars != "" {
 				fmt.Fprintln(stdout, out.bars)
 			}
-			fmt.Fprint(stdout, out.text)
 			if out.figure != nil {
 				figures = append(figures, out.figure.Name)
 			}

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/csv"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -391,6 +392,47 @@ func TestEachExperimentTimedOnce(t *testing.T) {
 				t.Fatalf("record names %v, want %v", got, want)
 			}
 		})
+	}
+}
+
+// TestCSVBlocks: with -csv every experiment -exp all renders prints a
+// "# name" line and then CSV, so every non-empty line of the output
+// falls in one experiment's block and each block parses as one CSV
+// table with a column count of its own.
+func TestCSVBlocks(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := run(context.Background(), []string{"-exp", "all", "-workloads", "mcf,lbm", "-j", "2", "-csv"}, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d, stderr: %s", code, stderr.String())
+	}
+	blocks := map[string]string{}
+	var names []string
+	for _, line := range strings.Split(stdout.String(), "\n") {
+		if name, ok := strings.CutPrefix(line, "# "); ok {
+			names = append(names, name)
+			continue
+		}
+		if line == "" {
+			continue
+		}
+		if len(names) == 0 {
+			t.Fatalf("line %q comes before any # name line", line)
+		}
+		blocks[names[len(names)-1]] += line + "\n"
+	}
+	var all []string
+	for _, e := range experimentTable {
+		if e.all {
+			all = append(all, e.name)
+		}
+	}
+	if !slices.Equal(names, all) {
+		t.Errorf("blocks %v, want %v", names, all)
+	}
+	for _, name := range names {
+		r := csv.NewReader(strings.NewReader(blocks[name]))
+		if rows, err := r.ReadAll(); err != nil || len(rows) < 2 {
+			t.Errorf("# %s: %d rows, %v:\n%s", name, len(rows), err, blocks[name])
+		}
 	}
 }
 

@@ -39,6 +39,7 @@
 package main
 
 import (
+	"cmp"
 	"context"
 	"flag"
 	"fmt"
@@ -184,36 +185,57 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	if *disasm {
 		fmt.Fprint(stdout, prog.Disasm(0, 0))
 	}
-	if *traceN > 0 || *timeline != "" || *flightN > 0 {
-		// One sink serves all three. The trace budget lives in it, so
-		// once the first traceN instructions have printed the observer
-		// detaches instead of being consulted for every remaining one.
-		simCfg.Sink = trace.New(trace.Config{Timeline: *timeline != "", FlightN: *flightN, InstBudget: uint64(*traceN)})
-		if *traceN > 0 {
-			simCfg.Sink.SetInstObserver(traceFn(prog, stderr))
+	config := fmt.Sprintf("%s, fidelity %s", cfgName, fid.OrExact())
+	var (
+		traced, events int
+		tlFile         *os.File
+		tl             *trace.Perfetto
+	)
+	if *timeline != "" {
+		if tlFile, err = os.Create(*timeline); err != nil {
+			return fail(err)
 		}
+		tl = trace.NewPerfetto(tlFile, map[string]string{"program": src.desc, "config": config})
+	}
+	if *traceN > 0 || tl != nil || *flightN > 0 {
+		// One sink serves all three: its ring keeps the last flightN
+		// events, and its observer prints the first traceN instructions
+		// and streams every event to the timeline, which keeps none.
+		simCfg.Sink = trace.New(trace.Config{FlightN: *flightN})
+		simCfg.Sink.SetObserver(func(ev trace.Event) {
+			if ev.Kind == trace.KindInst && traced < *traceN {
+				traced++
+				for _, l := range prog.LabelsAt(ev.PC) {
+					fmt.Fprintf(stderr, "%s:\n", l)
+				}
+				fmt.Fprintf(stderr, "%6d  %s\n", ev.PC, prog.Insts[ev.PC].String())
+			}
+			if tl != nil {
+				events++
+				tl.Event(ev)
+			}
+		})
 	}
 	res, err := simulate(ctx, src, prog, rtEnd, simCfg)
+	if tl != nil {
+		// A failed or interrupted run leaves no timeline behind.
+		if err = cmp.Or(err, tl.Close(), tlFile.Close()); err != nil {
+			os.Remove(*timeline)
+		}
+	}
 	if err != nil {
 		return fail(err)
 	}
 	if *traceN > 0 {
-		fmt.Fprintf(stderr, "-- traced %d of %d executed instructions --\n",
-			res.Trace.InstObserved(), res.Insts)
+		fmt.Fprintf(stderr, "-- traced %d of %d executed instructions --\n", traced, res.Insts)
 	}
 	if *flightN > 0 && (res.MemErr != nil || res.Aborted) {
 		if err := res.Trace.DumpFlight(stderr, resolver(prog)); err != nil {
 			return fail(err)
 		}
 	}
-	config := fmt.Sprintf("%s, fidelity %s", cfgName, fid.OrExact())
-	if *timeline != "" {
-		labels := map[string]string{"program": src.desc, "config": config}
-		if err := trace.WritePerfettoFile(*timeline, res.Trace, labels); err != nil {
-			return fail(err)
-		}
-		fmt.Fprintf(stderr, "watchdog-sim: wrote timeline %s (%d events)\n",
-			*timeline, len(res.Trace.Events()))
+	if tl != nil {
+		fmt.Fprintf(stderr, "watchdog-sim: wrote timeline %s (%d events)\n", *timeline, events)
 	}
 
 	base, baseErr := res, error(nil)
@@ -323,16 +345,6 @@ func simulate(ctx context.Context, src source, prog *asm.Program, rtEnd int, cfg
 		cfg.Core.Profile = p
 	}
 	return sim.RunCtx(ctx, prog, cfg)
-}
-
-// traceFn renders one macro instruction per line, with labels.
-func traceFn(prog *asm.Program, w io.Writer) func(ev trace.Event) {
-	return func(ev trace.Event) {
-		for _, l := range prog.LabelsAt(ev.PC) {
-			fmt.Fprintf(w, "%s:\n", l)
-		}
-		fmt.Fprintf(w, "%6d  %s\n", ev.PC, prog.Insts[ev.PC].String())
-	}
 }
 
 // resolver renders the macro instruction at a pc for flight-log lines.

@@ -567,3 +567,33 @@ func TestInterruptExitsNonZero(t *testing.T) {
 		t.Errorf("stderr does not surface the cancellation: %s", stderr.String())
 	}
 }
+
+// TestFailedRunLeavesNoTimeline: -timeline streams while the run goes,
+// so a run that fails or is interrupted removes what it wrote: no
+// partial document is left at the path.
+func TestFailedRunLeavesNoTimeline(t *testing.T) {
+	dir := t.TempDir()
+	hijack := filepath.Join(dir, "hijack.wdasm")
+	if err := os.WriteFile(hijack, []byte(hijackProgram), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, tc := range []struct {
+		name string
+		ctx  context.Context
+		args []string
+	}{
+		{"failed", context.Background(), []string{"-asm", hijack, "-config", "baseline"}},
+		{"interrupted", canceled, []string{"-workload", "mcf"}},
+	} {
+		path := filepath.Join(dir, tc.name+".json")
+		var stdout, stderr bytes.Buffer
+		if code := run(tc.ctx, append(tc.args, "-timeline", path), &stdout, &stderr); code != 1 {
+			t.Errorf("%s run: exit %d, want 1; stderr: %s", tc.name, code, stderr.String())
+		}
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Errorf("%s run left a timeline behind (stat: %v)", tc.name, err)
+		}
+	}
+}

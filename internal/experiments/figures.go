@@ -212,28 +212,48 @@ func (r *Runner) Table1() (*stats.Table, error) {
 	return t, nil
 }
 
-// Table2 prints the simulated processor configuration.
-func Table2() string {
+// table2 declares Table 2 once: each parameter of the simulated
+// processor with its value.
+func table2() [][2]string {
 	p := pipeline.DefaultConfig()
 	h := cache.DefaultHierConfig()
+	return [][2]string{
+		{"Clock", fmt.Sprintf("%.1f GHz", p.ClockGHz)},
+		{"Fetch", fmt.Sprintf("%d macro-insts/cycle, %d-cycle front end", p.FetchWidthMacro, p.FrontEndDepth)},
+		{"Bpred", "3-table PPM (256x2, 128x4, 128x4), 8-bit tags, 2-bit ctrs"},
+		{"Rename/Dispatch", fmt.Sprintf("%d µops/cycle", p.DispatchWidth)},
+		{"Window", fmt.Sprintf("%d-entry ROB, %d-entry IQ, %d-wide issue", p.ROBSize, p.IQSize, p.IssueWidth)},
+		{"LQ/SQ", fmt.Sprintf("%d / %d entries", p.LQSize, p.SQSize)},
+		{"Int FUs", fmt.Sprintf("%d ALU, %d branch, %d load ports, %d store port, %d mul/div",
+			p.IntALUs, p.BranchUnits, p.LoadPorts, p.StorePorts, p.MulDivs)},
+		{"FP FUs", fmt.Sprintf("%d ALU, %d mul, %d div", p.FPAlus, p.FPMuls, p.FPDivs)},
+		{"L1 I$", fmt.Sprintf("%d KB %d-way, %d cycles", h.L1I.SizeBytes>>10, h.L1I.Ways, h.L1I.Latency)},
+		{"L1 D$", fmt.Sprintf("%d KB %d-way, %d cycles", h.L1D.SizeBytes>>10, h.L1D.Ways, h.L1D.Latency)},
+		{"Private L2$", fmt.Sprintf("%d KB %d-way, %d cycles", h.L2.SizeBytes>>10, h.L2.Ways, h.L2.Latency)},
+		{"Shared L3$", fmt.Sprintf("%d MB %d-way, %d cycles", h.L3.SizeBytes>>20, h.L3.Ways, h.L3.Latency)},
+		{"Memory", fmt.Sprintf("%d cycles beyond L3", h.DRAMLatency)},
+		{"Lock location $", fmt.Sprintf("%d KB %d-way, %d cycles", h.Lock.SizeBytes>>10, h.Lock.Ways, h.Lock.Latency)},
+	}
+}
+
+// Table2 prints the simulated processor configuration.
+func Table2() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Table 2: simulated processor configuration\n")
-	fmt.Fprintf(&b, "  Clock           %.1f GHz\n", p.ClockGHz)
-	fmt.Fprintf(&b, "  Fetch           %d macro-insts/cycle, %d-cycle front end\n", p.FetchWidthMacro, p.FrontEndDepth)
-	fmt.Fprintf(&b, "  Bpred           3-table PPM (256x2, 128x4, 128x4), 8-bit tags, 2-bit ctrs\n")
-	fmt.Fprintf(&b, "  Rename/Dispatch %d µops/cycle\n", p.DispatchWidth)
-	fmt.Fprintf(&b, "  Window          %d-entry ROB, %d-entry IQ, %d-wide issue\n", p.ROBSize, p.IQSize, p.IssueWidth)
-	fmt.Fprintf(&b, "  LQ/SQ           %d / %d entries\n", p.LQSize, p.SQSize)
-	fmt.Fprintf(&b, "  Int FUs         %d ALU, %d branch, %d load ports, %d store port, %d mul/div\n",
-		p.IntALUs, p.BranchUnits, p.LoadPorts, p.StorePorts, p.MulDivs)
-	fmt.Fprintf(&b, "  FP FUs          %d ALU, %d mul, %d div\n", p.FPAlus, p.FPMuls, p.FPDivs)
-	fmt.Fprintf(&b, "  L1 I$           %d KB %d-way, %d cycles\n", h.L1I.SizeBytes>>10, h.L1I.Ways, h.L1I.Latency)
-	fmt.Fprintf(&b, "  L1 D$           %d KB %d-way, %d cycles\n", h.L1D.SizeBytes>>10, h.L1D.Ways, h.L1D.Latency)
-	fmt.Fprintf(&b, "  Private L2$     %d KB %d-way, %d cycles\n", h.L2.SizeBytes>>10, h.L2.Ways, h.L2.Latency)
-	fmt.Fprintf(&b, "  Shared L3$      %d MB %d-way, %d cycles\n", h.L3.SizeBytes>>20, h.L3.Ways, h.L3.Latency)
-	fmt.Fprintf(&b, "  Memory          %d cycles beyond L3\n", h.DRAMLatency)
-	fmt.Fprintf(&b, "  Lock location $ %d KB %d-way, %d cycles\n", h.Lock.SizeBytes>>10, h.Lock.Ways, h.Lock.Latency)
+	b.WriteString("Table 2: simulated processor configuration\n")
+	for _, r := range table2() {
+		fmt.Fprintf(&b, "  %-15s %s\n", r[0], r[1])
+	}
 	return b.String()
+}
+
+// Table2Data is Table 2 as a (parameter, value) table, the rows
+// Table2 prints, for watchdog-bench -csv.
+func Table2Data() *stats.Table {
+	t := stats.NewTable("Table 2: simulated processor configuration", "parameter", "value")
+	for _, r := range table2() {
+		t.Row(r[0], r[1])
+	}
+	return t
 }
 
 // Juliet runs the Section 9.2 security suite under Watchdog and

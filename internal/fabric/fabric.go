@@ -141,7 +141,7 @@ func New(addrs []string, opts Options) (*Coordinator, error) {
 	}
 	c.log = opts.Logger
 	if c.log == nil {
-		c.log = slog.New(slog.NewJSONHandler(io.Discard, nil))
+		c.log = slog.New(serve.DiscardHandler{})
 	}
 	seen := make(map[string]bool, len(addrs))
 	for _, a := range addrs {

@@ -171,3 +171,14 @@ func TestFabricPromStats(t *testing.T) {
 		t.Errorf("handler exposition:\n%s", rec.Body.String())
 	}
 }
+
+// TestDefaultLoggerDisabled: a coordinator given no Logger logs through
+// the server's disabled handler, so a cell fetch builds no log record.
+func TestDefaultLoggerDisabled(t *testing.T) {
+	c := newFabric(t, Options{}, newWorker(t).URL)
+	for _, l := range []slog.Level{slog.LevelDebug - 4, slog.LevelDebug, slog.LevelInfo, slog.LevelWarn, slog.LevelError, slog.LevelError + 4} {
+		if c.log.Enabled(context.Background(), l) {
+			t.Errorf("default logger enabled at %v", l)
+		}
+	}
+}

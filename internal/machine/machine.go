@@ -233,10 +233,10 @@ func (m *Machine) fault(err error) {
 	m.halted = true
 }
 
-// Run executes until halt, fault, or the instruction limit. The
-// returned error reports machine-level problems (illegal jumps,
-// divide by zero, instruction-limit exhaustion), not memory-safety
-// violations — those are reported in Result.MemErr.
+// Run executes until halt, fault, or the instruction or memory limit.
+// The returned error reports machine-level problems (illegal jumps,
+// divide by zero, instruction- or memory-limit exhaustion), not
+// memory-safety violations — those are reported in Result.MemErr.
 //
 // The returned Result is a copy that holds no pointer into the
 // machine: a caller may keep it (a sweep keeps every cell's) without
@@ -305,6 +305,9 @@ func (m *Machine) finish() {
 // step interprets one macro instruction.
 func (m *Machine) step() error {
 	pc := m.pc
+	if m.Mem.Full() {
+		return fmt.Errorf("machine: memory limit (%d pages of %d bytes) exceeded at pc %d", mem.MaxPages, mem.PageSize, pc)
+	}
 	in := &m.prog.Insts[pc]
 	if m.sink != nil {
 		m.sink.Inst(pc, in.Op)

@@ -1,11 +1,14 @@
 package machine
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"watchdog/internal/asm"
+	"watchdog/internal/core"
 	"watchdog/internal/isa"
+	"watchdog/internal/mem"
 )
 
 // Coverage tests for individual macro-instruction semantics, run under
@@ -204,5 +207,31 @@ func TestReturnToGarbageIsMachineError(t *testing.T) {
 	})
 	if err == nil || !strings.Contains(err.Error(), "non-code address") {
 		t.Fatalf("want non-code return error, got %v", err)
+	}
+}
+
+// TestMemoryLimitStopsRun: a program that loads one word from each of
+// more pages than mem.MaxPages stops, once it has touched MaxPages of
+// them, with an error that names the ceiling.
+func TestMemoryLimitStopsRun(t *testing.T) {
+	res, err := run(t, core.Config{Policy: core.PolicyBaseline}, false, func(b *asm.Builder) {
+		b.Label("_start")
+		b.Movi(isa.R4, int64(mem.HeapBase))
+		b.Movi(isa.R5, 2*mem.MaxPages)
+		b.Label("loop")
+		b.Ld(isa.R2, asm.Mem(isa.R4, 0, 8))
+		b.Addi(isa.R4, isa.R4, mem.PageSize)
+		b.Subi(isa.R5, isa.R5, 1)
+		b.Brnz(isa.R5, "loop")
+		b.Halt()
+	})
+	want := fmt.Sprintf("machine: memory limit (%d pages of %d bytes) exceeded", mem.MaxPages, mem.PageSize)
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("err = %v, want %q", err, want)
+	}
+	// Two set-up instructions, four per page, then the load that found
+	// no page left: the run stops at the add after it.
+	if wantInsts := uint64(2 + 4*mem.MaxPages + 1); res.Insts != wantInsts {
+		t.Errorf("stopped after %d instructions, want %d", res.Insts, wantInsts)
 	}
 }

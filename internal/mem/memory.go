@@ -24,9 +24,22 @@ type Memory struct {
 	pages map[uint64]*page
 	cpn   [pageCacheWays]uint64 // cached page number + 1 (0 = empty)
 	cp    [pageCacheWays]*page
+	// spill serves every access to a new page past MaxPages, so the
+	// instruction in flight completes before the machine stops the run
+	// (Full). It is never cached.
+	spill *page
 }
 
 const pageCacheWays = 8
+
+// MaxPages bounds the pages one Memory creates: 64 MiB of simulated
+// memory, about 68 MB of host memory. Program text is untrusted input,
+// and without a bound a loop that touches one word per page grows the
+// host by 4 KiB per iteration. Under every configuration, profiling
+// passes included, no kernel at scale 1, 16 or 64 touches more than 55
+// pages (equake under bounds-1uop), no Juliet case under any policy
+// more than 9, and no fuzz program of seeds 0-1999 more than 10.
+const MaxPages = 1 << 14
 
 // New returns an empty memory.
 func New() *Memory {
@@ -41,12 +54,21 @@ func (m *Memory) pageFor(addr uint64) *page {
 	}
 	p := m.pages[pn]
 	if p == nil {
+		if len(m.pages) >= MaxPages {
+			if m.spill == nil {
+				m.spill = &page{}
+			}
+			return m.spill
+		}
 		p = &page{}
 		m.pages[pn] = p
 	}
 	m.cpn[w], m.cp[w] = pn+1, p
 	return p
 }
+
+// Full reports whether an access needed a page past MaxPages.
+func (m *Memory) Full() bool { return m.spill != nil }
 
 func (m *Memory) touch(p *page, addr uint64, n uint64) {
 	w0 := (addr % PageSize) / WordSize

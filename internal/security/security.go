@@ -371,6 +371,18 @@ func Summarize(cases []Case, outs []Outcome) Summary {
 	return s
 }
 
+// Table lists the counts String prints, one row per case set: its
+// cases, and how many of them were flagged (detected for bad cases,
+// false positives for good ones).
+func (s Summary) Table() *stats.Table {
+	t := stats.NewTable("Section 9.2: security evaluation", "cases", "total", "flagged")
+	t.Row("bad", s.BadTotal, s.BadDetected)
+	t.Row("bad CWE-416", s.ByCWETotal[416], s.ByCWEDetected[416])
+	t.Row("bad CWE-562", s.ByCWETotal[562], s.ByCWEDetected[562])
+	t.Row("good", s.GoodTotal, s.GoodTotal-s.GoodClean)
+	return t
+}
+
 // String renders the summary in the shape of the paper's Section 9.2
 // claim.
 func (s Summary) String() string {

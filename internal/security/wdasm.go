@@ -3,8 +3,9 @@ package security
 import (
 	"embed"
 	"fmt"
+	"io/fs"
 	"os"
-	"path/filepath"
+	"path"
 	"sort"
 	"strconv"
 	"strings"
@@ -32,24 +33,11 @@ var wdasmFS embed.FS
 // (CWE-415 double free and CWE-590 invalid free, with per-policy
 // expected-verdict annotations), sorted by ID.
 func WdasmCases() []Case {
-	entries, err := wdasmFS.ReadDir("cases")
+	cases, err := loadWdasm(wdasmFS, "cases")
 	if err != nil {
-		panic(err)
+		panic(fmt.Sprintf("embedded case %v", err))
 	}
-	out := make([]Case, 0, len(entries))
-	for _, e := range entries {
-		src, err := wdasmFS.ReadFile("cases/" + e.Name())
-		if err != nil {
-			panic(err)
-		}
-		c, err := ParseWdasmCase(strings.TrimSuffix(e.Name(), ".wdasm"), string(src))
-		if err != nil {
-			panic(fmt.Sprintf("embedded case %s: %v", e.Name(), err))
-		}
-		out = append(out, c)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
+	return cases
 }
 
 // BuiltinCases returns Suite followed by WdasmCases: the case list
@@ -60,20 +48,31 @@ func BuiltinCases() []Case { return append(Suite(), WdasmCases()...) }
 // LoadWdasmDir loads every .wdasm case file in dir (the
 // watchdog-juliet -cases flag), sorted by ID.
 func LoadWdasmDir(dir string) ([]Case, error) {
-	entries, err := os.ReadDir(dir)
+	cases, err := loadWdasm(os.DirFS(dir), ".")
+	if err != nil {
+		return nil, fmt.Errorf("case directory %s: %w", dir, err)
+	}
+	return cases, nil
+}
+
+// loadWdasm parses every .wdasm file in dir of fsys (the embedded
+// cases or a -cases directory), sorted by ID.
+func loadWdasm(fsys fs.FS, dir string) ([]Case, error) {
+	entries, err := fs.ReadDir(fsys, dir)
 	if err != nil {
 		return nil, err
 	}
 	var out []Case
 	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".wdasm") {
+		id, ok := strings.CutSuffix(e.Name(), ".wdasm")
+		if e.IsDir() || !ok {
 			continue
 		}
-		src, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		src, err := fs.ReadFile(fsys, path.Join(dir, e.Name()))
 		if err != nil {
 			return nil, err
 		}
-		c, err := ParseWdasmCase(strings.TrimSuffix(e.Name(), ".wdasm"), string(src))
+		c, err := ParseWdasmCase(id, string(src))
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", e.Name(), err)
 		}

@@ -95,8 +95,8 @@ type Config struct {
 	DrainTimeout time.Duration
 	// Logger receives the structured request log: one record per
 	// /v1/* request (method, path, flight key, status, latency,
-	// request id, coalesced). Nil discards — the service never logs
-	// unless given a destination.
+	// request id, coalesced). Nil means a DiscardHandler logger — the
+	// service never logs unless given a destination.
 	Logger *slog.Logger
 	// CacheEntries bounds the completed flight bodies kept in memory;
 	// past it the least recently used is evicted. Default: 512.
@@ -105,6 +105,17 @@ type Config struct {
 	// answers cold-cache replays, including across restarts.
 	Store *Store
 }
+
+// DiscardHandler is the log/slog handler of every default logger, the
+// server's and the fabric coordinator's: it is enabled at no level, so
+// a log call on it builds and formats no record. (slog.DiscardHandler
+// is the same from Go 1.24; go.mod says 1.22.)
+type DiscardHandler struct{}
+
+func (DiscardHandler) Enabled(context.Context, slog.Level) bool  { return false }
+func (DiscardHandler) Handle(context.Context, slog.Record) error { return nil }
+func (h DiscardHandler) WithAttrs([]slog.Attr) slog.Handler      { return h }
+func (h DiscardHandler) WithGroup(string) slog.Handler           { return h }
 
 func (c Config) withDefaults() Config {
 	if c.MaxWorkers <= 0 {
@@ -120,7 +131,7 @@ func (c Config) withDefaults() Config {
 		c.DrainTimeout = 30 * time.Second
 	}
 	if c.Logger == nil {
-		c.Logger = slog.New(slog.NewJSONHandler(io.Discard, nil))
+		c.Logger = slog.New(DiscardHandler{})
 	}
 	if c.CacheEntries <= 0 {
 		c.CacheEntries = 512

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"log/slog"
 	"net/http"
@@ -331,6 +332,17 @@ func TestProbeEndpointsEchoRequestID(t *testing.T) {
 		resp.Body.Close()
 		if resp.Header.Get(RequestIDHeader) == "" {
 			t.Errorf("%s answered without a generated %s", path, RequestIDHeader)
+		}
+	}
+}
+
+// TestDefaultLoggerDisabled: a server given no Logger logs through a
+// handler enabled at no level, so a request builds no log record.
+func TestDefaultLoggerDisabled(t *testing.T) {
+	s := New(Config{})
+	for _, l := range []slog.Level{slog.LevelDebug - 4, slog.LevelDebug, slog.LevelInfo, slog.LevelWarn, slog.LevelError, slog.LevelError + 4} {
+		if s.log.Enabled(context.Background(), l) {
+			t.Errorf("default logger enabled at %v", l)
 		}
 	}
 }

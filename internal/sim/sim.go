@@ -37,8 +37,8 @@ type Config struct {
 	// InstLimit overrides the default macro-instruction limit.
 	InstLimit uint64
 	// Sink, when set, records per-µop lifecycle, check-outcome and
-	// shadow-traffic events (timeline export, flight recorder) and
-	// feeds its instruction observer, if it has one.
+	// shadow-traffic events (timeline, flight recorder) and feeds its
+	// observer, if it has one.
 	Sink *trace.Sink
 	// Fidelity selects the timing methodology (exact when empty; see
 	// the Fidelity type). Functional-only runs ignore it.

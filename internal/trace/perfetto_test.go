@@ -90,6 +90,37 @@ func TestPerfettoGolden(t *testing.T) {
 	}
 }
 
+// TestPerfettoStreamMatchesReplay: an exporter attached as the sink's
+// observer writes, while the run goes, the bytes that replaying the
+// retained timeline writes after it, which are the golden's.
+func TestPerfettoStreamMatchesReplay(t *testing.T) {
+	prog, rtEnd := buildTiny(t)
+	labels := map[string]string{"workload": "tiny"}
+	var streamed, replayed bytes.Buffer
+	p := trace.NewPerfetto(&streamed, labels)
+	cfg := sim.Default()
+	cfg.RuntimeEnd = rtEnd
+	cfg.Sink = trace.New(trace.Config{Timeline: true})
+	cfg.Sink.SetObserver(p.Event)
+	if _, err := sim.Run(prog, cfg); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := trace.WritePerfetto(&replayed, cfg.Sink, labels); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "tiny_timeline.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(streamed.Bytes(), replayed.Bytes()) || !bytes.Equal(streamed.Bytes(), want) {
+		t.Fatalf("streamed %d bytes, replayed %d, golden %d: want all three equal",
+			streamed.Len(), replayed.Len(), len(want))
+	}
+}
+
 // TestPerfettoDeterministic: two identical runs export byte-identical
 // documents.
 func TestPerfettoDeterministic(t *testing.T) {

@@ -4,14 +4,15 @@
 // values, shadow-space traffic, rename-stage copy eliminations,
 // violations) and it serves three consumers built on one entry point:
 //
-//   - a timeline recording exported as Perfetto/Chrome trace-event
-//     JSON (perfetto.go), so a figure anomaly can be opened in
-//     ui.perfetto.dev and attributed cycle by cycle;
+//   - a Perfetto/Chrome trace-event JSON timeline (perfetto.go), so a
+//     figure anomaly can be opened in ui.perfetto.dev and attributed
+//     cycle by cycle, streamed or replayed from the kept events;
 //   - a bounded flight-recorder ring that keeps the last N events and
 //     is dumped when a run ends in a violation or runtime abort,
 //     turning a detection into an explainable event log;
-//   - a macro-instruction observer with a budget (the CLI -trace
-//     adapter), detached automatically once the budget is spent.
+//   - one observer that receives every recorded event in emission
+//     order, on which the CLI streams its -timeline export and prints
+//     its -trace instructions.
 //
 // The sink is strictly per-simulation (one Sink per machine, never
 // shared across goroutines) and every call site nil-checks its sink
@@ -154,16 +155,13 @@ const MaxFlightN = 1 << 16
 
 // Config selects what a sink retains.
 type Config struct {
-	// Timeline records every event for the Perfetto exporter.
+	// Timeline keeps every event for readers after the run (Events,
+	// WritePerfetto); a streaming export needs only the observer.
 	Timeline bool
 	// FlightN keeps the last FlightN events in the flight-recorder
 	// ring (0 disables the ring). The CLIs refuse more than
 	// MaxFlightN.
 	FlightN int
-	// InstBudget stops the macro-instruction observer after this many
-	// KindInst events (0 = unlimited). Timeline and ring recording are
-	// not affected: the ring's whole point is the *last* N events.
-	InstBudget uint64
 }
 
 // Sink receives events from one simulation. Not safe for concurrent
@@ -179,9 +177,8 @@ type Sink struct {
 	ringPos  int
 	ringFull bool
 
-	instObs   func(ev Event)
-	instsSeen uint64
-	byKind    [NumKinds]uint64
+	obs    func(ev Event)
+	byKind [NumKinds]uint64
 }
 
 // New builds a sink.
@@ -193,13 +190,9 @@ func New(cfg Config) *Sink {
 	return s
 }
 
-// Config returns the sink's configuration.
-func (s *Sink) Config() Config { return s.cfg }
-
-// SetInstObserver attaches the macro-instruction observer (the CLI
-// -trace stderr adapter). It fires for the first InstBudget KindInst
-// events (all of them when the budget is 0), then detaches.
-func (s *Sink) SetInstObserver(f func(ev Event)) { s.instObs = f }
+// SetObserver attaches the sink's one observer, which receives every
+// recorded event, sequence number included, in emission order.
+func (s *Sink) SetObserver(f func(ev Event)) { s.obs = f }
 
 // record is the single recording entry point behind the typed emitters.
 func (s *Sink) record(ev Event) {
@@ -217,34 +210,22 @@ func (s *Sink) record(ev Event) {
 			s.ringFull = true
 		}
 	}
+	if s.obs != nil {
+		s.obs(ev)
+	}
 }
 
-// active reports whether recording is on at all; emitters use it to
-// return immediately on sinks that only ever observed instructions and
-// whose budget is spent.
-func (s *Sink) active() bool { return s.cfg.Timeline || s.ring != nil }
+// active reports whether the sink records at all; emitters use it to
+// return immediately on a sink with no timeline, ring or observer.
+func (s *Sink) active() bool { return s.cfg.Timeline || s.ring != nil || s.obs != nil }
 
-// Inst records one executed macro instruction and feeds the observer
-// while its budget lasts. Once the budget is spent and the sink
-// retains nothing, the call short-circuits to a pair of branches.
+// Inst records one executed macro instruction.
 func (s *Sink) Inst(pc int, op isa.Opcode) {
-	budgetLeft := s.instObs != nil &&
-		(s.cfg.InstBudget == 0 || s.instsSeen < s.cfg.InstBudget)
-	if !budgetLeft && !s.active() {
+	if !s.active() {
 		return
 	}
-	ev := Event{Kind: KindInst, PC: pc, Op: op}
-	if budgetLeft {
-		s.instsSeen++
-		ev.Seq = s.seq // observer sees the sequence number it will get
-		s.instObs(ev)
-	}
-	s.record(ev)
+	s.record(Event{Kind: KindInst, PC: pc, Op: op})
 }
-
-// InstObserved returns how many instructions the observer was fed
-// (the "traced N" of the CLI footer).
-func (s *Sink) InstObserved() uint64 { return s.instsSeen }
 
 // Fetch records the front end starting a macro instruction at the
 // given cycle.

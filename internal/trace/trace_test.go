@@ -33,30 +33,36 @@ func TestFlightRingWraparound(t *testing.T) {
 	}
 }
 
-// TestInstBudget: the observer fires for exactly InstBudget
-// instructions, then detaches; recording (ring/timeline) continues.
-func TestInstBudget(t *testing.T) {
-	s := New(Config{FlightN: 16, InstBudget: 3})
-	var seen []int
-	s.SetInstObserver(func(ev Event) { seen = append(seen, ev.PC) })
+// TestObserverSeesEveryEvent: the one observer receives every recorded
+// event in emission order, sequence numbers included, alongside the
+// ring; an observer alone makes a sink record without retaining.
+func TestObserverSeesEveryEvent(t *testing.T) {
+	s := New(Config{FlightN: 16})
+	var seen []Event
+	s.SetObserver(func(ev Event) { seen = append(seen, ev) })
 	for pc := 0; pc < 10; pc++ {
 		s.Inst(pc, isa.OpNop)
+		s.Shadow(pc, 0x40, false)
 	}
-	if len(seen) != 3 || s.InstObserved() != 3 {
-		t.Fatalf("observer fired %d times (counter %d), want 3", len(seen), s.InstObserved())
+	if len(seen) != 20 {
+		t.Fatalf("observer saw %d events, want 20", len(seen))
 	}
-	if got := s.CountByKind(KindInst); got != 10 {
-		t.Fatalf("recorded %d inst events, want 10 (budget must not stop the ring)", got)
+	for i, ev := range seen {
+		if ev.Seq != uint64(i) || ev.PC != i/2 {
+			t.Fatalf("event %d: seq %d pc %d, want seq %d pc %d", i, ev.Seq, ev.PC, i, i/2)
+		}
 	}
-	// With neither timeline nor ring, a spent budget short-circuits:
-	// nothing is recorded past the budget.
-	s2 := New(Config{InstBudget: 2})
-	s2.SetInstObserver(func(Event) {})
-	for pc := 0; pc < 5; pc++ {
-		s2.Inst(pc, isa.OpNop)
+	if flight := s.FlightEvents(); flight[len(flight)-1] != seen[len(seen)-1] {
+		t.Fatalf("ring and observer disagree on the last event: %+v vs %+v", flight[len(flight)-1], seen[len(seen)-1])
 	}
-	if got := s2.CountByKind(KindInst); got != 2 {
-		t.Fatalf("observer-only sink recorded %d events after budget, want 2", got)
+	s2 := New(Config{})
+	n := 0
+	s2.SetObserver(func(Event) { n++ })
+	s2.Inst(1, isa.OpNop)
+	s2.Check(1, 0x10, 1, 0x20, 1, false, OutcomeOK)
+	if n != 2 || s2.CountByKind(KindCheck) != 1 || s2.Events() != nil || s2.FlightEvents() != nil {
+		t.Fatalf("observer-only sink: observed %d, counted %d checks, retained %v %v",
+			n, s2.CountByKind(KindCheck), s2.Events(), s2.FlightEvents())
 	}
 }
 
