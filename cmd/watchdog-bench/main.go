@@ -184,6 +184,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	if *scale < 1 {
 		return fail(fmt.Errorf("-scale %d: the problem-size multiplier must be >= 1", *scale))
 	}
+	if *csv && *bars {
+		return fail(fmt.Errorf("-bars cannot be combined with -csv: a bar chart is not CSV"))
+	}
 	// report.Compare flags a delta only when it exceeds the threshold:
 	// NaN or +Inf would pass every regression, a negative value would
 	// fail unchanged cells.

@@ -436,6 +436,22 @@ func TestCSVBlocks(t *testing.T) {
 	}
 }
 
+// TestCSVBarsRefused: a bar chart inside a CSV block would not parse,
+// so -csv -bars exits 1 naming both flags before anything runs.
+func TestCSVBarsRefused(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	code := run(context.Background(), []string{"-exp", "fig9", "-workloads", "mcf", "-csv", "-bars"}, &stdout, &stderr)
+	if code != 1 {
+		t.Fatalf("exit %d, want 1", code)
+	}
+	if msg := stderr.String(); !strings.Contains(msg, "-csv") || !strings.Contains(msg, "-bars") {
+		t.Fatalf("stderr %q does not name -csv and -bars", msg)
+	}
+	if stdout.Len() != 0 {
+		t.Fatalf("stdout %q, want empty", stdout.String())
+	}
+}
+
 // TestBarsAddNoSims: -bars draws the overhead figure the run rendered,
 // from that figure's configurations, so adding -json re-sweeps nothing
 // and its figure summaries are exactly the rendered tables' columns.

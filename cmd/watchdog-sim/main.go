@@ -201,8 +201,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		// One sink serves all three: its ring keeps the last flightN
 		// events, and its observer prints the first traceN instructions
 		// and streams every event to the timeline, which keeps none.
-		simCfg.Sink = trace.New(trace.Config{FlightN: *flightN})
-		simCfg.Sink.SetObserver(func(ev trace.Event) {
+		sink := trace.New(trace.Config{FlightN: *flightN})
+		sink.SetObserver(func(ev trace.Event) {
 			if ev.Kind == trace.KindInst && traced < *traceN {
 				traced++
 				for _, l := range prog.LabelsAt(ev.PC) {
@@ -213,8 +213,13 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			if tl != nil {
 				events++
 				tl.Event(ev)
+			} else if traced == *traceN {
+				// Nothing left to print or stream: detach, so a sink
+				// without a ring stops recording.
+				sink.SetObserver(nil)
 			}
 		})
+		simCfg.Sink = sink
 	}
 	res, err := simulate(ctx, src, prog, rtEnd, simCfg)
 	if tl != nil {

@@ -7,9 +7,11 @@
 //
 // The package also implements the comparison policies of Table 1: a
 // location-based checker (allocation-status shadow state, which cannot
-// detect use-after-free once memory is reallocated) and a software-only
+// detect use-after-free once memory is reallocated), a software-only
 // identifier-based checker in the style of CETS (checks expanded to
-// real instruction sequences instead of injected µops).
+// real instruction sequences instead of injected µops), pointer
+// tagging (xTag) and implicit identifiers (DangKiller). What differs
+// between the policies is declared once, in policyTable.
 package core
 
 import (
@@ -50,24 +52,90 @@ const (
 	PolicyDangKiller
 )
 
+// checkExec is how a policy's checks execute.
+type checkExec uint8
+
+const (
+	checkNone  checkExec = iota // no checks at all
+	checkUops                   // µops injected into the checked macro instruction
+	checkInsts                  // instructions, each taking its own fetch slot
+)
+
+// metaHome is where a policy keeps the metadata of pointers in memory.
+type metaHome uint8
+
+const (
+	metaNowhere metaHome = iota // pointers carry no metadata
+	metaShadow                  // the simulated shadow space
+	metaTable                   // a Go-side table, at no simulated cost
+)
+
+// policyInfo is what differs between policies. Everything else —
+// the register metadata, the verdict path, the trace — is shared.
+type policyInfo struct {
+	name string
+	// idents: the runtime passes lock-and-key identifiers to the
+	// hardware (setident/getident, Figure 3a/b).
+	idents bool
+	// frames: call and ret keep stack-frame identifiers (Figure 3c/d).
+	frames bool
+	// exempt: runtime-library code is not checked (software tools do
+	// not instrument the allocator itself).
+	exempt bool
+	checks checkExec
+	meta   metaHome
+	// hooks: the runtime reports malloc and free (SysMarkAlloc,
+	// SysMarkFree).
+	hooks bool
+}
+
+// selects reports whether register metadata moves through select µops:
+// only a hardware scheme that carries pointer metadata keeps it in
+// decoupled metadata registers (Section 6), whose copies the rename
+// stage can eliminate.
+func (p policyInfo) selects() bool { return p.checks == checkUops && p.meta == metaShadow }
+
+// policyTable declares each policy once. The engine, the machine and
+// the runtime read their policy decisions from it; only what a check
+// compares — Engine.Access, the allocation hooks and the location
+// policy's status table — is written per policy.
+var policyTable = [...]policyInfo{
+	PolicyBaseline:   {name: "baseline"},
+	PolicyWatchdog:   {name: "watchdog", idents: true, frames: true, checks: checkUops, meta: metaShadow},
+	PolicyLocation:   {name: "location", exempt: true, checks: checkUops, hooks: true},
+	PolicySoftware:   {name: "software", idents: true, frames: true, exempt: true, checks: checkInsts, meta: metaShadow},
+	PolicyXTag:       {name: "xtag", idents: true, exempt: true, checks: checkInsts, meta: metaTable, hooks: true},
+	PolicyDangKiller: {name: "dangkiller", idents: true, frames: true, exempt: true, checks: checkInsts, meta: metaTable},
+}
+
+// info returns the policy's row; an undeclared policy checks nothing.
+func (p Policy) info() policyInfo {
+	if int(p) < len(policyTable) {
+		return policyTable[p]
+	}
+	return policyInfo{}
+}
+
 // String names the policy.
 func (p Policy) String() string {
-	switch p {
-	case PolicyBaseline:
-		return "baseline"
-	case PolicyWatchdog:
-		return "watchdog"
-	case PolicyLocation:
-		return "location"
-	case PolicySoftware:
-		return "software"
-	case PolicyXTag:
-		return "xtag"
-	case PolicyDangKiller:
-		return "dangkiller"
+	if int(p) < len(policyTable) {
+		return policyTable[p].name
 	}
 	return fmt.Sprintf("policy?%d", uint8(p))
 }
+
+// Idents reports whether the policy's runtime passes lock-and-key
+// identifiers to the hardware with setident and checks them on free.
+func (p Policy) Idents() bool { return p.info().idents }
+
+// AllocHooks reports whether the policy's runtime reports each malloc
+// and free to the engine (SysMarkAlloc, SysMarkFree).
+func (p Policy) AllocHooks() bool { return p.info().hooks }
+
+// InstChecks reports whether the policy's checking work runs as
+// instructions, each taking a fetch slot of its own; injected µops ride
+// the checked macro instruction's slot.
+func (p Policy) InstChecks() bool { return p.info().checks == checkInsts }
 
 // PtrPolicy selects how pointer loads/stores are identified
 // (Section 5).

@@ -28,8 +28,9 @@ type Stats struct {
 // propagation, µop injection, and checks. The machine drives it while
 // interpreting macro instructions.
 type Engine struct {
-	cfg Config
-	mem *mem.Memory
+	cfg  Config
+	info policyInfo // cfg.Policy's row of policyTable
+	mem  *mem.Memory
 
 	// Sidecar register metadata (decoupled metadata registers).
 	regMeta [isa.NumIntRegs]Meta
@@ -45,18 +46,15 @@ type Engine struct {
 	locAlloc map[uint64]bool
 
 	// softMeta is the pointer metadata flowing through memory under the
-	// xtag and dangkiller policies. Neither scheme keeps a simulated
-	// shadow space — xtag's identifier rides the pointer's unused high
-	// bits and dangkiller's is implicit in the allocation site — so the
-	// table lives on the Go side and pointer loads/stores cost no
-	// simulated metadata traffic. The multi-context machine shares one
-	// table across contexts (SetPtrMetaStore) so cross-thread pointer
-	// publication behaves like shared memory.
+	// policies that keep it in a Go-side table (xtag and dangkiller).
+	// Neither scheme keeps a simulated shadow space — xtag's identifier
+	// rides the pointer's unused high bits and dangkiller's is implicit
+	// in the allocation site — so pointer loads/stores cost no simulated
+	// metadata traffic.
 	softMeta map[uint64]Meta
 
 	// Instructions in [0, uncheckedBelow) are runtime-library code,
-	// exempt from checking under the software and location policies
-	// (software tools do not instrument the allocator itself). The
+	// exempt from checking under the policies that say so. The
 	// Watchdog hardware checks everything, including the runtime.
 	uncheckedBelow int
 
@@ -76,7 +74,7 @@ type Engine struct {
 
 // NewEngine builds an engine over the given memory.
 func NewEngine(cfg Config, memory *mem.Memory) *Engine {
-	e := &Engine{cfg: cfg, mem: memory}
+	e := &Engine{cfg: cfg, info: cfg.Policy.info(), mem: memory}
 	e.entrySize = mem.ShadowEntrySize
 	if cfg.Bounds != BoundsOff {
 		e.entrySize = mem.ShadowEntrySizeBounds
@@ -84,40 +82,20 @@ func NewEngine(cfg Config, memory *mem.Memory) *Engine {
 	if cfg.Policy == PolicyLocation {
 		e.locAlloc = make(map[uint64]bool)
 	}
-	if cfg.Policy == PolicyXTag || cfg.Policy == PolicyDangKiller {
+	if e.info.meta == metaTable {
 		e.softMeta = make(map[uint64]Meta)
 	}
 	return e
 }
 
-// PtrMetaStore returns the Go-side pointer-metadata table of the
-// xtag/dangkiller policies (nil for policies whose metadata lives in
-// the simulated shadow space).
-func (e *Engine) PtrMetaStore() map[uint64]Meta { return e.softMeta }
-
-// SetPtrMetaStore replaces the pointer-metadata table. The
-// multi-context machine points every context at context 0's table so
-// a pointer stored by one thread checks out when loaded by another.
-// No-op for policies without a table.
-func (e *Engine) SetPtrMetaStore(m map[uint64]Meta) {
-	if e.softMeta != nil && m != nil {
-		e.softMeta = m
-	}
-}
-
-// LocAllocStore returns the location policy's allocation-status table
-// (nil under every other policy).
-func (e *Engine) LocAllocStore() map[uint64]bool { return e.locAlloc }
-
-// SetLocAllocStore replaces the allocation-status table. It models a
-// shadow bit per word of the shared heap, so the multi-context
-// machine points every context at context 0's table — a block
-// malloc'd by one thread is "allocated" when another dereferences it.
-// No-op for policies without the table.
-func (e *Engine) SetLocAllocStore(m map[uint64]bool) {
-	if e.locAlloc != nil && m != nil {
-		e.locAlloc = m
-	}
+// ShareTables makes e use src's Go-side tables: the pointer metadata of
+// the policies that keep it there and the location policy's allocation
+// status. The multi-context machine points every context at context
+// 0's tables, so a pointer one thread stores, or a block it allocates,
+// checks out when another thread uses it — the sharing the simulated
+// shadow space gives the other policies for free.
+func (e *Engine) ShareTables(src *Engine) {
+	e.softMeta, e.locAlloc = src.softMeta, src.locAlloc
 }
 
 // tagMask is the xtag comparison mask: the low TagBits bits of the
@@ -163,8 +141,8 @@ func (e *Engine) Stats() Stats { return e.stats }
 // bounds).
 func (e *Engine) EntrySize() uint64 { return e.entrySize }
 
-// SetUncheckedBelow marks instructions below n as runtime-library code
-// for the software/location policies.
+// SetUncheckedBelow marks instructions below n as runtime-library code,
+// which the policies that exempt the runtime do not check.
 func (e *Engine) SetUncheckedBelow(n int) { e.uncheckedBelow = n }
 
 // Init establishes the initial metadata state: the always-valid global
@@ -177,7 +155,7 @@ func (e *Engine) Init(globalEnd uint64) {
 		Base:  mem.GlobalBase,
 		Bound: mem.GlobalBase + mem.GlobalMax,
 	}
-	if e.cfg.Policy == PolicyBaseline {
+	if e.info.checks == checkNone {
 		return
 	}
 	e.mem.WriteU64(GlobalLockLoc, GlobalKey)
@@ -195,15 +173,11 @@ func (e *Engine) Init(globalEnd uint64) {
 // segment) check out when loaded (Section 7). Zero-initialized global
 // memory keeps invalid (null-pointer) metadata.
 func (e *Engine) InitShadowRange(addr, size uint64) {
-	switch e.cfg.Policy {
-	case PolicyWatchdog, PolicySoftware:
-		for a := addr &^ 7; a < addr+size; a += 8 {
-			e.writeShadow(a, e.globalMeta)
-		}
-	case PolicyXTag, PolicyDangKiller:
-		for a := addr &^ 7; a < addr+size; a += 8 {
-			e.softMeta[a] = e.globalMeta
-		}
+	if e.info.meta == metaNowhere {
+		return
+	}
+	for a := addr &^ 7; a < addr+size; a += 8 {
+		e.storeMeta(a, e.globalMeta)
 	}
 }
 
@@ -215,7 +189,7 @@ func (e *Engine) InitShadowRange(addr, size uint64) {
 // identifier allocation needs no cross-thread synchronization and keys
 // remain globally unique. Call after Init.
 func (e *Engine) SetContext(tid int) {
-	if e.cfg.Policy == PolicyBaseline {
+	if e.info.checks == checkNone {
 		return
 	}
 	e.stackKey = StackKeyBase + uint64(tid)<<40
@@ -250,9 +224,14 @@ func (e *Engine) SetRegMeta(r isa.Reg, m Meta) {
 	}
 }
 
-// --- shadow space ---
+// --- pointer metadata in memory ---
 
-func (e *Engine) readShadow(addr uint64) Meta {
+// loadMeta reads the metadata of the pointer stored at addr from where
+// the policy keeps it: the Go-side table or the shadow space.
+func (e *Engine) loadMeta(addr uint64) Meta {
+	if e.info.meta == metaTable {
+		return e.softMeta[addr&^7]
+	}
 	sa := mem.ShadowAddr(addr&^7, e.entrySize)
 	m := Meta{Ident: Ident{Key: e.mem.ReadU64(sa), Lock: e.mem.ReadU64(sa + 8)}}
 	if e.cfg.Bounds != BoundsOff {
@@ -262,7 +241,12 @@ func (e *Engine) readShadow(addr uint64) Meta {
 	return m
 }
 
-func (e *Engine) writeShadow(addr uint64, m Meta) {
+// storeMeta is the store-side counterpart of loadMeta.
+func (e *Engine) storeMeta(addr uint64, m Meta) {
+	if e.info.meta == metaTable {
+		e.softMeta[addr&^7] = m
+		return
+	}
 	sa := mem.ShadowAddr(addr&^7, e.entrySize)
 	e.mem.WriteU64(sa, m.Key)
 	e.mem.WriteU64(sa+8, m.Lock)
@@ -277,8 +261,8 @@ func (e *Engine) writeShadow(addr uint64, m Meta) {
 // Classify decides whether the memory macro instruction at pc is
 // treated as a pointer load/store for this run.
 func (e *Engine) Classify(pc int, in *isa.Inst) bool {
-	if e.cfg.Policy == PolicyBaseline || e.cfg.Policy == PolicyLocation {
-		return false
+	if e.info.meta == metaNowhere {
+		return false // no pointer metadata to move
 	}
 	if !in.IsPointerWidthIntMem() {
 		return false // FP and sub-word accesses are never pointer ops
@@ -330,77 +314,114 @@ func (e *Engine) pickMeta(base, index isa.Reg) (Meta, isa.Reg) {
 // addressing registers.
 func (e *Engine) Access(pc int, base, index isa.Reg, addr uint64, width uint8, isWrite bool) ([]isa.Uop, error) {
 	e.stats.MemAccesses++
-	switch e.cfg.Policy {
-	case PolicyBaseline:
+	if e.info.checks == checkNone || e.info.exempt && pc < e.uncheckedBelow {
 		return nil, nil
-	case PolicyLocation:
-		return e.locationAccess(pc, addr, width, isWrite)
-	case PolicySoftware:
-		if pc < e.uncheckedBelow {
-			return nil, nil
-		}
-		return e.softwareAccess(pc, base, index, addr, width, isWrite)
-	case PolicyXTag:
-		if pc < e.uncheckedBelow {
-			return nil, nil
-		}
-		return e.xtagAccess(pc, base, index, addr, width, isWrite)
-	case PolicyDangKiller:
-		if pc < e.uncheckedBelow {
-			return nil, nil
-		}
-		return e.dangKillerAccess(pc, base, index, addr, width, isWrite)
 	}
-	// PolicyWatchdog.
 	meta, ptrReg := e.pickMeta(base, index)
 	uops := e.buf[:0]
-
-	chkOp := isa.UopCheck
-	if e.cfg.Bounds == BoundsFused {
-		chkOp = isa.UopCheckFull
+	var err error
+	switch e.cfg.Policy {
+	case PolicyLocation:
+		// A shadow allocation-status lookup of the target address. It
+		// only tracks the heap, and it cannot know which allocation a
+		// pointer was derived from, so a dangling dereference into
+		// reallocated memory passes silently — the limitation the
+		// identifier approach removes. No identifier takes part.
+		meta = Meta{}
+		uops = append(uops, byteCheck(addr, isa.NoReg))
+		if mem.RegionOf(addr) == mem.RegionHeap && !e.locAlloc[addr&^7] {
+			err = &MemoryError{Kind: ErrUnallocated, PC: pc, Addr: addr, Write: isWrite}
+		}
+	case PolicyXTag:
+		// The tag carried in the pointer's unused high bits (the low
+		// TagBits bits of the allocation key) against the word's entry
+		// in a one-byte-per-word tag table. A reallocation whose key
+		// aliases the freed one modulo 2^TagBits passes; only the heap
+		// is tagged, so stack dereferences after return (CWE-562) pass
+		// unchecked.
+		uops = append(uops, byteCheck(addr, ptrReg))
+		if mem.RegionOf(addr) == mem.RegionHeap && (meta.Key^e.mem.Read(uops[0].Addr, 1))&e.tagMask() != 0 {
+			err = &MemoryError{Kind: ErrUseAfterFree, PC: pc, Addr: addr, Write: isWrite, Ident: meta.Ident}
+		}
+	case PolicyDangKiller:
+		// The key is implicit in the allocation site, so one ALU µop
+		// compares it with no metadata load; the verdict is Watchdog's.
+		uops = append(uops, checkUop(isa.UopCheck, isa.ExecALU, ptrReg))
+		err = e.evalCheck(pc, meta, addr, width, isWrite)
+	case PolicySoftware:
+		// The instruction sequence a compiler-based scheme executes on
+		// ordinary ports: compute the metadata location, load the lock
+		// value, compare with the key, branch to abort (never taken).
+		a := isa.NewUop(isa.UopAlu, isa.ExecALU)
+		a.Dst = isa.Tmp1
+		ld := isa.NewUop(isa.UopLoad, isa.ExecLoad)
+		ld.Dst, ld.Src1 = isa.Tmp1, isa.Tmp1
+		ld.IsMem, ld.Width = true, 8
+		ld.Addr, ld.Lock = meta.Lock, true
+		cmp := isa.NewUop(isa.UopAlu, isa.ExecALU)
+		cmp.Dst, cmp.Src1 = isa.Tmp1, isa.Tmp1
+		br := isa.NewUop(isa.UopBranch, isa.ExecBr)
+		br.Src1 = isa.Tmp1
+		br.IsBranch = true
+		uops = append(uops, a, ld, cmp, br)
+		for i := range uops {
+			uops[i].Meta = isa.MetaCheck
+		}
+		err = e.evalCheck(pc, meta, addr, width, isWrite)
+	default: // PolicyWatchdog
+		op := isa.UopCheck
+		if e.cfg.Bounds == BoundsFused {
+			op = isa.UopCheckFull
+		}
+		chk := checkUop(op, e.checkClass(), ptrReg)
+		chk.Addr = meta.Lock
+		chk.Lock = true // the lock read is folded into the check µop's latency
+		uops = append(uops, chk)
+		if e.cfg.Bounds == BoundsSeparate {
+			uops = append(uops, checkUop(isa.UopBoundCheck, isa.ExecALU, ptrReg))
+			e.stats.Checks++
+		}
+		err = e.evalCheck(pc, meta, addr, width, isWrite)
 	}
-	chk := isa.NewUop(chkOp, e.checkClass())
-	chk.Addr = meta.Lock
-	chk.Lock = true
-	chk.IsMem = false // the lock read is folded into the check µop's latency
-	chk.MSrc = isa.MetaReg(ptrReg)
-	chk.Meta = isa.MetaCheck
-	uops = append(uops, chk)
 	e.stats.Checks++
-
-	if e.cfg.Bounds == BoundsSeparate {
-		bc := isa.NewUop(isa.UopBoundCheck, isa.ExecALU)
-		bc.MSrc = isa.MetaReg(ptrReg)
-		bc.Meta = isa.MetaCheck
-		uops = append(uops, bc)
-		e.stats.Checks++
-	}
 	e.buf = uops
-
-	err := e.evalCheck(pc, meta, addr, width, isWrite)
-	e.traceCheck(pc, meta, addr, isWrite, err)
+	if e.sink != nil {
+		// The event carries the lock value the check compared against
+		// (a re-read of an already-touched word, so footprint
+		// accounting is unperturbed).
+		var lockVal uint64
+		if meta.Lock != 0 {
+			lockVal = e.mem.ReadU64(meta.Lock)
+		}
+		e.sink.Check(pc, addr, meta.Key, meta.Lock, lockVal, isWrite, TraceOutcome(err))
+	}
 	if err != nil {
 		e.stats.Violations++
-		return uops, err
 	}
-	return uops, nil
+	return uops, err
 }
 
-// traceCheck emits one check-outcome event including the lock value
-// the check compared against (a re-read of an already-touched word, so
-// footprint accounting is unperturbed).
-func (e *Engine) traceCheck(pc int, meta Meta, addr uint64, isWrite bool, err error) {
-	if e.sink == nil {
-		return
-	}
-	var lockVal uint64
-	if meta.Lock != 0 {
-		lockVal = e.mem.ReadU64(meta.Lock)
-	}
-	e.sink.Check(pc, addr, meta.Key, meta.Lock, lockVal, isWrite, TraceOutcome(err))
+// checkUop is a check µop reading the metadata register of ptr.
+func checkUop(op isa.UopOp, class isa.ExecClass, ptr isa.Reg) isa.Uop {
+	u := isa.NewUop(op, class)
+	u.MSrc = isa.MetaReg(ptr)
+	u.Meta = isa.MetaCheck
+	return u
 }
 
-// evalCheck is the functional semantics of the check µop(s).
+// byteCheck is the check µop of the schemes that keep one byte of state
+// per heap word in the shadow space: it loads addr's byte and compares
+// it in the same µop.
+func byteCheck(addr uint64, ptr isa.Reg) isa.Uop {
+	u := checkUop(isa.UopCheck, isa.ExecLoad, ptr)
+	u.Addr = mem.ShadowAddr(addr&^7, 1)
+	u.Shadow = true
+	u.IsMem, u.Width = true, 1
+	return u
+}
+
+// evalCheck is the functional semantics of the lock-and-key check
+// µop(s).
 func (e *Engine) evalCheck(pc int, meta Meta, addr uint64, width uint8, isWrite bool) error {
 	if !meta.Valid() {
 		return &MemoryError{Kind: ErrNoMetadata, PC: pc, Addr: addr, Write: isWrite, Ident: meta.Ident}
@@ -418,67 +439,93 @@ func (e *Engine) evalCheck(pc int, meta Meta, addr uint64, width uint8, isWrite 
 
 // --- metadata movement for pointer loads/stores (Section 3.3) ---
 
-// PtrLoad performs the functional shadow-metadata load for a pointer-
-// classified load into dst and returns the injected shadow_load µop.
+// PtrLoad performs the functional metadata load for a pointer-
+// classified load into dst and returns the µops that move it.
 func (e *Engine) PtrLoad(pc int, dst isa.Reg, addr uint64) []isa.Uop {
 	e.stats.PtrOps++
 	e.stats.PtrLoads++
-	if e.cfg.Policy == PolicySoftware {
-		return e.softwarePtrLoad(pc, dst, addr)
-	}
-	if e.softMeta != nil {
-		return e.softPtrLoad(pc, dst, addr)
-	}
-	m := e.readShadow(addr)
-	if e.cfg.Profiling && m.Valid() {
-		e.cfg.Profile.Mark(pc)
-	}
+	m := e.loadMeta(addr)
+	e.mark(pc, m)
 	if dst.IsInt() {
 		e.regMeta[dst] = m
 	}
-	u := isa.NewUop(isa.UopShadowLoad, isa.ExecLoad)
-	u.MDst = isa.MetaReg(dst)
-	u.IsMem, u.Width = true, uint8(e.entrySize)
-	u.Addr = mem.ShadowAddr(addr&^7, e.entrySize)
-	u.Shadow = true
-	u.Meta = isa.MetaPtrLoad
-	e.buf = append(e.buf[:0], u)
-	if e.sink != nil {
-		e.sink.Shadow(pc, u.Addr, false)
-	}
-	return e.buf
+	return e.metaUops(pc, dst, addr, false)
 }
 
-// PtrStore performs the functional shadow-metadata store for a
-// pointer-classified store of src and returns the shadow_store µop.
+// PtrStore performs the functional metadata store for a pointer-
+// classified store of src and returns the µops that move it.
 func (e *Engine) PtrStore(pc int, src isa.Reg, addr uint64) []isa.Uop {
 	e.stats.PtrOps++
 	e.stats.PtrStores++
-	if e.cfg.Policy == PolicySoftware {
-		return e.softwarePtrStore(pc, src, addr)
-	}
-	if e.softMeta != nil {
-		return e.softPtrStore(pc, src, addr)
-	}
 	var m Meta
 	if src.IsInt() {
 		m = e.regMeta[src]
 	}
+	e.mark(pc, m)
+	e.storeMeta(addr, m)
+	return e.metaUops(pc, src, addr, true)
+}
+
+// mark records the static instruction at pc in the profile when it
+// moved valid metadata.
+func (e *Engine) mark(pc int, m Meta) {
 	if e.cfg.Profiling && m.Valid() {
 		e.cfg.Profile.Mark(pc)
 	}
-	e.writeShadow(addr, m)
-	u := isa.NewUop(isa.UopShadowStore, isa.ExecStore)
-	u.MSrc = isa.MetaReg(src)
-	u.IsMem, u.IsWr, u.Width = true, true, uint8(e.entrySize)
-	u.Addr = mem.ShadowAddr(addr&^7, e.entrySize)
-	u.Shadow = true
-	u.Meta = isa.MetaPtrStore
-	e.buf = append(e.buf[:0], u)
-	if e.sink != nil {
-		e.sink.Shadow(pc, u.Addr, true)
+}
+
+// metaUops returns the µops that move one pointer's metadata between
+// register r and the shadow entry of addr, and traces the access: one
+// shadow µop of the entry's width when checks are injected µops, and
+// the software scheme's address arithmetic plus two 8-byte accesses
+// when they are instructions. Metadata in the Go-side table moves at
+// no simulated cost.
+func (e *Engine) metaUops(pc int, r isa.Reg, addr uint64, write bool) []isa.Uop {
+	if e.info.meta == metaTable {
+		return nil
 	}
-	return e.buf
+	sa := mem.ShadowAddr(addr&^7, e.entrySize)
+	class := isa.MetaPtrLoad
+	if write {
+		class = isa.MetaPtrStore
+	}
+	uops := e.buf[:0]
+	if e.info.checks == checkInsts {
+		a := isa.NewUop(isa.UopAlu, isa.ExecALU)
+		a.Dst = isa.Tmp1
+		a.Meta = class
+		uops = append(uops, a)
+		for i := uint64(0); i < 2; i++ {
+			u := metaAccess(isa.UopLoad, isa.UopStore, r, sa+8*i, 8, write)
+			u.Src1 = isa.Tmp1
+			u.Meta = class
+			uops = append(uops, u)
+		}
+	} else {
+		u := metaAccess(isa.UopShadowLoad, isa.UopShadowStore, r, sa, uint8(e.entrySize), write)
+		u.Meta = class
+		uops = append(uops, u)
+	}
+	e.buf = uops
+	if e.sink != nil {
+		e.sink.Shadow(pc, sa, write)
+	}
+	return uops
+}
+
+// metaAccess is one shadow-space access of width bytes at sa: a load
+// (op ld) into r's metadata register, or a store (op st) from it.
+func metaAccess(ld, st isa.UopOp, r isa.Reg, sa uint64, width uint8, write bool) isa.Uop {
+	u := isa.NewUop(ld, isa.ExecLoad)
+	u.MDst = isa.MetaReg(r)
+	if write {
+		u = isa.NewUop(st, isa.ExecStore)
+		u.MSrc = isa.MetaReg(r)
+		u.IsWr = true
+	}
+	u.IsMem, u.Width = true, width
+	u.Addr, u.Shadow = sa, true
+	return u
 }
 
 // NonPtrLoad invalidates dst's metadata for a load not classified as a
@@ -504,7 +551,7 @@ func (e *Engine) CopyPropagate(dst, src isa.Reg) []isa.Uop {
 		m = e.regMeta[src]
 	}
 	e.regMeta[dst] = m
-	if e.cfg.Policy != PolicyWatchdog || e.cfg.CopyElim || !m.Valid() {
+	if !e.info.selects() || e.cfg.CopyElim || !m.Valid() {
 		return nil
 	}
 	u := isa.NewUop(isa.UopSelectID, isa.ExecALU)
@@ -534,7 +581,7 @@ func (e *Engine) SelectPropagate(dst, s1, s2 isa.Reg) []isa.Uop {
 		chosen, from = m2, s2
 	}
 	e.regMeta[dst] = chosen
-	if e.cfg.Policy != PolicyWatchdog {
+	if !e.info.selects() {
 		return nil
 	}
 	needUop := (m1.Valid() && m2.Valid()) || (!e.cfg.CopyElim && chosen.Valid())
@@ -546,6 +593,14 @@ func (e *Engine) SelectPropagate(dst, s1, s2 isa.Reg) []isa.Uop {
 	u.Meta = isa.MetaOther
 	e.buf = append(e.buf[:0], u)
 	return e.buf
+}
+
+// CopyEliminated reports whether a metadata copy into dst that charged
+// no µop was absorbed by rename-stage copy elimination: dst holds valid
+// metadata, under a policy whose register metadata moves through select
+// µops, with copy elimination on.
+func (e *Engine) CopyEliminated(dst isa.Reg) bool {
+	return e.info.selects() && e.cfg.CopyElim && e.RegMeta(dst).Valid()
 }
 
 // ImmPropagate handles constant materialization: global-address
@@ -572,26 +627,14 @@ func (e *Engine) InvalidateReg(dst isa.Reg) {
 
 // --- stack frame identifiers (Figure 3c/d) ---
 
-// framePolicies reports whether the policy maintains per-frame stack
-// identifiers on call/return. Watchdog does it in hardware, the
-// software and dangkiller comparators as function entry/exit
-// instrumentation; xtag tags the heap only, so stale stack
-// dereferences (CWE-562) pass unchecked there.
-func (e *Engine) framePolicies() bool {
-	switch e.cfg.Policy {
-	case PolicyWatchdog, PolicySoftware, PolicyDangKiller:
-		return true
-	}
-	return false
-}
-
 // Call allocates a stack-frame identifier: four injected µops that
 // bump stack_key, push it onto the in-memory lock-location stack, and
-// attach the new identifier to the stack pointer. The software
-// comparator performs the same work as instrumentation emitted at
-// function entry (as CETS does), so it maintains the state too.
+// attach the new identifier to the stack pointer. The software and
+// dangkiller comparators perform the same work as instrumentation
+// emitted at function entry (as CETS does); xtag tags the heap only,
+// so stale stack dereferences (CWE-562) pass unchecked there.
 func (e *Engine) Call() []isa.Uop {
-	if !e.framePolicies() {
+	if !e.info.frames {
 		return nil
 	}
 	e.stackKey++
@@ -620,7 +663,7 @@ func (e *Engine) Call() []isa.Uop {
 // stack pointer (function-exit instrumentation under the software
 // comparator).
 func (e *Engine) Ret() []isa.Uop {
-	if !e.framePolicies() {
+	if !e.info.frames {
 		return nil
 	}
 	e.mem.WriteU64(e.stackLock, uint64(InvalidKey))
@@ -696,12 +739,12 @@ func (e *Engine) SetBound(dst isa.Reg, base, bound uint64) {
 // attached the new key — the tag is its low byte, masked to TagBits at
 // check time).
 func (e *Engine) MarkAlloc(ptr, size uint64) {
-	switch {
-	case e.locAlloc != nil:
+	switch e.cfg.Policy {
+	case PolicyLocation:
 		for a := ptr &^ 7; a < ptr+size; a += 8 {
 			e.locAlloc[a] = true
 		}
-	case e.cfg.Policy == PolicyXTag:
+	case PolicyXTag:
 		tag := e.regMeta[isa.R1].Key
 		for a := ptr &^ 7; a < ptr+size; a += 8 {
 			e.mem.Write(mem.ShadowAddr(a, 1), 1, tag)
@@ -713,233 +756,17 @@ func (e *Engine) MarkAlloc(ptr, size uint64) {
 // freed words are retagged (tag+1) so a dangling dereference misses
 // only once the block is reallocated under an aliasing key.
 func (e *Engine) MarkFree(ptr, size uint64) {
-	switch {
-	case e.locAlloc != nil:
+	switch e.cfg.Policy {
+	case PolicyLocation:
 		for a := ptr &^ 7; a < ptr+size; a += 8 {
 			delete(e.locAlloc, a)
 		}
-	case e.cfg.Policy == PolicyXTag:
+	case PolicyXTag:
 		for a := ptr &^ 7; a < ptr+size; a += 8 {
 			sa := mem.ShadowAddr(a, 1)
 			e.mem.Write(sa, 1, e.mem.Read(sa, 1)+1)
 		}
 	}
-}
-
-// locationAccess is the location-based check: a shadow allocation-
-// status lookup of the target address. It only tracks the heap; it
-// cannot know which allocation a pointer was derived from, so a
-// dangling dereference into reallocated memory passes silently —
-// the fundamental limitation the paper's identifier approach removes.
-func (e *Engine) locationAccess(pc int, addr uint64, width uint8, isWrite bool) ([]isa.Uop, error) {
-	if pc < e.uncheckedBelow {
-		return nil, nil
-	}
-	u := isa.NewUop(isa.UopCheck, isa.ExecLoad)
-	u.Addr = mem.ShadowAddr(addr&^7, 1)
-	u.Shadow = true
-	u.IsMem, u.Width = true, 1
-	u.Meta = isa.MetaCheck
-	e.stats.Checks++
-	e.buf = append(e.buf[:0], u)
-	if mem.RegionOf(addr) == mem.RegionHeap && !e.locAlloc[addr&^7] {
-		e.stats.Violations++
-		if e.sink != nil {
-			e.sink.Check(pc, addr, 0, 0, 0, isWrite, trace.OutcomeUnallocated)
-		}
-		return e.buf, &MemoryError{Kind: ErrUnallocated, PC: pc, Addr: addr, Write: isWrite}
-	}
-	if e.sink != nil {
-		e.sink.Check(pc, addr, 0, 0, 0, isWrite, trace.OutcomeOK)
-	}
-	return e.buf, nil
-}
-
-// --- xtag policy (pointer tagging comparator) ---
-
-// xtagAccess is the pointer-tagging check: the tag carried in the
-// pointer's unused high bits (modeled as the low TagBits bits of the
-// allocation key) is compared against a per-word tag table, one byte
-// per heap word in the shadow space. The check is a single tag-table
-// byte load; misses happen when a reallocation's key aliases the freed
-// one modulo 2^TagBits. Only the heap is tagged, so stack dereferences
-// after return (CWE-562) pass unchecked.
-func (e *Engine) xtagAccess(pc int, base, index isa.Reg, addr uint64, width uint8, isWrite bool) ([]isa.Uop, error) {
-	meta, ptrReg := e.pickMeta(base, index)
-	u := isa.NewUop(isa.UopCheck, isa.ExecLoad) // tag byte load + fused compare
-	u.Addr = mem.ShadowAddr(addr&^7, 1)
-	u.Shadow = true
-	u.IsMem, u.Width = true, 1
-	u.MSrc = isa.MetaReg(ptrReg)
-	u.Meta = isa.MetaCheck
-	e.stats.Checks++
-	e.buf = append(e.buf[:0], u)
-
-	var err error
-	if mem.RegionOf(addr) == mem.RegionHeap {
-		memTag := e.mem.Read(u.Addr, 1)
-		if (meta.Key^memTag)&e.tagMask() != 0 {
-			err = &MemoryError{Kind: ErrUseAfterFree, PC: pc, Addr: addr, Write: isWrite, Ident: meta.Ident}
-		}
-	}
-	e.traceCheck(pc, meta, addr, isWrite, err)
-	if err != nil {
-		e.stats.Violations++
-	}
-	return e.buf, err
-}
-
-// --- dangkiller policy (implicit-identifier comparator) ---
-
-// dangKillerAccess is the implicit-identifier check: the key is
-// derived from the allocation site, so validating it needs no shadow
-// metadata load — one ALU µop compares the pointer's implicit key
-// against the allocation-generation state (functionally the same
-// lock-and-key oracle Watchdog evaluates, so verdicts match the
-// hardware scheme exactly; only the cost model differs).
-func (e *Engine) dangKillerAccess(pc int, base, index isa.Reg, addr uint64, width uint8, isWrite bool) ([]isa.Uop, error) {
-	meta, ptrReg := e.pickMeta(base, index)
-	u := isa.NewUop(isa.UopCheck, isa.ExecALU) // implicit-id compare, no metadata load
-	u.MSrc = isa.MetaReg(ptrReg)
-	u.Meta = isa.MetaCheck
-	e.stats.Checks++
-	e.buf = append(e.buf[:0], u)
-
-	err := e.evalCheck(pc, meta, addr, width, isWrite)
-	e.traceCheck(pc, meta, addr, isWrite, err)
-	if err != nil {
-		e.stats.Violations++
-	}
-	return e.buf, err
-}
-
-// softPtrLoad propagates metadata through memory for the policies
-// whose identifier rides the pointer itself (xtag, dangkiller): no
-// simulated metadata traffic, just the Go-side table.
-func (e *Engine) softPtrLoad(pc int, dst isa.Reg, addr uint64) []isa.Uop {
-	m := e.softMeta[addr&^7]
-	if e.cfg.Profiling && m.Valid() {
-		e.cfg.Profile.Mark(pc)
-	}
-	if dst.IsInt() {
-		e.regMeta[dst] = m
-	}
-	return nil
-}
-
-// softPtrStore is the store-side counterpart of softPtrLoad.
-func (e *Engine) softPtrStore(pc int, src isa.Reg, addr uint64) []isa.Uop {
-	var m Meta
-	if src.IsInt() {
-		m = e.regMeta[src]
-	}
-	if e.cfg.Profiling && m.Valid() {
-		e.cfg.Profile.Mark(pc)
-	}
-	e.softMeta[addr&^7] = m
-	return nil
-}
-
-// --- software policy (Table 1 comparator) ---
-
-// softwareAccess expands the lock-and-key check into the instruction
-// sequence a compiler-based scheme executes: compute the metadata
-// location, load the lock value, compare, branch. These are ordinary
-// instructions on ordinary ports.
-func (e *Engine) softwareAccess(pc int, base, index isa.Reg, addr uint64, width uint8, isWrite bool) ([]isa.Uop, error) {
-	meta, _ := e.pickMeta(base, index)
-	uops := e.buf[:0]
-
-	a := isa.NewUop(isa.UopAlu, isa.ExecALU) // metadata address arithmetic
-	a.Dst = isa.Tmp1
-	a.Meta = isa.MetaCheck
-	ld := isa.NewUop(isa.UopLoad, isa.ExecLoad) // load lock value
-	ld.Dst, ld.Src1 = isa.Tmp1, isa.Tmp1
-	ld.IsMem, ld.Width = true, 8
-	ld.Addr, ld.Lock = meta.Lock, true
-	ld.Meta = isa.MetaCheck
-	cmp := isa.NewUop(isa.UopAlu, isa.ExecALU) // compare with key
-	cmp.Dst, cmp.Src1 = isa.Tmp1, isa.Tmp1
-	cmp.Meta = isa.MetaCheck
-	br := isa.NewUop(isa.UopBranch, isa.ExecBr) // branch to abort (never taken)
-	br.Src1 = isa.Tmp1
-	br.IsBranch = true
-	br.Meta = isa.MetaCheck
-	uops = append(uops, a, ld, cmp, br)
-	e.buf = uops
-	e.stats.Checks++
-
-	err := e.evalCheck(pc, meta, addr, width, isWrite)
-	e.traceCheck(pc, meta, addr, isWrite, err)
-	if err != nil {
-		e.stats.Violations++
-		return uops, err
-	}
-	return uops, nil
-}
-
-// softwarePtrLoad is the software metadata-table read: address
-// arithmetic plus two 8-byte loads into ordinary registers.
-func (e *Engine) softwarePtrLoad(pc int, dst isa.Reg, addr uint64) []isa.Uop {
-	m := e.readShadow(addr)
-	if e.cfg.Profiling && m.Valid() {
-		e.cfg.Profile.Mark(pc)
-	}
-	if dst.IsInt() {
-		e.regMeta[dst] = m
-	}
-	sa := mem.ShadowAddr(addr&^7, e.entrySize)
-	uops := e.buf[:0]
-	a := isa.NewUop(isa.UopAlu, isa.ExecALU)
-	a.Dst = isa.Tmp1
-	a.Meta = isa.MetaPtrLoad
-	uops = append(uops, a)
-	for i := uint64(0); i < 2; i++ {
-		ld := isa.NewUop(isa.UopLoad, isa.ExecLoad)
-		ld.Src1 = isa.Tmp1
-		ld.MDst = isa.MetaReg(dst)
-		ld.IsMem, ld.Width = true, 8
-		ld.Addr, ld.Shadow = sa+8*i, true
-		ld.Meta = isa.MetaPtrLoad
-		uops = append(uops, ld)
-	}
-	e.buf = uops
-	if e.sink != nil {
-		e.sink.Shadow(pc, sa, false)
-	}
-	return uops
-}
-
-// softwarePtrStore is the software metadata-table write.
-func (e *Engine) softwarePtrStore(pc int, src isa.Reg, addr uint64) []isa.Uop {
-	var m Meta
-	if src.IsInt() {
-		m = e.regMeta[src]
-	}
-	if e.cfg.Profiling && m.Valid() {
-		e.cfg.Profile.Mark(pc)
-	}
-	e.writeShadow(addr, m)
-	sa := mem.ShadowAddr(addr&^7, e.entrySize)
-	uops := e.buf[:0]
-	a := isa.NewUop(isa.UopAlu, isa.ExecALU)
-	a.Dst = isa.Tmp1
-	a.Meta = isa.MetaPtrStore
-	uops = append(uops, a)
-	for i := uint64(0); i < 2; i++ {
-		st := isa.NewUop(isa.UopStore, isa.ExecStore)
-		st.Src1 = isa.Tmp1
-		st.MSrc = isa.MetaReg(src)
-		st.IsMem, st.IsWr, st.Width = true, true, 8
-		st.Addr, st.Shadow = sa+8*i, true
-		st.Meta = isa.MetaPtrStore
-		uops = append(uops, st)
-	}
-	e.buf = uops
-	if e.sink != nil {
-		e.sink.Shadow(pc, sa, true)
-	}
-	return uops
 }
 
 // StackIdentState exposes the control registers (tests).

@@ -78,7 +78,7 @@ type Machine struct {
 	halted bool
 	res    Result
 
-	// InstLimit bounds the run (default 200M macro instructions).
+	// InstLimit bounds the run (default instLimit).
 	InstLimit uint64
 
 	// sink, when set, observes the run: one event per macro
@@ -107,6 +107,10 @@ type Machine struct {
 	uopArr [isa.MaxUopsPerInst]isa.Uop
 }
 
+// instLimit is the default bound on the macro instructions one run
+// executes, across all contexts of a multi-context run.
+const instLimit = 200_000_000
+
 // New builds a machine. model and bp may be nil for functional-only
 // runs (e.g. the profiling pass).
 func New(prog *asm.Program, memory *mem.Memory, eng *core.Engine, model *pipeline.Model, bp *bpred.Predictor) *Machine {
@@ -117,7 +121,7 @@ func New(prog *asm.Program, memory *mem.Memory, eng *core.Engine, model *pipelin
 		model:     model,
 		bp:        bp,
 		pc:        prog.Entry,
-		InstLimit: 200_000_000,
+		InstLimit: instLimit,
 		crack:     prog.CrackCache(),
 	}
 	m.Regs[isa.SP] = mem.StackTop
@@ -155,9 +159,7 @@ func (m *Machine) effAddr(mr isa.MemRef) uint64 {
 	return a
 }
 
-// feed hands µops to the timing model. Software-policy injected µops
-// model instrumentation instructions, so each also consumes fetch
-// bandwidth as its own macro instruction.
+// feed hands µops to the timing model.
 func (m *Machine) feed(uops []isa.Uop) {
 	m.res.Uops += uint64(len(uops))
 	if !m.timingOn() {
@@ -171,18 +173,13 @@ func (m *Machine) feed(uops []isa.Uop) {
 		}
 		return
 	}
-	// Software-scheme policies (software, xtag, dangkiller) execute
-	// their checking work as real instructions, so each metadata µop
-	// also occupies a fetch slot; Watchdog's injected µops ride the
-	// macro instruction's own slot.
-	var swScheme bool
-	switch m.eng.Config().Policy {
-	case core.PolicySoftware, core.PolicyXTag, core.PolicyDangKiller:
-		swScheme = true
-	}
+	// A policy whose checking work runs as real instructions has each
+	// metadata µop occupy a fetch slot too; Watchdog's injected µops
+	// ride the macro instruction's own slot.
+	instChecks := m.eng.Config().Policy.InstChecks()
 	ca := mem.CodeAddr(m.pc)
 	for i := range uops {
-		if swScheme && uops[i].Meta != isa.MetaNone {
+		if instChecks && uops[i].Meta != isa.MetaNone {
 			m.model.OnInst(ca)
 		}
 		m.model.OnUop(&uops[i])
@@ -605,18 +602,11 @@ func (m *Machine) propSelect(dst, s1, s2 isa.Reg, base []isa.Uop) {
 }
 
 // traceCopyElim emits a copy-elimination event when the rename stage
-// absorbed a metadata copy that would otherwise have been a select µop
-// (valid metadata propagated with no µop charged under Watchdog with
-// copy elimination on).
+// absorbed a metadata copy that would otherwise have been a select µop.
 func (m *Machine) traceCopyElim(dst, src isa.Reg) {
-	if m.sink == nil {
-		return
+	if m.sink != nil && m.eng.CopyEliminated(dst) {
+		m.sink.CopyElim(m.pc, dst, src)
 	}
-	cfg := m.eng.Config()
-	if cfg.Policy != core.PolicyWatchdog || !cfg.CopyElim || !m.eng.RegMeta(dst).Valid() {
-		return
-	}
-	m.sink.CopyElim(m.pc, dst, src)
 }
 
 // propInvalidate marks dst as never-a-pointer.

@@ -10,26 +10,21 @@ import (
 )
 
 // MT interleaves several hardware contexts (threads) over one shared
-// memory, executing macro instructions round-robin — each macro
-// instruction is atomic, which is what makes the xchg spinlock
-// primitive work. This implements the multithreading requirements the
-// paper lays out in Section 7: (1) identifiers are allocated from
-// partitioned per-thread key spaces (Engine.SetContext for stack
-// frames, per-thread key counters in the MT runtime for the heap), and
-// (2)/(3) pointer metadata accesses and check+access pairs execute
-// atomically because the machine interleaves at macro-instruction
-// granularity (the paper's two-location atomic update, made trivial
-// here by the execution model).
+// memory, executing macro instructions round-robin, one per context
+// per turn — each macro instruction is atomic, which is what makes the
+// xchg spinlock primitive work. This implements the multithreading
+// requirements the paper lays out in Section 7: (1) identifiers are
+// allocated from partitioned per-thread key spaces (Engine.SetContext
+// for stack frames, per-thread key counters in the MT runtime for the
+// heap), and (2)/(3) pointer metadata accesses and check+access pairs
+// execute atomically because the machine interleaves at
+// macro-instruction granularity (the paper's two-location atomic
+// update, made trivial here by the execution model).
 //
 // MT runs functionally (no timing model): the paper does not evaluate
 // multithreaded performance either.
 type MT struct {
 	Contexts []*Machine
-	// Quantum is how many macro instructions a context executes per
-	// turn (1 = maximal interleaving).
-	Quantum int
-	// InstLimit bounds the total instruction count across contexts.
-	InstLimit uint64
 }
 
 // NewMT builds an n-context machine over shared memory. Each context
@@ -41,7 +36,7 @@ func NewMT(prog *asm.Program, memory *mem.Memory, cfg core.Config, n int) (*MT, 
 	if n < 1 || n > 8 {
 		return nil, fmt.Errorf("machine: context count %d out of range [1,8]", n)
 	}
-	mt := &MT{Quantum: 1, InstLimit: 200_000_000}
+	mt := &MT{}
 	for tid := 0; tid < n; tid++ {
 		eng := core.NewEngine(cfg, memory)
 		m := New(prog, memory, eng, nil, nil)
@@ -62,21 +57,13 @@ func NewMT(prog *asm.Program, memory *mem.Memory, cfg core.Config, n int) (*MT, 
 		mt.Contexts = append(mt.Contexts, m)
 	}
 	// Shared memory is initialized once; each engine then takes its
-	// per-context identifier state. Policies that keep metadata in a
-	// Go-side table — pointer metadata under xtag/dangkiller,
-	// allocation status under location — additionally share context
-	// 0's table, so state published by one thread is visible when
-	// another thread checks against it — the same sharing the
-	// simulated shadow space gives the other policies for free.
-	shared := mt.Contexts[0].eng.PtrMetaStore()
-	sharedLoc := mt.Contexts[0].eng.LocAllocStore()
+	// per-context identifier state and context 0's Go-side tables.
 	for tid, m := range mt.Contexts {
 		if tid == 0 {
 			m.Load()
 		} else {
 			m.eng.Init(prog.GlobalEnd)
-			m.eng.SetPtrMetaStore(shared)
-			m.eng.SetLocAllocStore(sharedLoc)
+			m.eng.ShareTables(mt.Contexts[0].eng)
 		}
 		m.eng.SetContext(tid)
 	}
@@ -86,8 +73,8 @@ func NewMT(prog *asm.Program, memory *mem.Memory, cfg core.Config, n int) (*MT, 
 // SetRuntimeEnd marks instructions below end as runtime-library code
 // in every context — the multi-context equivalent of
 // sim.Config.RuntimeEnd. The policies that exempt the runtime from
-// checking (software, location, xtag) need this before Run, or the
-// allocator's own bookkeeping writes fault.
+// checking need this before Run, or the allocator's own bookkeeping
+// writes fault.
 func (mt *MT) SetRuntimeEnd(end int) {
 	for _, c := range mt.Contexts {
 		c.eng.SetUncheckedBelow(end)
@@ -95,10 +82,11 @@ func (mt *MT) SetRuntimeEnd(end int) {
 }
 
 // Run interleaves the contexts until all halt, any context faults, or
-// the instruction budget is exhausted. It returns the per-context
-// results; a memory-safety exception in any context stops the whole
-// machine (the process would trap). As with Machine.Run, each result is
-// a copy that holds no pointer into its context.
+// the instruction limit, counted across contexts, is exhausted. It
+// returns the per-context results; a memory-safety exception in any
+// context stops the whole machine (the process would trap). As with
+// Machine.Run, each result is a copy that holds no pointer into its
+// context.
 func (mt *MT) Run() ([]*Result, error) {
 	var total uint64
 	for {
@@ -108,18 +96,16 @@ func (mt *MT) Run() ([]*Result, error) {
 				continue
 			}
 			active = true
-			for q := 0; q < mt.Quantum && !c.halted; q++ {
-				if total >= mt.InstLimit {
-					return mt.finish(), fmt.Errorf("machine: multi-context instruction limit exceeded")
-				}
-				if c.pc < 0 || c.pc >= len(c.prog.Insts) {
-					return mt.finish(), fmt.Errorf("machine: context %d pc %d out of range", c.Tid, c.pc)
-				}
-				if err := c.step(); err != nil {
-					return mt.finish(), fmt.Errorf("context %d: %w", c.Tid, err)
-				}
-				total++
+			if total >= instLimit {
+				return mt.finish(), fmt.Errorf("machine: multi-context instruction limit exceeded")
 			}
+			if c.pc < 0 || c.pc >= len(c.prog.Insts) {
+				return mt.finish(), fmt.Errorf("machine: context %d pc %d out of range", c.Tid, c.pc)
+			}
+			if err := c.step(); err != nil {
+				return mt.finish(), fmt.Errorf("context %d: %w", c.Tid, err)
+			}
+			total++
 			if c.res.MemErr != nil {
 				// A violation traps the whole process.
 				return mt.finish(), nil

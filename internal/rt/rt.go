@@ -109,24 +109,11 @@ func emit(opts Options) *Build {
 
 // RuntimeEnd returns the instruction index where workload code begins
 // (everything below is runtime-library code, exempt from checking
-// under the software/location policies).
+// under the policies that exempt the runtime).
 func (r *Build) RuntimeEnd() int { return r.runtimeEnd }
 
 // Finish assembles the program.
 func (r *Build) Finish() (*asm.Program, error) { return r.B.Build() }
-
-// watchdogIdents reports whether this variant maintains identifiers.
-// The xtag and dangkiller comparators run the same Figure 3a/3b
-// allocation protocol — xtag's pointer tag and dangkiller's implicit
-// key are both modeled as views of the allocation key — so their
-// runtimes convey identifiers too.
-func (r *Build) watchdogIdents() bool {
-	switch r.opts.Policy {
-	case core.PolicyWatchdog, core.PolicySoftware, core.PolicyXTag, core.PolicyDangKiller:
-		return true
-	}
-	return false
-}
 
 func (r *Build) emitGlobals() {
 	b := r.B
@@ -322,16 +309,14 @@ func (r *Build) emitMalloc() {
 	// fresh identifier overrides it).
 	b.Lea(isa.R1, asm.MemIdx(isa.R10, isa.R3, 1, 16, 8))
 
-	switch {
-	case r.watchdogIdents():
+	// The xtag and dangkiller comparators run the same Figure 3a/3b
+	// protocol as Watchdog: xtag's pointer tag and dangkiller's
+	// implicit key are both modeled as views of the allocation key.
+	if r.opts.Policy.Idents() {
 		r.emitMallocIdent()
-		if r.opts.Policy == core.PolicyXTag {
-			// Write the fresh allocation's tag into the per-word tag
-			// table (R1 = tagged ptr, R2 = rounded size).
-			b.Sys(isa.SysMarkAlloc, isa.R1)
-		}
-	case r.opts.Policy == core.PolicyLocation:
-		b.Sys(isa.SysMarkAlloc, isa.R1) // R1 = ptr, R2 = size
+	}
+	if r.opts.Policy.AllocHooks() {
+		b.Sys(isa.SysMarkAlloc, isa.R1) // R1 = ptr (with its identifier), R2 = rounded size
 	}
 	r.emitUnlock()
 	b.Ret()
@@ -398,7 +383,7 @@ func (r *Build) emitFree() {
 
 	r.loadArena(isa.R10, "__rt_arena")
 
-	if r.watchdogIdents() {
+	if r.opts.Policy.Idents() {
 		r.loadArena(isa.R11, "__rt_lockarena")
 		// Validate the identifier first: catches double frees, frees
 		// of stale pointers and frees of non-heap memory (Figure 3b).
@@ -430,7 +415,7 @@ func (r *Build) emitFree() {
 	b.Subi(isa.R9, isa.R9, 1)  // clear allocated bit -> size
 	b.St(asm.MemIdx(isa.R10, isa.R8, 1, 0, 8), isa.R9)
 
-	if r.opts.Policy == core.PolicyLocation || r.opts.Policy == core.PolicyXTag {
+	if r.opts.Policy.AllocHooks() {
 		b.Mov(isa.R2, isa.R9) // size for the hook (xtag: retag the freed words)
 		b.Sys(isa.SysMarkFree, isa.R1)
 	}

@@ -135,30 +135,36 @@ func runCaseSink(ctx context.Context, c Case, cfg core.Config, opts rt.Options, 
 	return outcomeOf(c, res)
 }
 
-// PolicyConfig maps a policy name (the -policy vocabulary shared by
-// watchdog-juliet and the serving layer's security endpoint) to the
-// engine configuration and runtime options it runs under. The runtime
-// follows from the engine configuration (rt.For).
+// policies is the -policy vocabulary shared by watchdog-juliet and the
+// serving layer's security endpoint, in presentation order: each name
+// and the engine configuration it runs under.
+var policies = []struct {
+	name string
+	cfg  core.Config
+}{
+	{"watchdog", core.DefaultConfig()},
+	{"conservative", withPtrPolicy(core.DefaultConfig(), core.PtrConservative)},
+	{"location", core.Config{Policy: core.PolicyLocation}},
+	{"software", core.Config{Policy: core.PolicySoftware, PtrPolicy: core.PtrConservative}},
+	{"xtag", core.Config{Policy: core.PolicyXTag, PtrPolicy: core.PtrConservative, TagBits: core.DefaultTagBits}},
+	{"dangkiller", core.Config{Policy: core.PolicyDangKiller, PtrPolicy: core.PtrConservative}},
+}
+
+func withPtrPolicy(cfg core.Config, p core.PtrPolicy) core.Config {
+	cfg.PtrPolicy = p
+	return cfg
+}
+
+// PolicyConfig maps a policy name to the engine configuration and
+// runtime options it runs under. The runtime follows from the engine
+// configuration (rt.For).
 func PolicyConfig(name string) (core.Config, rt.Options, error) {
-	var cfg core.Config
-	switch name {
-	case "watchdog":
-		cfg = core.DefaultConfig()
-	case "conservative":
-		cfg = core.DefaultConfig()
-		cfg.PtrPolicy = core.PtrConservative
-	case "location":
-		cfg = core.Config{Policy: core.PolicyLocation}
-	case "software":
-		cfg = core.Config{Policy: core.PolicySoftware, PtrPolicy: core.PtrConservative}
-	case "xtag":
-		cfg = core.Config{Policy: core.PolicyXTag, PtrPolicy: core.PtrConservative, TagBits: core.DefaultTagBits}
-	case "dangkiller":
-		cfg = core.Config{Policy: core.PolicyDangKiller, PtrPolicy: core.PtrConservative}
-	default:
-		return core.Config{}, rt.Options{}, fmt.Errorf("unknown policy %q (known: %s)", name, strings.Join(Policies(), ", "))
+	for _, p := range policies {
+		if p.name == name {
+			return p.cfg, rt.For(p.cfg), nil
+		}
 	}
-	return cfg, rt.For(cfg), nil
+	return core.Config{}, rt.Options{}, fmt.Errorf("unknown policy %q (known: %s)", name, strings.Join(Policies(), ", "))
 }
 
 // SetTagBits applies a requested xTag tag width to cfg: 0 keeps
@@ -181,7 +187,11 @@ func SetTagBits(cfg *core.Config, bits int) error {
 
 // Policies lists the -policy vocabulary in presentation order.
 func Policies() []string {
-	return []string{"watchdog", "conservative", "location", "software", "xtag", "dangkiller"}
+	names := make([]string, len(policies))
+	for i, p := range policies {
+		names[i] = p.name
+	}
+	return names
 }
 
 // ExpectedDetected reports whether the named policy is expected to

@@ -130,7 +130,7 @@ func ParseWdasmCase(id, src string) (Case, error) {
 				if !ok {
 					return Case{}, fmt.Errorf("line %d: bad expect token %q (want policy=detect|miss)", ln+1, tok)
 				}
-				if !knownPolicy(name) {
+				if _, _, err := PolicyConfig(name); err != nil {
 					return Case{}, fmt.Errorf("line %d: unknown policy %q", ln+1, name)
 				}
 				switch verdict {
@@ -157,13 +157,4 @@ func ParseWdasmCase(id, src string) (Case, error) {
 		}
 	}
 	return c, nil
-}
-
-func knownPolicy(name string) bool {
-	for _, p := range Policies() {
-		if p == name {
-			return true
-		}
-	}
-	return false
 }

@@ -66,6 +66,33 @@ func TestObserverSeesEveryEvent(t *testing.T) {
 	}
 }
 
+// TestObserverDetachesItself: an observer may detach itself from inside
+// its callback, as watchdog-sim -trace N does once it has printed N
+// instructions. A sink with no timeline and no ring is then inactive,
+// so it stops counting; with a ring, only the ring keeps recording.
+func TestObserverDetachesItself(t *testing.T) {
+	for _, flightN := range []int{0, 4} {
+		s := New(Config{FlightN: flightN})
+		seen := 0
+		s.SetObserver(func(Event) {
+			if seen++; seen == 3 {
+				s.SetObserver(nil)
+			}
+		})
+		for pc := 0; pc < 10; pc++ {
+			s.Inst(pc, isa.OpNop)
+		}
+		want := uint64(3)
+		if flightN > 0 {
+			want = 10
+		}
+		if seen != 3 || s.CountByKind(KindInst) != want {
+			t.Fatalf("FlightN %d: observed %d, counted %d, want 3 and %d",
+				flightN, seen, s.CountByKind(KindInst), want)
+		}
+	}
+}
+
 // TestDumpFlight: the dump names the faulting identifier and lock.
 func TestDumpFlight(t *testing.T) {
 	s := New(Config{FlightN: 8})
