@@ -329,7 +329,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			label, _, _ := strings.Cut(out.figure.Title, ":")
 			out.bars, err = r.Bars(label+" (bars): % slowdown", out.figure.Cfgs...)
 		}
-		if err != nil && !(experiments.Canceled(err) && ctx.Err() != nil) {
+		if err != nil && !(sim.Canceled(err) && ctx.Err() != nil) {
 			return fail(err)
 		}
 		if out.table != nil || out.text != "" {

@@ -9,7 +9,6 @@ package experiments
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"strings"
 	"time"
@@ -17,9 +16,7 @@ import (
 	"watchdog/internal/asm"
 	"watchdog/internal/core"
 	"watchdog/internal/flight"
-	"watchdog/internal/isa"
 	"watchdog/internal/machine"
-	"watchdog/internal/mem"
 	"watchdog/internal/report"
 	"watchdog/internal/rt"
 	"watchdog/internal/security"
@@ -74,13 +71,6 @@ func ConfigNames() []string {
 	return out
 }
 
-// Canceled reports whether err stems from context cancellation or an
-// expired deadline — either the context's own sentinel or the
-// machine-level wrap produced mid-simulation.
-func Canceled(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-}
-
 // Runner executes (workload, configuration) pairs, keeping profiles
 // and results, so figures sharing runs (e.g. the baseline) pay for them
 // once. All methods are safe for concurrent use: cells and profiles
@@ -94,10 +84,11 @@ type Runner struct {
 	// (RunAll, Sweep, the figure methods); <= 0 means GOMAXPROCS.
 	Jobs int
 
-	// Fidelity is the timing methodology for every cell this runner
-	// simulates (empty = exact). It is a result-cache dimension: cells
-	// of different fidelities never alias, so a runner used at several
-	// fidelities (the fidelity-drift experiment) keeps them apart.
+	// Fidelity is the timing methodology of every method without a
+	// fidelity argument (empty = exact). It is a result-cache
+	// dimension: cells of different fidelities never alias, so a runner
+	// used at several fidelities (the fidelity-drift experiment, the
+	// serving layer) keeps them apart.
 	Fidelity sim.Fidelity
 
 	// Timing counts executed simulations, profiling passes and cache
@@ -114,19 +105,17 @@ type Runner struct {
 	// context argument (the figure methods, Sweep, RunAll, Run,
 	// Juliet). The CLIs set it once to their signal context so a
 	// SIGINT cancels whatever sweep is in flight; the serving layer
-	// ignores it and passes a per-request context to RunCtx and
-	// CellCtx instead.
+	// ignores it and passes a per-request context to CellCtx instead.
 	Ctx context.Context
 
 	// Remote, when non-nil, replaces local simulation entirely: every
 	// uncached cell is fetched through it (the distributed sweep
-	// fabric) instead of being simulated in-process. The runner's
-	// caches, fan-out and workload-order merge are unchanged, so a
-	// remote sweep assembles figures through exactly the code path a
-	// local one does — byte-identical output, because the workers run
-	// the same deterministic simulations. Remote cells are kept
-	// verbatim for Report (see resultFromCell for what the figure
-	// assembly reads).
+	// fabric) instead of being simulated in-process, and kept as the
+	// worker sent it. The runner's caches, fan-out and workload-order
+	// merge are unchanged, and the figures and Report read the same
+	// wire cell on both paths, so a remote sweep's output is
+	// byte-identical to a local one's: the workers run the same
+	// deterministic simulations.
 	Remote RemoteCellRunner
 
 	// results keeps every cell this runner computed, keyed by cellKey,
@@ -139,20 +128,17 @@ type Runner struct {
 // RemoteCellRunner fetches one simulated cell from somewhere other
 // than the local simulator — the distributed sweep fabric, which
 // shards cells across watchdog-serve workers. The returned cell is
-// the /v1/sim wire record; overhead asks for the slowdown ratio over
-// the workload's baseline (the runner requests it for every
-// non-baseline cell so remote reports match local ones).
+// the /v1/sim wire record.
 type RemoteCellRunner interface {
-	RemoteCell(ctx context.Context, workload string, config ConfigName, fid sim.Fidelity, overhead bool) (report.Cell, error)
+	RemoteCell(ctx context.Context, workload string, config ConfigName, fid sim.Fidelity) (report.Cell, error)
 }
 
-// cellResult is one kept cell: the Result the figure math reads plus,
-// for a remote fetch, the worker's wire cell (nil for local
-// simulations), which Report emits verbatim so a distributed report is
-// byte-identical to the local one.
+// cellResult is one kept cell: its wire record, which the figures and
+// Report read, and for a local simulation the Result, which Run and
+// RunCtx return (nil for a remote cell).
 type cellResult struct {
+	cell report.Cell
 	res  *machine.Result
-	wire *report.Cell
 }
 
 // NewRunner builds a runner over all workloads (or the given subset).
@@ -181,23 +167,10 @@ func NewRunner(scale int, names ...string) (*Runner, error) {
 
 // cellKey is the result-cache key of one (workload, configuration,
 // fidelity) cell. Fidelity is part of the key so cells simulated at
-// different fidelities coexist in one cache; report assembly parses
-// the key back with splitCellKey.
+// different fidelities coexist in one cache; Report lists the cells in
+// key order.
 func cellKey(wname string, name ConfigName, fid sim.Fidelity) string {
 	return wname + "/" + string(name) + "@" + string(fid.OrExact())
-}
-
-// splitCellKey inverts cellKey. ok is false for malformed keys.
-func splitCellKey(key string) (wname, cname string, fid sim.Fidelity, ok bool) {
-	wname, rest, ok := strings.Cut(key, "/")
-	if !ok {
-		return "", "", "", false
-	}
-	cname, f, ok := strings.Cut(rest, "@")
-	if !ok {
-		return "", "", "", false
-	}
-	return wname, cname, sim.Fidelity(f), true
 }
 
 // SimConfig is the one place a configuration name gets its meaning:
@@ -263,9 +236,10 @@ func (r *Runner) ctx() context.Context {
 }
 
 // Run executes one workload under one configuration (cached; safe for
-// concurrent use).
+// concurrent use) and returns its Result. A runner with Remote set
+// keeps no Results, so there Run returns an error naming the cell.
 func (r *Runner) Run(w workload.Workload, name ConfigName) (*machine.Result, error) {
-	return r.run(r.ctx(), r.Fidelity, w, name)
+	return r.RunCtx(r.ctx(), w, name)
 }
 
 // RunCtx is Run under an explicit context. Cancellation is
@@ -277,86 +251,35 @@ func (r *Runner) Run(w workload.Workload, name ConfigName) (*machine.Result, err
 // cancellation kills the computation starts it again. Failures are
 // never kept, so a later request recomputes.
 func (r *Runner) RunCtx(ctx context.Context, w workload.Workload, name ConfigName) (*machine.Result, error) {
-	return r.run(ctx, r.Fidelity, w, name)
+	c, err := r.run(ctx, r.Fidelity, w, name)
+	if err == nil && c.res == nil {
+		err = fmt.Errorf("%s under %s: a remote cell has no local Result", w.Name, name)
+	}
+	return c.res, err
 }
 
-// run is the one cell path behind Run, RunCtx and every sweep: the
-// cell at an explicit fidelity, so the fidelity-drift experiment can
-// simulate the same cell at every fidelity within one runner (and one
-// program/profile cache).
-func (r *Runner) run(ctx context.Context, fid sim.Fidelity, w workload.Workload, name ConfigName) (*machine.Result, error) {
-	c, err := r.results.Do(ctx, cellKey(w.Name, name, fid), r.Timing.AddHit, func() (cellResult, error) {
+// run is the one cell path behind Run, RunCtx, CellCtx and every
+// sweep: the cell at an explicit fidelity, so the fidelity-drift
+// experiment can simulate the same cell at every fidelity within one
+// runner (and one program/profile cache). A cell is flattened once,
+// when its simulation completes, or kept as the worker sent it.
+func (r *Runner) run(ctx context.Context, fid sim.Fidelity, w workload.Workload, name ConfigName) (cellResult, error) {
+	return r.results.Do(ctx, cellKey(w.Name, name, fid), r.Timing.AddHit, func() (cellResult, error) {
 		if r.Remote != nil {
-			// Ask for the overhead ratio on every non-baseline cell so
-			// the worker computes it against its own baseline — the
-			// exact float64 division the local path would perform — and
-			// the verbatim cell matches a local report bit-for-bit.
 			start := time.Now()
-			cell, err := r.Remote.RemoteCell(ctx, w.Name, name, fid, name != CfgBaseline)
+			cell, err := r.Remote.RemoteCell(ctx, w.Name, name, fid)
 			r.Timing.AddSim(time.Since(start))
 			if err != nil {
 				return cellResult{}, fmt.Errorf("%s under %s (remote): %w", w.Name, name, err)
 			}
-			return cellResult{res: resultFromCell(&cell), wire: &cell}, nil
+			return cellResult{cell: cell}, nil
 		}
 		res, err := r.runUncached(ctx, fid, w, name, 0)
-		return cellResult{res: res}, err
-	})
-	return c.res, err
-}
-
-// resultFromCell inverts buildCell far enough for the figure assembly:
-// the reconstructed Result reproduces every number the figures and
-// sweeps read (EstimatedCycles, the CPI-stack buckets, µop breakdowns,
-// engine counters, cache counters, the Figure 10 footprint split). The
-// Sampled* counters stay zero on purpose — the wire Cycles value is
-// already the extrapolation at any fidelity, so EstimatedCycles must
-// return it unscaled. Report never re-flattens a reconstruction: the
-// verbatim wire cell is emitted instead (cellResult.wire), so
-// lossiness here (e.g. the exact per-region footprint spread) cannot
-// leak into a document.
-func resultFromCell(c *report.Cell) *machine.Result {
-	res := &machine.Result{
-		Partial: c.Partial,
-		Insts:   c.Insts,
-		Uops:    c.Uops,
-	}
-	t := &res.Timing
-	t.Cycles = c.Cycles
-	t.BaseCycles = c.BaseCycles
-	t.CheckCycles = c.CheckCycles
-	t.LockMissCycles = c.LockMissCycles
-	t.MetaCycles = c.MetaCycles
-	t.Uops = c.Uops
-	for m := isa.MetaClass(0); m < isa.NumMetaClasses; m++ {
-		t.UopsByMeta[m] = c.UopsByMeta[m.String()]
-	}
-	for op := isa.UopOp(0); op < isa.NumUopOps; op++ {
-		t.UopsByOp[op] = c.UopsByOp[op.String()]
-	}
-	t.Cache.Lock.Accesses = c.LockCacheAccesses
-	t.Cache.Lock.Misses = c.LockCacheMisses
-	t.Cache.L1D.Accesses = c.L1DAccesses
-	t.Cache.L1D.Misses = c.L1DMisses
-	t.Cache.L2.Misses = c.L2Misses
-	t.Cache.L3.Misses = c.L3Misses
-	res.Engine = core.Stats{
-		MemAccesses: c.MemAccesses,
-		PtrOps:      c.PtrLoads + c.PtrStores,
-		PtrLoads:    c.PtrLoads,
-		PtrStores:   c.PtrStores,
-		Checks:      c.Checks,
-	}
-	// The wire carries the footprint pre-split into app/meta totals.
-	// Park them in one representative region per side so splitFootprint
-	// recovers the same four numbers.
-	if c.AppWords|c.AppPages|c.MetaWords|c.MetaPages != 0 {
-		res.Footprint = map[mem.Region]mem.Footprint{
-			mem.RegionHeap:   {Words: c.AppWords, Pages: c.AppPages},
-			mem.RegionShadow: {Words: c.MetaWords, Pages: c.MetaPages},
+		if err != nil {
+			return cellResult{}, err
 		}
-	}
-	return res
+		return cellResult{cell: buildCell(w.Name, string(name), fid, res), res: res}, nil
+	})
 }
 
 // runUncached is the uncached simulation of one cell: the named
@@ -427,21 +350,17 @@ func (r *Runner) profileFor(ctx context.Context, w workload.Workload, opts rt.Op
 	})
 }
 
-// overhead is the slowdown ratio of the named configuration over the
-// baseline for one workload, both at fidelity fid. Cycle counts go
-// through Result.EstimatedCycles, so a sampled ratio compares
-// whole-program extrapolations (for exact runs EstimatedCycles is the
-// measured count).
-func (r *Runner) overhead(ctx context.Context, fid sim.Fidelity, w workload.Workload, name ConfigName) (float64, error) {
-	base, err := r.run(ctx, fid, w, CfgBaseline)
-	if err != nil {
-		return 0, err
+// overhead is the one derivation of a cell's slowdown ratio: its
+// cycles over those of base, the baseline cell of its workload at its
+// fidelity (an extrapolated cycle count over an exact one would be a
+// mixed-fidelity ratio). A wire cell's cycles are the whole-program
+// estimate at any fidelity, so a sampled ratio compares
+// extrapolations. It is 0 when base has no cycles.
+func overhead(c, base report.Cell) float64 {
+	if base.Cycles <= 0 {
+		return 0
 	}
-	res, err := r.run(ctx, fid, w, name)
-	if err != nil {
-		return 0, err
-	}
-	return float64(res.EstimatedCycles()) / float64(base.EstimatedCycles()), nil
+	return float64(c.Cycles) / float64(base.Cycles)
 }
 
 // Sweep runs every workload under the configuration, returning the
@@ -463,10 +382,15 @@ func (r *Runner) sweep(ctx context.Context, fid sim.Fidelity, name ConfigName) (
 	}
 	var ratios []float64
 	for _, w := range r.Workloads {
-		ratio, err := r.overhead(ctx, fid, w, name)
+		base, err := r.run(ctx, fid, w, CfgBaseline)
 		if err != nil {
 			return s, 0, err
 		}
+		c, err := r.run(ctx, fid, w, name)
+		if err != nil {
+			return s, 0, err
+		}
+		ratio := overhead(c.cell, base.cell)
 		s.Add(w.Name, (ratio-1)*100)
 		ratios = append(ratios, ratio)
 	}

@@ -6,7 +6,6 @@ import (
 
 	"watchdog/internal/cache"
 	"watchdog/internal/isa"
-	"watchdog/internal/mem"
 	"watchdog/internal/pipeline"
 	"watchdog/internal/security"
 	"watchdog/internal/stats"
@@ -54,18 +53,19 @@ func (r *Runner) Fig5() (*stats.Table, error) {
 	}
 	t := stats.NewTable("Figure 5: % of memory accesses carrying pointer metadata",
 		"bench", "conservative", "isa-assisted")
+	ctx, fid := r.ctx(), r.Fidelity
 	var cons, ia []float64
 	for _, w := range r.Workloads {
-		cr, err := r.Run(w, CfgConservative)
+		cr, err := r.run(ctx, fid, w, CfgConservative)
 		if err != nil {
 			return nil, err
 		}
-		ir, err := r.Run(w, CfgISA)
+		ir, err := r.run(ctx, fid, w, CfgISA)
 		if err != nil {
 			return nil, err
 		}
-		cf := frac(cr.Engine.PtrOps, cr.Engine.MemAccesses)
-		af := frac(ir.Engine.PtrOps, ir.Engine.MemAccesses)
+		cf := frac(cr.cell.PtrLoads+cr.cell.PtrStores, cr.cell.MemAccesses)
+		af := frac(ir.cell.PtrLoads+ir.cell.PtrStores, ir.cell.MemAccesses)
 		cons = append(cons, cf)
 		ia = append(ia, af)
 		t.Row(w.Name, stats.Pct(cf), stats.Pct(af))
@@ -88,21 +88,23 @@ func (r *Runner) Fig8() (*stats.Table, error) {
 	}
 	t := stats.NewTable("Figure 8: µop overhead breakdown, ISA-assisted (% extra µops over baseline)",
 		"bench", "checks", "ptr-loads", "ptr-stores", "other", "total")
+	ctx, fid := r.ctx(), r.Fidelity
 	var chk, pl, ps, ot, tot []float64
 	for _, w := range r.Workloads {
-		base, err := r.Run(w, CfgBaseline)
+		base, err := r.run(ctx, fid, w, CfgBaseline)
 		if err != nil {
 			return nil, err
 		}
-		res, err := r.Run(w, CfgISA)
+		res, err := r.run(ctx, fid, w, CfgISA)
 		if err != nil {
 			return nil, err
 		}
-		bu := float64(base.Timing.Uops)
-		c := float64(res.Timing.UopsByMeta[isa.MetaCheck]) / bu * 100
-		l := float64(res.Timing.UopsByMeta[isa.MetaPtrLoad]) / bu * 100
-		s := float64(res.Timing.UopsByMeta[isa.MetaPtrStore]) / bu * 100
-		o := float64(res.Timing.UopsByMeta[isa.MetaOther]) / bu * 100
+		bu := float64(base.cell.Uops)
+		meta := res.cell.UopsByMeta
+		c := float64(meta[isa.MetaCheck.String()]) / bu * 100
+		l := float64(meta[isa.MetaPtrLoad.String()]) / bu * 100
+		s := float64(meta[isa.MetaPtrStore.String()]) / bu * 100
+		o := float64(meta[isa.MetaOther.String()]) / bu * 100
 		chk, pl, ps, ot = append(chk, c), append(pl, l), append(ps, s), append(ot, o)
 		tot = append(tot, c+l+s+o)
 		t.Row(w.Name, c, l, s, o, c+l+s+o)
@@ -129,17 +131,17 @@ func (r *Runner) Fig10() (*stats.Table, error) {
 	t := stats.NewTable("Figure 10: memory overhead of the metadata spaces",
 		"bench", "words", "pages", "xtag-words", "xtag-pages",
 		"dangkiller-words", "dangkiller-pages")
+	ctx, fid := r.ctx(), r.Fidelity
 	sums := make([][]float64, 2*len(cfgs))
 	for _, w := range r.Workloads {
 		cells := []any{w.Name}
 		for i, cfg := range cfgs {
-			res, err := r.Run(w, cfg)
+			res, err := r.run(ctx, fid, w, cfg)
 			if err != nil {
 				return nil, err
 			}
-			appW, appP, metaW, metaP := splitFootprint(res.Footprint)
-			wo := frac(metaW, appW)
-			po := frac(metaP, appP)
+			wo := frac(res.cell.MetaWords, res.cell.AppWords)
+			po := frac(res.cell.MetaPages, res.cell.AppPages)
 			sums[2*i] = append(sums[2*i], wo)
 			sums[2*i+1] = append(sums[2*i+1], po)
 			cells = append(cells, stats.Pct(wo), stats.Pct(po))
@@ -320,21 +322,4 @@ func frac(num, den uint64) float64 {
 		return 0
 	}
 	return float64(num) / float64(den)
-}
-
-// splitFootprint divides the touch accounting into application memory
-// (globals, heap, stack) and metadata memory (shadow space, lock
-// locations, lock-location stack).
-func splitFootprint(fp map[mem.Region]mem.Footprint) (appW, appP, metaW, metaP uint64) {
-	for region, f := range fp {
-		switch region {
-		case mem.RegionGlobal, mem.RegionHeap, mem.RegionStack:
-			appW += f.Words
-			appP += f.Pages
-		case mem.RegionShadow, mem.RegionLock, mem.RegionStackLock:
-			metaW += f.Words
-			metaP += f.Pages
-		}
-	}
-	return
 }

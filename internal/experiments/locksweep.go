@@ -4,7 +4,7 @@ import (
 	"context"
 	"fmt"
 
-	"watchdog/internal/machine"
+	"watchdog/internal/report"
 	"watchdog/internal/sim"
 	"watchdog/internal/stats"
 	"watchdog/internal/workload"
@@ -29,53 +29,45 @@ func (r *Runner) LockSweep(sizes []int) (*stats.Table, error) {
 	headers = append(headers, "miss/1k-inst@4KB")
 	t := stats.NewTable("Lock location cache sensitivity (% slowdown; miss rate at 4 KB)", headers...)
 
-	// Warm the baseline and every (workload, size) cell in parallel;
-	// the table below assembles from the cache in workload order.
+	// Warm the baseline and simulate every (workload, size) cell in
+	// parallel. A sized cell is no named configuration, so it is held
+	// for this call, not kept for Report; the table below assembles in
+	// workload order.
 	ctx, fid := r.ctx(), r.Fidelity
 	if err := r.runAll(ctx, fid, CfgBaseline); err != nil {
 		return nil, err
 	}
-	type cell struct {
-		w    workload.Workload
-		size int
-	}
-	cells := make([]cell, 0, len(r.Workloads)*len(sizes))
-	for _, w := range r.Workloads {
-		for _, sz := range sizes {
-			cells = append(cells, cell{w, sz})
-		}
-	}
+	n := len(sizes)
+	cells := make([]report.Cell, len(r.Workloads)*n)
 	if err := stats.ParallelDo(ctx, r.Jobs, len(cells), func(i int) error {
-		_, err := r.lockCell(ctx, fid, cells[i].w, cells[i].size)
+		c, err := r.lockCell(ctx, fid, r.Workloads[i/n], sizes[i%n])
+		cells[i] = c
 		return err
 	}); err != nil {
 		return nil, err
 	}
 
-	perSize := make([][]float64, len(sizes))
+	perSize := make([][]float64, n)
 	var missRates []float64
-	for _, w := range r.Workloads {
+	for wi, w := range r.Workloads {
 		base, err := r.run(ctx, fid, w, CfgBaseline)
 		if err != nil {
 			return nil, err
 		}
-		cells := []any{w.Name}
+		row := []any{w.Name}
 		var missPer1k float64
 		for si, sz := range sizes {
-			res, err := r.lockCell(ctx, fid, w, sz)
-			if err != nil {
-				return nil, err
-			}
-			ov := (float64(res.EstimatedCycles())/float64(base.EstimatedCycles()) - 1) * 100
+			c := cells[wi*n+si]
+			ov := (overhead(c, base.cell) - 1) * 100
 			perSize[si] = append(perSize[si], ov)
-			cells = append(cells, ov)
+			row = append(row, ov)
 			if sz == 4<<10 {
-				missPer1k = 1000 * float64(res.Timing.Cache.Lock.Misses) / float64(res.Insts)
+				missPer1k = 1000 * float64(c.LockCacheMisses) / float64(c.Insts)
 			}
 		}
 		missRates = append(missRates, missPer1k)
-		cells = append(cells, fmt.Sprintf("%.2f", missPer1k))
-		t.Row(cells...)
+		row = append(row, fmt.Sprintf("%.2f", missPer1k))
+		t.Row(row...)
 	}
 	avg := []any{"avg"}
 	for si := range sizes {
@@ -88,14 +80,11 @@ func (r *Runner) LockSweep(sizes []int) (*stats.Table, error) {
 
 // lockCell is the ISA-assisted cell of w with a size-byte lock
 // location cache, simulated by the same uncached path as every named
-// cell. Its key, workload/lockSIZE:fidelity, has no "@", so
-// splitCellKey refuses it and Report, which lists named-configuration
-// cells only, skips it.
-func (r *Runner) lockCell(ctx context.Context, fid sim.Fidelity, w workload.Workload, size int) (*machine.Result, error) {
-	key := fmt.Sprintf("%s/lock%d:%s", w.Name, size, fid.OrExact())
-	c, err := r.results.Do(ctx, key, r.Timing.AddHit, func() (cellResult, error) {
-		res, err := r.runUncached(ctx, fid, w, CfgISA, size)
-		return cellResult{res: res}, err
-	})
-	return c.res, err
+// cell and flattened like one. Nothing keeps it.
+func (r *Runner) lockCell(ctx context.Context, fid sim.Fidelity, w workload.Workload, size int) (report.Cell, error) {
+	res, err := r.runUncached(ctx, fid, w, CfgISA, size)
+	if err != nil {
+		return report.Cell{}, err
+	}
+	return buildCell(w.Name, string(CfgISA), fid, res), nil
 }

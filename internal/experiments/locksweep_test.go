@@ -59,7 +59,7 @@ func TestLockSweepMatchesSweep(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				more = more || small.Timing.Cache.Lock.Misses > dflt.Timing.Cache.Lock.Misses
+				more = more || small.LockCacheMisses > dflt.LockCacheMisses
 			}
 			if !more {
 				t.Error("a 2 KB lock location cache misses no more than the 4 KB one on any workload")
@@ -68,8 +68,8 @@ func TestLockSweepMatchesSweep(t *testing.T) {
 	}
 }
 
-// TestReportSkipsLockCells: LockSweep's cells share the runner's
-// result cache, but Report lists only named-configuration cells.
+// TestReportSkipsLockCells: LockSweep holds its sized cells for the
+// call and keeps none, so Report lists only named-configuration cells.
 func TestReportSkipsLockCells(t *testing.T) {
 	r := runnerJ(t, 2)
 	if _, err := r.LockSweep([]int{1 << 10, 4 << 10}); err != nil {

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"watchdog/internal/security"
+	"watchdog/internal/sim"
 	"watchdog/internal/stats"
 	"watchdog/internal/trace"
 	"watchdog/internal/workload"
@@ -285,7 +286,7 @@ func TestRunAllCtxCanceled(t *testing.T) {
 	r := runnerJ(t, 4)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if err := r.runAll(ctx, r.Fidelity, CfgBaseline); !Canceled(err) {
+	if err := r.runAll(ctx, r.Fidelity, CfgBaseline); !sim.Canceled(err) {
 		t.Fatalf("err = %v, want a cancellation", err)
 	}
 	if got := r.Timing.Harness().Sims; got != 0 {
@@ -316,7 +317,7 @@ func TestTable1JulietPassesCanceled(t *testing.T) {
 		time.Sleep(50 * time.Microsecond)
 	}
 	cancel()
-	if err := <-done; !Canceled(err) {
+	if err := <-done; !sim.Canceled(err) {
 		t.Fatalf("err = %v, want a cancellation", err)
 	}
 	if ran, pass := r.Timing.Harness().Sims-sweeps, uint64(len(security.Suite())); ran >= pass {

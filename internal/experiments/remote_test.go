@@ -2,112 +2,46 @@ package experiments
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"watchdog/internal/machine"
 	"watchdog/internal/report"
 	"watchdog/internal/sim"
 	"watchdog/internal/workload"
 )
 
-// TestResultFromCellRoundTrip: flattening a simulated result into the
-// wire schema and reconstructing it preserves every number the figure
-// assembly reads — so a distributed sweep computes identical figures.
-func TestResultFromCellRoundTrip(t *testing.T) {
-	r := runner(t)
-	w, _ := workload.ByName("mcf")
-	for _, cfg := range []ConfigName{CfgBaseline, CfgConservative, CfgISA} {
-		res, err := r.Run(w, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cell := buildCell(w.Name, string(cfg), sim.FidelityExact, res, nil)
-		back := resultFromCell(&cell)
-
-		if got, want := back.EstimatedCycles(), res.EstimatedCycles(); got != want {
-			t.Errorf("%s: EstimatedCycles %d, want %d", cfg, got, want)
-		}
-		bt, ot := &back.Timing, &res.Timing
-		if bt.BaseCycles != cell.BaseCycles || bt.CheckCycles != ot.CheckCycles ||
-			bt.LockMissCycles != ot.LockMissCycles || bt.MetaCycles != ot.MetaCycles {
-			t.Errorf("%s: CPI buckets differ: %+v", cfg, bt)
-		}
-		if bt.UopsByMeta != ot.UopsByMeta {
-			t.Errorf("%s: UopsByMeta %v, want %v", cfg, bt.UopsByMeta, ot.UopsByMeta)
-		}
-		if bt.UopsByOp != ot.UopsByOp {
-			t.Errorf("%s: UopsByOp differ", cfg)
-		}
-		if bt.InjectedUops() != ot.InjectedUops() || bt.IPC() != ot.IPC() {
-			t.Errorf("%s: derived µop stats differ", cfg)
-		}
-		if back.Engine != res.Engine {
-			// Engine carries more counters than the wire; only the
-			// wire-visible ones must survive.
-			if back.Engine.MemAccesses != res.Engine.MemAccesses ||
-				back.Engine.PtrOps != res.Engine.PtrOps ||
-				back.Engine.PtrLoads != res.Engine.PtrLoads ||
-				back.Engine.PtrStores != res.Engine.PtrStores ||
-				back.Engine.Checks != res.Engine.Checks {
-				t.Errorf("%s: engine counters differ: %+v vs %+v", cfg, back.Engine, res.Engine)
-			}
-		}
-		if bt.Cache.Lock != ot.Cache.Lock || bt.Cache.L1D != ot.Cache.L1D ||
-			bt.Cache.L2.Misses != ot.Cache.L2.Misses || bt.Cache.L3.Misses != ot.Cache.L3.Misses {
-			t.Errorf("%s: cache counters differ", cfg)
-		}
-		aw, ap, mw, mp := splitFootprint(back.Footprint)
-		ow, op, omw, omp := splitFootprint(res.Footprint)
-		if aw != ow || ap != op || mw != omw || mp != omp {
-			t.Errorf("%s: footprint split (%d,%d,%d,%d), want (%d,%d,%d,%d)",
-				cfg, aw, ap, mw, mp, ow, op, omw, omp)
-		}
-		if back.Insts != res.Insts || back.Uops != res.Uops || back.Partial != res.Partial {
-			t.Errorf("%s: scalar counters differ", cfg)
-		}
-		// And the full circle: re-flattening the reconstruction yields
-		// the identical wire cell.
-		again := buildCell(w.Name, string(cfg), sim.FidelityExact, back, nil)
-		b1, _ := json.Marshal(cell)
-		b2, _ := json.Marshal(again)
-		if string(b1) != string(b2) {
-			t.Errorf("%s: re-flattened cell differs:\n%s\nvs\n%s", cfg, b1, b2)
-		}
-	}
-}
-
 // markerRemote hands out syntactically valid cells with a marker
-// value no local simulation would produce, to prove Report emits
-// remote cells verbatim rather than re-flattening the reconstruction.
+// value no local simulation would produce, to prove Report keeps
+// remote cells as the worker sent them. The baseline's cycles differ
+// from every other cell's, so a derived overhead is not 1.
 type markerRemote struct{ calls int }
 
-func (m *markerRemote) RemoteCell(ctx context.Context, wname string, cfg ConfigName, fid sim.Fidelity, overhead bool) (report.Cell, error) {
+func (m *markerRemote) RemoteCell(ctx context.Context, wname string, cfg ConfigName, fid sim.Fidelity) (report.Cell, error) {
 	m.calls++
-	c := report.Cell{
+	cycles := int64(1250)
+	if cfg == CfgBaseline {
+		cycles = 1000
+	}
+	return report.Cell{
 		Workload: wname,
 		Config:   string(cfg),
 		Fidelity: string(fid.OrExact()),
-		Cycles:   1000,
+		Cycles:   cycles,
 		// BaseCycles deliberately breaks the local bucket-sum relation
-		// a re-flatten would "repair": verbatim emission preserves it.
+		// a re-flatten would "repair": keeping the cell preserves it.
 		BaseCycles: 777,
 		Insts:      10,
 		Uops:       10,
 		IPC:        0.5,
-	}
-	if overhead {
-		c.Overhead = 4.25
-	}
-	return c, nil
+	}, nil
 }
 
 // TestReportEmitsRemoteCellsVerbatim: a remote-backed runner's report
-// carries the worker's wire cells byte-for-byte.
+// carries the worker's wire cells field for field, plus the overhead
+// Report derives from the run's baseline cell.
 func TestReportEmitsRemoteCellsVerbatim(t *testing.T) {
 	r, err := NewRunner(1, "mcf")
 	if err != nil {
@@ -116,11 +50,10 @@ func TestReportEmitsRemoteCellsVerbatim(t *testing.T) {
 	m := &markerRemote{}
 	r.Remote = m
 	w, _ := workload.ByName("mcf")
-	if _, err := r.Run(w, CfgConservative); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Run(w, CfgBaseline); err != nil {
-		t.Fatal(err)
+	for _, cfg := range []ConfigName{CfgConservative, CfgBaseline} {
+		if _, err := r.CellCtx(context.Background(), r.Fidelity, w, cfg, false); err != nil {
+			t.Fatal(err)
+		}
 	}
 	rep, err := r.Report(nil, nil)
 	if err != nil {
@@ -133,16 +66,21 @@ func TestReportEmitsRemoteCellsVerbatim(t *testing.T) {
 		if c.BaseCycles != 777 {
 			t.Errorf("%s/%s: BaseCycles %d, want the verbatim marker 777", c.Workload, c.Config, c.BaseCycles)
 		}
-		if c.Config == string(CfgConservative) && c.Overhead != 4.25 {
-			t.Errorf("remote overhead ratio not preserved: %v", c.Overhead)
+		want := 1.25
+		if c.Config == string(CfgBaseline) {
+			want = 0
+		}
+		if c.Overhead != want {
+			t.Errorf("%s/%s: overhead %v, want %v over the remote baseline", c.Workload, c.Config, c.Overhead, want)
 		}
 	}
 	if m.calls != 2 {
 		t.Errorf("remote calls: %d, want 2 (runner cache must still coalesce)", m.calls)
 	}
-	// Cached re-reads stay cache hits, not remote fetches.
-	if _, err := r.Run(w, CfgConservative); err != nil {
-		t.Fatal(err)
+	// Cached re-reads stay cache hits, not remote fetches, and Run names
+	// the cell it has no Result for.
+	if _, err := r.Run(w, CfgConservative); err == nil || !strings.Contains(err.Error(), "mcf under conservative") {
+		t.Errorf("Run on a remote runner: err %v, want one naming the cell", err)
 	}
 	if m.calls != 2 {
 		t.Errorf("cached cell re-fetched remotely (%d calls)", m.calls)
@@ -153,7 +91,7 @@ func TestReportEmitsRemoteCellsVerbatim(t *testing.T) {
 // failed remote cell is not kept.
 type errRemote struct{ calls int }
 
-func (e *errRemote) RemoteCell(context.Context, string, ConfigName, sim.Fidelity, bool) (report.Cell, error) {
+func (e *errRemote) RemoteCell(context.Context, string, ConfigName, sim.Fidelity) (report.Cell, error) {
 	e.calls++
 	return report.Cell{}, fmt.Errorf("fleet on fire")
 }
@@ -186,7 +124,7 @@ type blockingRemote struct {
 	started chan struct{}
 }
 
-func (b *blockingRemote) RemoteCell(ctx context.Context, wname string, cfg ConfigName, fid sim.Fidelity, overhead bool) (report.Cell, error) {
+func (b *blockingRemote) RemoteCell(ctx context.Context, wname string, cfg ConfigName, fid sim.Fidelity) (report.Cell, error) {
 	if b.calls.Add(1) == 1 {
 		close(b.started)
 		<-ctx.Done()
@@ -211,18 +149,18 @@ func TestWaiterOutlivesCreatorCancel(t *testing.T) {
 	cctx, cancel := context.WithCancel(context.Background())
 	creator := make(chan error, 1)
 	go func() {
-		_, err := r.RunCtx(cctx, w, CfgBaseline)
+		_, err := r.CellCtx(cctx, r.Fidelity, w, CfgBaseline, false)
 		creator <- err
 	}()
 	<-b.started
 	type outcome struct {
-		res *machine.Result
-		err error
+		cell report.Cell
+		err  error
 	}
 	waiter := make(chan outcome, 1)
 	go func() {
-		res, err := r.RunCtx(context.Background(), w, CfgBaseline)
-		waiter <- outcome{res, err}
+		cell, err := r.CellCtx(context.Background(), r.Fidelity, w, CfgBaseline, false)
+		waiter <- outcome{cell, err}
 	}()
 	deadline := time.Now().Add(5 * time.Second)
 	for r.Timing.Harness().CacheHits == 0 {
@@ -232,12 +170,12 @@ func TestWaiterOutlivesCreatorCancel(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	cancel()
-	if err := <-creator; !Canceled(err) {
+	if err := <-creator; !sim.Canceled(err) {
 		t.Errorf("creator: err %v, want its own cancellation", err)
 	}
 	got := <-waiter
-	if got.err != nil || got.res == nil || got.res.Timing.Cycles != 1000 {
-		t.Fatalf("waiter: res %v, err %v; want the cell", got.res, got.err)
+	if got.err != nil || got.cell.Cycles != 1000 {
+		t.Fatalf("waiter: cell %+v, err %v; want the cell", got.cell, got.err)
 	}
 	if n := b.calls.Load(); n != 2 {
 		t.Errorf("remote calls: %d, want 2 (the canceled fetch, then the waiter's own)", n)

@@ -10,6 +10,7 @@ import (
 	"watchdog/internal/core"
 	"watchdog/internal/isa"
 	"watchdog/internal/machine"
+	"watchdog/internal/mem"
 	"watchdog/internal/report"
 	"watchdog/internal/rt"
 	"watchdog/internal/security"
@@ -88,34 +89,23 @@ func (r *Runner) Report(figures []string, juliet *security.Summary) (*report.Rep
 	}
 
 	// Only completed successes are kept, so cells still computing (or
-	// failed) never reach the report.
+	// failed) never reach the report. Each non-baseline cell gets its
+	// overhead over the baseline cell the run holds at its fidelity,
+	// whether either was simulated here or fetched from a worker.
 	cells := r.results.Kept()
-
 	keys := make([]string, 0, len(cells))
 	for k := range cells {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
 	for _, key := range keys {
-		wname, cname, fid, ok := splitCellKey(key)
-		if !ok {
-			continue
+		c := cells[key].cell
+		if c.Config != string(CfgBaseline) {
+			if b, ok := cells[cellKey(c.Workload, CfgBaseline, sim.Fidelity(c.Fidelity))]; ok {
+				c.Overhead = overhead(c, b.cell)
+			}
 		}
-		// A remote fetch stored the worker's wire cell: emit it
-		// verbatim, so a distributed report is byte-identical to the
-		// local one (the reconstruction is for figure math only).
-		if c := cells[key]; c.wire != nil {
-			rep.Cells = append(rep.Cells, *c.wire)
-			continue
-		}
-		// The baseline for the overhead ratio is the same workload's
-		// baseline cell at the same fidelity: an extrapolated cycle
-		// count divided by an exact one would be a mixed-fidelity ratio.
-		var base *machine.Result
-		if b, ok := cells[cellKey(wname, CfgBaseline, fid)]; ok && cname != string(CfgBaseline) {
-			base = b.res
-		}
-		rep.Cells = append(rep.Cells, buildCell(wname, cname, fid, cells[key].res, base))
+		rep.Cells = append(rep.Cells, c)
 	}
 	annotateDrift(rep.Cells)
 
@@ -126,23 +116,23 @@ func (r *Runner) Report(figures []string, juliet *security.Summary) (*report.Rep
 	return rep, nil
 }
 
-// CellCtx simulates one (workload, configuration) cell under ctx and
-// returns it flattened into the report schema — the wire format of
-// the serving layer. With overhead set (and a non-baseline config)
-// the workload's baseline cell is also run so the response carries
-// the slowdown ratio. Both runs coalesce onto the runner's caches.
-func (r *Runner) CellCtx(ctx context.Context, w workload.Workload, name ConfigName, overhead bool) (report.Cell, error) {
-	res, err := r.RunCtx(ctx, w, name)
+// CellCtx returns one (workload, configuration) cell at fidelity fid,
+// simulated under ctx: the record the figures and Report read, which
+// is the wire format of the serving layer. With withOverhead set (and
+// a non-baseline config) the workload's baseline cell is also run so
+// the cell carries the slowdown ratio. Both runs coalesce onto the
+// runner's caches.
+func (r *Runner) CellCtx(ctx context.Context, fid sim.Fidelity, w workload.Workload, name ConfigName, withOverhead bool) (report.Cell, error) {
+	c, err := r.run(ctx, fid, w, name)
+	if err != nil || !withOverhead || name == CfgBaseline {
+		return c.cell, err
+	}
+	base, err := r.run(ctx, fid, w, CfgBaseline)
 	if err != nil {
 		return report.Cell{}, err
 	}
-	var base *machine.Result
-	if overhead && name != CfgBaseline {
-		if base, err = r.RunCtx(ctx, w, CfgBaseline); err != nil {
-			return report.Cell{}, err
-		}
-	}
-	return buildCell(w.Name, string(name), r.Fidelity, res, base), nil
+	c.cell.Overhead = overhead(c.cell, base.cell)
+	return c.cell, nil
 }
 
 // buildCell flattens one simulation result into the report schema.
@@ -151,7 +141,7 @@ func (r *Runner) CellCtx(ctx context.Context, w workload.Workload, name ConfigNa
 // factor and the base bucket absorbs the rounding remainder, so the
 // schema's bucket-sum invariant (the four buckets sum to Cycles)
 // holds at every fidelity.
-func buildCell(wname, cname string, fid sim.Fidelity, res, base *machine.Result) report.Cell {
+func buildCell(wname, cname string, fid sim.Fidelity, res *machine.Result) report.Cell {
 	t := &res.Timing
 	cycles := res.EstimatedCycles()
 	check, lockMiss, meta := t.CheckCycles, t.LockMissCycles, t.MetaCycles
@@ -209,10 +199,24 @@ func buildCell(wname, cname string, fid sim.Fidelity, res, base *machine.Result)
 			c.UopsByOp[op.String()] = n
 		}
 	}
-	if base != nil && base.EstimatedCycles() > 0 {
-		c.Overhead = float64(cycles) / float64(base.EstimatedCycles())
-	}
 	return c
+}
+
+// splitFootprint divides the touch accounting into application memory
+// (globals, heap, stack) and metadata memory (shadow space, lock
+// locations, lock-location stack).
+func splitFootprint(fp map[mem.Region]mem.Footprint) (appW, appP, metaW, metaP uint64) {
+	for region, f := range fp {
+		switch region {
+		case mem.RegionGlobal, mem.RegionHeap, mem.RegionStack:
+			appW += f.Words
+			appP += f.Pages
+		case mem.RegionShadow, mem.RegionLock, mem.RegionStackLock:
+			metaW += f.Words
+			metaP += f.Pages
+		}
+	}
+	return
 }
 
 // annotateDrift fills Cell.DriftVsExactPct on every non-exact cell

@@ -5,11 +5,11 @@ import (
 	"testing"
 )
 
-// TestKeptCellsStaySmall: a runner keeps every cell's Result (Report
-// lists them all), so what a kept Result holds on to is what a sweep's
-// heap grows by per cell. A Result that pinned its machine would keep
-// the machine's memory pages, engine, pipeline rings and cache
-// hierarchy: about 10 MB a cell.
+// TestKeptCellsStaySmall: a runner keeps every cell's wire record
+// (Report lists them all) and, for a local cell, its Result, so what
+// they hold on to is what a sweep's heap grows by per cell. A Result
+// that pinned its machine would keep the machine's memory pages,
+// engine, pipeline rings and cache hierarchy: about 10 MB a cell.
 func TestKeptCellsStaySmall(t *testing.T) {
 	const perCell = 256 << 10
 	r := runner(t)

@@ -196,12 +196,13 @@ func (c *Coordinator) Stats() report.FabricStats {
 
 // RemoteCell fetches one cell through placement rounds over the worker
 // registry. It implements experiments.RemoteCellRunner.
-func (c *Coordinator) RemoteCell(ctx context.Context, workload string, config experiments.ConfigName, fid sim.Fidelity, overhead bool) (report.Cell, error) {
+func (c *Coordinator) RemoteCell(ctx context.Context, workload string, config experiments.ConfigName, fid sim.Fidelity) (report.Cell, error) {
 	// The cell key is the serve flight key (every default normalized)
 	// under the report schema version: it ranks the workers for the
-	// cell and names it in the event log.
+	// cell and names it in the event log. The runner derives overhead
+	// ratios itself, so no request asks a worker for one.
 	key := fmt.Sprintf("v%d/%s", report.Version,
-		serve.SimFlightKey(workload, string(config), c.opts.Scale, fid, overhead))
+		serve.SimFlightKey(workload, string(config), c.opts.Scale, fid, false))
 	// One correlation id per cell fetch, reused across every attempt
 	// (retries included), so the same id ties together the
 	// coordinator's event log, each worker's request log, and the
@@ -212,7 +213,6 @@ func (c *Coordinator) RemoteCell(ctx context.Context, workload string, config ex
 		Config:   string(config),
 		Scale:    c.opts.Scale,
 		Fidelity: string(fid.OrExact()),
-		Overhead: overhead,
 	})
 	if err != nil {
 		return report.Cell{}, err

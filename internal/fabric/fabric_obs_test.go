@@ -69,7 +69,7 @@ func TestRequestCorrelation(t *testing.T) {
 		Logger: slog.New(slog.NewJSONHandler(&coordLog, nil)),
 	}, ts.URL)
 
-	cell, err := fab.RemoteCell(context.Background(), "lbm", "baseline", "", false)
+	cell, err := fab.RemoteCell(context.Background(), "lbm", "baseline", "")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -14,6 +15,7 @@ import (
 	"watchdog/internal/report"
 	"watchdog/internal/serve"
 	"watchdog/internal/sim"
+	"watchdog/internal/stats"
 )
 
 // testSet mirrors the experiments package's test subset: small enough
@@ -86,68 +88,115 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
-// TestDistributedMatchesLocal is the tentpole contract: a sweep
-// sharded across two workers produces byte-identical figure tables
-// and report documents to a purely local run, at every fidelity. A
-// sampled cell is a function of its key like an exact one: the
-// sampling period is one constant, not a setting of the run.
+// distributable lists every experiment watchdog-bench runs with
+// -workers, by its -exp name.
+var distributable = []struct {
+	name string
+	fig  func(*experiments.Runner) (*stats.Table, error)
+}{
+	{"fig5", (*experiments.Runner).Fig5},
+	{"fig7", (*experiments.Runner).Fig7},
+	{"fig8", (*experiments.Runner).Fig8},
+	{"fig9", (*experiments.Runner).Fig9},
+	{"fig10", (*experiments.Runner).Fig10},
+	{"fig11", (*experiments.Runner).Fig11},
+	{"ideal", (*experiments.Runner).Ideal},
+	{"ablations", (*experiments.Runner).Ablations},
+}
+
+// workerSims reads a worker's harness.sims from GET /metrics.
+func workerSims(t *testing.T, url string) uint64 {
+	t.Helper()
+	resp, err := http.Get(url + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var m serve.Metrics
+	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
+		t.Fatal(err)
+	}
+	return m.Harness.Sims
+}
+
+// TestDistributedMatchesLocal is the tentpole contract: every
+// distributable experiment, sharded across two fresh workers, produces
+// byte-identical tables and report documents to a purely local run, at
+// every fidelity, and the fleet simulates exactly the cells the local
+// run does. A sampled cell is a function of its key like an exact one:
+// the sampling period is one constant, not a setting of the run.
 func TestDistributedMatchesLocal(t *testing.T) {
 	for _, fid := range sim.Fidelities {
 		t.Run(string(fid), func(t *testing.T) {
-			w1, w2 := newWorker(t), newWorker(t)
-			fab := newFabric(t, Options{}, w1.URL, w2.URL)
+			for _, e := range distributable {
+				t.Run(e.name, func(t *testing.T) {
+					w1, w2 := newWorker(t), newWorker(t)
+					fab := newFabric(t, Options{}, w1.URL, w2.URL)
 
-			remote := newRunner(t, fab)
-			local := newRunner(t, nil)
-			remote.Fidelity, local.Fidelity = fid, fid
+					remote := newRunner(t, fab)
+					local := newRunner(t, nil)
+					remote.Fidelity, local.Fidelity = fid, fid
 
-			rt, err := remote.Fig7()
-			if err != nil {
-				t.Fatal(err)
-			}
-			lt, err := local.Fig7()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if rt.String() != lt.String() {
-				t.Errorf("distributed Fig7 differs from local:\n%s\nvs\n%s", rt, lt)
-			}
+					rt, err := e.fig(remote)
+					if err != nil {
+						t.Fatal(err)
+					}
+					lt, err := e.fig(local)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if rt.String() != lt.String() {
+						t.Errorf("distributed %s differs from local:\n%s\nvs\n%s", e.name, rt, lt)
+					}
 
-			rrep, err := remote.Report([]string{"fig7"}, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			lrep, err := local.Report([]string{"fig7"}, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rb, _ := json.MarshalIndent(rrep, "", "  ")
-			lb, _ := json.MarshalIndent(lrep, "", "  ")
-			if string(rb) != string(lb) {
-				t.Errorf("distributed report differs from local:\n%s\nvs\n%s", rb, lb)
-			}
+					var figures []string
+					if slices.ContainsFunc(experiments.OverheadFigures, func(f experiments.OverheadFigure) bool { return f.Name == e.name }) {
+						figures = []string{e.name}
+					}
+					rrep, err := remote.Report(figures, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					lrep, err := local.Report(figures, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					rb, _ := json.MarshalIndent(rrep, "", "  ")
+					lb, _ := json.MarshalIndent(lrep, "", "  ")
+					if string(rb) != string(lb) {
+						t.Errorf("distributed report differs from local:\n%s\nvs\n%s", rb, lb)
+					}
 
-			fs := fab.Stats()
-			// fig7 over 2 workloads = 2 baselines + 2×4 swept configs = 10
-			// distinct cells, each fetched exactly once (the runner's cache
-			// absorbs re-reads).
-			if fs.CellsSent < 10 {
-				t.Errorf("CellsSent = %d, want >= 10", fs.CellsSent)
-			}
-			if fs.Ejections != 0 {
-				t.Errorf("Ejections = %d on healthy workers", fs.Ejections)
-			}
-			var reqs int64
-			for _, w := range fs.Workers {
-				reqs += w.Requests
-				if !w.Alive {
-					t.Errorf("worker %s marked dead", w.Addr)
-				}
-			}
-			// Nothing is canceled mid-flight on a healthy fleet, so every
-			// request sent completes at exactly one worker.
-			if reqs != fs.CellsSent {
-				t.Errorf("per-worker requests sum to %d, want cells_sent %d", reqs, fs.CellsSent)
+					// Each distinct cell is simulated once, fleet-wide: the
+					// runner asks for each once, and no worker runs a cell
+					// another one owns. Profiling passes are not compared:
+					// two workers may each profile a workload whose ISA cells
+					// they split.
+					sims := local.Timing.Harness().Sims
+					if got := workerSims(t, w1.URL) + workerSims(t, w2.URL); got != sims {
+						t.Errorf("workers ran %d simulations, the local run %d", got, sims)
+					}
+
+					fs := fab.Stats()
+					if uint64(fs.CellsSent) < sims {
+						t.Errorf("CellsSent = %d, want >= %d cells", fs.CellsSent, sims)
+					}
+					if fs.Ejections != 0 {
+						t.Errorf("Ejections = %d on healthy workers", fs.Ejections)
+					}
+					var reqs int64
+					for _, w := range fs.Workers {
+						reqs += w.Requests
+						if !w.Alive {
+							t.Errorf("worker %s marked dead", w.Addr)
+						}
+					}
+					// Nothing is canceled mid-flight on a healthy fleet, so
+					// every request sent completes at exactly one worker.
+					if reqs != fs.CellsSent {
+						t.Errorf("per-worker requests sum to %d, want cells_sent %d", reqs, fs.CellsSent)
+					}
+				})
 			}
 		})
 	}
@@ -196,7 +245,7 @@ func TestWorkerDeathMidSweep(t *testing.T) {
 func TestPermanentErrorFailsFast(t *testing.T) {
 	w := newWorker(t)
 	fab := newFabric(t, Options{}, w.URL)
-	_, err := fab.RemoteCell(context.Background(), "no-such-workload", experiments.CfgBaseline, sim.FidelityExact, false)
+	_, err := fab.RemoteCell(context.Background(), "no-such-workload", experiments.CfgBaseline, sim.FidelityExact)
 	if err == nil {
 		t.Fatal("unknown workload did not fail")
 	}
@@ -246,7 +295,7 @@ func TestProbeEjectsAndReadmits(t *testing.T) {
 func TestStatsShape(t *testing.T) {
 	w := newWorker(t)
 	fab := newFabric(t, Options{}, w.URL)
-	if _, err := fab.RemoteCell(context.Background(), "lbm", experiments.CfgBaseline, sim.FidelityExact, false); err != nil {
+	if _, err := fab.RemoteCell(context.Background(), "lbm", experiments.CfgBaseline, sim.FidelityExact); err != nil {
 		t.Fatal(err)
 	}
 	fs := fab.Stats()

@@ -17,7 +17,6 @@ package security
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"slices"
 	"strings"
@@ -242,22 +241,23 @@ func Mismatches(policy string, cases []Case, outs []Outcome) []Mismatch {
 	var ms []Mismatch
 	for i, c := range cases {
 		o := outs[i]
-		if o.Case.ID == "" {
-			continue // never claimed
-		}
-		if o.Err != nil {
-			if errors.Is(o.Err, context.Canceled) || errors.Is(o.Err, context.DeadlineExceeded) {
-				continue // interrupted mid-run
-			}
-			ms = append(ms, Mismatch{Outcome: o, Expected: c.Bad && ExpectedDetected(policy, c)})
+		if !ran(o) {
 			continue
 		}
 		want := c.Bad && ExpectedDetected(policy, c)
-		if o.Detected != want {
+		if o.Err != nil || o.Detected != want {
 			ms = append(ms, Mismatch{Outcome: o, Expected: want})
 		}
 	}
 	return ms
+}
+
+// ran reports whether an outcome slot holds a run to completion: a
+// canceled fan-out leaves the slots of cases it never claimed zero,
+// and those of cases it interrupted mid-simulation carrying the
+// context's error.
+func ran(o Outcome) bool {
+	return o.Case.ID != "" && !sim.Canceled(o.Err)
 }
 
 func outcomeOf(c Case, res *machine.Result) Outcome {
@@ -343,15 +343,10 @@ func SummarizeRan(cases []Case, outs []Outcome) Summary {
 	ranCases := make([]Case, 0, len(cases))
 	ranOuts := make([]Outcome, 0, len(outs))
 	for i, c := range cases {
-		o := outs[i]
-		if o.Case.ID == "" {
-			continue // never claimed
+		if ran(outs[i]) {
+			ranCases = append(ranCases, c)
+			ranOuts = append(ranOuts, outs[i])
 		}
-		if o.Err != nil && (errors.Is(o.Err, context.Canceled) || errors.Is(o.Err, context.DeadlineExceeded)) {
-			continue // interrupted mid-run
-		}
-		ranCases = append(ranCases, c)
-		ranOuts = append(ranOuts, o)
 	}
 	return Summarize(ranCases, ranOuts)
 }

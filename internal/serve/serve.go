@@ -220,16 +220,9 @@ type Metrics struct {
 	Endpoints map[string]EndpointMetrics `json:"endpoints" prom:"endpoint,label"`
 	// Store describes the result cache and disk store layers.
 	Store StoreMetrics `json:"store"`
-	// Harness sums the runners' counters across every scale and
-	// fidelity the server has simulated at, plus the security suite's.
+	// Harness sums the runners' counters across every scale the
+	// server has simulated at, plus the security suite's.
 	Harness report.Harness `json:"harness"`
-}
-
-// runnerKey identifies one shared runner: requests at the same scale
-// but different fidelities get different runners.
-type runnerKey struct {
-	scale int
-	fid   sim.Fidelity
 }
 
 // Server is the simulation service. Create with New, mount Handler on
@@ -268,7 +261,7 @@ type Server struct {
 	forceStop context.CancelFunc
 
 	mu      sync.Mutex
-	runners map[runnerKey]*experiments.Runner
+	runners map[int]*experiments.Runner // by scale
 
 	simMet    endpointTrack
 	julietMet endpointTrack
@@ -291,7 +284,7 @@ func New(cfg Config) *Server {
 		start:     time.Now(),
 		log:       cfg.Logger,
 		sem:       make(chan struct{}, cfg.MaxWorkers),
-		runners:   make(map[runnerKey]*experiments.Runner),
+		runners:   make(map[int]*experiments.Runner),
 		flightLog: newFlightLog(flightLogN),
 	}
 	s.flights.Max = cfg.CacheEntries
@@ -509,12 +502,12 @@ func (s *Server) handleSim(w http.ResponseWriter, r *http.Request) int {
 	}
 	key := SimFlightKey(req.Workload, req.Config, req.Scale, req.fid, req.Overhead)
 	return s.flightDo(w, r, &s.simMet, key, req.TimeoutMS, func(ctx context.Context) ([]byte, error) {
-		rn, err := s.runner(req.Scale, req.fid)
+		rn, err := s.runner(req.Scale)
 		if err != nil {
 			return nil, err
 		}
 		start := time.Now()
-		cell, err := rn.CellCtx(ctx, req.wl, experiments.ConfigName(req.Config), req.Overhead)
+		cell, err := rn.CellCtx(ctx, req.fid, req.wl, experiments.ConfigName(req.Config), req.Overhead)
 		if err != nil {
 			return nil, err
 		}
@@ -745,24 +738,21 @@ func (s *Server) flightDo(w http.ResponseWriter, r *http.Request, met *endpointT
 	}
 }
 
-// runner returns the shared runner for a (scale, fidelity), creating
-// it on first use. All requests at a (scale, fidelity) share one
-// runner, so the serving layer inherits its Groups. The runner's
-// own result cache also keys on fidelity, but separate runners keep
-// the timing counters (and any future per-runner tuning) per
-// methodology.
-func (s *Server) runner(scale int, fid sim.Fidelity) (*experiments.Runner, error) {
-	key := runnerKey{scale: scale, fid: fid.OrExact()}
+// runner returns the shared runner for a scale, creating it on first
+// use. All requests at a scale share one runner, so the serving layer
+// inherits its Groups: the runner's cell key carries the fidelity, and
+// its profiling passes, which are fidelity-invariant, serve every
+// fidelity once.
+func (s *Server) runner(scale int) (*experiments.Runner, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	r, ok := s.runners[key]
+	r, ok := s.runners[scale]
 	if !ok {
 		var err error
 		if r, err = experiments.NewRunner(scale); err != nil {
 			return nil, err
 		}
-		r.Fidelity = fid
-		s.runners[key] = r
+		s.runners[scale] = r
 	}
 	return r, nil
 }
@@ -819,7 +809,7 @@ func failureStatus(err error) (int, []byte) {
 	switch {
 	case errors.Is(err, context.DeadlineExceeded):
 		return http.StatusGatewayTimeout, errorBody("deadline exceeded: " + err.Error())
-	case experiments.Canceled(err):
+	case sim.Canceled(err):
 		return http.StatusServiceUnavailable, errorBody("canceled: " + err.Error())
 	default:
 		return http.StatusInternalServerError, errorBody(err.Error())

@@ -386,8 +386,11 @@ func TestSimFidelity(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if m := getMetrics(t, ts.URL); m.Harness.Sims != 2 {
-		t.Fatalf("exact + sampled ran %d sims, want 2 (distinct flights)", m.Harness.Sims)
+	// One runner serves every fidelity of a scale, so the two isa
+	// cells share one fidelity-invariant profiling pass.
+	if m := getMetrics(t, ts.URL); m.Harness.Sims != 2 || m.Harness.Profiles != 1 {
+		t.Fatalf("exact + sampled ran %d sims and %d profiles, want 2 (distinct flights) and 1",
+			m.Harness.Sims, m.Harness.Profiles)
 	}
 	if got := cells[0].Cell.Fidelity; got != "exact" {
 		t.Errorf("exact cell labeled %q", got)

@@ -6,6 +6,7 @@ package sim
 
 import (
 	"context"
+	"errors"
 
 	"watchdog/internal/asm"
 	"watchdog/internal/bpred"
@@ -113,6 +114,13 @@ func runCtx(ctx context.Context, prog *asm.Program, cfg Config, period machine.S
 	m.SetContext(ctx)
 	m.Load()
 	return m.Run()
+}
+
+// Canceled reports whether err stems from a context cancellation or an
+// expired deadline: the context's own error, or RunCtx's wrap of it
+// when a run stops mid-simulation.
+func Canceled(err error) bool {
+	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
 // Profile performs the functional profiling pass of Section 5.2: a run
