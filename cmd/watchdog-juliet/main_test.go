@@ -4,17 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strconv"
 	"strings"
 	"testing"
 
 	"watchdog/internal/report"
-	"watchdog/internal/serve"
 	"watchdog/internal/trace"
 )
 
@@ -211,53 +207,5 @@ func TestInterruptFlushesPartialSummary(t *testing.T) {
 	}
 	if jr.Juliet.BadTotal != 0 || jr.Juliet.GoodTotal != 0 {
 		t.Errorf("interrupted-before-start summary counts cases: %+v", jr.Juliet)
-	}
-}
-
-// TestServiceMatchesJSON: POST /v1/juliet answers the document
-// watchdog-juliet -json writes for the same policy and tag width: the
-// service runs the tool's case list, the embedded .wdasm cases
-// included.
-func TestServiceMatchesJSON(t *testing.T) {
-	ts := httptest.NewServer(serve.New(serve.Config{MaxWorkers: 2}).Handler())
-	defer ts.Close()
-	for _, tc := range []struct {
-		args []string
-		req  serve.JulietRequest
-	}{
-		{[]string{"-policy", "watchdog"}, serve.JulietRequest{Policy: "watchdog"}},
-		{[]string{"-policy", "xtag", "-tag-bits", "2"}, serve.JulietRequest{Policy: "xtag", TagBits: 2}},
-	} {
-		path := filepath.Join(t.TempDir(), "juliet.json")
-		var stdout, stderr bytes.Buffer
-		if code := run(context.Background(), append(tc.args, "-j", "2", "-json", path), &stdout, &stderr); code != 0 {
-			t.Fatalf("%v: exit %d, stderr: %s", tc.args, code, stderr.String())
-		}
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var tool report.JulietReport
-		if err := json.Unmarshal(data, &tool); err != nil {
-			t.Fatal(err)
-		}
-
-		body, err := json.Marshal(tc.req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, err := http.Post(ts.URL+"/v1/juliet", "application/json", bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var svc report.JulietReport
-		err = json.NewDecoder(resp.Body).Decode(&svc)
-		resp.Body.Close()
-		if err != nil || resp.StatusCode != http.StatusOK {
-			t.Fatalf("%+v: status %d, decode %v", tc.req, resp.StatusCode, err)
-		}
-		if !reflect.DeepEqual(svc, tool) {
-			t.Errorf("%v: /v1/juliet answered\n%+v\nwatchdog-juliet -json wrote\n%+v", tc.args, svc, tool)
-		}
 	}
 }

@@ -1,12 +1,14 @@
 // watchdog-serve exposes the simulation harness as an HTTP/JSON
 // service: POST /v1/sim runs one (workload, configuration, scale)
 // cell and answers with the same schema-v1 record `watchdog-bench
-// -json` writes; POST /v1/juliet runs the security suite; GET
-// /healthz and GET /metrics serve liveness and request/cache
-// statistics. Identical in-flight requests coalesce onto a single
-// simulation, saturation answers 429 + Retry-After, and SIGINT or
-// SIGTERM drains gracefully: in-flight requests finish (within
-// -drain-timeout), new ones are refused.
+// -json` writes; GET /healthz and GET /metrics serve liveness and
+// request/cache statistics. Identical in-flight requests coalesce onto
+// a single simulation, and every answer is kept for the server's life
+// and replayed byte for byte; -max-scale bounds how many distinct
+// answers there can be. Saturation answers 429 + Retry-After, and
+// SIGINT or SIGTERM drains gracefully: in-flight requests finish
+// (within -drain-timeout), new ones are refused. The security suite is
+// watchdog-juliet's (`watchdog-juliet -json`).
 //
 // Usage:
 //
@@ -14,7 +16,6 @@
 //	watchdog-serve -addr :9090 -workers 4
 //	curl -s localhost:8080/healthz
 //	curl -s -d '{"workload":"mcf","config":"isa","overhead":true}' localhost:8080/v1/sim
-//	curl -s -d '{"policy":"watchdog"}' localhost:8080/v1/juliet
 //
 // A fleet of these servers is also the worker pool of the distributed
 // sweep fabric: `watchdog-bench -workers host:port,...` shards a

@@ -270,7 +270,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	case baseErr != nil:
 		fmt.Fprintf(stdout, "overhead   unknown: under baseline, %v\n", baseErr)
 	case base != res:
-		ratio := float64(res.EstimatedCycles()) / float64(base.EstimatedCycles())
+		ratio := experiments.Overhead(res.EstimatedCycles(), base.EstimatedCycles())
 		fmt.Fprintf(stdout, "overhead   %.1f%% over baseline (%d cycles)\n", (ratio-1)*100, base.EstimatedCycles())
 	}
 	fmt.Fprintf(stdout, "mem ops    %d checked, %d classified as pointer ops (%.1f%%)\n",

@@ -350,17 +350,18 @@ func (r *Runner) profileFor(ctx context.Context, w workload.Workload, opts rt.Op
 	})
 }
 
-// overhead is the one derivation of a cell's slowdown ratio: its
-// cycles over those of base, the baseline cell of its workload at its
+// Overhead is the one derivation of a slowdown ratio: a run's cycles
+// over baseCycles, those of the baseline run of its program at its
 // fidelity (an extrapolated cycle count over an exact one would be a
-// mixed-fidelity ratio). A wire cell's cycles are the whole-program
-// estimate at any fidelity, so a sampled ratio compares
-// extrapolations. It is 0 when base has no cycles.
-func overhead(c, base report.Cell) float64 {
-	if base.Cycles <= 0 {
+// mixed-fidelity ratio). Both are whole-program estimates
+// (machine.Result.EstimatedCycles, which is a wire cell's Cycles), so
+// a sampled ratio compares extrapolations. It is 0 when baseCycles is
+// not positive.
+func Overhead(cycles, baseCycles int64) float64 {
+	if baseCycles <= 0 {
 		return 0
 	}
-	return float64(c.Cycles) / float64(base.Cycles)
+	return float64(cycles) / float64(baseCycles)
 }
 
 // Sweep runs every workload under the configuration, returning the
@@ -390,7 +391,7 @@ func (r *Runner) sweep(ctx context.Context, fid sim.Fidelity, name ConfigName) (
 		if err != nil {
 			return s, 0, err
 		}
-		ratio := overhead(c.cell, base.cell)
+		ratio := Overhead(c.cell.Cycles, base.cell.Cycles)
 		s.Add(w.Name, (ratio-1)*100)
 		ratios = append(ratios, ratio)
 	}

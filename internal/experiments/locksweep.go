@@ -58,7 +58,7 @@ func (r *Runner) LockSweep(sizes []int) (*stats.Table, error) {
 		var missPer1k float64
 		for si, sz := range sizes {
 			c := cells[wi*n+si]
-			ov := (overhead(c, base.cell) - 1) * 100
+			ov := (Overhead(c.Cycles, base.cell.Cycles) - 1) * 100
 			perSize[si] = append(perSize[si], ov)
 			row = append(row, ov)
 			if sz == 4<<10 {

@@ -102,7 +102,7 @@ func (r *Runner) Report(figures []string, juliet *security.Summary) (*report.Rep
 		c := cells[key].cell
 		if c.Config != string(CfgBaseline) {
 			if b, ok := cells[cellKey(c.Workload, CfgBaseline, sim.Fidelity(c.Fidelity))]; ok {
-				c.Overhead = overhead(c, b.cell)
+				c.Overhead = Overhead(c.Cycles, b.cell.Cycles)
 			}
 		}
 		rep.Cells = append(rep.Cells, c)
@@ -131,7 +131,7 @@ func (r *Runner) CellCtx(ctx context.Context, fid sim.Fidelity, w workload.Workl
 	if err != nil {
 		return report.Cell{}, err
 	}
-	c.cell.Overhead = overhead(c.cell, base.cell)
+	c.cell.Overhead = Overhead(c.cell.Cycles, base.cell.Cycles)
 	return c.cell, nil
 }
 

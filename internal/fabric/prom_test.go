@@ -16,11 +16,10 @@ import (
 
 // jsonOnly lists, by JSON path (map keys as *), the leaves of the
 // serve /metrics document that have no Prometheus series: the schema
-// stamp and a configured bound.
+// stamp.
 var jsonOnly = map[string]bool{
-	"schema":          true,
-	"version":         true,
-	"store.cache_max": true,
+	"schema":  true,
+	"version": true,
 }
 
 // TestOneDeclaration: the JSON snapshot types are the only declaration

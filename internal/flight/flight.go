@@ -6,7 +6,6 @@
 package flight
 
 import (
-	"container/list"
 	"context"
 	"errors"
 	"sync"
@@ -17,46 +16,39 @@ import (
 //   - The first caller of a key (the creator) computes. Later callers
 //     (waiters) share its outcome, or leave when their own context
 //     ends.
-//   - Successes are kept. Past Max the least recently used one is
-//     evicted; Max 0 keeps all.
+//   - Successes are kept for the life of the Group, so what it holds
+//     is bounded by its callers' key space.
 //   - Failures are never kept.
 //   - When the shared computation ends in a cancellation or an expired
 //     deadline while the waiter's own context is still live, the error
 //     is another caller's, not the waiter's: the waiter calls again, so
 //     it joins a newer computation or becomes the creator itself.
 //
-// The zero value is ready to use and keeps every success. A Group is
-// safe for concurrent use and must not be copied after first use.
+// The zero value is ready to use. A Group is safe for concurrent use
+// and must not be copied after first use.
 type Group[V any] struct {
-	// Max bounds the kept values (0 = unbounded). Set it before first
-	// use.
-	Max int
-
-	mu        sync.Mutex
-	m         map[string]*call[V] // in-flight and kept calls
-	lru       list.List           // kept calls, most recently used first
-	hits      int64
-	evictions int64
+	mu   sync.Mutex
+	m    map[string]*call[V] // in-flight and kept calls
+	kept int
+	hits int64
 }
 
 // call is one computation of a key. Its outcome is written before done
-// closes; el is set (under the Group's lock) once the value is kept.
+// closes; kept is set (under the Group's lock) once the value is kept.
 type call[V any] struct {
 	key  string
 	done chan struct{}
 	val  V
 	err  error
-	el   *list.Element
+	kept bool
 }
 
 // Stats is a Group's retention state.
 type Stats struct {
 	// Kept is the number of values kept now.
 	Kept int
-	// Hits counts answers served from a kept value; Evictions counts
-	// kept values dropped past Max.
-	Hits      int64
-	Evictions int64
+	// Hits counts answers served from a kept value.
+	Hits int64
 }
 
 // errPanicked is what waiters get when the creator's fn panicked.
@@ -82,9 +74,8 @@ func (g *Group[V]) Do(ctx context.Context, key string, joined func(), fn func() 
 			g.run(c, fn)
 			return c.val, c.err
 		}
-		kept := c.el != nil
+		kept := c.kept
 		if kept {
-			g.lru.MoveToFront(c.el)
 			g.hits++
 		}
 		g.mu.Unlock()
@@ -112,20 +103,16 @@ func (g *Group[V]) Do(ctx context.Context, key string, joined func(), fn func() 
 }
 
 // run computes c as its creator, then publishes the outcome: a success
-// is kept, evicting past Max, and a failure leaves the Group so the
-// next caller computes afresh. A panicking fn still releases its
-// waiters, with errPanicked, before the panic goes on.
+// is kept, and a failure leaves the Group so the next caller computes
+// afresh. A panicking fn still releases its waiters, with errPanicked,
+// before the panic goes on.
 func (g *Group[V]) run(c *call[V], fn func() (V, error)) {
 	c.err = errPanicked // overwritten unless fn panics
 	defer func() {
 		g.mu.Lock()
 		if c.err == nil {
-			c.el = g.lru.PushFront(c)
-			for g.Max > 0 && g.lru.Len() > g.Max {
-				old := g.lru.Remove(g.lru.Back()).(*call[V])
-				delete(g.m, old.key)
-				g.evictions++
-			}
+			c.kept = true
+			g.kept++
 		} else {
 			delete(g.m, c.key)
 		}
@@ -139,10 +126,11 @@ func (g *Group[V]) run(c *call[V], fn func() (V, error)) {
 func (g *Group[V]) Kept() map[string]V {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	out := make(map[string]V, g.lru.Len())
-	for el := g.lru.Front(); el != nil; el = el.Next() {
-		c := el.Value.(*call[V])
-		out[c.key] = c.val
+	out := make(map[string]V, g.kept)
+	for key, c := range g.m {
+		if c.kept {
+			out[key] = c.val
+		}
 	}
 	return out
 }
@@ -151,7 +139,7 @@ func (g *Group[V]) Kept() map[string]V {
 func (g *Group[V]) Stats() Stats {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return Stats{Kept: g.lru.Len(), Hits: g.hits, Evictions: g.evictions}
+	return Stats{Kept: g.kept, Hits: g.hits}
 }
 
 // canceled reports whether err stems from a context cancellation or an

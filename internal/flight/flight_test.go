@@ -39,31 +39,6 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-// TestKeptLRU: a bounded Group is a real LRU — it keeps at most Max
-// values, a hit promotes, and the coldest value is the one evicted.
-func TestKeptLRU(t *testing.T) {
-	ctx := context.Background()
-	g := Group[string]{Max: 2}
-	var n atomic.Int32
-	g.Do(ctx, "a", nil, value(&n, "A"))
-	g.Do(ctx, "b", nil, value(&n, "B"))
-	if v, err := g.Do(ctx, "a", nil, mustNotRun(t)); v != "A" || err != nil { // promote a over b
-		t.Fatalf("a = %q/%v before eviction", v, err)
-	}
-	g.Do(ctx, "c", nil, value(&n, "C")) // evicts b, the coldest
-	kept := g.Kept()
-	if len(kept) != 2 || kept["a"] != "A" || kept["c"] != "C" {
-		t.Errorf("kept %v, want a and c; LRU order not honored", kept)
-	}
-	st := g.Stats()
-	if st.Kept != 2 || st.Evictions != 1 || st.Hits != 1 {
-		t.Errorf("stats %+v, want 2 kept, 1 eviction, 1 hit", st)
-	}
-	if v, _ := g.Do(ctx, "b", nil, value(&n, "B")); v != "B" || n.Load() != 4 {
-		t.Errorf("evicted b = %q after %d computations, want a recomputation", v, n.Load())
-	}
-}
-
 // TestZeroValue: a zero Group needs no constructor and keeps every
 // success.
 func TestZeroValue(t *testing.T) {
@@ -83,21 +58,30 @@ func TestZeroValue(t *testing.T) {
 	}
 }
 
-// TestMaxZeroKeepsAll: Max 0 keeps every success and evicts nothing.
+// TestMaxZeroKeepsAll: a Group has no maximum: it keeps every success
+// and answers each again without computing.
 func TestMaxZeroKeepsAll(t *testing.T) {
 	var g Group[int]
 	const n = 1000
 	for i := 0; i < n; i++ {
 		g.Do(context.Background(), fmt.Sprint(i), nil, func() (int, error) { return i, nil })
 	}
-	st := g.Stats()
-	if st.Kept != n || st.Evictions != 0 {
-		t.Errorf("stats %+v, want %d kept and no evictions", st, n)
+	if st := g.Stats(); st.Kept != n || st.Hits != 0 {
+		t.Errorf("stats %+v, want %d kept and no hits", st, n)
 	}
 	for i, k := 0, g.Kept(); i < n; i++ {
 		if v, ok := k[fmt.Sprint(i)]; !ok || v != i {
 			t.Fatalf("key %d: kept %v/%v", i, v, ok)
 		}
+	}
+	if v, err := g.Do(context.Background(), "0", nil, func() (int, error) {
+		t.Error("recomputed a kept value")
+		return 0, nil
+	}); v != 0 || err != nil {
+		t.Errorf("first key = %d/%v after %d more, want its kept value", v, err, n-1)
+	}
+	if st := g.Stats(); st.Kept != n || st.Hits != 1 {
+		t.Errorf("stats %+v, want %d kept and 1 hit", st, n)
 	}
 }
 

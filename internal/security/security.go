@@ -134,9 +134,10 @@ func runCaseSink(ctx context.Context, c Case, cfg core.Config, opts rt.Options, 
 	return outcomeOf(c, res)
 }
 
-// policies is the -policy vocabulary shared by watchdog-juliet and the
-// serving layer's security endpoint, in presentation order: each name
-// and the engine configuration it runs under.
+// policies is watchdog-juliet's -policy vocabulary, which the
+// experiments' comparator configurations and the benchmark's referee
+// share, in presentation order: each name and the engine configuration
+// it runs under.
 var policies = []struct {
 	name string
 	cfg  core.Config

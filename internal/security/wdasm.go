@@ -41,8 +41,7 @@ func WdasmCases() []Case {
 }
 
 // BuiltinCases returns Suite followed by WdasmCases: the case list
-// watchdog-juliet runs (before any -cases directory) and POST
-// /v1/juliet answers.
+// watchdog-juliet runs before any -cases directory.
 func BuiltinCases() []Case { return append(Suite(), WdasmCases()...) }
 
 // LoadWdasmDir loads every .wdasm case file in dir (the

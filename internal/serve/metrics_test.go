@@ -15,8 +15,8 @@ import (
 // comparing against it: go test ./internal/serve -run MetricsJSONGolden -update
 var updateGolden = flag.Bool("update", false, "rewrite the /metrics JSON golden")
 
-// fullMetrics is a /metrics document with every field non-zero: two
-// endpoints and a disk store.
+// fullMetrics is a /metrics document with every field non-zero: the
+// /v1/sim endpoint and a disk store.
 func fullMetrics() Metrics {
 	return Metrics{
 		Schema:           Schema,
@@ -29,14 +29,11 @@ func fullMetrics() Metrics {
 		Coalesced:        6,
 		TimedOut:         7,
 		Endpoints: map[string]EndpointMetrics{
-			"sim":    {Requests: 40, Errors: 2, Window: 38, P50Milli: 1.25, P90Milli: 7.5, P99Milli: 120.125},
-			"juliet": {Requests: 11, Errors: 1, Window: 11, P50Milli: 310.5, P90Milli: 402.25, P99Milli: 998},
+			"sim": {Requests: 40, Errors: 2, Window: 38, P50Milli: 1.25, P90Milli: 7.5, P99Milli: 120.125},
 		},
 		Store: StoreMetrics{
 			CacheEntries:   10,
-			CacheMax:       512,
 			CacheHits:      12,
-			CacheEvictions: 13,
 			DiskHits:       14,
 			DiskMisses:     15,
 			DiskWrites:     16,

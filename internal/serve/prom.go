@@ -20,23 +20,14 @@ func wantsProm(accept string) bool {
 
 // writeProm renders m, the snapshot the JSON document encodes, as a
 // Prometheus text-exposition document from its field tags, plus the
-// per-endpoint latency histograms, which have no JSON form. It
-// returns the status written. The same state always renders
-// byte-identically: map keys render sorted and the histograms in a
-// fixed order.
+// /v1/sim latency histogram, which has no JSON form. It returns the
+// status written. The same state always renders byte-identically: map
+// keys render sorted.
 func (s *Server) writeProm(w http.ResponseWriter, m *Metrics) int {
 	var p stats.PromWriter
 	p.Struct(m)
-	for _, ep := range []struct {
-		name string
-		met  *endpointTrack
-	}{
-		{"sim", &s.simMet},
-		{"juliet", &s.julietMet},
-	} {
-		p.Histogram("watchdog_serve_request_duration_seconds", "Request latency distribution, by endpoint.",
-			[]stats.Label{{Name: "endpoint", Value: ep.name}}, ep.met.hist.Snapshot())
-	}
+	p.Histogram("watchdog_serve_request_duration_seconds", "Request latency distribution, by endpoint.",
+		[]stats.Label{{Name: "endpoint", Value: "sim"}}, s.simMet.hist.Snapshot())
 	w.Header().Set("Content-Type", stats.PromContentType)
 	w.WriteHeader(http.StatusOK)
 	w.Write([]byte(p.String()))

@@ -1,9 +1,10 @@
 // Package serve is the simulation service behind watchdog-serve: an
-// HTTP/JSON front end over the experiments runner. Requests name a
-// (workload, configuration, scale) cell or a security policy; the
-// response is the same schema-v1 record the batch harness writes, so
-// a client cannot tell (and need not care) whether a document came
-// from `watchdog-bench -json` or from the service.
+// HTTP/JSON front end over the experiments runner. A request names one
+// (workload, configuration, scale, fidelity) cell; the response is the
+// same schema-v1 cell record the batch harness writes, so a client
+// cannot tell (and need not care) whether a cell came from
+// `watchdog-bench -json` or from the service. The security suite has
+// no endpoint: `watchdog-juliet -json` writes its document.
 //
 // The service layers three policies over the runner:
 //
@@ -30,11 +31,14 @@
 //     force-cancels whatever is still running — cancellation lands
 //     mid-simulation via the machine's cooperative check.
 //
-// Completed results live in a two-layer store: the flight Group,
-// bounded by CacheEntries, in front of an optional disk-backed
-// content-addressed layer, so retention is capped and a restarted
-// server replays prior results byte-identically without
-// re-simulating.
+// Completed results live in a two-layer store: the flight Group, which
+// keeps every completed body for the server's life, as each scale's
+// runner keeps the cells behind them, in front of an optional
+// disk-backed content-addressed layer, so a replay is the first body
+// byte for byte and a restarted server replays prior results
+// byte-identically without re-simulating. What memory keeps is bounded
+// by the key space: MaxScale × workloads × fidelities × (configuration,
+// overhead) pairs (DESIGN.md §15).
 package serve
 
 import (
@@ -52,12 +56,9 @@ import (
 	"sync/atomic"
 	"time"
 
-	"watchdog/internal/core"
 	"watchdog/internal/experiments"
 	"watchdog/internal/flight"
 	"watchdog/internal/report"
-	"watchdog/internal/rt"
-	"watchdog/internal/security"
 	"watchdog/internal/sim"
 	"watchdog/internal/stats"
 	"watchdog/internal/workload"
@@ -66,7 +67,7 @@ import (
 const (
 	// Schema identifies the /metrics document.
 	Schema = "watchdog-serve"
-	// Version is the wire schema version (shared by all endpoints).
+	// Version is the wire schema version.
 	Version = 1
 
 	// maxBody bounds request bodies; the requests are tiny.
@@ -98,9 +99,6 @@ type Config struct {
 	// request id, coalesced). Nil means a DiscardHandler logger — the
 	// service never logs unless given a destination.
 	Logger *slog.Logger
-	// CacheEntries bounds the completed flight bodies kept in memory;
-	// past it the least recently used is evicted. Default: 512.
-	CacheEntries int
 	// Store, when non-nil, persists completed bodies write-behind and
 	// answers cold-cache replays, including across restarts.
 	Store *Store
@@ -132,9 +130,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Logger == nil {
 		c.Logger = slog.New(DiscardHandler{})
-	}
-	if c.CacheEntries <= 0 {
-		c.CacheEntries = 512
 	}
 	return c
 }
@@ -169,20 +164,6 @@ type SimResponse struct {
 	// WallNanos is how long the backing computation ran. Coalesced
 	// and replayed requests see the original computation's time.
 	WallNanos int64 `json:"wall_nanos"`
-}
-
-// JulietRequest is the POST /v1/juliet body. The response is the
-// report.JulietReport `watchdog-juliet -json` writes for the same
-// policy and tag width, over the same cases.
-type JulietRequest struct {
-	// Policy is the checking policy (any of security.Policies():
-	// watchdog|conservative|location|software|xtag|dangkiller).
-	// Default: watchdog.
-	Policy string `json:"policy,omitempty"`
-	// TagBits selects the tag width for the xtag policy (1..8; 0 = the
-	// default 8). Rejected for other policies.
-	TagBits   int   `json:"tag_bits,omitempty"`
-	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 }
 
 // ErrorResponse is the body of every non-2xx answer.
@@ -221,7 +202,7 @@ type Metrics struct {
 	// Store describes the result cache and disk store layers.
 	Store StoreMetrics `json:"store"`
 	// Harness sums the runners' counters across every scale the
-	// server has simulated at, plus the security suite's.
+	// server has simulated at.
 	Harness report.Harness `json:"harness"`
 }
 
@@ -242,8 +223,8 @@ type Server struct {
 	coalesced        atomic.Int64
 	timedOut         atomic.Int64
 
-	// flights coalesces requests by flight key and keeps the completed
-	// bodies, at most CacheEntries of them.
+	// flights coalesces requests by flight key and keeps every
+	// completed body.
 	flights flight.Group[[]byte]
 
 	// storeWG tracks write-behind store persists so drain (and tests,
@@ -263,12 +244,7 @@ type Server struct {
 	mu      sync.Mutex
 	runners map[int]*experiments.Runner // by scale
 
-	simMet    endpointTrack
-	julietMet endpointTrack
-
-	// julietTiming records security-suite case timings (the runners
-	// record their own).
-	julietTiming stats.Timing
+	simMet endpointTrack
 
 	// computeStarted, when non-nil, is called by each flight creator
 	// after it claimed a worker slot and before it computes — a test
@@ -287,9 +263,7 @@ func New(cfg Config) *Server {
 		runners:   make(map[int]*experiments.Runner),
 		flightLog: newFlightLog(flightLogN),
 	}
-	s.flights.Max = cfg.CacheEntries
 	s.simMet.hist = stats.NewHistogram()
-	s.julietMet.hist = stats.NewHistogram()
 	s.forceCtx, s.forceStop = context.WithCancel(context.Background())
 	return s
 }
@@ -305,7 +279,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /metrics", s.timed(nil, s.handleMetrics))
 	mux.HandleFunc("GET /debug/flights", s.timed(nil, s.handleFlights))
 	mux.HandleFunc("POST /v1/sim", s.timed(&s.simMet, s.handleSim))
-	mux.HandleFunc("POST /v1/juliet", s.timed(&s.julietMet, s.handleJuliet))
 	return mux
 }
 
@@ -466,8 +439,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) int {
 		TimedOut:         s.timedOut.Load(),
 
 		Endpoints: map[string]EndpointMetrics{
-			"sim":    EndpointMetrics(s.simMet.win.Snapshot()),
-			"juliet": EndpointMetrics(s.julietMet.win.Snapshot()),
+			"sim": EndpointMetrics(s.simMet.win.Snapshot()),
 		},
 		Store:   s.storeMetrics(),
 		Harness: s.harness(),
@@ -478,10 +450,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) int {
 	return writeJSON(w, http.StatusOK, &m)
 }
 
-// harness sums the runners' harness records and the security
-// suite's.
+// harness sums the runners' harness records.
 func (s *Server) harness() report.Harness {
-	h := s.julietTiming.Harness()
+	var h report.Harness
 	s.mu.Lock()
 	for _, r := range s.runners {
 		h.Add(r.Timing.Harness())
@@ -501,7 +472,7 @@ func (s *Server) handleSim(w http.ResponseWriter, r *http.Request) int {
 		return writeError(w, st, err.Error())
 	}
 	key := SimFlightKey(req.Workload, req.Config, req.Scale, req.fid, req.Overhead)
-	return s.flightDo(w, r, &s.simMet, key, req.TimeoutMS, func(ctx context.Context) ([]byte, error) {
+	return s.flightDo(w, r, key, req.TimeoutMS, func(ctx context.Context) ([]byte, error) {
 		rn, err := s.runner(req.Scale)
 		if err != nil {
 			return nil, err
@@ -571,77 +542,7 @@ func parseSim(body io.Reader, maxScale int) (simCall, int, error) {
 	return simCall{SimRequest: req, wl: wl, fid: fid}, 0, nil
 }
 
-// handleJuliet serves POST /v1/juliet: the full security suite under
-// one policy. The suite fans out over the server's worker count
-// internally but occupies a single admission slot — it is the
-// heavyweight endpoint.
-func (s *Server) handleJuliet(w http.ResponseWriter, r *http.Request) int {
-	if s.draining.Load() {
-		return s.refuseDraining(w)
-	}
-	req, st, err := parseJuliet(r.Body)
-	if err != nil {
-		return writeError(w, st, err.Error())
-	}
-	cases := julietCases()
-	key := JulietFlightKey(req.Policy, req.TagBits, len(cases))
-	return s.flightDo(w, r, &s.julietMet, key, req.TimeoutMS, func(ctx context.Context) ([]byte, error) {
-		outs, err := security.RunCasesCtx(ctx, cases, req.cfg, req.opts, s.cfg.MaxWorkers, &s.julietTiming, nil)
-		if err != nil {
-			return nil, err
-		}
-		sum := security.SummarizeRan(cases, outs)
-		return json.Marshal(&report.JulietReport{
-			Schema:  report.JulietSchema,
-			Version: report.Version,
-			Juliet:  sum.ReportRecord(req.Policy),
-		})
-	})
-}
-
-// julietCases is the case list /v1/juliet runs, watchdog-juliet's
-// own, built on first use. The runs only read it.
-var julietCases = sync.OnceValue(security.BuiltinCases)
-
-// julietCall is a /v1/juliet request that passed parseJuliet: its
-// policy defaulted and resolved, and TagBits the width that runs.
-type julietCall struct {
-	JulietRequest
-	cfg  core.Config
-	opts rt.Options
-}
-
-// parseJuliet decodes and checks a /v1/juliet body. It returns the
-// normalised request, or the status (400, or 413 for a body over
-// maxBody) and error to refuse it with. It runs nothing, so
-// FuzzJulietRequest drives it with any body.
-func parseJuliet(body io.Reader) (julietCall, int, error) {
-	var req JulietRequest
-	if st, err := decodeBody(body, &req); err != nil {
-		return julietCall{}, st, err
-	}
-	if req.TimeoutMS < 0 {
-		return julietCall{}, http.StatusBadRequest,
-			fmt.Errorf("timeout_ms must be >= 0, got %d", req.TimeoutMS)
-	}
-	if req.Policy == "" {
-		req.Policy = "watchdog"
-	}
-	cfg, opts, err := security.PolicyConfig(req.Policy)
-	if err != nil {
-		return julietCall{}, http.StatusBadRequest, err
-	}
-	if err := security.SetTagBits(&cfg, req.TagBits); err != nil {
-		return julietCall{}, http.StatusBadRequest, fmt.Errorf("tag_bits: %w", err)
-	}
-	// The key takes the width that runs: xtag at tag_bits 0 and 8 is
-	// the same computation (the default width is 8) and must coalesce
-	// onto one flight.
-	req.TagBits = cfg.TagBits
-	return julietCall{JulietRequest: req, cfg: cfg, opts: opts}, 0, nil
-}
-
-// refuseDraining answers a /v1/* request that arrived during drain.
+// refuseDraining answers a /v1/sim request that arrived during drain.
 // Every such request — even one a completed flight could answer — is
 // refused, so the listener empties deterministically.
 func (s *Server) refuseDraining(w http.ResponseWriter) int {
@@ -652,14 +553,14 @@ func (s *Server) refuseDraining(w http.ResponseWriter) int {
 // errBusy refuses a new computation: every worker slot is taken.
 var errBusy = errors.New("all workers busy")
 
-// flightDo answers the request for key through the flights Group. A
-// kept body replays from memory; otherwise the request joins the
-// computation in flight for key or, if there is none, starts one. A
+// flightDo answers the /v1/sim request for key through the flights
+// Group. A kept body replays from memory; otherwise the request joins
+// the computation in flight for key or, if there is none, starts one. A
 // started flight first asks the disk store, which needs no worker slot;
 // only a real computation passes the worker semaphore, and when that is
 // saturated the request is rejected with 429 + Retry-After instead of
 // queuing. compute returns the body to keep and replay.
-func (s *Server) flightDo(w http.ResponseWriter, r *http.Request, met *endpointTrack, key string, timeoutMS int64, compute func(context.Context) ([]byte, error)) int {
+func (s *Server) flightDo(w http.ResponseWriter, r *http.Request, key string, timeoutMS int64, compute func(context.Context) ([]byte, error)) int {
 	info := requestInfo(r)
 	if info == nil {
 		info = &reqInfo{}
@@ -708,12 +609,10 @@ func (s *Server) flightDo(w http.ResponseWriter, r *http.Request, met *endpointT
 		}
 		computeStart := time.Now()
 		body, err := compute(ctx)
-		if met != nil {
-			// The compute window feeds the backpressure Retry-After
-			// hint; replays and coalesced waits would drag the p50
-			// toward zero, so only real computations observe.
-			met.compute.Observe(time.Since(computeStart), err != nil)
-		}
+		// The compute window feeds the backpressure Retry-After hint;
+		// replays and coalesced waits would drag the p50 toward zero, so
+		// only real computations observe.
+		s.simMet.compute.Observe(time.Since(computeStart), err != nil)
 		if store := s.cfg.Store; err == nil && store != nil {
 			s.storeWG.Add(1)
 			go func() {
@@ -728,7 +627,7 @@ func (s *Server) flightDo(w http.ResponseWriter, r *http.Request, met *endpointT
 		return writeRaw(w, http.StatusOK, body)
 	case errors.Is(err, errBusy):
 		s.rejectedBusy.Add(1)
-		retry := busyRetrySeconds(met)
+		retry := busyRetrySeconds(&s.simMet)
 		w.Header().Set("Retry-After", strconv.Itoa(retry))
 		return writeJSON(w, http.StatusTooManyRequests,
 			&ErrorResponse{Error: err.Error(), RetryAfterSec: retry})
@@ -764,9 +663,6 @@ func (s *Server) runner(scale int) (*experiments.Runner, error) {
 // time instead of the old hardcoded second; an endpoint that has not
 // computed yet (empty window) falls back to 1.
 func busyRetrySeconds(met *endpointTrack) int {
-	if met == nil {
-		return 1
-	}
 	snap := met.compute.Snapshot()
 	if snap.Window == 0 {
 		return 1
@@ -846,16 +742,6 @@ func decodeBody(body io.Reader, v any) (int, error) {
 // places a cell on a worker.
 func SimFlightKey(workload, config string, scale int, fid sim.Fidelity, overhead bool) string {
 	return fmt.Sprintf("sim/%s/%s/%d/%s/%t", workload, config, scale, fid.OrExact(), overhead)
-}
-
-// JulietFlightKey is the canonical identity of one /v1/juliet
-// computation. Callers must pass the normalized tag width (the xtag
-// default width, not 0, for a default-width request; 0 for policies
-// without one) and the number of cases the run covers, so a disk
-// store written by a build with another case list never replays its
-// body.
-func JulietFlightKey(policy string, tagBits, cases int) string {
-	return fmt.Sprintf("juliet/%s/%d/%d", policy, tagBits, cases)
 }
 
 func errorBody(msg string) []byte {

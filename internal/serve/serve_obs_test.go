@@ -83,7 +83,7 @@ func TestMetricsContentNegotiation(t *testing.T) {
 		t.Errorf("harness sims_total = %v, want 1", got)
 	}
 	// Headers appear exactly once even though two reasons share the
-	// rejected family and two endpoints share each endpoint family.
+	// rejected family.
 	if n := strings.Count(doc, "# TYPE watchdog_serve_rejected_total counter"); n != 1 {
 		t.Errorf("rejected_total TYPE emitted %d times", n)
 	}

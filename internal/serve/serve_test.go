@@ -11,9 +11,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"watchdog/internal/report"
-	"watchdog/internal/security"
 )
 
 // testServer returns a Server with a tiny worker pool and its
@@ -58,85 +55,64 @@ func getMetrics(t *testing.T, base string) Metrics {
 	return m
 }
 
-// TestCoalescing is the tentpole contract, on both computing
-// endpoints: N identical concurrent requests run the simulations of
-// one request, every requester gets the identical body back, and a
-// later identical request replays it without simulating again.
+// TestCoalescing is the tentpole contract: N identical concurrent
+// requests run the simulations of one request, every requester gets
+// the identical body back, and a later identical request replays it
+// without simulating again.
 func TestCoalescing(t *testing.T) {
-	for _, tc := range []struct {
-		name, path string
-		req        any
-		sims       uint64 // what one request simulates
-		check      func(t *testing.T, body []byte)
-	}{
-		{"sim", "/v1/sim", SimRequest{Workload: "mcf", Config: "conservative"}, 1, func(t *testing.T, body []byte) {
-			var sr SimResponse
-			if err := json.Unmarshal(body, &sr); err != nil {
-				t.Fatal(err)
-			}
-			if sr.Schema != Schema || sr.Version != Version {
-				t.Fatalf("schema stamp %q v%d", sr.Schema, sr.Version)
-			}
-			if sr.Cell.Workload != "mcf" || sr.Cell.Config != "conservative" || sr.Cell.Cycles <= 0 {
-				t.Fatalf("bad cell: %+v", sr.Cell)
-			}
-		}},
-		{"juliet", "/v1/juliet", JulietRequest{Policy: "watchdog"}, uint64(len(security.BuiltinCases())), func(t *testing.T, body []byte) {
-			var jr report.JulietReport
-			if err := json.Unmarshal(body, &jr); err != nil {
-				t.Fatal(err)
-			}
-			if jr.Schema != report.JulietSchema || jr.Version != report.Version {
-				t.Fatalf("schema stamp %q v%d", jr.Schema, jr.Version)
-			}
-			if j := jr.Juliet; j.Policy != "watchdog" || j.BadTotal == 0 || j.BadDetected != j.BadTotal {
-				t.Fatalf("bad juliet summary: %+v", j)
-			}
-		}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			_, ts := testServer(t, Config{MaxWorkers: 8})
-			const n = 8
-			var wg sync.WaitGroup
-			bodies := make([][]byte, n)
-			codes := make([]int, n)
-			for i := 0; i < n; i++ {
-				wg.Add(1)
-				go func(i int) {
-					defer wg.Done()
-					resp, body := postJSON(t, ts.URL+tc.path, tc.req)
-					codes[i], bodies[i] = resp.StatusCode, body
-				}(i)
-			}
-			wg.Wait()
+	// The subtest names the endpoint under test.
+	t.Run("sim", func(t *testing.T) {
+		_, ts := testServer(t, Config{MaxWorkers: 8})
+		req := SimRequest{Workload: "mcf", Config: "conservative"}
+		const n = 8
+		var wg sync.WaitGroup
+		bodies := make([][]byte, n)
+		codes := make([]int, n)
+		for i := 0; i < n; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				resp, body := postJSON(t, ts.URL+"/v1/sim", req)
+				codes[i], bodies[i] = resp.StatusCode, body
+			}(i)
+		}
+		wg.Wait()
 
-			for i := 0; i < n; i++ {
-				if codes[i] != http.StatusOK {
-					t.Fatalf("request %d: status %d, body %s", i, codes[i], bodies[i])
-				}
-				if !bytes.Equal(bodies[i], bodies[0]) {
-					t.Fatalf("request %d got a different body:\n%s\nvs\n%s", i, bodies[i], bodies[0])
-				}
+		for i := 0; i < n; i++ {
+			if codes[i] != http.StatusOK {
+				t.Fatalf("request %d: status %d, body %s", i, codes[i], bodies[i])
 			}
-			tc.check(t, bodies[0])
+			if !bytes.Equal(bodies[i], bodies[0]) {
+				t.Fatalf("request %d got a different body:\n%s\nvs\n%s", i, bodies[i], bodies[0])
+			}
+		}
+		var sr SimResponse
+		if err := json.Unmarshal(bodies[0], &sr); err != nil {
+			t.Fatal(err)
+		}
+		if sr.Schema != Schema || sr.Version != Version {
+			t.Fatalf("schema stamp %q v%d", sr.Schema, sr.Version)
+		}
+		if sr.Cell.Workload != "mcf" || sr.Cell.Config != "conservative" || sr.Cell.Cycles <= 0 {
+			t.Fatalf("bad cell: %+v", sr.Cell)
+		}
 
-			m := getMetrics(t, ts.URL)
-			if m.Harness.Sims != tc.sims {
-				t.Errorf("%d identical requests ran %d simulations, want %d (one request's)", n, m.Harness.Sims, tc.sims)
-			}
-			if m.Coalesced != n-1 {
-				t.Errorf("coalesced = %d, want %d", m.Coalesced, n-1)
-			}
+		m := getMetrics(t, ts.URL)
+		if m.Harness.Sims != 1 {
+			t.Errorf("%d identical requests ran %d simulations, want 1", n, m.Harness.Sims)
+		}
+		if m.Coalesced != n-1 {
+			t.Errorf("coalesced = %d, want %d", m.Coalesced, n-1)
+		}
 
-			resp, body := postJSON(t, ts.URL+tc.path, tc.req)
-			if resp.StatusCode != http.StatusOK || !bytes.Equal(body, bodies[0]) {
-				t.Fatalf("replay: status %d, body %s", resp.StatusCode, body)
-			}
-			if m := getMetrics(t, ts.URL); m.Harness.Sims != tc.sims {
-				t.Errorf("replay ran a new simulation: sims = %d, want %d", m.Harness.Sims, tc.sims)
-			}
-		})
-	}
+		resp, body := postJSON(t, ts.URL+"/v1/sim", req)
+		if resp.StatusCode != http.StatusOK || !bytes.Equal(body, bodies[0]) {
+			t.Fatalf("replay: status %d, body %s", resp.StatusCode, body)
+		}
+		if m := getMetrics(t, ts.URL); m.Harness.Sims != 1 {
+			t.Errorf("replay ran a new simulation: sims = %d, want 1", m.Harness.Sims)
+		}
+	})
 }
 
 // TestSimOverheadCell: overhead requests also run the baseline and
@@ -414,96 +390,51 @@ func TestSimFidelity(t *testing.T) {
 	}
 }
 
-// TestJulietEndpoint: the security endpoint returns the standalone
-// juliet document (cmd/watchdog-juliet's TestServiceMatchesJSON pins
-// it to the tool's -json document).
-func TestJulietEndpoint(t *testing.T) {
-	_, ts := testServer(t, Config{})
-	resp, body := postJSON(t, ts.URL+"/v1/juliet", JulietRequest{})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, body)
+// TestReplayKeepsFirstBody: the service keeps every body it answered,
+// so after several distinct cells a replay of the first is its first
+// body byte for byte, wall_nanos included, and simulates nothing.
+func TestReplayKeepsFirstBody(t *testing.T) {
+	_, ts := testServer(t, Config{MaxWorkers: 2})
+	reqs := []SimRequest{
+		{Workload: "mcf", Config: "baseline"},
+		{Workload: "lbm", Config: "baseline"},
+		{Workload: "mcf", Config: "conservative", Overhead: true},
+		{Workload: "lbm", Config: "isa", Fidelity: "sampled"},
 	}
-	var jr struct {
-		Schema  string `json:"schema"`
-		Version int    `json:"version"`
-		Juliet  struct {
-			Policy      string `json:"policy"`
-			BadTotal    int    `json:"bad_total"`
-			BadDetected int    `json:"bad_detected"`
-			GoodTotal   int    `json:"good_total"`
-			GoodClean   int    `json:"good_clean"`
-		} `json:"juliet"`
+	var first []byte
+	for i, req := range reqs {
+		resp, body := postJSON(t, ts.URL+"/v1/sim", req)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("request %d: status %d, body %s", i, resp.StatusCode, body)
+		}
+		if i == 0 {
+			first = body
+		}
 	}
-	if err := json.Unmarshal(body, &jr); err != nil {
-		t.Fatal(err)
+	before := getMetrics(t, ts.URL)
+	resp, body := postJSON(t, ts.URL+"/v1/sim", reqs[0])
+	if resp.StatusCode != http.StatusOK || !bytes.Equal(body, first) {
+		t.Fatalf("replay: status %d, body\n%s\nwant the first body\n%s", resp.StatusCode, body, first)
 	}
-	if jr.Schema != "watchdog-juliet" || jr.Version != 1 {
-		t.Fatalf("schema stamp %q v%d", jr.Schema, jr.Version)
+	after := getMetrics(t, ts.URL)
+	if after.Harness.Sims != before.Harness.Sims {
+		t.Errorf("replay ran %d simulations, want 0", after.Harness.Sims-before.Harness.Sims)
 	}
-	j := jr.Juliet
-	if j.Policy != "watchdog" || j.BadTotal == 0 || j.BadDetected != j.BadTotal || j.GoodClean != j.GoodTotal {
-		t.Fatalf("watchdog policy result: %+v", j)
-	}
-
-	resp, body = postJSON(t, ts.URL+"/v1/juliet", JulietRequest{Policy: "bogus"})
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bogus policy: status %d (%s), want 400", resp.StatusCode, body)
+	if after.Store.CacheEntries != len(reqs) || after.Store.CacheHits != 1 {
+		t.Errorf("store %+v, want %d entries and 1 hit", after.Store, len(reqs))
 	}
 }
 
-// TestJulietPolicyDimension: the comparator policies are first-class
-// request dimensions — xtag honors tag_bits (CWE-562 stays invisible
-// to the heap-only scheme even at full width), dangkiller matches
-// Watchdog's full detection, and tag_bits is validated.
-func TestJulietPolicyDimension(t *testing.T) {
+// TestOnlySimAnswers: /v1/sim is the service's one question; the
+// security suite is watchdog-juliet's, so POST /v1/juliet is 404.
+func TestOnlySimAnswers(t *testing.T) {
 	_, ts := testServer(t, Config{})
-	var jr struct {
-		Juliet struct {
-			Policy        string      `json:"policy"`
-			BadTotal      int         `json:"bad_total"`
-			BadDetected   int         `json:"bad_detected"`
-			GoodTotal     int         `json:"good_total"`
-			GoodClean     int         `json:"good_clean"`
-			ByCWEDetected map[int]int `json:"by_cwe_detected"`
-			ByCWETotal    map[int]int `json:"by_cwe_total"`
-		} `json:"juliet"`
+	resp, body := postJSON(t, ts.URL+"/v1/juliet", map[string]string{"policy": "watchdog"})
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("POST /v1/juliet: status %d (%s), want 404", resp.StatusCode, body)
 	}
-
-	resp, body := postJSON(t, ts.URL+"/v1/juliet", JulietRequest{Policy: "xtag", TagBits: 2})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("xtag: status %d: %s", resp.StatusCode, body)
-	}
-	if err := json.Unmarshal(body, &jr); err != nil {
-		t.Fatal(err)
-	}
-	j := jr.Juliet
-	if j.Policy != "xtag" || j.GoodClean != j.GoodTotal {
-		t.Fatalf("xtag result: %+v", j)
-	}
-	if j.ByCWEDetected[562] != 0 || j.ByCWEDetected[416] != j.ByCWETotal[416] {
-		t.Fatalf("xtag per-CWE split: %+v", j)
-	}
-
-	resp, body = postJSON(t, ts.URL+"/v1/juliet", JulietRequest{Policy: "dangkiller"})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("dangkiller: status %d: %s", resp.StatusCode, body)
-	}
-	if err := json.Unmarshal(body, &jr); err != nil {
-		t.Fatal(err)
-	}
-	j = jr.Juliet
-	if j.Policy != "dangkiller" || j.BadDetected != j.BadTotal || j.GoodClean != j.GoodTotal {
-		t.Fatalf("dangkiller result: %+v", j)
-	}
-
-	for _, req := range []JulietRequest{
-		{Policy: "xtag", TagBits: 9},
-		{Policy: "watchdog", TagBits: 4},
-	} {
-		resp, body := postJSON(t, ts.URL+"/v1/juliet", req)
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("%+v: status %d (%s), want 400", req, resp.StatusCode, body)
-		}
+	if m := getMetrics(t, ts.URL); len(m.Endpoints) != 1 || m.Harness.Sims != 0 {
+		t.Errorf("metrics endpoints %v and %d sims, want only sim and none", m.Endpoints, m.Harness.Sims)
 	}
 }
 
@@ -764,8 +695,7 @@ func TestCreatorDisconnectWaitersSurvive(t *testing.T) {
 
 // TestNormalizedFlightKeys: requests that differ only in spelled-out
 // defaults share one flight — "" vs "exact" fidelity and a baseline
-// cell with/without the (meaningless) overhead flag for /v1/sim, tag
-// width 0 vs the default 8 for an xtag /v1/juliet run.
+// cell with/without the (meaningless) overhead flag.
 func TestNormalizedFlightKeys(t *testing.T) {
 	_, ts := testServer(t, Config{MaxWorkers: 4})
 
@@ -797,22 +727,6 @@ func TestNormalizedFlightKeys(t *testing.T) {
 			t.Errorf("%s: normalized twins answered different bodies:\n%s\nvs\n%s", p.name, bodyA, bodyB)
 		}
 	}
-
-	// Juliet: tag_bits 0 means the default width, so it must share the
-	// explicit-default flight.
-	respA, bodyA := postJSON(t, ts.URL+"/v1/juliet", JulietRequest{Policy: "xtag"})
-	simsAfterFirst := getMetrics(t, ts.URL).Harness.Sims
-	respB, bodyB := postJSON(t, ts.URL+"/v1/juliet", JulietRequest{Policy: "xtag", TagBits: 8})
-	simsAfterSecond := getMetrics(t, ts.URL).Harness.Sims
-	if respA.StatusCode != http.StatusOK || respB.StatusCode != http.StatusOK {
-		t.Fatalf("juliet: statuses %d/%d: %s %s", respA.StatusCode, respB.StatusCode, bodyA, bodyB)
-	}
-	if simsAfterSecond != simsAfterFirst {
-		t.Errorf("juliet xtag/0 vs xtag/8 did not share a flight: %d extra sims", simsAfterSecond-simsAfterFirst)
-	}
-	if !bytes.Equal(bodyA, bodyB) {
-		t.Errorf("juliet normalized twins answered different bodies")
-	}
 }
 
 // TestOversizedBody: a body past the read limit answers 413 naming
@@ -840,23 +754,15 @@ func TestOversizedBody(t *testing.T) {
 
 // TestNegativeTimeoutRejected: a negative timeout_ms used to be
 // silently treated as "server default"; it must be a 400 naming the
-// field, on both endpoints.
+// field.
 func TestNegativeTimeoutRejected(t *testing.T) {
 	_, ts := testServer(t, Config{MaxWorkers: 2})
-	for _, tc := range []struct {
-		path string
-		body any
-	}{
-		{"/v1/sim", SimRequest{Workload: "mcf", Config: "conservative", TimeoutMS: -5}},
-		{"/v1/juliet", JulietRequest{Policy: "watchdog", TimeoutMS: -1}},
-	} {
-		resp, body := postJSON(t, ts.URL+tc.path, tc.body)
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("%s with negative timeout_ms answered %d (%s), want 400", tc.path, resp.StatusCode, body)
-		}
-		if !strings.Contains(string(body), "timeout_ms") {
-			t.Errorf("%s error %s does not name timeout_ms", tc.path, body)
-		}
+	resp, body := postJSON(t, ts.URL+"/v1/sim", SimRequest{Workload: "mcf", Config: "conservative", TimeoutMS: -5})
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("negative timeout_ms answered %d (%s), want 400", resp.StatusCode, body)
+	}
+	if !strings.Contains(string(body), "timeout_ms") {
+		t.Errorf("error %s does not name timeout_ms", body)
 	}
 }
 
@@ -865,9 +771,6 @@ func TestNegativeTimeoutRejected(t *testing.T) {
 // empty window, 60s ceiling.
 func TestBusyRetrySecondsTracksCompute(t *testing.T) {
 	var met endpointTrack
-	if got := busyRetrySeconds(nil); got != 1 {
-		t.Errorf("nil track: %d, want 1", got)
-	}
 	if got := busyRetrySeconds(&met); got != 1 {
 		t.Errorf("empty window: %d, want 1", got)
 	}

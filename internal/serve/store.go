@@ -18,9 +18,8 @@ import (
 // The persistent result store has two layers in front of the
 // simulator:
 //
-//   - the server's flight Group, which keeps completed flight bodies in
-//     memory, at most Config.CacheEntries of them, evicting the least
-//     recently used;
+//   - the server's flight Group, which keeps every completed flight
+//     body in memory for the server's life;
 //   - an optional disk layer, content-addressed by the normalized
 //     flight key under the report schema version. A flight asks it
 //     before computing; entries are written behind flight completion
@@ -30,10 +29,10 @@ import (
 //     without re-simulating.
 //
 // The flight key is already the canonical identity of a computation
-// (SimFlightKey/JulietFlightKey normalize every default), and the
-// simulations are deterministic, so replayed bytes are
-// indistinguishable from fresh ones — the same property the in-memory
-// coalescing layer has always leaned on, extended across restarts.
+// (SimFlightKey normalizes every default), and the simulations are
+// deterministic, so replayed bytes are indistinguishable from fresh
+// ones — the same property the in-memory coalescing layer has always
+// leaned on, extended across restarts.
 
 // storeEnvelope is the on-disk format of one entry: the schema
 // version the body was produced under, the flight key it answers, and
@@ -231,14 +230,10 @@ func (st *Store) enforceBudget(justWrote string) {
 // StoreMetrics is the store's slice of the /metrics document (both
 // layers; zero-valued when the server runs without a disk store).
 type StoreMetrics struct {
-	// CacheEntries / CacheMax describe the bodies kept in memory right
-	// now and their bound.
-	CacheEntries int `json:"cache_entries" prom:"watchdog_serve_result_cache_entries,gauge" help:"Completed flight bodies retained in the in-memory LRU."`
-	CacheMax     int `json:"cache_max"`
-	// CacheHits counts replays answered from memory; CacheEvictions
-	// counts bodies dropped past the bound.
-	CacheHits      int64 `json:"cache_hits" prom:"watchdog_serve_result_cache_hits_total,counter" help:"Replays answered from the in-memory LRU."`
-	CacheEvictions int64 `json:"cache_evictions" prom:"watchdog_serve_result_cache_evictions_total,counter" help:"LRU entries dropped past the configured bound."`
+	// CacheEntries counts the bodies kept in memory, one per distinct
+	// flight key answered; CacheHits counts replays answered from them.
+	CacheEntries int   `json:"cache_entries" prom:"watchdog_serve_result_cache_entries,gauge" help:"Completed flight bodies kept in memory."`
+	CacheHits    int64 `json:"cache_hits" prom:"watchdog_serve_result_cache_hits_total,counter" help:"Replays answered from memory."`
 	// Disk layer counters (all zero without -store-dir).
 	DiskHits       int64 `json:"disk_hits,omitempty" prom:"watchdog_serve_store_hits_total,counter" help:"Replays answered from the disk store (checksum-verified)."`
 	DiskMisses     int64 `json:"disk_misses,omitempty" prom:"watchdog_serve_store_misses_total,counter" help:"Disk store lookups that found no servable entry (corrupt ones included)."`
@@ -251,12 +246,7 @@ type StoreMetrics struct {
 // storeMetrics assembles the two layers' counters.
 func (s *Server) storeMetrics() StoreMetrics {
 	fs := s.flights.Stats()
-	m := StoreMetrics{
-		CacheEntries:   fs.Kept,
-		CacheMax:       s.flights.Max,
-		CacheHits:      fs.Hits,
-		CacheEvictions: fs.Evictions,
-	}
+	m := StoreMetrics{CacheEntries: fs.Kept, CacheHits: fs.Hits}
 	if st := s.cfg.Store; st != nil {
 		m.DiskHits = st.diskHits.Load()
 		m.DiskMisses = st.misses.Load()

@@ -9,31 +9,42 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"watchdog/internal/experiments"
+	"watchdog/internal/workload"
 )
 
-// TestFlightsMapBounded is the retention bugfix's contract: a flood of
-// distinct cells leaves the flights Group at its configured bound,
-// instead of the old one-entry-per-unique-cell growth.
+// TestFlightsMapBounded pins what the flights Group can keep: one body
+// per distinct flight key, and parseSim admits MaxScale × 20 workloads
+// × 2 fidelities × 25 (configuration, overhead) keys, since the empty
+// fidelity is exact, scale 0 is scale 1 and a baseline cell drops
+// overhead. At the default MaxScale 4 that is 4,000 bodies, beside the
+// 2,080 cells (13 configurations, no overhead dimension) the runners
+// keep behind them (DESIGN.md §15).
 func TestFlightsMapBounded(t *testing.T) {
-	s, ts := testServer(t, Config{MaxWorkers: 2, CacheEntries: 2})
-	cells := []SimRequest{
-		{Workload: "lbm", Config: "baseline"},
-		{Workload: "mcf", Config: "baseline"},
-		{Workload: "compress", Config: "baseline"},
-		{Workload: "lbm", Config: "baseline", Scale: 2},
-		{Workload: "mcf", Config: "baseline", Scale: 2},
-	}
-	for i, req := range cells {
-		if resp, body := postJSON(t, ts.URL+"/v1/sim", req); resp.StatusCode != http.StatusOK {
-			t.Fatalf("cell %d: %d (%s)", i, resp.StatusCode, body)
+	maxScale := Config{}.withDefaults().MaxScale
+	keys := make(map[string]bool)
+	for _, wl := range workload.Names() {
+		for _, cfg := range experiments.ConfigNames() {
+			for scale := 0; scale <= maxScale; scale++ {
+				for _, fid := range []string{"", "exact", "sampled"} {
+					for _, overhead := range []bool{false, true} {
+						body, err := json.Marshal(SimRequest{Workload: wl, Config: cfg, Scale: scale, Fidelity: fid, Overhead: overhead})
+						if err != nil {
+							t.Fatal(err)
+						}
+						req, _, err := parseSim(bytes.NewReader(body), maxScale)
+						if err != nil {
+							t.Fatalf("%s: %v", body, err)
+						}
+						keys[SimFlightKey(req.Workload, req.Config, req.Scale, req.fid, req.Overhead)] = true
+					}
+				}
+			}
 		}
 	}
-	fs := s.flights.Stats()
-	if fs.Kept != 2 {
-		t.Errorf("flights keep %d bodies, want the configured bound 2", fs.Kept)
-	}
-	if fs.Evictions != 3 {
-		t.Errorf("flight evictions = %d, want 3", fs.Evictions)
+	if want := maxScale * 20 * 2 * 25; len(keys) != want || want != 4000 {
+		t.Errorf("parseSim admits %d flight keys at MaxScale %d, want %d (4,000 at the default 4)", len(keys), maxScale, want)
 	}
 }
 
