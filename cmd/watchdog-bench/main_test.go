@@ -833,3 +833,32 @@ func (l *lockedBuf) String() string {
 	defer l.mu.Unlock()
 	return l.b.String()
 }
+
+// TestDocumentedExperimentsExist: every -exp value that README.md,
+// EXPERIMENTS.md and DESIGN.md pass to watchdog-bench is all or a name
+// in experimentTable. -exp takes one name, so a list such as
+// table1,fig7 is an unknown experiment and exits 1.
+func TestDocumentedExperimentsExist(t *testing.T) {
+	known := map[string]bool{"all": true}
+	for _, e := range experimentTable {
+		known[e.name] = true
+	}
+	exp := regexp.MustCompile(`-exp[ =]([A-Za-z0-9_,.-]+)`)
+	for _, doc := range []string{"README.md", "EXPERIMENTS.md", "DESIGN.md"} {
+		src, err := os.ReadFile(filepath.Join("..", "..", doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, line := range strings.Split(string(src), "\n") {
+			_, args, ok := strings.Cut(line, "watchdog-bench")
+			if !ok {
+				continue
+			}
+			for _, m := range exp.FindAllStringSubmatch(args, -1) {
+				if name := strings.TrimRight(m[1], ",."); !known[name] {
+					t.Errorf("%s:%d: watchdog-bench -exp %s names no experiment (all, %s)", doc, i+1, name, strings.Join(expNames(false), ", "))
+				}
+			}
+		}
+	}
+}

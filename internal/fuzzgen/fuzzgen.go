@@ -10,7 +10,8 @@
 // identical under the baseline and every checking configuration, with
 // zero violations. Bug injection flips that: the generator plants a
 // single use-after-free (keeping one alias dangling) or an
-// out-of-bounds read, and the checkers must catch it.
+// out-of-bounds read, and the checkers must catch it. security.Judge
+// holds a generated program to both under every checking policy.
 package fuzzgen
 
 import (
@@ -35,6 +36,19 @@ const (
 	// BugOOB reads one word past the end of a live object.
 	BugOOB
 )
+
+// String names the defect: safe, uaf or oob.
+func (b Bug) String() string {
+	switch b {
+	case BugNone:
+		return "safe"
+	case BugUAF:
+		return "uaf"
+	case BugOOB:
+		return "oob"
+	}
+	return fmt.Sprintf("bug%d", int(b))
+}
 
 // Options controls generation.
 type Options struct {

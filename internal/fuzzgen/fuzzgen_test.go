@@ -1,346 +1,10 @@
 package fuzzgen
 
 import (
-	"fmt"
 	"testing"
 
 	"watchdog/internal/core"
-	"watchdog/internal/sim"
 )
-
-const seeds = 25
-
-// runCfg executes a generated program under one configuration. The
-// runtime variant is rebuilt to match the engine policy (as the
-// evaluation harness does): the generator is deterministic, so the
-// operation sequence is identical across variants.
-func runCfg(t *testing.T, o Options, cc core.Config) (int64, *core.MemoryError) {
-	t.Helper()
-	o.Policy = cc.Policy
-	prog, rtEnd, _, err := Generate(o)
-	if err != nil {
-		t.Fatalf("seed %d: %v", o.Seed, err)
-	}
-	res, err := sim.Run(prog, sim.Config{Core: cc, RuntimeEnd: rtEnd, InstLimit: 10_000_000})
-	if err != nil {
-		t.Fatalf("seed %d: %v", o.Seed, err)
-	}
-	if res.Aborted {
-		t.Fatalf("seed %d: runtime abort %d (generated program unsafe?)", o.Seed, res.AbortCode)
-	}
-	if res.MemErr != nil {
-		return 0, res.MemErr
-	}
-	if len(res.Output) != 1 {
-		t.Fatalf("seed %d: no checksum", o.Seed)
-	}
-	return res.Output[0], nil
-}
-
-// TestDifferentialSafePrograms: random safe programs must produce the
-// same checksum under every configuration with zero violations.
-func TestDifferentialSafePrograms(t *testing.T) {
-	for seed := int64(0); seed < seeds; seed++ {
-		o := Options{Seed: seed, Policy: core.PolicyWatchdog}
-		base, v := runCfg(t, o, core.Config{Policy: core.PolicyBaseline})
-		if v != nil {
-			t.Fatalf("seed %d: baseline cannot fault: %v", seed, v)
-		}
-		cons := core.DefaultConfig()
-		cons.PtrPolicy = core.PtrConservative
-		for name, cc := range map[string]core.Config{
-			"isa":  core.DefaultConfig(),
-			"cons": cons,
-		} {
-			got, v := runCfg(t, o, cc)
-			if v != nil {
-				t.Fatalf("seed %d/%s: false positive: %v", seed, name, v)
-			}
-			if got != base {
-				t.Fatalf("seed %d/%s: checksum %d != baseline %d", seed, name, got, base)
-			}
-		}
-	}
-}
-
-// TestDifferentialSafeProgramsWithBounds: the same property under full
-// memory safety.
-func TestDifferentialSafeProgramsWithBounds(t *testing.T) {
-	for seed := int64(100); seed < 100+seeds; seed++ {
-		o := Options{Seed: seed, Policy: core.PolicyWatchdog, Bounds: true}
-		base, v := runCfg(t, o, core.Config{Policy: core.PolicyBaseline})
-		if v != nil {
-			t.Fatalf("seed %d: baseline fault: %v", seed, v)
-		}
-		cc := core.DefaultConfig()
-		cc.Bounds = core.BoundsFused
-		got, v := runCfg(t, o, cc)
-		if v != nil {
-			t.Fatalf("seed %d: bounds false positive: %v", seed, v)
-		}
-		if got != base {
-			t.Fatalf("seed %d: bounds checksum %d != %d", seed, got, base)
-		}
-	}
-}
-
-// TestInjectedUAFAlwaysDetected: every planted use-after-free (through
-// a reallocated block) is caught by Watchdog at the planted
-// instruction, while the baseline runs to completion.
-func TestInjectedUAFAlwaysDetected(t *testing.T) {
-	for seed := int64(200); seed < 200+seeds; seed++ {
-		o := Options{Seed: seed, Policy: core.PolicyWatchdog, Bug: BugUAF}
-		prog, rtEnd, bugPC, err := Generate(o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if bugPC < 0 {
-			t.Fatalf("seed %d: no bug planted", seed)
-		}
-		// Baseline (with the uninstrumented runtime) silently survives.
-		bo := o
-		bo.Policy = core.PolicyBaseline
-		bprog, brtEnd, _, err := Generate(bo)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := sim.Run(bprog, sim.Config{Core: core.Config{Policy: core.PolicyBaseline},
-			RuntimeEnd: brtEnd, InstLimit: 10_000_000})
-		if err != nil || res.MemErr != nil || res.Aborted {
-			t.Fatalf("seed %d: baseline must complete: %v %v aborted=%v", seed, err, res.MemErr, res.Aborted)
-		}
-		// Watchdog catches it at exactly the planted access.
-		res, err = sim.Run(prog, sim.Config{Core: core.DefaultConfig(),
-			RuntimeEnd: rtEnd, InstLimit: 10_000_000})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.MemErr == nil || res.MemErr.Kind != core.ErrUseAfterFree {
-			t.Fatalf("seed %d: UAF not detected: %v", seed, res.MemErr)
-		}
-		if res.MemErr.PC != bugPC {
-			t.Fatalf("seed %d: fault at pc %d, planted at %d", seed, res.MemErr.PC, bugPC)
-		}
-	}
-}
-
-// TestInjectedOOBDetectedOnlyWithBounds: a one-past-the-end read is
-// invisible to UAF-only checking but caught by the bounds extension.
-func TestInjectedOOBDetectedOnlyWithBounds(t *testing.T) {
-	for seed := int64(300); seed < 300+seeds; seed++ {
-		o := Options{Seed: seed, Policy: core.PolicyWatchdog, Bug: BugOOB, Bounds: true}
-		prog, rtEnd, bugPC, err := Generate(o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// UAF-only: completes (the identifier is still valid).
-		res, err := sim.Run(prog, sim.Config{Core: core.DefaultConfig(),
-			RuntimeEnd: rtEnd, InstLimit: 10_000_000})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.MemErr != nil {
-			t.Fatalf("seed %d: UAF-only checking should miss the overflow, got %v", seed, res.MemErr)
-		}
-		// Bounds mode: caught at the planted access.
-		cc := core.DefaultConfig()
-		cc.Bounds = core.BoundsFused
-		res, err = sim.Run(prog, sim.Config{Core: cc, RuntimeEnd: rtEnd, InstLimit: 10_000_000})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.MemErr == nil || res.MemErr.Kind != core.ErrOutOfBounds {
-			t.Fatalf("seed %d: overflow not detected: %v", seed, res.MemErr)
-		}
-		if res.MemErr.PC != bugPC {
-			t.Fatalf("seed %d: fault at pc %d, planted at %d", seed, res.MemErr.PC, bugPC)
-		}
-	}
-}
-
-// xtagCfg builds the pointer-tagging configuration at a given width.
-func xtagCfg(w int) core.Config {
-	return core.Config{Policy: core.PolicyXTag, PtrPolicy: core.PtrConservative, TagBits: w}
-}
-
-// TestFuzzDifferential is the N-way differential referee: N seeded
-// programs run under every checking policy with Watchdog as the
-// oracle.
-//
-// Safe corpus (seeds 400..424): every policy — conservative Watchdog,
-// ISA-assisted, location, software, xtag (including the narrowest
-// 1-bit tag, the false-positive stress), dangkiller, and both bounds
-// variants — must produce the baseline checksum with zero violations.
-//
-// Planted-UAF corpus (seeds 500..524, each a use-after-free through a
-// reallocated block): the oracle and every identifier scheme
-// (conservative, software, dangkiller) must fault at exactly the
-// planted pc. The comparators' known blind spots are *asserted*, not
-// tolerated: location must miss every seed (reallocated-UAF class) and
-// complete with the baseline checksum; narrow xtag misses exactly the
-// seeds in the recorded tag-aliasing table (the key delta between the
-// freed and reallocated block is a multiple of 2^W), while the full
-// 8-bit tag detects everything. Any other outcome — an unexpected
-// miss, an unexpected detection, a fault at the wrong pc — fails the
-// referee. Seeds are fixed, so the corpus is identical on every PR;
-// subtests run in parallel, which also exercises the
-// concurrent-simulation paths under -race.
-func TestFuzzDifferential(t *testing.T) {
-	t.Run("safe", testRefereeSafe)
-	t.Run("uaf", testRefereeUAF)
-}
-
-func testRefereeSafe(t *testing.T) {
-	cons := core.DefaultConfig()
-	cons.PtrPolicy = core.PtrConservative
-	boundsFused := core.DefaultConfig()
-	boundsFused.Bounds = core.BoundsFused
-	boundsSep := core.DefaultConfig()
-	boundsSep.Bounds = core.BoundsSeparate
-	configs := []struct {
-		name   string
-		cc     core.Config
-		bounds bool
-	}{
-		{"conservative", cons, false},
-		{"isa", core.DefaultConfig(), false},
-		{"location", core.Config{Policy: core.PolicyLocation}, false},
-		{"software", core.Config{Policy: core.PolicySoftware, PtrPolicy: core.PtrConservative}, false},
-		{"xtag-8b", xtagCfg(8), false},
-		{"xtag-1b", xtagCfg(1), false},
-		{"dangkiller", core.Config{Policy: core.PolicyDangKiller, PtrPolicy: core.PtrConservative}, false},
-		{"bounds-fused", boundsFused, true},
-		{"bounds-separate", boundsSep, true},
-	}
-	for seed := int64(400); seed < 400+seeds; seed++ {
-		seed := seed
-		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			t.Parallel()
-			o := Options{Seed: seed, Policy: core.PolicyWatchdog}
-			base, v := runCfg(t, o, core.Config{Policy: core.PolicyBaseline})
-			if v != nil {
-				t.Fatalf("baseline cannot fault: %v", v)
-			}
-			for _, c := range configs {
-				oc := o
-				oc.Bounds = c.bounds
-				got, v := runCfg(t, oc, c.cc)
-				if v != nil {
-					t.Fatalf("%s: false positive: %v", c.name, v)
-				}
-				if got != base {
-					t.Fatalf("%s: checksum %d != baseline %d", c.name, got, base)
-				}
-			}
-		})
-	}
-}
-
-// xtagMissWidth records, per planted-UAF seed, the widest tag at which
-// the pointer-tagging comparator still misses the dereference (0 = no
-// miss at any width). Discovered empirically, then frozen: aliasing is
-// a deterministic function of the allocation-key delta, so a change
-// here means the generator's allocation sequence (or the tag scheme)
-// changed, not flakiness. Misses are downward-closed in the width —
-// a delta divisible by 4 is divisible by 2 — which the referee
-// re-derives from this table when it picks expectations per width.
-var xtagMissWidth = map[int64]int{
-	501: 1, 503: 2, 504: 1, 506: 1, 509: 1, 512: 1,
-	515: 1, 517: 2, 519: 1, 522: 2, 523: 2, 524: 1,
-}
-
-// bugVerdict is one configuration's outcome on a planted-UAF program:
-// either it detected (fault at the planted pc) or it completed
-// cleanly with a checksum. Anything else fails the calling test.
-type bugVerdict struct {
-	detected bool
-	checksum int64
-}
-
-// runBugCfg executes a planted-UAF program under one configuration and
-// classifies the outcome. A fault of the wrong kind, at the wrong pc,
-// or a runtime abort is an unexpected divergence and fatal.
-func runBugCfg(t *testing.T, seed int64, cc core.Config) bugVerdict {
-	t.Helper()
-	prog, rtEnd, bugPC, err := Generate(Options{Seed: seed, Bug: BugUAF, Policy: cc.Policy})
-	if err != nil {
-		t.Fatalf("seed %d: %v", seed, err)
-	}
-	if bugPC < 0 {
-		t.Fatalf("seed %d: no bug planted", seed)
-	}
-	res, err := sim.Run(prog, sim.Config{Core: cc, RuntimeEnd: rtEnd, InstLimit: 10_000_000})
-	if err != nil {
-		t.Fatalf("seed %d: %v", seed, err)
-	}
-	switch {
-	case res.MemErr == nil && !res.Aborted && len(res.Output) == 1:
-		return bugVerdict{checksum: res.Output[0]}
-	case res.MemErr != nil && res.MemErr.Kind == core.ErrUseAfterFree && res.MemErr.PC == bugPC:
-		return bugVerdict{detected: true}
-	}
-	t.Fatalf("seed %d under %s: unexpected outcome (memerr=%v aborted=%v outputs=%d)",
-		seed, cc.Policy, res.MemErr, res.Aborted, len(res.Output))
-	return bugVerdict{}
-}
-
-func testRefereeUAF(t *testing.T) {
-	// The corpus must actually exercise the tag-aliasing class: if the
-	// recorded table went empty the narrow-tag assertions would pass
-	// vacuously.
-	if len(xtagMissWidth) == 0 {
-		t.Fatal("empty tag-aliasing table: the narrow-tag divergence class is untested")
-	}
-	cons := core.DefaultConfig()
-	cons.PtrPolicy = core.PtrConservative
-	for seed := int64(500); seed < 500+seeds; seed++ {
-		seed := seed
-		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			t.Parallel()
-			base := runBugCfg(t, seed, core.Config{Policy: core.PolicyBaseline})
-			if base.detected {
-				t.Fatal("baseline cannot detect")
-			}
-			// The oracle and every full-identifier scheme detect.
-			for _, c := range []struct {
-				name string
-				cc   core.Config
-			}{
-				{"watchdog-isa", core.DefaultConfig()},
-				{"watchdog-conservative", cons},
-				{"software", core.Config{Policy: core.PolicySoftware, PtrPolicy: core.PtrConservative}},
-				{"dangkiller", core.Config{Policy: core.PolicyDangKiller, PtrPolicy: core.PtrConservative}},
-				{"xtag-8b", xtagCfg(8)},
-			} {
-				if v := runBugCfg(t, seed, c.cc); !v.detected {
-					t.Errorf("%s: missed the planted UAF (checksum %d)", c.name, v.checksum)
-				}
-			}
-			// Location-based checking must miss — the injector frees and
-			// same-size-reallocates, so the block is live again — and the
-			// miss must be silent: the program completes with the baseline
-			// checksum.
-			if v := runBugCfg(t, seed, core.Config{Policy: core.PolicyLocation}); v.detected {
-				t.Error("location: detected a reallocated UAF (its structural blind spot closed?)")
-			} else if v.checksum != base.checksum {
-				t.Errorf("location: miss checksum %d != baseline %d", v.checksum, base.checksum)
-			}
-			// Narrow tags miss exactly the recorded aliasing seeds.
-			for _, w := range []int{1, 2} {
-				wantMiss := xtagMissWidth[seed] >= w
-				v := runBugCfg(t, seed, xtagCfg(w))
-				switch {
-				case v.detected && wantMiss:
-					t.Errorf("xtag-%db: detected, but the aliasing table says seed %d misses", w, seed)
-				case !v.detected && !wantMiss:
-					t.Errorf("xtag-%db: missed seed %d, which is not in the aliasing table", w, seed)
-				case !v.detected && v.checksum != base.checksum:
-					t.Errorf("xtag-%db: miss checksum %d != baseline %d", w, v.checksum, base.checksum)
-				}
-			}
-		})
-	}
-}
 
 // TestGenerateDeterministic: the generator is a pure function of its
 // options.

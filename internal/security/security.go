@@ -134,14 +134,16 @@ func runCaseSink(ctx context.Context, c Case, cfg core.Config, opts rt.Options, 
 	return outcomeOf(c, res)
 }
 
-// policies is watchdog-juliet's -policy vocabulary, which the
-// experiments' comparator configurations and the benchmark's referee
-// share, in presentation order: each name and the engine configuration
-// it runs under.
-var policies = []struct {
+// policy is a name and the engine configuration it runs under.
+type policy struct {
 	name string
 	cfg  core.Config
-}{
+}
+
+// policies is watchdog-juliet's -policy vocabulary, which the
+// experiments' comparator configurations, Judge and the benchmark's
+// referee share, in presentation order.
+var policies = []policy{
 	{"watchdog", core.DefaultConfig()},
 	{"conservative", withPtrPolicy(core.DefaultConfig(), core.PtrConservative)},
 	{"location", core.Config{Policy: core.PolicyLocation}},
