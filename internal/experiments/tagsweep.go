@@ -11,8 +11,8 @@ import (
 // The fixed fuzz corpus behind TagSweep: every seed generates a
 // program with one planted use-after-free through a reallocated block
 // (the hard case for anything weaker than full identifiers). The range
-// is disjoint from TestPolicyReferee's seed table, so a change there
-// cannot silently shift this figure.
+// is disjoint from the seeds fuzzgen's differential tests judge, so a
+// change there cannot silently shift this figure.
 const (
 	tagSweepBase  = 440
 	tagSweepSeeds = 24

@@ -2,73 +2,10 @@ package security
 
 import (
 	"context"
-	"fmt"
-	"sync"
 	"testing"
 
 	"watchdog/internal/fuzzgen"
 )
-
-// refereeSeeds are the generated programs TestPolicyReferee judges:
-// runs of n seeds from first at the generator's default 150
-// operations, and two 40-operation finds of the earlier per-policy
-// regression workloads, each with its golden baseline checksum. Seed
-// 2's reallocation aliases the dangling key under a 1-bit tag; seed 0
-// is the plain reallocated use-after-free.
-var refereeSeeds = []struct {
-	bug      fuzzgen.Bug
-	first, n int64
-	ops      int
-	checksum int64 // golden baseline checksum, 0 when none is kept
-}{
-	{bug: fuzzgen.BugNone, first: 0, n: 25},
-	{bug: fuzzgen.BugNone, first: 100, n: 25},
-	{bug: fuzzgen.BugUAF, first: 200, n: 25},
-	{bug: fuzzgen.BugOOB, first: 300, n: 25},
-	{bug: fuzzgen.BugNone, first: 400, n: 25},
-	{bug: fuzzgen.BugUAF, first: 500, n: 25},
-	{bug: fuzzgen.BugUAF, first: 2, n: 1, ops: 40, checksum: 1672},
-	{bug: fuzzgen.BugUAF, first: 0, n: 1, ops: 40, checksum: 1477},
-}
-
-// TestPolicyReferee judges every program of refereeSeeds, one parallel
-// subtest each, which also runs the simulations concurrently under
-// -race. The corpus must exercise both sides of the xtag rule: if no
-// planted use-after-free aliased under a 1-bit tag, or none was caught
-// under one, the derived expectation would pass half vacuously.
-func TestPolicyReferee(t *testing.T) {
-	var mu sync.Mutex
-	narrow := map[bool]int{}
-	t.Cleanup(func() {
-		if narrow[true] == 0 || narrow[false] == 0 {
-			t.Errorf("xtag-1b detected %d and missed %d planted use-after-frees; the corpus must do both", narrow[true], narrow[false])
-		}
-	})
-	for _, s := range refereeSeeds {
-		for seed := s.first; seed < s.first+s.n; seed++ {
-			o := fuzzgen.Options{Seed: seed, Ops: s.ops, Bug: s.bug}
-			name := fmt.Sprintf("%s/seed%d", s.bug, seed)
-			if s.ops != 0 {
-				name += fmt.Sprintf("-%dops", s.ops)
-			}
-			t.Run(name, func(t *testing.T) {
-				t.Parallel()
-				v, err := Judge(context.Background(), o)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if s.checksum != 0 && v.Checksum != s.checksum {
-					t.Errorf("baseline checksum %d, want golden %d", v.Checksum, s.checksum)
-				}
-				if o.Bug == fuzzgen.BugUAF {
-					mu.Lock()
-					narrow[v.Detected["xtag-1b"]]++
-					mu.Unlock()
-				}
-			})
-		}
-	}
-}
 
 // FuzzPolicyReferee judges the generated program of any seed, op count
 // and bug kind: Judge derives every expectation from the program's own
@@ -77,6 +14,9 @@ func TestPolicyReferee(t *testing.T) {
 // 150). Run it with
 //
 //	go test ./internal/security -run '^$' -fuzz '^FuzzPolicyReferee$' -fuzztime 20s
+//
+// The fixed seed runs are judged by fuzzgen's differential tests and
+// workload's TestRegressionGoldenVerdicts.
 func FuzzPolicyReferee(f *testing.F) {
 	f.Add(int64(2), uint8(40), uint8(fuzzgen.BugUAF))
 	f.Add(int64(440), uint8(0), uint8(fuzzgen.BugUAF))
